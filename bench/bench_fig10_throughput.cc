@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "comet/common/table.h"
+#include "comet/obs/metrics.h"
 #include "comet/serve/engine.h"
 
 using namespace comet;
@@ -155,14 +156,23 @@ main(int argc, char **argv)
         // Reduced shapes: one short setting, two models — exercises
         // the full engine stack in a few hundred milliseconds.
         runSetting(128, 64, /*smoke=*/true, &report);
-        report.writeIfRequested(argc, argv);
-        return 0;
+    } else {
+        runSetting(1024, 512, /*smoke=*/false, &report);
+        runSetting(128, 128, /*smoke=*/false, &report);
+        std::printf("Paper-shape checks: COMET ~2.02x TRT-W4A16 at "
+                    "1024/512 and ~1.63x at 128/128; ~1.17x over "
+                    "QServe; FP16 70B+ models do not fit (OOM).\n");
     }
-    runSetting(1024, 512, /*smoke=*/false, &report);
-    runSetting(128, 128, /*smoke=*/false, &report);
-    std::printf("Paper-shape checks: COMET ~2.02x TRT-W4A16 at "
-                "1024/512 and ~1.63x at 128/128; ~1.17x over QServe; "
-                "FP16 70B+ models do not fit (OOM).\n");
+    // The cost model schedules COMET tile grids in closed form; any
+    // materialized tile means a costing path fell back to building
+    // tile lists (gated at its baseline of 0).
+    report.addMetric("gpusim.tiles_materialized",
+                     static_cast<double>(
+                         obs::MetricsRegistry::global()
+                             .counter("gpusim.tiles_materialized")
+                             .value()),
+                     "tiles", /*gate=*/true,
+                     /*higher_is_better=*/false);
     report.writeIfRequested(argc, argv);
     return 0;
 }

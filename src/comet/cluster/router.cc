@@ -663,6 +663,12 @@ ClusterRouter::propagateHorizons()
         if (!wake_->ever_connected)
             return;
         floor = minHorizonLocked();
+        // Submissions that landed after this iteration swapped the
+        // inbox are not in pending_order_ yet, while their client may
+        // already have closed (horizon infinity): they bound the
+        // floor too, or a replica is promised past their arrival.
+        for (const RouteRecord &record : wake_->inbox)
+            floor = std::min(floor, record.request.arrival_us);
     }
     if (!pending_order_.empty())
         floor = std::min(floor, pending_order_.begin()->first);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace comet {
 
@@ -171,16 +172,19 @@ GemmCostModel::scheduledComputeTime(const GemmShape &shape,
     const double tile8 = pipelineIterationTime(
         StageTimes{load8, smem8, 0.0, mma8 + exposed_conv}, mode);
 
-    std::vector<TileWork> tiles = buildGemmTiles(
-        shape.m, shape.n, shape.k, cal.tile_m, cal.tile_n, cal.tile_k,
-        pattern, cal.tile_k, tile4, tile8);
+    TileGrid grid;
+    grid.repeats = ((shape.m + cal.tile_m - 1) / cal.tile_m) *
+                   ((shape.n + cal.tile_n - 1) / cal.tile_n);
+    grid.k_precisions = std::move(pattern);
+    grid.int4_us = tile4;
+    grid.int8_us = tile8;
 
     SchedulerConfig sched_config;
     sched_config.num_sms = spec_.num_sms;
     sched_config.steal_split = cal.steal_split;
     sched_config.steal_overhead = cal.steal_overhead;
     const ScheduleResult schedule =
-        scheduleTiles(tiles, sched_config, features.scheduling);
+        scheduleTileGrid(grid, sched_config, features.scheduling);
     if (utilization != nullptr)
         *utilization = schedule.utilization();
     return schedule.makespan +

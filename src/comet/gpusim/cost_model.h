@@ -12,9 +12,10 @@
  *    is disabled, reproducing the Figure 6 bank conflicts),
  *  - the software-pipeline composition from kernel/pipeline.h (stages
  *    overlap when the pipeline is on, serialize when off), and
- *  - for mixed-precision kernels, the discrete SM-scheduler simulation
- *    from sm_scheduler.h, which turns the per-tile duration mix into a
- *    makespan under the chosen scheduling strategy.
+ *  - for mixed-precision kernels, the closed-form SM scheduler from
+ *    sm_scheduler.h (scheduleTileGrid), which turns the per-tile
+ *    duration mix into a makespan under the chosen scheduling strategy
+ *    from tile counts, without materializing the tiles.
  *
  * Calibration constants (efficiencies, launch overhead) are fitted so
  * the *relative* kernel ordering and speedup magnitudes track the

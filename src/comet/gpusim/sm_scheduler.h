@@ -21,8 +21,18 @@
  *    sub-tiles (with a small reduction overhead per extra fragment)
  *    before balanced assignment.
  *
- * The scheduler here is a faithful discrete simulation of those four
- * policies; the Figure 14 bench runs it on real tile lists.
+ * scheduleTileGrid() evaluates those four policies in closed form over
+ * a compact TileGrid (the per-k-tile precision pattern repeated once per
+ * (m, n) tile): every per-SM busy time, the makespan and the total work
+ * are integer tile counts times the two tile durations, computed in
+ * O(num_sms + k_tiles) without materializing a tile. It is the path the
+ * cost model runs for every COMET GEMM. scheduleTiles() is the discrete
+ * simulation of the same policies over an explicit tile list
+ * (buildGemmTiles()); it is kept as the differential oracle the tests
+ * compare the closed form against. The two agree bit-for-bit whenever
+ * the tile sums are exact (e.g. dyadic durations); otherwise they differ
+ * only by summation rounding, at most 2 * n * 2^-53 relative for n
+ * summed tiles.
  */
 #pragma once
 
@@ -71,7 +81,34 @@ struct SchedulerConfig {
     double steal_overhead = 0.03;
 };
 
-/** Simulates the given policy over the tile list. */
+/**
+ * Compact description of a GEMM's tile grid in kernel issue order: the
+ * k-tile precision pattern (k innermost) repeated once per (m, n) tile.
+ * It describes exactly the list buildGemmTiles() materializes when the
+ * precision block size equals tile_k.
+ */
+struct TileGrid {
+    int64_t repeats = 0; ///< m_tiles * n_tiles
+    std::vector<BlockPrecision> k_precisions; ///< one entry per k tile
+    double int4_us = 0.0; ///< duration of an INT4 tile, microseconds
+    double int8_us = 0.0; ///< duration of an INT8 tile, microseconds
+
+    /** Logical tile count: repeats * k tiles. */
+    int64_t
+    tiles() const
+    {
+        return repeats * static_cast<int64_t>(k_precisions.size());
+    }
+};
+
+/** Closed-form schedule of the tile grid under the given policy, in
+ * O(num_sms + k tiles) time and memory. */
+ScheduleResult scheduleTileGrid(const TileGrid &grid,
+                                const SchedulerConfig &config,
+                                SchedulingStrategy strategy);
+
+/** Simulates the given policy over the tile list (the reference
+ * scheduleTileGrid() is tested against). */
 ScheduleResult scheduleTiles(const std::vector<TileWork> &tiles,
                              const SchedulerConfig &config,
                              SchedulingStrategy strategy);
@@ -79,7 +116,9 @@ ScheduleResult scheduleTiles(const std::vector<TileWork> &tiles,
 /**
  * Builds the tile list of an (m, n, k) GEMM with the given per-k-block
  * precision pattern: tiles iterate over the m x n grid for each k block,
- * with per-tile durations supplied by the caller.
+ * with per-tile durations supplied by the caller. Every materialized tile
+ * counts toward `gpusim.tiles_materialized`; no production path calls
+ * this (the cost model schedules a TileGrid instead).
  */
 std::vector<TileWork> buildGemmTiles(int64_t m, int64_t n, int64_t k,
                                      int64_t tile_m, int64_t tile_n,

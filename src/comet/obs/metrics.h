@@ -148,9 +148,6 @@ class MetricsRegistry
      */
     void reset();
 
-    /** Backwards-compatible alias for reset(). */
-    void resetForTesting() { reset(); }
-
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -250,19 +250,6 @@ ServingEngine::attentionLatencyUs(int64_t batch,
 }
 
 double
-ServingEngine::gemmLatencyUs(int64_t m_tokens) const
-{
-    return stepGemmLatencyUs(m_tokens);
-}
-
-double
-ServingEngine::attentionReadLatencyUs(int64_t batch,
-                                      int64_t context_tokens) const
-{
-    return attentionLatencyUs(batch, context_tokens);
-}
-
-double
 ServingEngine::decodeStepLatencyUs(int64_t batch,
                                    int64_t context_tokens) const
 {

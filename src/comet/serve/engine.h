@@ -177,13 +177,14 @@ class ServingEngine
         const std::vector<int64_t> &prompt_tokens) const;
 
     /** GEMM-only latency of processing @p m_tokens tokens through one
-     * decode step's linear layers (exposed for chunked prefill). */
-    double gemmLatencyUs(int64_t m_tokens) const;
+     * step's linear layers: every decoder-layer GEMM, the FP16 LM head
+     * and the TP all-reduce. */
+    double stepGemmLatencyUs(int64_t m_tokens) const;
 
-    /** Memory-bound attention time for @p batch sequences with mean
-     * context @p context_tokens (exposed for chunked prefill). */
-    double attentionReadLatencyUs(int64_t batch,
-                                  int64_t context_tokens) const;
+    /** Memory-bound attention (act-act) time for @p batch sequences
+     * with mean context @p context_tokens. */
+    double attentionLatencyUs(int64_t batch,
+                              int64_t context_tokens) const;
 
     /**
      * Simulates serving `batches * batch` requests of the configured
@@ -196,14 +197,6 @@ class ServingEngine
     ThroughputResult measureThroughputAtBatch(int64_t batch) const;
 
   private:
-    /** Sum of kernel latencies of all decoder-layer GEMMs plus the
-     * attention and LM-head contributions for one step. */
-    double stepGemmLatencyUs(int64_t m_tokens) const;
-
-    /** Memory-bound attention (act-act) time for one decode step. */
-    double attentionLatencyUs(int64_t batch,
-                              int64_t context_tokens) const;
-
     EngineConfig config_;
     ServingPrecision precision_;
     GemmCostModel cost_model_;

@@ -208,7 +208,7 @@ replayTrace(const ServingEngine &engine,
     cache_config.bits_per_value = precision.kv_bits;
     cache_config.block_tokens = config.kv_block_tokens;
     cache_config.memory_budget_bytes =
-        std::max(engine.kvBudgetBytes(), 1.0);
+        std::max(engine.kvPoolBytes(), 1.0);
     PagedKvCache cache(config.model, cache_config);
 
     /** A queued request: fresh from the trace, or preempted and
@@ -461,7 +461,7 @@ replayTrace(const ServingEngine &engine,
                 chunk_tokens += take;
                 // The chunk attends over this request's growing
                 // prefix (memory-bound read of its partial cache).
-                chunk_attention_us += engine.attentionReadLatencyUs(
+                chunk_attention_us += engine.attentionLatencyUs(
                     1, std::max<int64_t>(r.prefilled, 1));
             }
         }
@@ -469,9 +469,9 @@ replayTrace(const ServingEngine &engine,
         double step_us = 0.0;
         const int64_t gemm_tokens = decode_batch + chunk_tokens;
         if (gemm_tokens > 0)
-            step_us += engine.gemmLatencyUs(gemm_tokens);
+            step_us += engine.stepGemmLatencyUs(gemm_tokens);
         if (decode_batch > 0) {
-            step_us += engine.attentionReadLatencyUs(
+            step_us += engine.attentionLatencyUs(
                 decode_batch,
                 static_cast<int64_t>(
                     context_sum /

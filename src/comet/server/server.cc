@@ -770,17 +770,17 @@ Server::stepOnce()
                 gemm_it =
                     gemm_cache_
                         .emplace(gemm_tokens,
-                                 engine_->gemmLatencyUs(gemm_tokens))
+                                 engine_->stepGemmLatencyUs(gemm_tokens))
                         .first;
             }
             step_us = gemm_it->second;
             if (plan.decode_batch > 0) {
-                step_us += engine_->attentionReadLatencyUs(
+                step_us += engine_->attentionLatencyUs(
                     plan.decode_batch,
                     plan.decode_context_sum / plan.decode_batch);
             }
             for (const PlannedChunk &chunk : plan.chunks) {
-                step_us += engine_->attentionReadLatencyUs(
+                step_us += engine_->attentionLatencyUs(
                     1, std::max<int64_t>(chunk.context_after, 1));
             }
         } else {
@@ -811,12 +811,12 @@ Server::stepOnce()
             if (gemm_it == gemm_cache_.end()) {
                 gemm_it = gemm_cache_
                               .emplace(batch,
-                                       engine_->gemmLatencyUs(batch))
+                                       engine_->stepGemmLatencyUs(batch))
                               .first;
             }
             step_us =
                 gemm_it->second +
-                engine_->attentionReadLatencyUs(batch, mean_context);
+                engine_->attentionLatencyUs(batch, mean_context);
         }
         if (!waitForSafe(clock_ + step_us))
             return false;

@@ -248,7 +248,10 @@ TEST(CostModelDeathTest, RejectsEmptyShape)
 /** Sweep every paper model x batch: invariants that must hold for
  * any shape the serving engine can generate. */
 struct ModelBatch {
-    int model_index;
+    // int64_t, not int: gtest names each case after the raw bytes of
+    // its parameter, so padding between the fields would put stack
+    // garbage into the test names and change them from run to run.
+    int64_t model_index;
     int64_t batch;
 };
 

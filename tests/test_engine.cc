@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "comet/kvcache/kv_cache.h"
+#include "comet/model/layer_shapes.h"
+#include "comet/obs/metrics.h"
 #include "comet/serve/engine.h"
 
 namespace comet {
@@ -159,6 +161,36 @@ TEST(ServingEngine, ZeroBatchYieldsZeroThroughput)
         LlmConfig::llama3_70b(), ServingMode::kTrtFp16));
     const ThroughputResult result = engine.measureThroughput();
     EXPECT_DOUBLE_EQ(result.tokens_per_second, 0.0);
+}
+
+TEST(ServingEngine, PrefillCostingSchedulesTilesWithoutBuildingThem)
+{
+    // The cost model schedules each COMET GEMM's tile grid in closed
+    // form: the logical tile count is accounted, no tile is built.
+    const ServingEngine engine(makeConfig(LlmConfig::llama3_8b(),
+                                          ServingMode::kCometW4AxKv4));
+    const int64_t batch = engine.maxBatchSize();
+    ASSERT_GT(batch, 0);
+    const CostModelCalibration cal;
+    int64_t expected = 0;
+    for (const LayerGemm &gemm : decoderLayerGemms(
+             engine.config().model,
+             batch * engine.config().input_tokens)) {
+        const GemmShape &shape = gemm.shape;
+        expected += ((shape.m + cal.tile_m - 1) / cal.tile_m) *
+                    ((shape.n + cal.tile_n - 1) / cal.tile_n) *
+                    ((shape.k + cal.tile_k - 1) / cal.tile_k);
+    }
+
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    obs::Counter &scheduled = registry.counter("gpusim.tiles_scheduled");
+    obs::Counter &materialized =
+        registry.counter("gpusim.tiles_materialized");
+    const int64_t scheduled_before = scheduled.value();
+    const int64_t materialized_before = materialized.value();
+    engine.prefillLatencyUs(batch);
+    EXPECT_EQ(scheduled.value() - scheduled_before, expected);
+    EXPECT_EQ(materialized.value(), materialized_before);
 }
 
 TEST(TensorParallel, DegreeOneIsTheBaseline)

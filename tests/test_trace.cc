@@ -280,6 +280,26 @@ TEST(TraceReplay, UnservableRequestsAreRejectedNotStuck)
     EXPECT_EQ(metrics.per_request.size(), 7u);
 }
 
+TEST(TraceReplay, KvPoolAggregatesTheTpGroup)
+{
+    // Each GPU of the TP group holds 1/tp of every block, so the replay
+    // pool is the per-GPU budget times tp — the same aggregate Server
+    // and measureThroughput size their caches with.
+    EngineConfig config;
+    config.model = LlmConfig::llama2_70b();
+    config.mode = ServingMode::kCometW4AxKv4;
+    TraceConfig trace_config;
+    trace_config.num_requests = 2;
+    const auto trace = generateTrace(trace_config);
+    for (const auto &[tp, blocks] :
+         {std::pair{2, 72805}, std::pair{4, 170461}}) {
+        config.tensor_parallel = tp;
+        const ServingEngine engine(config);
+        EXPECT_EQ(replayTrace(engine, trace).total_kv_blocks, blocks)
+            << "tp " << tp;
+    }
+}
+
 /** Engine whose KV budget is exactly @p blocks KV4 blocks. */
 ServingEngine
 makeTinyKvEngine(EngineConfig config, int64_t blocks)
