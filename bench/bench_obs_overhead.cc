@@ -19,6 +19,7 @@
 #include "bench_flags.h"
 #include "comet/obs/trace_session.h"
 #include "comet/serve/trace.h"
+#include "comet/server/loadgen.h"
 
 using namespace comet;
 
@@ -40,7 +41,7 @@ TraceMetrics
 runWorkload(const ServingEngine &engine,
             const std::vector<TracedRequest> &trace)
 {
-    return replayTrace(engine, trace);
+    return server::replayTrace(engine, trace);
 }
 
 double

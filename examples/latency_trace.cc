@@ -13,6 +13,7 @@
 
 #include "comet/common/table.h"
 #include "comet/serve/trace.h"
+#include "comet/server/loadgen.h"
 
 using namespace comet;
 
@@ -45,7 +46,7 @@ main()
         config.input_tokens = trace_config.mean_prompt_tokens;
         config.output_tokens = trace_config.mean_output_tokens;
         const ServingEngine engine(config);
-        const TraceMetrics metrics = replayTrace(engine, trace);
+        const TraceMetrics metrics = server::replayTrace(engine, trace);
         const std::vector<double> ttft =
             metrics.ttftPercentilesUs({50, 95});
         const std::vector<double> tpot =

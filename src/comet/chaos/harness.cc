@@ -793,7 +793,6 @@ runSchedulerFuzz(uint64_t seed, int steps, bool with_faults)
     BatchSchedulerConfig sched_config;
     sched_config.max_batch = 4;
     sched_config.prefill_emits_token = true;
-    sched_config.collect_retired = true;
     BatchScheduler scheduler(&cache, sched_config);
 
     Rng rng(seed);

@@ -177,7 +177,6 @@ ClusterRouter::ClusterRouter(ClusterConfig config)
         handles_.push_back(servers_[i]->connect());
     replica_active_.assign(n, true);
     reserved_blocks_.assign(n, 0);
-    last_forward_us_.assign(n, 0.0);
     stats_.routed_per_replica.assign(n, 0);
 
     // The edge queue re-uses the per-replica fairness machinery with
@@ -534,7 +533,7 @@ ClusterRouter::minHorizonLocked() const
 double
 ClusterRouter::safeHorizonLocked() const
 {
-    if (!config_.server.deterministic_ingress || wake_->draining)
+    if (wake_->draining)
         return kInfinity;
     return minHorizonLocked();
 }
@@ -542,8 +541,6 @@ ClusterRouter::safeHorizonLocked() const
 ClusterRouter::GateOutcome
 ClusterRouter::waitToAdvance(double target_us)
 {
-    if (!config_.server.deterministic_ingress)
-        return GateOutcome::kAdvance;
     std::unique_lock<std::mutex> lock(wake_->mutex);
     wake_->cv.wait(lock, [&] {
         return (wake_->stop_requested && wake_->cancel_on_stop) ||
@@ -862,19 +859,6 @@ ClusterRouter::forwardToReplica(int replica, RouteRecord &&record)
     forward.eos_output_tokens = record.request.eos_output_tokens;
     forward.arrival_us = record.request.arrival_us;
     forward.cancel_at_us = record.request.cancel_at_us;
-    if (!config_.server.deterministic_ingress) {
-        // Without the gate, arrivals can reach the router out of
-        // order; clamp to keep the per-replica-handle monotonicity
-        // contract (placement itself is best-effort in this mode).
-        double &floor =
-            last_forward_us_[static_cast<size_t>(replica)];
-        forward.arrival_us = std::max(forward.arrival_us, floor);
-        if (forward.cancel_at_us > 0.0) {
-            forward.cancel_at_us =
-                std::max(forward.cancel_at_us, forward.arrival_us);
-        }
-        floor = forward.arrival_us;
-    }
 
     server::TokenStreamPtr cluster_stream = record.stream;
     const bool track_release =
@@ -899,9 +883,16 @@ ClusterRouter::forwardToReplica(int replica, RouteRecord &&record)
     };
     server::TokenStreamPtr replica_stream =
         handles_[static_cast<size_t>(replica)].submit(forward);
-    // From here on a cancellation goes straight to the replica.
-    cluster_stream->setCancelPoke([replica_stream] {
-        replica_stream->requestCancel();
+    // From here on a cancellation goes straight to the replica. The
+    // hook holds the replica stream weakly: its forwarding callback
+    // already holds the cluster stream, and two strong references
+    // would keep both streams alive forever. The replica keeps its
+    // stream until the terminal event, after which a cancel is moot.
+    const std::weak_ptr<server::TokenStream> weak_replica =
+        replica_stream;
+    cluster_stream->setCancelPoke([weak_replica] {
+        if (server::TokenStreamPtr replica = weak_replica.lock())
+            replica->requestCancel();
     });
     if (cluster_stream->cancelRequested() &&
         !replica_stream->cancelRequested())

@@ -342,9 +342,6 @@ class ClusterRouter {
     /** id -> (replica, reserved blocks) for routed, non-terminal
      * streams (least-loaded policy). */
     std::map<int64_t, std::pair<int, int64_t>> outstanding_;
-    /** Latest arrival forwarded per replica: monotonicity clamp for
-     * the non-deterministic ingress mode. */
-    std::vector<double> last_forward_us_;
     ConsistentHashRing ring_;
     SmoothWeightedRoundRobin wrr_;
     ClusterStats stats_;

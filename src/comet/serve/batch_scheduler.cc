@@ -80,7 +80,11 @@ BatchScheduler::admit()
     COMET_SPAN("scheduler/admit");
     // Blocks the running batch will still claim as it decodes; under
     // full reservation, new admissions must leave this headroom
-    // untouched so the decode loop can never exhaust the pool.
+    // untouched so the decode loop can never exhaust the pool. The
+    // claim is measured from the tokens actually cached: a token the
+    // prefill credited (prefill_emits_token) has no KV yet, so
+    // contextTokens() would undercount the claim by a block whenever
+    // the cache sits exactly on a block boundary.
     int64_t reserved = 0;
     if (config_.admission == AdmissionPolicy::kReserveFullOutput) {
         for (const Request &request : running_) {
@@ -88,7 +92,7 @@ BatchScheduler::admit()
                             request.prompt_tokens +
                             request.max_output_tokens) -
                         cache_->blocksForTokens(
-                            request.contextTokens());
+                            cache_->sequenceTokens(request.id));
         }
     }
 
@@ -445,8 +449,7 @@ BatchScheduler::drainRetired()
 void
 BatchScheduler::retire(const Request &request)
 {
-    if (config_.collect_retired)
-        retired_.push_back(request);
+    retired_.push_back(request);
 }
 
 double

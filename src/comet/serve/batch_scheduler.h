@@ -81,22 +81,13 @@ struct BatchSchedulerConfig {
     /**
      * When true, admission itself credits every admitted request with
      * one generated token: the prefill forward pass produces the
-     * request's next output token, the same accounting replayTrace
-     * uses for TTFT. A request whose crediting completes it (e.g. a
-     * one-token generation) retires at admission without ever
-     * entering the decode batch. Off by default — the offline
-     * throughput path counts tokens purely through step().
+     * request's next output token, the accounting the server (and
+     * so trace replay) uses for TTFT. A request whose crediting
+     * completes it (e.g. a one-token generation) retires at admission
+     * without ever entering the decode batch. Off by default — the
+     * offline throughput path counts tokens purely through step().
      */
     bool prefill_emits_token = false;
-    /**
-     * When true, every request that reaches a terminal state
-     * (finished, rejected, cancelled) is retained — with its final
-     * token counts and state — until the caller collects it via
-     * drainRetired(). Event-driven callers (the online server) need
-     * the terminal transitions to deliver stream completions; the
-     * offline paths leave this off and only read the counters.
-     */
-    bool collect_retired = false;
     /**
      * Chunked prefill: process at most this many prefill tokens per
      * request per step, interleaved with decode (see the file
@@ -261,8 +252,9 @@ class BatchScheduler
     /**
      * Returns (and clears) the requests that reached a terminal
      * state — kFinished, kRejected or kCancelled — since the last
-     * call, in the order they retired. Always empty unless
-     * BatchSchedulerConfig::collect_retired is set.
+     * call, in the order they retired, with their final token counts
+     * and state. Every terminal request is retained until drained,
+     * so a long-lived caller must drain regularly.
      */
     std::vector<Request> drainRetired();
 
@@ -306,8 +298,7 @@ class BatchScheduler
     /** Updates the peak-observability counters. */
     void notePeaks();
 
-    /** Records a terminal request for drainRetired() when
-     * collect_retired is on. */
+    /** Records a terminal request for drainRetired(). */
     void retire(const Request &request);
 
     PagedKvCache *cache_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "comet/chaos/failpoint.h"
 #include "comet/kvcache/kv_cache.h"
@@ -250,6 +249,33 @@ ServingEngine::attentionLatencyUs(int64_t batch,
 }
 
 double
+ServingEngine::stepLatencyUs(const StepPlan &plan,
+                             StepGemmMemo &gemm_memo) const
+{
+    const int64_t gemm_tokens = plan.gemmTokens();
+    COMET_CHECK(gemm_tokens > 0);
+    auto gemm = gemm_memo.find(gemm_tokens);
+    if (gemm == gemm_memo.end()) {
+        gemm = gemm_memo
+                   .emplace(gemm_tokens, stepGemmLatencyUs(gemm_tokens))
+                   .first;
+    }
+    double total = gemm->second;
+    if (plan.decode_batch > 0) {
+        total += attentionLatencyUs(
+            plan.decode_batch,
+            plan.decode_context_sum / plan.decode_batch);
+    }
+    // Each chunk attends over its request's growing KV prefix (a
+    // memory-bound read of the partial cache).
+    for (const PlannedChunk &chunk : plan.chunks) {
+        total += attentionLatencyUs(
+            1, std::max<int64_t>(chunk.context_after, 1));
+    }
+    return total;
+}
+
+double
 ServingEngine::decodeStepLatencyUs(int64_t batch,
                                    int64_t context_tokens) const
 {
@@ -356,16 +382,7 @@ ServingEngine::measureThroughputAtBatch(int64_t batch) const
         scheduler.submit(request);
     }
 
-    // The decode GEMM cost only depends on the running batch size;
-    // cache it across steps.
-    std::map<int64_t, double> gemm_cache;
-    auto cached_gemm = [&](int64_t m) {
-        auto it = gemm_cache.find(m);
-        if (it == gemm_cache.end())
-            it = gemm_cache.emplace(m, stepGemmLatencyUs(m)).first;
-        return it->second;
-    };
-
+    StepGemmMemo gemm_memo;
     double total_us = 0.0;
     int64_t generated = 0;
     double decode_us_sum = 0.0;
@@ -401,34 +418,17 @@ ServingEngine::measureThroughputAtBatch(int64_t batch) const
         }
         COMET_SPAN("engine/decode_step");
         const int64_t running = scheduler.runningCount();
-        // Per-request context accounting for the step, fanned out
-        // across the pool (ordered reduction over exact integer
-        // values — identical to the sequential sum).
-        const auto &running_requests = scheduler.running();
-        const double context_sum = parallelReduceOrdered(
-            0, static_cast<int64_t>(running_requests.size()), 32,
-            0.0,
-            [&](int64_t begin, int64_t end) {
-                double partial = 0.0;
-                for (int64_t i = begin; i < end; ++i) {
-                    partial += static_cast<double>(
-                        running_requests[static_cast<size_t>(i)]
-                            .contextTokens());
-                }
-                return partial;
-            },
-            [](double acc, double partial) { return acc + partial; });
-        const auto mean_context = static_cast<int64_t>(
-            context_sum / static_cast<double>(running));
         const double step_us =
-            cached_gemm(running) +
-            attentionLatencyUs(running, mean_context);
+            stepLatencyUs(scheduler.planStep(), gemm_memo);
         total_us += step_us;
         decode_us_sum += step_us;
         ++decode_steps;
         batch_sum += static_cast<double>(running);
         util_sum += scheduler.kvUtilization();
         generated += scheduler.step();
+        // Only the counters matter here; terminal requests are not
+        // kept.
+        scheduler.drainRetired();
     }
 
     result.batch = batch;

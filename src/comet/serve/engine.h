@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-
 #include <vector>
 
 #include "comet/gpusim/cost_model.h"
@@ -76,8 +76,12 @@ struct EngineConfig {
     /** When > 0, trace replay processes prompts in chunks of this
      * many tokens, interleaved with decode iterations of the running
      * batch (Sarathi-Serve-style chunked prefill; the scheduling
-     * integration the paper's Section 7 points at). 0 = stall-free
-     * whole-prompt prefill. */
+     * integration the paper's Section 7 points at). Replay runs as a
+     * Server session, and this value becomes both its
+     * ServerConfig::chunked_prefill_tokens and its
+     * ServerConfig::step_token_budget: at most this many tokens
+     * (decode plus prefill chunks) per fused step. 0 = stall-free
+     * whole-prompt prefill. The measureThroughput* runs ignore it. */
     int64_t chunked_prefill_tokens = 0;
     /** Tensor-parallel degree (Megatron-style sharding): weights, KV
      * heads and GEMM extents split across this many identical GPUs;
@@ -104,6 +108,10 @@ struct EngineConfig {
  */
 EngineConfig engineConfigWithKvBlocks(EngineConfig config,
                                       int64_t blocks);
+
+/** Step GEMM latency by token count (see
+ * ServingEngine::stepLatencyUs). */
+using StepGemmMemo = std::map<int64_t, double>;
 
 /** Outcome of a throughput measurement. */
 struct ThroughputResult {
@@ -176,15 +184,19 @@ class ServingEngine
     double prefillLatencyUs(
         const std::vector<int64_t> &prompt_tokens) const;
 
-    /** GEMM-only latency of processing @p m_tokens tokens through one
-     * step's linear layers: every decoder-layer GEMM, the FP16 LM head
-     * and the TP all-reduce. */
-    double stepGemmLatencyUs(int64_t m_tokens) const;
-
-    /** Memory-bound attention (act-act) time for @p batch sequences
-     * with mean context @p context_tokens. */
-    double attentionLatencyUs(int64_t batch,
-                              int64_t context_tokens) const;
+    /**
+     * Latency of one fused serving step, microseconds: the GEMM over
+     * plan.gemmTokens() (decode tokens plus prefill chunk tokens in
+     * one launch), the decode batch's attention read at its mean
+     * context, and each prefill chunk's attention over its request's
+     * KV prefix. Every loop that simulates traffic costs its steps
+     * here. The GEMM term depends only on the token count and is
+     * memoized in @p gemm_memo, which the caller scopes to one
+     * session or run (the GEMM cost evaluates the `tp.allreduce`
+     * failpoint, so the memo decides when that fault can fire).
+     */
+    double stepLatencyUs(const StepPlan &plan,
+                         StepGemmMemo &gemm_memo) const;
 
     /**
      * Simulates serving `batches * batch` requests of the configured
@@ -197,6 +209,16 @@ class ServingEngine
     ThroughputResult measureThroughputAtBatch(int64_t batch) const;
 
   private:
+    /** GEMM-only latency of processing @p m_tokens tokens through one
+     * step's linear layers: every decoder-layer GEMM, the FP16 LM head
+     * and the TP all-reduce. */
+    double stepGemmLatencyUs(int64_t m_tokens) const;
+
+    /** Memory-bound attention (act-act) time for @p batch sequences
+     * with mean context @p context_tokens. */
+    double attentionLatencyUs(int64_t batch,
+                              int64_t context_tokens) const;
+
     EngineConfig config_;
     ServingPrecision precision_;
     GemmCostModel cost_model_;

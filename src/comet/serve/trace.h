@@ -7,14 +7,12 @@
  * (TTFT) and time-per-output-token (TPOT) under bursty arrivals — the
  * scheduling-integration direction Section 7 points at (Sarathi-Serve,
  * DistServe). This module adds that dimension: a Poisson arrival
- * generator with length distributions, a trace-driven simulation loop
- * over the engine's step model, and percentile latency metrics.
+ * generator with length distributions and percentile latency metrics.
  *
- * The replay honors the engine's admission policy: under optimistic
- * admission, KV exhaustion mid-decode preempts the latest-arrived
- * running requests (recompute-style — they re-prefill on
- * re-admission), and the preemption/requeue work is surfaced in the
- * metrics. Requests may also carry a client-cancellation deadline.
+ * Traces run through server::replayTrace (server/loadgen.h), which
+ * replays them as a one-tenant Server session — the same serving loop
+ * the online path uses. Requests may carry a client-cancellation
+ * deadline.
  */
 #pragma once
 
@@ -23,7 +21,6 @@
 
 #include "comet/common/rng.h"
 #include "comet/obs/metrics.h"
-#include "comet/serve/engine.h"
 
 namespace comet {
 
@@ -75,7 +72,6 @@ struct TraceMetrics {
     int64_t cancelled = 0;         ///< client-abandoned requests
     int64_t rejected = 0;          ///< requests that can never fit
     int64_t peak_running = 0;      ///< max concurrent batch
-    int64_t peak_queue_depth = 0;  ///< max requests waiting
     int64_t peak_used_blocks = 0;  ///< max KV blocks in use observed
     int64_t total_kv_blocks = 0;   ///< pool size the replay ran with
     /** Peak used/total KV blocks as a **fraction in [0, 1]** (never a
@@ -118,17 +114,6 @@ struct TraceMetrics {
      * monotonic: repeated replays accumulate). */
     void publishTo(obs::MetricsRegistry &registry) const;
 };
-
-/**
- * Replays a trace through the serving engine: a discrete-event loop
- * where each iteration admits newly arrived requests (subject to KV
- * capacity and the batch cap), then advances every running request by
- * one token at the engine's modeled step latency. Prefill waves are
- * charged at the admitted requests' actual prompt lengths, and the
- * prefill itself produces each request's first output token.
- */
-TraceMetrics replayTrace(const ServingEngine &engine,
-                         const std::vector<TracedRequest> &trace);
 
 /**
  * Merges per-replica trace metrics into one cluster-level rollup:

@@ -10,6 +10,8 @@
 #include "comet/common/stats.h"
 #include "comet/common/status.h"
 #include "comet/common/table.h"
+#include "comet/obs/obs.h"
+#include "comet/obs/trace_session.h"
 
 namespace comet {
 namespace server {
@@ -315,6 +317,91 @@ finalizeLoadgenReport(const LoadgenConfig &config,
     }
     report.outcomes = std::move(outcomes);
     return report;
+}
+
+TraceMetrics
+replayTrace(const ServingEngine &engine,
+            const std::vector<TracedRequest> &trace)
+{
+    COMET_CHECK(!trace.empty());
+    // `COMET_TRACE=<out.json>` turns any replay into a span trace,
+    // no matter which binary hosts it (one-shot, then free).
+    obs::configureFromEnv();
+    COMET_SPAN("replay");
+    const EngineConfig &engine_config = engine.config();
+    ServerConfig config;
+    config.tenants.resize(1);
+    config.tenants[0].name = "replay";
+    config.max_batch = engine_config.max_batch;
+    config.admission = engine_config.admission;
+    config.kv_watermark_blocks = engine_config.kv_watermark_blocks;
+    config.chunked_prefill_tokens = engine_config.chunked_prefill_tokens;
+    config.step_token_budget = engine_config.chunked_prefill_tokens;
+    config.metrics_prefix = "serve.replay.session";
+
+    std::vector<RequestOutcome> outcomes(trace.size());
+    Server server(&engine, config);
+    Server::Client client = server.connect();
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const TracedRequest &traced = trace[i];
+        StreamRequest request;
+        request.id = traced.id;
+        request.tenant = config.tenants[0].name;
+        request.prompt_tokens = traced.prompt_tokens;
+        request.max_output_tokens = traced.output_tokens;
+        request.arrival_us = traced.arrival_us;
+        if (traced.cancel_us > 0.0) {
+            request.cancel_at_us =
+                std::max(traced.cancel_us, traced.arrival_us);
+        }
+        RequestOutcome *outcome = &outcomes[i];
+        outcome->arrival_us = traced.arrival_us;
+        request.callback = [outcome](const StreamEvent &event) {
+            recordLoadgenEvent(outcome, event);
+        };
+        client.submit(request);
+    }
+    client.close();
+    // The drain barrier also orders every callback (run on the loop
+    // thread) before the reads below.
+    server.drain();
+
+    TraceMetrics metrics;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const RequestOutcome &outcome = outcomes[i];
+        if (outcome.terminal != StreamEventKind::kFinished)
+            continue;
+        RequestLatency latency;
+        latency.id = trace[i].id;
+        latency.output_tokens = outcome.tokens;
+        latency.ttft_us = outcome.first_token_us - outcome.arrival_us;
+        latency.total_us = outcome.last_token_us - outcome.arrival_us;
+        latency.tpot_us =
+            outcome.tokens > 1
+                ? (outcome.last_token_us - outcome.first_token_us) /
+                      static_cast<double>(outcome.tokens - 1)
+                : 0.0;
+        metrics.per_request.push_back(latency);
+    }
+    const ServerStats stats = server.stats();
+    const SchedulerCounters counters = server.schedulerCounters();
+    metrics.makespan_us = server.virtualClockUs();
+    metrics.throughput_tokens_per_s =
+        metrics.makespan_us > 0.0
+            ? static_cast<double>(stats.streamed_tokens) /
+                  (metrics.makespan_us * 1e-6)
+            : 0.0;
+    metrics.preemptions = counters.preemptions;
+    metrics.reprefill_tokens = counters.reprefill_tokens;
+    metrics.cancelled = stats.cancelled;
+    metrics.rejected = stats.rejected;
+    metrics.peak_running = counters.peak_running;
+    metrics.peak_used_blocks = counters.peak_used_blocks;
+    metrics.total_kv_blocks = server.kvTotalBlocks();
+    metrics.peak_kv_utilization =
+        counters.peakKvUtilization(metrics.total_kv_blocks);
+    metrics.publishTo(obs::MetricsRegistry::global());
+    return metrics;
 }
 
 std::string

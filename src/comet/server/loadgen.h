@@ -11,7 +11,8 @@
  * virtual-time stamps and the server is deterministic under its
  * conservative ingress gate, the resulting per-tenant latency report
  * is bit-identical for a fixed seed, any thread interleaving, and
- * either delivery mode (callbacks or pull-iterators).
+ * either delivery mode (callbacks or pull-iterators). replayTrace
+ * drives the same Server with a pre-recorded trace.
  */
 #pragma once
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "comet/serve/trace.h"
 #include "comet/server/server.h"
 
 namespace comet {
@@ -174,6 +176,22 @@ uint64_t deriveReplicaSeed(uint64_t seed, int replica);
  */
 LoadgenReport runLoadgen(Server *server,
                          const LoadgenConfig &config);
+
+/**
+ * Replays a trace as a one-tenant, one-client Server session — the
+ * same serving loop (admission, prefill charge, fused step costing,
+ * preemption) the online path runs — and folds the streams into
+ * TraceMetrics. The session takes the engine's max_batch, admission
+ * policy and KV watermark; EngineConfig::chunked_prefill_tokens sets
+ * both the chunk size and the per-step token budget. One client
+ * submits the requests in trace order, so arrivals must be
+ * nondecreasing (generateTrace's order); a cancel_us earlier than the
+ * arrival cancels the request as it arrives. The session publishes under its
+ * own `serve.replay.session.*` metrics prefix, and the result's
+ * counters go to `serve.replay.*` (TraceMetrics::publishTo).
+ */
+TraceMetrics replayTrace(const ServingEngine &engine,
+                         const std::vector<TracedRequest> &trace);
 
 /** Renders the per-tenant report as an aligned text table
  * (deterministic for a fixed seed — the bench diffs two runs). */

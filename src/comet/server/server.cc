@@ -10,7 +10,6 @@
 #include "comet/common/status.h"
 #include "comet/obs/obs.h"
 #include "comet/obs/trace_session.h"
-#include "comet/runtime/thread_pool.h"
 
 namespace comet {
 namespace server {
@@ -108,10 +107,8 @@ Server::Server(const ServingEngine *engine, ServerConfig config)
     sched_config.admission = config_.admission;
     sched_config.watermark_blocks = config_.kv_watermark_blocks;
     // Online accounting: the prefill forward pass produces the first
-    // token (TTFT), and terminal transitions must surface as stream
-    // events rather than bare counters.
+    // token (TTFT).
     sched_config.prefill_emits_token = true;
-    sched_config.collect_retired = true;
     sched_config.chunk_tokens = config_.chunked_prefill_tokens;
     sched_config.step_token_budget = config_.step_token_budget;
     scheduler_ =
@@ -454,7 +451,7 @@ Server::acceptArrival(SubmitRecord &&record)
 double
 Server::safeHorizonLocked() const
 {
-    if (!config_.deterministic_ingress || wake_->draining)
+    if (wake_->draining)
         return kInfinity;
     return minHorizonLocked();
 }
@@ -480,11 +477,6 @@ Server::advanceSettledLocked(double settled_us)
 bool
 Server::waitForSafe(double target_us)
 {
-    if (!config_.deterministic_ingress) {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        advanceSettledLocked(target_us);
-        return true;
-    }
     std::unique_lock<std::mutex> lock(wake_->mutex);
     // Strictly past the target: a client whose horizon sits exactly
     // at target_us may still submit more arrivals at that instant
@@ -515,8 +507,6 @@ Server::waitForSafe(double target_us)
 Server::GateOutcome
 Server::waitToAdvance(double target_us)
 {
-    if (!config_.deterministic_ingress)
-        return GateOutcome::kAdvance;
     std::unique_lock<std::mutex> lock(wake_->mutex);
     wake_->cv.wait(lock, [&] {
         // While parked here, any future submission arrives at or
@@ -755,69 +745,11 @@ Server::stepOnce()
 
     if (scheduler_->runningCount() > 0) {
         COMET_SPAN("server/decode");
-        double step_us = 0.0;
-        if (chunked) {
-            // Fused-step costing from the scheduler's deterministic
-            // plan: one GEMM over decode + chunk tokens, the decode
-            // batch's attention read, and each chunk's attention
-            // over its request's growing KV prefix — the same model
-            // replayTrace charges.
-            const StepPlan plan = scheduler_->planStep();
-            const int64_t gemm_tokens = plan.gemmTokens();
-            COMET_CHECK(gemm_tokens > 0);
-            auto gemm_it = gemm_cache_.find(gemm_tokens);
-            if (gemm_it == gemm_cache_.end()) {
-                gemm_it =
-                    gemm_cache_
-                        .emplace(gemm_tokens,
-                                 engine_->stepGemmLatencyUs(gemm_tokens))
-                        .first;
-            }
-            step_us = gemm_it->second;
-            if (plan.decode_batch > 0) {
-                step_us += engine_->attentionLatencyUs(
-                    plan.decode_batch,
-                    plan.decode_context_sum / plan.decode_batch);
-            }
-            for (const PlannedChunk &chunk : plan.chunks) {
-                step_us += engine_->attentionLatencyUs(
-                    1, std::max<int64_t>(chunk.context_after, 1));
-            }
-        } else {
-            const std::vector<Request> &running =
-                scheduler_->running();
-            const int64_t batch =
-                static_cast<int64_t>(running.size());
-            // Per-request context accounting fanned out across the
-            // runtime pool (ordered reduction: bit-identical to the
-            // sequential sum for any pool size).
-            const double context_sum = parallelReduceOrdered(
-                0, batch, 32, 0.0,
-                [&](int64_t begin, int64_t end) {
-                    double partial = 0.0;
-                    for (int64_t i = begin; i < end; ++i) {
-                        partial += static_cast<double>(
-                            running[static_cast<size_t>(i)]
-                                .contextTokens());
-                    }
-                    return partial;
-                },
-                [](double acc, double partial) {
-                    return acc + partial;
-                });
-            const auto mean_context = static_cast<int64_t>(
-                context_sum / static_cast<double>(batch));
-            auto gemm_it = gemm_cache_.find(batch);
-            if (gemm_it == gemm_cache_.end()) {
-                gemm_it = gemm_cache_
-                              .emplace(batch,
-                                       engine_->stepGemmLatencyUs(batch))
-                              .first;
-            }
-            step_us =
-                gemm_it->second +
-                engine_->attentionLatencyUs(batch, mean_context);
-        }
+        // One fused step from the scheduler's deterministic plan:
+        // decode plus (in chunked mode) the prefill chunks riding on
+        // the same GEMM launch.
+        const double step_us =
+            engine_->stepLatencyUs(scheduler_->planStep(), gemm_cache_);
         if (!waitForSafe(clock_ + step_us))
             return false;
         clock_ += step_us;

@@ -7,9 +7,9 @@
  * asynchronous, multi-client system: concurrent client threads submit
  * requests and stream tokens back while a dedicated serving loop runs
  * continuous batching over a deterministic **virtual clock** advanced
- * by the engine's modeled prefill/decode latencies. The loop fans its
- * per-request accounting out over the comet::runtime thread pool and
- * emits COMET_SPANs plus `server.*` registry metrics.
+ * by the engine's modeled prefill/decode latencies. The loop costs
+ * every fused step with ServingEngine::stepLatencyUs and emits
+ * COMET_SPANs plus `server.*` registry metrics.
  *
  * ## Determinism (conservative virtual-time ingress)
  *
@@ -29,9 +29,7 @@
  * exist, and the whole session replays identically regardless of
  * thread interleaving (classic conservative discrete-event
  * synchronization). Closing a handle moves its horizon to infinity;
- * drain()/stop() close ingress and release the gate. Set
- * ServerConfig::deterministic_ingress = false to trade determinism
- * for immediate (wall-clock) ingestion.
+ * drain()/stop() close ingress and release the gate.
  *
  * ## Backpressure contract
  *
@@ -112,9 +110,6 @@ struct ServerConfig {
     /** Server-wide bound on queued-for-admission requests (across
      * tenants, on top of per-tenant bounds); 0 = unbounded. */
     int64_t max_queued_total = 0;
-    /** Conservative virtual-time ingress (deterministic replay); see
-     * the file comment. false = ingest submissions immediately. */
-    bool deterministic_ingress = true;
     /** Builds the session's KV cache with the automatic prefix cache
      * (comet::prefix). Tenants still opt in individually via
      * TenantConfig::prefix_caching, and requests must carry
@@ -410,7 +405,7 @@ class Server
     std::set<std::pair<double, int64_t>> cancel_order_;
     std::map<int64_t, SubmitRecord> arrivals_;
     std::map<int64_t, LiveRequest> live_;
-    std::map<int64_t, double> gemm_cache_;
+    StepGemmMemo gemm_cache_;
     double clock_ = 0.0;
     ServerStats stats_;
 };

@@ -401,7 +401,6 @@ TEST(BatchScheduler, OneTokenRequestRetiresAtAdmission)
     PagedKvCache cache = makeCache(10.0);
     BatchSchedulerConfig config;
     config.prefill_emits_token = true;
-    config.collect_retired = true;
     BatchScheduler scheduler(&cache, config);
     scheduler.submit(makeRequest(1, 32, 1));
     EXPECT_EQ(scheduler.admit(), 1);
@@ -445,12 +444,40 @@ TEST(BatchScheduler, AdmissionRetireReturnsItsFullOutputReservation)
     EXPECT_EQ(scheduler.queuedCount(), 0);
 }
 
+TEST(BatchScheduler, ReserveFullClaimCountsCachedTokensUnderPrefillCredit)
+{
+    // With prefill_emits_token the credited first token has no KV
+    // yet. A request whose cache sits exactly on a block boundary
+    // still needs a fresh block for that token, so the decode
+    // headroom reserved for it must be measured from the cache, not
+    // from contextTokens().
+    PagedKvCache cache = makeExactCache(LlmConfig::llama3_8b(), 5);
+    ASSERT_EQ(cache.totalBlocks(), 5);
+
+    BatchSchedulerConfig config;
+    config.admission = AdmissionPolicy::kReserveFullOutput;
+    config.prefill_emits_token = true;
+    BatchScheduler scheduler(&cache, config);
+    // Each request caches its 16-token prompt (one block) and ends
+    // with 16 + 18 - 1 = 33 cached tokens (three blocks).
+    scheduler.submit(makeRequest(1, 16, 18));
+    EXPECT_EQ(scheduler.admit(), 1);
+    scheduler.submit(makeRequest(2, 16, 18));
+    // Request 1 still claims two blocks, so request 2's three do not
+    // fit beside it in the four free blocks.
+    EXPECT_EQ(scheduler.admit(), 0);
+    while (!scheduler.idle()) {
+        scheduler.admit();
+        scheduler.step();
+    }
+    EXPECT_EQ(scheduler.counters().preemptions, 0);
+    EXPECT_EQ(scheduler.finishedCount(), 2);
+}
+
 TEST(BatchScheduler, DrainRetiredCollectsTerminalTransitions)
 {
     PagedKvCache cache = makeCache(10.0);
-    BatchSchedulerConfig config;
-    config.collect_retired = true;
-    BatchScheduler scheduler(&cache, config);
+    BatchScheduler scheduler(&cache);
     const int64_t huge_tokens = cache.totalBlocks() * 16 * 2;
     scheduler.submit(makeRequest(1, 16, 1));
     scheduler.submit(makeRequest(2, huge_tokens, 1)); // never fits
@@ -467,17 +494,6 @@ TEST(BatchScheduler, DrainRetiredCollectsTerminalTransitions)
     EXPECT_EQ(retired[2].id, 1);
     EXPECT_EQ(retired[2].state, RequestState::kFinished);
     // drainRetired clears: a second call returns nothing.
-    EXPECT_TRUE(scheduler.drainRetired().empty());
-}
-
-TEST(BatchScheduler, DrainRetiredIsEmptyWhenCollectionIsOff)
-{
-    PagedKvCache cache = makeCache(10.0);
-    BatchScheduler scheduler(&cache); // collect_retired off
-    scheduler.submit(makeRequest(1, 16, 1));
-    scheduler.admit();
-    scheduler.step();
-    EXPECT_EQ(scheduler.finishedCount(), 1);
     EXPECT_TRUE(scheduler.drainRetired().empty());
 }
 

@@ -184,7 +184,6 @@ TEST_F(ChunkedPrefillTest, FirstTokenCreditAtFinalChunk)
     BatchSchedulerConfig config;
     config.chunk_tokens = 16;
     config.prefill_emits_token = true;
-    config.collect_retired = true;
     BatchScheduler scheduler(&cache, config);
     // A one-token generation: monolithic mode would retire it at
     // admit(); chunked mode retires it on the final-chunk step.
@@ -208,7 +207,6 @@ TEST_F(ChunkedPrefillTest, SchedulerTokenStreamsMatchMonolithic)
         BatchSchedulerConfig config;
         config.chunk_tokens = chunk_tokens;
         config.prefill_emits_token = true;
-        config.collect_retired = true;
         BatchScheduler scheduler(&cache, config);
         for (int64_t i = 0; i < 12; ++i) {
             scheduler.submit(makeRequest(i, 32 + 16 * (i % 5),

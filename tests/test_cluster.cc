@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +113,37 @@ TEST_F(ClusterTest, OneReplicaClusterMatchesBareServer)
     EXPECT_EQ(stats.submitted,
               static_cast<int64_t>(routed.outcomes.size()));
     EXPECT_EQ(stats.routed, stats.submitted - stats.rejected);
+}
+
+TEST_F(ClusterTest, TerminalStreamsAreReleased)
+{
+    // A routed stream and its replica-side twin point at each other:
+    // the forwarding callback one way, the cancel hook the other. Once
+    // the stream is terminal and the session is over, dropping the
+    // caller's pointer must free it.
+    const ServingEngine engine(testEngineConfig());
+    const LoadgenConfig workload =
+        server::mixedSloWorkload(31, /*smoke=*/true);
+    std::weak_ptr<server::TokenStream> watched;
+    {
+        ClusterRouter router(clusterConfig(&engine, 2, workload));
+        ClusterRouter::Client client = router.connect();
+        server::StreamRequest request;
+        request.id = 0;
+        request.tenant = workload.tenants[0].admission.name;
+        request.prompt_tokens = 64;
+        request.max_output_tokens = 8;
+        server::TokenStreamPtr stream = client.submit(request);
+        client.close();
+        watched = stream;
+        server::StreamEvent event;
+        int64_t tokens = 0;
+        while (stream->next(&event))
+            tokens += event.kind == StreamEventKind::kToken ? 1 : 0;
+        EXPECT_EQ(tokens, 8);
+        router.stop(/*cancel_in_flight=*/false);
+    }
+    EXPECT_TRUE(watched.expired());
 }
 
 TEST_F(ClusterTest, HashAffinityKeepsPrefixReuseReplicaLocal)

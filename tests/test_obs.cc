@@ -21,6 +21,7 @@
 #include "comet/runtime/thread_pool.h"
 #include "comet/serve/batch_scheduler.h"
 #include "comet/serve/trace.h"
+#include "comet/server/loadgen.h"
 
 namespace comet {
 namespace {
@@ -419,7 +420,7 @@ replayTightKvBurst(int64_t *total_blocks_out = nullptr)
     trace_config.mean_prompt_tokens = 256;
     trace_config.mean_output_tokens = 256;
     const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(trace_config));
+        server::replayTrace(engine, generateTrace(trace_config));
     if (total_blocks_out != nullptr)
         *total_blocks_out = metrics.total_kv_blocks;
     return metrics;
@@ -433,19 +434,27 @@ TEST(ObsReplay, ReplayEmitsNestedSchedulingSpans)
     obs::TraceSession::global().stop();
     ASSERT_GT(metrics.preemptions, 0); // the workload is KV-tight
     const auto spans = obs::TraceSession::global().drain();
-    EXPECT_GT(countSpans(spans, "replay"), 0);
-    EXPECT_GT(countSpans(spans, "replay/step"), 0);
-    EXPECT_GT(countSpans(spans, "replay/admit"), 0);
-    EXPECT_GT(countSpans(spans, "replay/prefill"), 0);
-    EXPECT_GT(countSpans(spans, "replay/decode"), 0);
-    EXPECT_GT(countSpans(spans, "replay/preempt"), 0);
-    // Step spans nest under the one top-level replay span.
+    // Replay is a Server session: the caller thread records the one
+    // top-level replay span, and the serving loop thread records the
+    // session's step, prefill, decode and preemption spans.
+    EXPECT_EQ(countSpans(spans, "replay"), 1);
+    EXPECT_GT(countSpans(spans, "server/step"), 0);
+    EXPECT_GT(countSpans(spans, "server/prefill"), 0);
+    EXPECT_GT(countSpans(spans, "server/decode"), 0);
+    EXPECT_GT(countSpans(spans, "scheduler/preempt"), 0);
+    int replay_tid = -1;
     for (const obs::SpanRecord &span : spans) {
-        if (std::strcmp(span.name, "replay/step") == 0) {
-            EXPECT_GE(span.depth, 1);
-        }
         if (std::strcmp(span.name, "replay") == 0) {
             EXPECT_EQ(span.depth, 0);
+            replay_tid = span.tid;
+        }
+    }
+    ASSERT_GE(replay_tid, 0);
+    for (const obs::SpanRecord &span : spans) {
+        // Steps nest under the loop thread's server/session span.
+        if (std::strcmp(span.name, "server/step") == 0) {
+            EXPECT_GE(span.depth, 1);
+            EXPECT_NE(span.tid, replay_tid);
         }
     }
 }

@@ -114,7 +114,6 @@ runWorkload(const std::vector<Request> &requests, bool prefix_on,
     BatchSchedulerConfig config;
     config.max_batch = 8;
     config.watermark_blocks = watermark;
-    config.collect_retired = true;
     BatchScheduler scheduler(&cache, config);
 
     RunResult result;

@@ -73,7 +73,6 @@ runSchedulerWorkload(const std::vector<Request> &requests,
     PagedKvCache cache(engine.config().model, cache_config);
     BatchSchedulerConfig config;
     config.max_batch = 8;
-    config.collect_retired = true;
     BatchScheduler scheduler(&cache, config);
 
     std::vector<std::string> streams(requests.size());

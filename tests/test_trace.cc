@@ -8,9 +8,12 @@
 #include <cmath>
 
 #include "comet/serve/trace.h"
+#include "comet/server/loadgen.h"
 
 namespace comet {
 namespace {
+
+using server::replayTrace;
 
 ServingEngine
 makeEngine(ServingMode mode)
@@ -341,6 +344,50 @@ TEST(TraceReplay, KvExhaustionPreemptsAndStillCompletesEverything)
     EXPECT_GT(metrics.reprefill_tokens, 0);
     EXPECT_GT(metrics.peak_kv_utilization, 0.5);
     EXPECT_LE(metrics.peak_kv_utilization, 1.0);
+}
+
+// Pinned golden values (monolithic prefill): any change to the serving
+// loop or the step cost that moves a replayed request shows up here
+// bit for bit.
+TEST(TraceReplay, PreemptingReplayMatchesPinnedGolden)
+{
+    EngineConfig config;
+    config.model = LlmConfig::llama3_8b();
+    config.mode = ServingMode::kCometW4AxKv4;
+    config.input_tokens = 256;
+    config.output_tokens = 256;
+    const ServingEngine engine = makeTinyKvEngine(config, 300);
+
+    TraceConfig trace_config;
+    trace_config.num_requests = 16;
+    trace_config.request_rate_per_s = 1000.0;
+    trace_config.mean_prompt_tokens = 256;
+    trace_config.mean_output_tokens = 256;
+    const TraceMetrics metrics =
+        replayTrace(engine, generateTrace(trace_config));
+    EXPECT_EQ(metrics.makespan_us, 5501373.6552527389);
+    EXPECT_EQ(metrics.ttftPercentileUs(99), 164198.04679312633);
+    EXPECT_EQ(metrics.tpotPercentileUs(50), 5669.4576493077657);
+    EXPECT_EQ(metrics.preemptions, 2);
+    EXPECT_EQ(metrics.reprefill_tokens, 569);
+}
+
+TEST(TraceReplay, TensorParallelReplayMatchesPinnedGolden)
+{
+    EngineConfig config;
+    config.model = LlmConfig::llama2_70b();
+    config.tensor_parallel = 2;
+    const ServingEngine engine(config);
+
+    TraceConfig trace_config;
+    trace_config.num_requests = 48;
+    trace_config.request_rate_per_s = 8.0;
+    trace_config.seed = 9;
+    const TraceMetrics metrics =
+        replayTrace(engine, generateTrace(trace_config));
+    EXPECT_EQ(metrics.makespan_us, 15058286.610239971);
+    EXPECT_EQ(metrics.ttftPercentileUs(99), 597168.22060781415);
+    EXPECT_EQ(metrics.tpotPercentileUs(50), 36380.252627417693);
 }
 
 TEST(TraceReplay, ReserveFullPolicyNeverPreempts)
