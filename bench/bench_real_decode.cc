@@ -1,0 +1,205 @@
+/**
+ * @file
+ * Real-decode bench: host time per token of the W4A4KV4
+ * QuantizedDecoder against context length, plus the KV store's
+ * deterministic work and size counters.
+ *
+ * The model is the tiny decoder the repository benchmark uses (hidden
+ * 128, 4 heads over 2 KV heads, 2 layers, vocab 512). A seeded prompt
+ * of 128 tokens is prefilled in one batched forward, then random
+ * tokens are decoded one at a time up to 2048 context.
+ *
+ * Reported:
+ *  - per-token host ms (median of the 64 decode steps ending at
+ *    contexts 256, 1024 and 2048) and the prefill time: raw CPU
+ *    timings, ungated;
+ *  - KV rows quantized per decode step per K/V store at 2048 context,
+ *    from the `quant.kv_rows_quantized` counter: the append-only store
+ *    re-quantizes only its open group, so this stays at or below the
+ *    group size at any context (a whole-history re-quantization would
+ *    read the context length). Gated;
+ *  - KV store bytes per token at 2048 context, from
+ *    QuantizedDecoder::kvCacheBytes() (packed values plus per-group
+ *    parameters). Gated.
+ *
+ * Checks (any failure exits 1): every logit is finite, and the rows
+ * quantized per append never exceed the group size.
+ */
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "bench_flags.h"
+#include "bench_report.h"
+
+#include "comet/model/quantized_decoder.h"
+#include "comet/obs/metrics.h"
+
+using namespace comet;
+
+namespace {
+
+constexpr int64_t kPromptTokens = 128;
+constexpr int64_t kMaxContext = 2048;
+constexpr int64_t kWindowTokens = 64;
+const int64_t kReportContexts[] = {256, 1024, kMaxContext};
+
+TinyTransformerConfig
+modelConfig()
+{
+    TinyTransformerConfig config;
+    config.vocab_size = 512;
+    config.hidden_size = 128;
+    config.num_heads = 4;
+    config.num_kv_heads = 2;
+    config.num_layers = 2;
+    config.intermediate_size = 256;
+    config.seed = 7;
+    return config;
+}
+
+bool
+allFinite(const std::vector<float> &logits)
+{
+    return std::all_of(logits.begin(), logits.end(),
+                       [](float v) { return std::isfinite(v); });
+}
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+double
+msSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    bench::handleArgs(
+        argc, argv,
+        "host time per token of the real W4A4KV4 decoder against "
+        "context length, with the KV store's rows-quantized and "
+        "bytes-per-token counters",
+        {{"--seed=", "token stream seed (default 1)"},
+         {bench::BenchReport::kJsonFlag,
+          bench::BenchReport::kJsonFlagHelp}});
+    const auto seed = static_cast<uint64_t>(
+        bench::flagValue(argc, argv, "--seed=", 1));
+
+    const TinyTransformer teacher = TinyTransformer::random(modelConfig());
+    Rng calib_rng(11);
+    const Dataset calib = sampleDataset(teacher, 3, 32, calib_rng);
+    const CalibrationData calibration =
+        CalibrationData::collect(teacher, calib);
+    const QuantizedDecoderConfig qconfig;
+    QuantizedDecoder decoder(teacher, calibration, qconfig);
+
+    const int64_t vocab = teacher.config().vocab_size;
+    const int64_t stores = 2 * teacher.config().num_layers;
+    Rng rng(seed);
+    std::vector<int32_t> stream;
+    for (int64_t i = 0; i < kMaxContext; ++i)
+        stream.push_back(static_cast<int32_t>(
+            rng.uniformInt(static_cast<uint64_t>(vocab))));
+
+    int failures = 0;
+    const auto check = [&](bool ok, const std::string &what) {
+        if (!ok) {
+            std::fprintf(stderr, "CHECK FAILED: %s\n", what.c_str());
+            ++failures;
+        }
+    };
+
+    obs::Counter &rows_quantized = obs::MetricsRegistry::global().counter(
+        "quant.kv_rows_quantized");
+    const auto prefill_start = std::chrono::steady_clock::now();
+    std::vector<float> logits = decoder.prefill(
+        {stream.begin(), stream.begin() + kPromptTokens});
+    const double prefill_ms = msSince(prefill_start);
+    check(allFinite(logits), "prefill logits are finite");
+
+    // step_ms[t]: the decode step that feeds the token at position t.
+    std::vector<double> step_ms(static_cast<size_t>(kMaxContext), 0.0);
+    int64_t window_rows = 0;
+    int64_t max_rows = 0;
+    for (int64_t t = kPromptTokens; t < kMaxContext; ++t) {
+        const int64_t rows_before = rows_quantized.value();
+        const auto start = std::chrono::steady_clock::now();
+        logits = decoder.step(stream[static_cast<size_t>(t)]);
+        step_ms[static_cast<size_t>(t)] = msSince(start);
+        const int64_t rows = rows_quantized.value() - rows_before;
+        max_rows = std::max(max_rows, rows);
+        if (t >= kMaxContext - kWindowTokens)
+            window_rows += rows;
+        check(allFinite(logits),
+              "decode logits are finite at position " + std::to_string(t));
+    }
+    check(max_rows <= stores * qconfig.kv.group_size,
+          "each append re-quantizes at most one group");
+
+    const double rows_per_step =
+        static_cast<double>(window_rows) /
+        static_cast<double>(kWindowTokens * stores);
+    const double bytes_per_token =
+        static_cast<double>(decoder.kvCacheBytes()) /
+        static_cast<double>(decoder.position());
+
+    std::printf("=== Real W4A4KV4 decode (hidden %lld, %lld layers, "
+                "KV%d group %lld, seed %llu) ===\n\n",
+                static_cast<long long>(teacher.config().hidden_size),
+                static_cast<long long>(teacher.config().num_layers),
+                qconfig.kv.bits,
+                static_cast<long long>(qconfig.kv.group_size),
+                static_cast<unsigned long long>(seed));
+    std::printf("prefill of %lld tokens: %.2f ms\n",
+                static_cast<long long>(kPromptTokens), prefill_ms);
+
+    bench::BenchReport report("bench_real_decode");
+    report.setConfig("seed", static_cast<int64_t>(seed));
+    report.setConfig("prompt_tokens", kPromptTokens);
+    report.setConfig("max_context", kMaxContext);
+    report.setConfig("kv_bits", qconfig.kv.bits);
+    report.setConfig("kv_group_size", qconfig.kv.group_size);
+    for (const int64_t context : kReportContexts) {
+        const double ms = median(std::vector<double>(
+            step_ms.begin() + (context - kWindowTokens),
+            step_ms.begin() + context));
+        std::printf("context %5lld: %.3f ms/token\n",
+                    static_cast<long long>(context), ms);
+        report.addMetric("tok_ms_ctx" + std::to_string(context), ms, "ms",
+                         /*gate=*/false, /*higher_is_better=*/false);
+    }
+    std::printf("KV rows quantized per step per store at %lld context: "
+                "%.2f (group size %lld)\n",
+                static_cast<long long>(kMaxContext), rows_per_step,
+                static_cast<long long>(qconfig.kv.group_size));
+    std::printf("KV store bytes per token: %.1f\n", bytes_per_token);
+    report.addMetric("prefill_ms", prefill_ms, "ms", false, false);
+    report.addMetric("kv_rows_quantized_per_step_ctx2048", rows_per_step,
+                     "rows", true, false);
+    report.addMetric("kv_store_bytes_per_token", bytes_per_token, "B",
+                     true, false);
+    report.writeIfRequested(argc, argv);
+
+    if (failures > 0) {
+        std::fprintf(stderr, "\n%d check(s) failed\n", failures);
+        return 1;
+    }
+    std::printf("\nAll checks passed.\n");
+    return 0;
+}

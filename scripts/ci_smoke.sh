@@ -42,6 +42,10 @@
 #     against TP=1 and aborts on any divergence. A fourth
 #     bench_chaos_soak run in --tp mode replays the fault scripts on
 #     a TP=2 engine with the tp.allreduce failpoint armed.
+#   - bench_real_decode: the real W4A4KV4 decoder prefilled and
+#     decoded to 2048 context on the host; its exit status asserts
+#     finite logits and that each KV store append re-quantizes at
+#     most one token group.
 #
 # Usage: scripts/ci_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -83,6 +87,9 @@ run "${bench_dir}/bench_cluster_router" --smoke \
 run "${bench_dir}/bench_tp_scaling" --smoke \
     --json="${json_dir}/tp_scaling.json"
 
+run "${bench_dir}/bench_real_decode" \
+    --json="${json_dir}/real_decode.json"
+
 # Emitter smoke: the --json reports written above must parse under the
 # perf-gate schema (a self-diff exercises load + gated-metric checks
 # without depending on this machine's timings matching the baselines).
@@ -97,7 +104,9 @@ run python3 "$(dirname "$0")/check_bench.py" \
     "${json_dir}/cluster_router.json" \
     "${json_dir}/cluster_router.json" \
     "${json_dir}/tp_scaling.json" \
-    "${json_dir}/tp_scaling.json"
+    "${json_dir}/tp_scaling.json" \
+    "${json_dir}/real_decode.json" \
+    "${json_dir}/real_decode.json"
 
 run "${bench_dir}/bench_runtime_scaling" --smoke
 

@@ -14,9 +14,13 @@
  *    that streams the KV cache in chunks with running max/sum rescaling
  *    — the algorithmic transformation the paper cites ([9], [52]) —
  *    numerically equivalent to the reference, and
- *  - a quantized-cache path that consumes QuantizedKv directly,
- *    dequantizing each streamed value on the fly (what a fused KV4
- *    attention kernel does).
+ *  - two quantized-cache paths through the same online-softmax core:
+ *    the serving path reads a KvStore with the dequantization fused
+ *    into the stream (each chunk of one kv head's slice is dequantized
+ *    straight from the packed store into a chunk buffer, what a fused
+ *    KV4 attention kernel does), and the oracle path dequantizes a
+ *    whole-history QuantizedKv up front. Both feed the core the same
+ *    float values, so their outputs are bit-identical.
  *
  * Layouts: Q is [heads * head_dim] for one token; K and V are
  * [tokens, kv_heads * head_dim] (the cache), GQA maps query head h to
@@ -77,17 +81,36 @@ std::vector<float> decodeAttentionOnline(const AttentionConfig &config,
                                          const Tensor &k,
                                          const Tensor &v);
 
+/** decodeAttentionOnline over the first @p tokens rows of @p k and
+ * @p v: a cache with spare capacity, read in place. */
+std::vector<float> decodeAttentionOnline(const AttentionConfig &config,
+                                         const std::vector<float> &q,
+                                         const Tensor &k,
+                                         const Tensor &v,
+                                         int64_t tokens);
+
 /**
- * Online-softmax decode attention reading *quantized* K and V caches:
- * each streamed cache value is dequantized on the fly from its packed
- * INT form (the fused-KV4-attention data path). The result
+ * Online-softmax decode attention over whole-history *quantized* K and
+ * V caches, dequantized up front through @p quantizer. The result
  * approximates the float-cache output with KV-quantization error
- * only.
+ * only. This is the oracle for the store path below, and the form TP
+ * shards slice by channel.
  */
 std::vector<float> decodeAttentionQuantized(
     const AttentionConfig &config, const std::vector<float> &q,
     const QuantizedKv &k, const QuantizedKv &v,
     const KvCacheQuantizer &quantizer);
+
+/**
+ * Fused-dequant decode attention over append-only KV stores: each
+ * chunk of a kv head's K/V slice is dequantized from the packed store
+ * as it streams, with no float copy of the cache. Bit-identical to
+ * decodeAttentionQuantized over the stores' snapshots.
+ */
+std::vector<float> decodeAttentionQuantized(const AttentionConfig &config,
+                                            const std::vector<float> &q,
+                                            const KvStore &k,
+                                            const KvStore &v);
 
 /** One sequence of a batched decode-attention step: its query vector
  * and its (float) K/V caches. Pointees must outlive the call. */

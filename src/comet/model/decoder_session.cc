@@ -9,29 +9,6 @@ namespace comet {
 
 namespace {
 
-/** RoPE on one row vector at absolute position @p pos; must match
- * the batched applyRope in tiny_transformer.cc exactly. */
-void
-ropeRow(Tensor &row, int64_t heads, int64_t head_dim, int64_t pos)
-{
-    for (int64_t h = 0; h < heads; ++h) {
-        for (int64_t d = 0; d < head_dim / 2; ++d) {
-            const double theta =
-                static_cast<double>(pos) *
-                std::pow(10000.0, -2.0 * static_cast<double>(d) /
-                                      static_cast<double>(head_dim));
-            const double c = std::cos(theta), s = std::sin(theta);
-            const int64_t base = h * head_dim;
-            const float x0 = row.at(0, base + 2 * d);
-            const float x1 = row.at(0, base + 2 * d + 1);
-            row.at(0, base + 2 * d) =
-                static_cast<float>(x0 * c - x1 * s);
-            row.at(0, base + 2 * d + 1) =
-                static_cast<float>(x0 * s + x1 * c);
-        }
-    }
-}
-
 float
 silu(float x)
 {
@@ -49,10 +26,14 @@ DecoderSession::DecoderSession(const TinyTransformer &model,
     attn_config_.num_kv_heads = config.num_kv_heads;
     attn_config_.head_dim = config.headDim();
     attn_config_.chunk_tokens = 64;
-    caches_.resize(static_cast<size_t>(config.num_layers));
-    if (kv_quant_)
-        quantizer_ = std::make_unique<KvCacheQuantizer>(*kv_quant_);
-    ensureCapacity(16);
+    if (kv_quant_) {
+        k_stores_.assign(static_cast<size_t>(config.num_layers),
+                         KvStore(attn_config_.kvDim(), *kv_quant_));
+        v_stores_ = k_stores_;
+    } else {
+        caches_.resize(static_cast<size_t>(config.num_layers));
+        ensureCapacity(16);
+    }
 }
 
 void
@@ -67,12 +48,10 @@ DecoderSession::ensureCapacity(int64_t tokens)
     for (LayerCache &cache : caches_) {
         Tensor k(new_capacity, kv_dim);
         Tensor v(new_capacity, kv_dim);
-        for (int64_t t = 0; t < position_; ++t) {
-            for (int64_t c = 0; c < kv_dim; ++c) {
-                k.at(t, c) = cache.k.at(t, c);
-                v.at(t, c) = cache.v.at(t, c);
-            }
-        }
+        std::copy(cache.k.data(), cache.k.data() + position_ * kv_dim,
+                  k.data());
+        std::copy(cache.v.data(), cache.v.data() + position_ * kv_dim,
+                  v.data());
         cache.k = std::move(k);
         cache.v = std::move(v);
     }
@@ -84,7 +63,8 @@ DecoderSession::step(int32_t token)
 {
     const auto &config = model_.config();
     COMET_CHECK(token >= 0 && token < config.vocab_size);
-    ensureCapacity(position_ + 1);
+    if (!kv_quant_)
+        ensureCapacity(position_ + 1);
 
     const int64_t d = config.hidden_size;
     const int64_t kv_dim = attn_config_.kvDim();
@@ -94,8 +74,6 @@ DecoderSession::step(int32_t token)
         x.at(0, c) = model_.embedding().at(token, c);
 
     for (int64_t l = 0; l < config.num_layers; ++l) {
-        LayerCache &cache = caches_[static_cast<size_t>(l)];
-
         // --- Attention block ---
         const Tensor h =
             model_.rmsNormRows(x, model_.attnNormGain(l));
@@ -104,39 +82,30 @@ DecoderSession::step(int32_t token)
             gemmFloat(h, model_.weight({l, WeightKind::kK}));
         const Tensor v_row =
             gemmFloat(h, model_.weight({l, WeightKind::kV}));
-        ropeRow(q, config.num_heads, config.headDim(), position_);
-        ropeRow(k_row, config.num_kv_heads, config.headDim(),
+        ropeRow(q, 0, config.num_heads, config.headDim(), position_);
+        ropeRow(k_row, 0, config.num_kv_heads, config.headDim(),
                 position_);
-        for (int64_t c = 0; c < kv_dim; ++c) {
-            cache.k.at(position_, c) = k_row.at(0, c);
-            cache.v.at(position_, c) = v_row.at(0, c);
-        }
+        const std::vector<float> q_vec(q.data(), q.data() + d);
 
-        // Attend over the cache [0, position_].
-        const int64_t tokens = position_ + 1;
-        Tensor k_view(tokens, kv_dim);
-        Tensor v_view(tokens, kv_dim);
-        for (int64_t t = 0; t < tokens; ++t) {
-            for (int64_t c = 0; c < kv_dim; ++c) {
-                k_view.at(t, c) = cache.k.at(t, c);
-                v_view.at(t, c) = cache.v.at(t, c);
-            }
-        }
-        std::vector<float> q_vec(static_cast<size_t>(d));
-        for (int64_t c = 0; c < d; ++c)
-            q_vec[static_cast<size_t>(c)] = q.at(0, c);
-
+        // Append this token's K/V, then attend over [0, position_].
         std::vector<float> attn;
-        if (quantizer_) {
-            // The stored cache is packed INT; attention dequantizes
-            // on the fly (group scales re-derived as the open group
-            // grows — the dynamic behaviour of the real KV4 cache).
-            attn = decodeAttentionQuantized(
-                attn_config_, q_vec, quantizer_->quantize(k_view),
-                quantizer_->quantize(v_view), *quantizer_);
+        if (kv_quant_) {
+            // The packed store re-quantizes only its open group;
+            // attention dequantizes each chunk as it streams.
+            KvStore &k_store = k_stores_[static_cast<size_t>(l)];
+            KvStore &v_store = v_stores_[static_cast<size_t>(l)];
+            k_store.append(k_row.data());
+            v_store.append(v_row.data());
+            attn = decodeAttentionQuantized(attn_config_, q_vec, k_store,
+                                            v_store);
         } else {
-            attn = decodeAttentionOnline(attn_config_, q_vec, k_view,
-                                         v_view);
+            LayerCache &cache = caches_[static_cast<size_t>(l)];
+            std::copy(k_row.data(), k_row.data() + kv_dim,
+                      cache.k.data() + position_ * kv_dim);
+            std::copy(v_row.data(), v_row.data() + kv_dim,
+                      cache.v.data() + position_ * kv_dim);
+            attn = decodeAttentionOnline(attn_config_, q_vec, cache.k,
+                                         cache.v, position_ + 1);
         }
         Tensor attn_row(1, d);
         for (int64_t c = 0; c < d; ++c)

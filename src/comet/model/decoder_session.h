@@ -6,17 +6,17 @@
  * fine for the PTQ harness, but not how serving works. DecoderSession
  * is the real thing: it feeds one token at a time, caches each
  * layer's K/V, and attends over the cache with the online-softmax
- * kernel from comet/attention. With a KvQuantConfig attached, the
- * cache is held in packed INT form and dequantized on the fly during
- * attention — the end-to-end W4A4KV4 inference path of the paper,
- * exercised numerically on the tiny model.
+ * kernel from comet/attention. With a KvQuantConfig attached, each
+ * layer's K and V live in an append-only KvStore (the same packed
+ * store QuantizedDecoder uses) and attention dequantizes each chunk as
+ * it streams — the KV4 half of the paper's W4A4KV4 path, exercised
+ * numerically on the tiny model with float weights.
  *
  * Invariant (tested): with an FP16 cache, the session's logits match
  * TinyTransformer::forward() exactly up to float reordering.
  */
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -35,8 +35,7 @@ class DecoderSession
     /**
      * Opens a session. When @p kv_quant is set, the per-layer KV
      * caches are stored quantized (e.g. the paper's channel-wise
-     * asymmetric INT4) and attention reads them through on-the-fly
-     * dequantization.
+     * asymmetric INT4) and attention dequantizes them as it streams.
      */
     explicit DecoderSession(const TinyTransformer &model,
                             std::optional<KvQuantConfig> kv_quant =
@@ -71,13 +70,15 @@ class DecoderSession
         Tensor v{1, 1};
     };
 
+    /** Grows the FP16 caches to hold @p tokens rows. */
     void ensureCapacity(int64_t tokens);
 
     const TinyTransformer &model_;
     std::optional<KvQuantConfig> kv_quant_;
-    std::unique_ptr<KvCacheQuantizer> quantizer_;
     AttentionConfig attn_config_;
-    std::vector<LayerCache> caches_;
+    std::vector<LayerCache> caches_;  ///< FP16 mode, [layer]
+    std::vector<KvStore> k_stores_;   ///< KV-quant mode, [layer]
+    std::vector<KvStore> v_stores_;   ///< KV-quant mode, [layer]
     int64_t capacity_ = 0;
     int64_t position_ = 0;
 };

@@ -10,29 +10,6 @@ namespace comet {
 
 namespace {
 
-/** RoPE on one row at absolute position @p pos (matches
- * tiny_transformer.cc). */
-void
-ropeRow(Tensor &row, int64_t heads, int64_t head_dim, int64_t pos)
-{
-    for (int64_t h = 0; h < heads; ++h) {
-        for (int64_t d = 0; d < head_dim / 2; ++d) {
-            const double theta =
-                static_cast<double>(pos) *
-                std::pow(10000.0, -2.0 * static_cast<double>(d) /
-                                      static_cast<double>(head_dim));
-            const double c = std::cos(theta), s = std::sin(theta);
-            const int64_t base = h * head_dim;
-            const float x0 = row.at(0, base + 2 * d);
-            const float x1 = row.at(0, base + 2 * d + 1);
-            row.at(0, base + 2 * d) =
-                static_cast<float>(x0 * c - x1 * s);
-            row.at(0, base + 2 * d + 1) =
-                static_cast<float>(x0 * s + x1 * c);
-        }
-    }
-}
-
 float
 silu(float x)
 {
@@ -44,15 +21,16 @@ silu(float x)
 QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
                                    const CalibrationData &calibration,
                                    QuantizedDecoderConfig config)
-    : model_(model), config_(config),
-      kv_quantizer_(config.kv)
+    : model_(model), config_(config)
 {
     const auto &mc = model_.config();
     attn_config_.num_heads = mc.num_heads;
     attn_config_.num_kv_heads = mc.num_kv_heads;
     attn_config_.head_dim = mc.headDim();
     attn_config_.chunk_tokens = 64;
-    caches_.resize(static_cast<size_t>(mc.num_layers));
+    k_stores_.assign(static_cast<size_t>(mc.num_layers),
+                    KvStore(attn_config_.kvDim(), config_.kv));
+    v_stores_ = k_stores_;
 
     W4AxGemmConfig gemm_config;
     gemm_config.tile_m = config_.tile_m;
@@ -115,7 +93,6 @@ QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
             down_site.blockPrecisions(), gemm_config);
         layers_.push_back(std::move(ops));
     }
-    ensureCapacity(16);
 }
 
 const FmpqActivationQuantizer &
@@ -143,141 +120,113 @@ QuantizedDecoder::runLinear(int64_t layer, ActSite act_site,
     return gemm.run(site(layer, act_site).quantize(h));
 }
 
-void
-QuantizedDecoder::ensureCapacity(int64_t tokens)
+int64_t
+QuantizedDecoder::kvCacheBytes() const
 {
-    if (tokens <= capacity_)
-        return;
-    int64_t new_capacity = std::max<int64_t>(capacity_, 16);
-    while (new_capacity < tokens)
-        new_capacity *= 2;
-    const int64_t kv_dim = attn_config_.kvDim();
-    for (LayerCache &cache : caches_) {
-        Tensor k(new_capacity, kv_dim);
-        Tensor v(new_capacity, kv_dim);
-        for (int64_t t = 0; t < position_; ++t) {
-            for (int64_t c = 0; c < kv_dim; ++c) {
-                k.at(t, c) = cache.k.at(t, c);
-                v.at(t, c) = cache.v.at(t, c);
-            }
-        }
-        cache.k = std::move(k);
-        cache.v = std::move(v);
-    }
-    capacity_ = new_capacity;
+    int64_t bytes = 0;
+    for (size_t l = 0; l < k_stores_.size(); ++l)
+        bytes += k_stores_[l].bytes() + v_stores_[l].bytes();
+    return bytes;
 }
 
 std::vector<float>
 QuantizedDecoder::step(int32_t token)
 {
-    const auto &mc = model_.config();
-    COMET_CHECK(token >= 0 && token < mc.vocab_size);
-    ensureCapacity(position_ + 1);
-
-    const int64_t d = mc.hidden_size;
-    const int64_t kv_dim = attn_config_.kvDim();
-
-    Tensor x(1, d);
-    for (int64_t c = 0; c < d; ++c)
-        x.at(0, c) = model_.embedding().at(token, c);
-
-    for (int64_t l = 0; l < mc.num_layers; ++l) {
-        LayerCache &cache = caches_[static_cast<size_t>(l)];
-        const LayerOps &ops = layers_[static_cast<size_t>(l)];
-
-        // --- Attention block (packed W4Ax projections) ---
-        const Tensor h =
-            model_.rmsNormRows(x, model_.attnNormGain(l));
-        Tensor q = runLinear(l, ActSite::kQkv, ops.attn[0], h);
-        Tensor k_row = runLinear(l, ActSite::kQkv, ops.attn[1], h);
-        const Tensor v_row =
-            runLinear(l, ActSite::kQkv, ops.attn[2], h);
-        ropeRow(q, mc.num_heads, mc.headDim(), position_);
-        ropeRow(k_row, mc.num_kv_heads, mc.headDim(), position_);
-        for (int64_t c = 0; c < kv_dim; ++c) {
-            cache.k.at(position_, c) = k_row.at(0, c);
-            cache.v.at(position_, c) = v_row.at(0, c);
-        }
-
-        const int64_t tokens = position_ + 1;
-        Tensor k_view(tokens, kv_dim);
-        Tensor v_view(tokens, kv_dim);
-        for (int64_t t = 0; t < tokens; ++t) {
-            for (int64_t c = 0; c < kv_dim; ++c) {
-                k_view.at(t, c) = cache.k.at(t, c);
-                v_view.at(t, c) = cache.v.at(t, c);
-            }
-        }
-        std::vector<float> q_vec(static_cast<size_t>(d));
-        for (int64_t c = 0; c < d; ++c)
-            q_vec[static_cast<size_t>(c)] = q.at(0, c);
-        const std::vector<float> attn = decodeAttentionQuantized(
-            attn_config_, q_vec, kv_quantizer_.quantize(k_view),
-            kv_quantizer_.quantize(v_view), kv_quantizer_);
-
-        Tensor attn_row(1, d);
-        for (int64_t c = 0; c < d; ++c)
-            attn_row.at(0, c) = attn[static_cast<size_t>(c)];
-        const Tensor o =
-            runLinear(l, ActSite::kO, ops.o[0], attn_row);
-        for (int64_t c = 0; c < d; ++c)
-            x.at(0, c) += o.at(0, c);
-
-        // --- MLP block ---
-        const Tensor m = model_.rmsNormRows(x, model_.mlpNormGain(l));
-        Tensor inter(1, mc.intermediate_size);
-        if (mc.gated_mlp) {
-            const Tensor gate =
-                runLinear(l, ActSite::kMlp, ops.mlp[0], m);
-            const Tensor up =
-                runLinear(l, ActSite::kMlp, ops.mlp[1], m);
-            for (int64_t c = 0; c < mc.intermediate_size; ++c)
-                inter.at(0, c) = silu(gate.at(0, c)) * up.at(0, c);
-        } else {
-            const Tensor up =
-                runLinear(l, ActSite::kMlp, ops.mlp[0], m);
-            for (int64_t c = 0; c < mc.intermediate_size; ++c)
-                inter.at(0, c) = std::max(up.at(0, c), 0.0f);
-        }
-        const Tensor down =
-            runLinear(l, ActSite::kDown, ops.down[0], inter);
-        for (int64_t c = 0; c < d; ++c)
-            x.at(0, c) += down.at(0, c);
-    }
-
-    const Tensor normed =
-        model_.rmsNormRows(x, model_.finalNormGain());
-    // The LM head stays FP16 in every configuration (engine
-    // convention). Vocabulary rows are independent dot products; the
-    // fan-out writes disjoint columns, bit-identical for any pool
-    // size.
-    Tensor logits(1, mc.vocab_size);
-    parallelFor(0, mc.vocab_size, 64, [&](int64_t v_begin,
-                                          int64_t v_end) {
-        for (int64_t v = v_begin; v < v_end; ++v) {
-            double sum = 0.0;
-            for (int64_t c = 0; c < d; ++c) {
-                sum += static_cast<double>(normed.at(0, c)) *
-                       model_.embedding().at(v, c);
-            }
-            logits.at(0, v) = static_cast<float>(sum);
-        }
-    });
-    ++position_;
-
-    std::vector<float> out(static_cast<size_t>(mc.vocab_size));
-    for (int64_t v = 0; v < mc.vocab_size; ++v)
-        out[static_cast<size_t>(v)] = logits.at(0, v);
-    return out;
+    return prefill({token});
 }
 
 std::vector<float>
 QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
 {
+    const auto &mc = model_.config();
     COMET_CHECK(!tokens.empty());
-    std::vector<float> logits;
-    for (int32_t token : tokens)
-        logits = step(token);
+    const auto rows = static_cast<int64_t>(tokens.size());
+    const int64_t d = mc.hidden_size;
+    const int64_t kv_dim = attn_config_.kvDim();
+
+    Tensor x(rows, d);
+    for (int64_t r = 0; r < rows; ++r) {
+        const int32_t token = tokens[static_cast<size_t>(r)];
+        COMET_CHECK(token >= 0 && token < mc.vocab_size);
+        const float *embedding = model_.embedding().data() + token * d;
+        std::copy(embedding, embedding + d, x.data() + r * d);
+    }
+
+    std::vector<float> q_row(static_cast<size_t>(d));
+    for (int64_t l = 0; l < mc.num_layers; ++l) {
+        KvStore &k_store = k_stores_[static_cast<size_t>(l)];
+        KvStore &v_store = v_stores_[static_cast<size_t>(l)];
+        const LayerOps &ops = layers_[static_cast<size_t>(l)];
+
+        // --- Attention block (packed W4Ax projections over every
+        // row, then causal attention one row at a time) ---
+        const Tensor h =
+            model_.rmsNormRows(x, model_.attnNormGain(l));
+        Tensor q = runLinear(l, ActSite::kQkv, ops.attn[0], h);
+        Tensor k = runLinear(l, ActSite::kQkv, ops.attn[1], h);
+        const Tensor v = runLinear(l, ActSite::kQkv, ops.attn[2], h);
+        Tensor attn(rows, d);
+        for (int64_t r = 0; r < rows; ++r) {
+            const int64_t pos = position_ + r;
+            ropeRow(q, r, mc.num_heads, mc.headDim(), pos);
+            ropeRow(k, r, mc.num_kv_heads, mc.headDim(), pos);
+            k_store.append(k.data() + r * kv_dim);
+            v_store.append(v.data() + r * kv_dim);
+            std::copy(q.data() + r * d, q.data() + (r + 1) * d,
+                      q_row.begin());
+            const std::vector<float> out = decodeAttentionQuantized(
+                attn_config_, q_row, k_store, v_store);
+            std::copy(out.begin(), out.end(), attn.data() + r * d);
+        }
+        const Tensor o = runLinear(l, ActSite::kO, ops.o[0], attn);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x[i] += o[i];
+
+        // --- MLP block ---
+        const Tensor m = model_.rmsNormRows(x, model_.mlpNormGain(l));
+        Tensor inter(rows, mc.intermediate_size);
+        if (mc.gated_mlp) {
+            const Tensor gate =
+                runLinear(l, ActSite::kMlp, ops.mlp[0], m);
+            const Tensor up =
+                runLinear(l, ActSite::kMlp, ops.mlp[1], m);
+            for (int64_t i = 0; i < inter.numel(); ++i)
+                inter[i] = silu(gate[i]) * up[i];
+        } else {
+            const Tensor up =
+                runLinear(l, ActSite::kMlp, ops.mlp[0], m);
+            for (int64_t i = 0; i < inter.numel(); ++i)
+                inter[i] = std::max(up[i], 0.0f);
+        }
+        const Tensor down =
+            runLinear(l, ActSite::kDown, ops.down[0], inter);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x[i] += down[i];
+    }
+    position_ += rows;
+
+    // Only the last row's logits are returned, so the final norm and
+    // the LM head run on that row alone.
+    Tensor last(1, d);
+    std::copy(x.data() + (rows - 1) * d, x.data() + rows * d,
+              last.data());
+    const Tensor normed =
+        model_.rmsNormRows(last, model_.finalNormGain());
+    // The LM head stays FP16 in every configuration (engine
+    // convention). Vocabulary rows are independent dot products; the
+    // fan-out writes disjoint entries, bit-identical for any pool
+    // size.
+    std::vector<float> logits(static_cast<size_t>(mc.vocab_size));
+    parallelFor(0, mc.vocab_size, 64, [&](int64_t v_begin,
+                                          int64_t v_end) {
+        for (int64_t v = v_begin; v < v_end; ++v) {
+            const float *row = model_.embedding().data() + v * d;
+            double sum = 0.0;
+            for (int64_t c = 0; c < d; ++c)
+                sum += static_cast<double>(normed[c]) * row[c];
+            logits[static_cast<size_t>(v)] = static_cast<float>(sum);
+        }
+    });
     return logits;
 }
 

@@ -6,10 +6,20 @@
  * real on the tiny model: every linear layer runs as a packed
  * mixed-precision W4Ax GEMM (FMPQ-calibrated per activation site,
  * INT4 weights in the interleaved layout, runtime per-token
- * activation quantization), and the KV cache is held in channel-wise
- * asymmetric INT4 with on-the-fly dequantizing attention. Only the
- * norms, the nonlinearity, RoPE and the softmax stay in float —
- * exactly the precision boundary of the paper's framework.
+ * activation quantization), and each layer's K and V live in an
+ * append-only KvStore: channel-wise asymmetric INT4, two values per
+ * byte, quantized as rows are appended (only the open token group is
+ * re-derived). Attention dequantizes each streamed chunk straight from
+ * the store. Only the norms, the nonlinearity, RoPE and the softmax
+ * stay in float — exactly the precision boundary of the paper's
+ * framework.
+ *
+ * One forward serves prefill and decode: prefill() runs every GEMM at
+ * M = prompt length, then RoPE, the store append and attention row by
+ * row, and the LM head on the last row only. step() is a one-token
+ * prefill. Every per-row operation is row-independent, so a prompt
+ * prefilled at once gives bit-identical logits to feeding it token by
+ * token.
  *
  * Verified (tests) against the fake-quantization reference: the
  * packed integer path and the dequantize-then-float-GEMM path agree
@@ -49,7 +59,8 @@ struct QuantizedDecoderConfig {
 
 /**
  * An incremental decoder whose linear layers execute as packed W4Ax
- * GEMMs.
+ * GEMMs over a nibble-packed KV4 cache. Copyable: a copy continues the
+ * sequence independently.
  */
 class QuantizedDecoder
 {
@@ -71,8 +82,14 @@ class QuantizedDecoder
     /** Feeds one token; returns next-token logits [vocab]. */
     std::vector<float> step(int32_t token);
 
-    /** Feeds a prompt; returns the logits after its last token. */
+    /** Feeds a prompt in one batched forward; returns the logits
+     * after its last token. */
     std::vector<float> prefill(const std::vector<int32_t> &tokens);
+
+    /** Bytes the KV stores hold (packed values plus per-group
+     * parameters, every layer, K and V), measured from their
+     * buffers. */
+    int64_t kvCacheBytes() const;
 
   private:
     struct SiteOps {
@@ -86,7 +103,7 @@ class QuantizedDecoder
         std::vector<W4AxGemm> down; ///< down (Down-site layout)
     };
 
-    /** Quantizes the 1-row activation at @p site and runs @p gemm. */
+    /** Quantizes the activation rows at @p site and runs @p gemm. */
     Tensor runLinear(int64_t layer, ActSite site,
                      const W4AxGemm &gemm, const Tensor &h) const;
 
@@ -97,18 +114,10 @@ class QuantizedDecoder
     QuantizedDecoderConfig config_;
     std::vector<SiteOps> sites_; ///< [layer * kNumActSites + site]
     std::vector<LayerOps> layers_;
-    KvCacheQuantizer kv_quantizer_;
     AttentionConfig attn_config_;
-
-    struct LayerCache {
-        Tensor k{1, 1};
-        Tensor v{1, 1};
-    };
-    std::vector<LayerCache> caches_;
-    int64_t capacity_ = 0;
+    std::vector<KvStore> k_stores_; ///< [layer]
+    std::vector<KvStore> v_stores_; ///< [layer]
     int64_t position_ = 0;
-
-    void ensureCapacity(int64_t tokens);
 };
 
 } // namespace comet

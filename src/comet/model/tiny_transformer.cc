@@ -16,26 +16,8 @@ namespace {
 void
 applyRope(Tensor &x, int64_t heads, int64_t head_dim)
 {
-    COMET_CHECK(head_dim % 2 == 0);
-    const int64_t tokens = x.rows();
-    for (int64_t t = 0; t < tokens; ++t) {
-        for (int64_t h = 0; h < heads; ++h) {
-            for (int64_t d = 0; d < head_dim / 2; ++d) {
-                const double theta =
-                    static_cast<double>(t) *
-                    std::pow(10000.0, -2.0 * static_cast<double>(d) /
-                                          static_cast<double>(head_dim));
-                const double c = std::cos(theta), s = std::sin(theta);
-                const int64_t base = h * head_dim;
-                const float x0 = x.at(t, base + 2 * d);
-                const float x1 = x.at(t, base + 2 * d + 1);
-                x.at(t, base + 2 * d) =
-                    static_cast<float>(x0 * c - x1 * s);
-                x.at(t, base + 2 * d + 1) =
-                    static_cast<float>(x0 * s + x1 * c);
-            }
-        }
-    }
+    for (int64_t t = 0; t < x.rows(); ++t)
+        ropeRow(x, t, heads, head_dim, t);
 }
 
 /** Numerically stable softmax over a row span, in double. */
@@ -61,6 +43,28 @@ silu(float x)
 }
 
 } // namespace
+
+void
+ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
+        int64_t pos)
+{
+    COMET_CHECK(head_dim % 2 == 0);
+    float *r = x.data() + row * x.cols();
+    for (int64_t h = 0; h < heads; ++h) {
+        for (int64_t d = 0; d < head_dim / 2; ++d) {
+            const double theta =
+                static_cast<double>(pos) *
+                std::pow(10000.0, -2.0 * static_cast<double>(d) /
+                                      static_cast<double>(head_dim));
+            const double c = std::cos(theta), s = std::sin(theta);
+            float *pair = r + h * head_dim + 2 * d;
+            const float x0 = pair[0];
+            const float x1 = pair[1];
+            pair[0] = static_cast<float>(x0 * c - x1 * s);
+            pair[1] = static_cast<float>(x0 * s + x1 * c);
+        }
+    }
+}
 
 TinyTransformer
 TinyTransformer::random(const TinyTransformerConfig &config)

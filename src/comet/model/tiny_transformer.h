@@ -56,6 +56,15 @@ struct TinyTransformerConfig {
     }
 };
 
+/**
+ * Rotary position embedding, in place, on row @p row of a
+ * [rows, heads * head_dim] tensor at absolute position @p pos. The
+ * full forward pass and the incremental decoders share it, so their
+ * rotated Q/K rows are bit-identical. @pre head_dim is even.
+ */
+void ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
+             int64_t pos);
+
 /** Activation interception points (one per shared linear input). */
 enum class ActSite {
     kQkv = 0, ///< input of the Q/K/V projections

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "comet/obs/metrics.h"
 #include "comet/simd/simd.h"
 
 namespace comet {
@@ -14,6 +15,16 @@ KvCacheQuantizer::KvCacheQuantizer(KvQuantConfig config) : config_(config)
 }
 
 namespace {
+
+/** KV rows (re)quantized by KvStore appends, process-wide: the open
+ * group's length per append, so at most group_size each. */
+obs::Counter &
+rowsQuantizedCounter()
+{
+    static obs::Counter &counter =
+        obs::MetricsRegistry::global().counter("quant.kv_rows_quantized");
+    return counter;
+}
 
 /**
  * Per-channel quantizer state for one token group, in
@@ -34,18 +45,17 @@ struct GroupParams {
     {
     }
 
-    /** Scans rows [t0, t1) of @p kv and derives each channel's
-     * quantizer, exactly as the per-channel spanParams loop did. */
+    /** Scans @p n_rows rows of @p channels floats at @p rows and
+     * derives each channel's quantizer, exactly as the per-channel
+     * spanParams loop did. */
     void
-    derive(const Tensor &kv, int64_t t0, int64_t t1,
+    derive(const float *rows, int64_t n_rows, int64_t channels,
            const KvQuantConfig &config)
     {
-        const int64_t channels = kv.cols();
-        const float *first = kv.data() + t0 * channels;
-        std::copy(first, first + channels, mins.begin());
-        std::copy(first, first + channels, maxs.begin());
-        for (int64_t t = t0 + 1; t < t1; ++t) {
-            simd::minMaxUpdate(kv.data() + t * channels, channels,
+        std::copy(rows, rows + channels, mins.begin());
+        std::copy(rows, rows + channels, maxs.begin());
+        for (int64_t t = 1; t < n_rows; ++t) {
+            simd::minMaxUpdate(rows + t * channels, channels,
                                mins.data(), maxs.data());
         }
         for (int64_t c = 0; c < channels; ++c) {
@@ -85,7 +95,8 @@ KvCacheQuantizer::fakeQuantize(const Tensor &kv) const
     std::vector<int8_t> qrow(static_cast<size_t>(channels));
     for (int64_t t0 = 0; t0 < tokens; t0 += config_.group_size) {
         const int64_t t1 = std::min(t0 + config_.group_size, tokens);
-        group.derive(kv, t0, t1, config_);
+        group.derive(kv.data() + t0 * channels, t1 - t0, channels,
+                     config_);
         // fakeQuantValue is quantize -> clamp -> dequantize; the fused
         // span pair performs exactly those operations per element.
         for (int64_t t = t0; t < t1; ++t) {
@@ -117,7 +128,8 @@ KvCacheQuantizer::quantize(const Tensor &kv) const
     for (int64_t g = 0; g < num_groups; ++g) {
         const int64_t t0 = g * config_.group_size;
         const int64_t t1 = std::min(t0 + config_.group_size, tokens);
-        group.derive(kv, t0, t1, config_);
+        group.derive(kv.data() + t0 * channels, t1 - t0, channels,
+                     config_);
         for (int64_t c = 0; c < channels; ++c)
             q.params[static_cast<size_t>(g * channels + c)] =
                 group.at(c);
@@ -157,6 +169,122 @@ KvCacheQuantizer::dequantize(const QuantizedKv &q) const
         }
     }
     return out;
+}
+
+KvStore::KvStore(int64_t channels, KvQuantConfig config)
+    : channels_(channels), config_(config)
+{
+    COMET_CHECK(config_.bits >= 2 && config_.bits <= 8);
+    COMET_CHECK(config_.group_size > 0);
+    COMET_CHECK(channels_ > 0);
+    COMET_CHECK(!packed() || channels_ % 2 == 0);
+}
+
+int64_t
+KvStore::rowBytes() const
+{
+    return packed() ? channels_ / 2 : channels_;
+}
+
+void
+KvStore::append(const float *row)
+{
+    if (tokens_ % config_.group_size == 0) {
+        // The previous group is closed: its values and parameters are
+        // final, and a new group opens with this row.
+        open_rows_.clear();
+        scales_.resize(scales_.size() + static_cast<size_t>(channels_));
+        zero_points_.resize(zero_points_.size() +
+                            static_cast<size_t>(channels_));
+    }
+    open_rows_.insert(open_rows_.end(), row, row + channels_);
+    ++tokens_;
+    values_.resize(static_cast<size_t>(tokens_ * rowBytes()));
+
+    // Re-derive the open group over every row it now holds, as
+    // KvCacheQuantizer::quantize does for the trailing group.
+    const int64_t open = static_cast<int64_t>(open_rows_.size()) /
+                         channels_;
+    const int64_t t0 = tokens_ - open;
+    GroupParams group(channels_);
+    group.derive(open_rows_.data(), open, channels_, config_);
+    const size_t param0 =
+        scales_.size() - static_cast<size_t>(channels_);
+    std::copy(group.scales.begin(), group.scales.end(),
+              scales_.begin() + static_cast<std::ptrdiff_t>(param0));
+    std::copy(group.zero_points.begin(), group.zero_points.end(),
+              zero_points_.begin() +
+                  static_cast<std::ptrdiff_t>(param0));
+
+    const QuantRange range = signedRange(config_.bits);
+    std::vector<int8_t> qrow(static_cast<size_t>(channels_));
+    for (int64_t r = 0; r < open; ++r) {
+        uint8_t *dst = values_.data() + (t0 + r) * rowBytes();
+        int8_t *q =
+            packed() ? qrow.data() : reinterpret_cast<int8_t *>(dst);
+        simd::quantizeAffine(open_rows_.data() + r * channels_,
+                             group.scales.data(),
+                             group.zero_points.data(), channels_,
+                             range.qmin, range.qmax, q);
+        if (packed())
+            simd::packInt4(qrow.data(), channels_, dst);
+    }
+    rowsQuantizedCounter().add(open);
+}
+
+void
+KvStore::dequantize(int64_t t0, int64_t t1, int64_t c0, int64_t n,
+                    float *out) const
+{
+    COMET_CHECK(0 <= t0 && t0 <= t1 && t1 <= tokens_);
+    COMET_CHECK(c0 >= 0 && n >= 0 && c0 + n <= channels_);
+    COMET_CHECK(!packed() || (c0 % 2 == 0 && n % 2 == 0));
+    std::vector<int8_t> qrow(packed() ? static_cast<size_t>(n) : 0);
+    for (int64_t t = t0; t < t1; ++t) {
+        const uint8_t *src = values_.data() + t * rowBytes();
+        const int8_t *q;
+        if (packed()) {
+            simd::unpackInt4(src + c0 / 2, n, qrow.data());
+            q = qrow.data();
+        } else {
+            q = reinterpret_cast<const int8_t *>(src) + c0;
+        }
+        const int64_t param0 = (t / config_.group_size) * channels_ + c0;
+        simd::dequantAffine(q, scales_.data() + param0,
+                            zero_points_.data() + param0, n,
+                            out + (t - t0) * n);
+    }
+}
+
+QuantizedKv
+KvStore::snapshot() const
+{
+    const int64_t groups =
+        static_cast<int64_t>(scales_.size()) / channels_;
+    QuantizedKv q{tokens_, channels_, config_.group_size,
+                  Int8Tensor(tokens_, channels_),
+                  std::vector<QuantParams>(static_cast<size_t>(
+                      groups * channels_))};
+    for (size_t i = 0; i < q.params.size(); ++i)
+        q.params[i] = QuantParams{scales_[i], zero_points_[i]};
+    for (int64_t t = 0; t < tokens_; ++t) {
+        const uint8_t *src = values_.data() + t * rowBytes();
+        if (packed()) {
+            simd::unpackInt4(src, channels_, q.data.rowPtr(t));
+        } else {
+            std::copy(src, src + channels_,
+                      reinterpret_cast<uint8_t *>(q.data.rowPtr(t)));
+        }
+    }
+    return q;
+}
+
+int64_t
+KvStore::bytes() const
+{
+    return static_cast<int64_t>(
+        values_.size() + scales_.size() * sizeof(float) +
+        zero_points_.size() * sizeof(int32_t));
 }
 
 } // namespace comet

@@ -9,6 +9,16 @@
  * quantizer, re-derived per group of consecutive tokens so scales track
  * the evolving cache. RoPE and softmax regularize K's outliers and V has
  * few, which is why 4 bits suffice.
+ *
+ * Two forms live here:
+ *  - KvCacheQuantizer quantizes a whole [tokens, channels] history in
+ *    one call (one byte per value). It is the reference the serving
+ *    store is tested against, and the form TP shards slice.
+ *  - KvStore is the serving cache: append-only, nibble-packed at
+ *    4 bits and below. Each append re-derives only the open (last,
+ *    partial) group; closed groups are final. Its contents are
+ *    bit-identical to KvCacheQuantizer::quantize of the whole history
+ *    at every length.
  */
 #pragma once
 
@@ -28,7 +38,8 @@ struct KvQuantConfig {
     bool asymmetric = true;   ///< affine (true) vs symmetric (false)
 };
 
-/** Packed quantized KV tensor: data plus per-(group, channel) params. */
+/** Whole-history quantized KV tensor, one byte per value: data plus
+ * per-(group, channel) params. */
 struct QuantizedKv {
     int64_t tokens = 0;
     int64_t channels = 0;
@@ -44,9 +55,9 @@ struct QuantizedKv {
 };
 
 /**
- * The KV-cache quantizer. Stateless: parameters are derived from the
- * data being quantized (the cache is quantized as it is appended, so no
- * calibration pass exists).
+ * The whole-history KV-cache quantizer. Stateless: parameters are
+ * derived from the data being quantized, so no calibration pass
+ * exists.
  */
 class KvCacheQuantizer
 {
@@ -66,6 +77,61 @@ class KvCacheQuantizer
 
   private:
     KvQuantConfig config_;
+};
+
+/**
+ * Append-only quantized history of one K or V tensor.
+ *
+ * Values are stored two per byte (Int4Tensor's nibble order) when
+ * bits <= 4 and one per byte otherwise; parameters are kept per
+ * (group, channel). Only the open group's float rows are retained (at
+ * most group_size of them): each append re-derives that group's
+ * parameters and re-quantizes its rows, so the store always equals
+ * KvCacheQuantizer::quantize of the whole history, bit for bit. No
+ * dequantized copy is kept; readers dequantize the slices they need.
+ */
+class KvStore
+{
+  public:
+    /** @pre @p channels is even when config.bits <= 4. */
+    KvStore(int64_t channels, KvQuantConfig config);
+
+    int64_t tokens() const { return tokens_; }
+    int64_t channels() const { return channels_; }
+
+    /** True when values are stored two per byte. */
+    bool packed() const { return config_.bits <= 4; }
+
+    /** Appends one row of channels() floats. Adds the rows it
+     * (re)quantizes — the open group's length — to the
+     * `quant.kv_rows_quantized` counter. */
+    void append(const float *row);
+
+    /**
+     * Dequantizes rows [t0, t1) of channels [c0, c0 + n) into @p out
+     * (row stride n), as float(q - zero_point) * scale.
+     * @pre c0 and n are even when packed().
+     */
+    void dequantize(int64_t t0, int64_t t1, int64_t c0, int64_t n,
+                    float *out) const;
+
+    /** The history in KvCacheQuantizer::quantize's form. */
+    QuantizedKv snapshot() const;
+
+    /** Bytes held by the quantized values and their parameters (the
+     * open group's float rows are working state, not cache). */
+    int64_t bytes() const;
+
+  private:
+    int64_t rowBytes() const;
+
+    int64_t channels_;
+    KvQuantConfig config_;
+    int64_t tokens_ = 0;
+    std::vector<uint8_t> values_;      ///< [tokens, rowBytes()]
+    std::vector<float> scales_;        ///< [groups, channels]
+    std::vector<int32_t> zero_points_; ///< [groups, channels]
+    std::vector<float> open_rows_;     ///< open group, [rows, channels]
 };
 
 } // namespace comet

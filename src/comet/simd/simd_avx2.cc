@@ -100,6 +100,22 @@ unpackInt4(const uint8_t *packed, int64_t n, int8_t *out)
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + v + 32),
                             seqHi(il, ih));
     }
+    // One 16-byte step for a 32..63-value remainder (e.g. a KV head
+    // slice), with the same per-byte arithmetic in one 128-bit lane.
+    if (n - v >= 32) {
+        const __m256i bytes = _mm256_castsi128_si256(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(packed + v / 2)));
+        const __m256i lo = signExtend4(_mm256_and_si256(bytes, lo_mask));
+        const __m256i hi = signExtend4(
+            _mm256_and_si256(_mm256_srli_epi16(bytes, 4), lo_mask));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + v),
+                         _mm256_castsi256_si128(
+                             _mm256_unpacklo_epi8(lo, hi)));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + v + 16),
+                         _mm256_castsi256_si128(
+                             _mm256_unpackhi_epi8(lo, hi)));
+        v += 32;
+    }
     scalar::unpackInt4(packed + v / 2, n - v, out + v);
 }
 

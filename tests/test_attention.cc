@@ -153,6 +153,41 @@ TEST(DecodeAttention, QuantizedCacheApproximatesFloat)
     EXPECT_LT(maxDiff(dequant_ref, quantized), 1e-5);
 }
 
+TEST(DecodeAttention, StoreMatchesQuantizedOracleBitExact)
+{
+    // The fused-dequant store path against the whole-history oracle,
+    // at every length across chunk and group boundaries, for KV4
+    // (nibble-packed) and KV8 stores under GQA.
+    for (const int bits : {4, 8}) {
+        Fixture f = makeFixture(4, 2, 16, 75, 11);
+        const KvQuantConfig kv_config{bits, 32, true};
+        const KvCacheQuantizer quantizer(kv_config);
+        KvStore k(f.config.kvDim(), kv_config);
+        KvStore v(f.config.kvDim(), kv_config);
+        for (int64_t t = 0; t < f.k.rows(); ++t) {
+            k.append(f.k.data() + t * f.config.kvDim());
+            v.append(f.v.data() + t * f.config.kvDim());
+            const auto fused = decodeAttentionQuantized(f.config, f.q, k, v);
+            const auto oracle = decodeAttentionQuantized(
+                f.config, f.q, k.snapshot(), v.snapshot(), quantizer);
+            ASSERT_EQ(fused, oracle) << "bits " << bits << " tokens "
+                                     << t + 1;
+        }
+    }
+}
+
+TEST(DecodeAttention, OnlineReadsACachePrefixInPlace)
+{
+    // Attending over the first rows of a larger cache equals
+    // attending over a cache holding only those rows.
+    const Fixture f = makeFixture(4, 2, 16, 40, 12);
+    Tensor k(25, f.config.kvDim()), v(25, f.config.kvDim());
+    std::copy(f.k.data(), f.k.data() + k.numel(), k.data());
+    std::copy(f.v.data(), f.v.data() + v.numel(), v.data());
+    EXPECT_EQ(decodeAttentionOnline(f.config, f.q, f.k, f.v, 25),
+              decodeAttentionOnline(f.config, f.q, k, v));
+}
+
 TEST(DecodeAttention, Kv8TighterThanKv4)
 {
     Fixture f = makeFixture(2, 2, 16, 64, 8);

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "comet/common/rng.h"
+#include "comet/obs/metrics.h"
 #include "comet/quant/kv_quant.h"
 
 namespace comet {
@@ -164,6 +165,140 @@ TEST_P(KvGroupSweep, ErrorDecreasesWithGroupSize)
 
 INSTANTIATE_TEST_SUITE_P(Groups, KvGroupSweep,
                          ::testing::Values(16, 32, 64, 128));
+
+/** The first @p tokens rows of @p kv. */
+Tensor
+prefixRows(const Tensor &kv, int64_t tokens)
+{
+    Tensor out(tokens, kv.cols());
+    std::copy(kv.data(), kv.data() + tokens * kv.cols(), out.data());
+    return out;
+}
+
+void
+expectSameQuantizedKv(const QuantizedKv &got, const QuantizedKv &want)
+{
+    ASSERT_EQ(got.tokens, want.tokens);
+    ASSERT_EQ(got.channels, want.channels);
+    ASSERT_EQ(got.group_size, want.group_size);
+    ASSERT_EQ(got.params.size(), want.params.size());
+    for (size_t i = 0; i < want.params.size(); ++i) {
+        ASSERT_EQ(got.params[i].scale, want.params[i].scale) << i;
+        ASSERT_EQ(got.params[i].zero_point, want.params[i].zero_point)
+            << i;
+    }
+    for (int64_t t = 0; t < want.tokens; ++t) {
+        for (int64_t c = 0; c < want.channels; ++c)
+            ASSERT_EQ(got.data.get(t, c), want.data.get(t, c))
+                << "t=" << t << " c=" << c;
+    }
+}
+
+TEST(KvStore, MatchesWholeHistoryQuantizeAtEveryLength)
+{
+    // Randomized over the quantizer configuration: after every append
+    // the store equals a whole-history quantize of the same rows.
+    Rng rng(21);
+    for (const int64_t group : {1, 7, 32, 64}) {
+        for (const int bits : {2, 3, 4, 8}) {
+            for (const bool asymmetric : {true, false}) {
+                const KvQuantConfig config{bits, group, asymmetric};
+                const int64_t tokens = 1 + static_cast<int64_t>(
+                                               rng.uniformInt(300));
+                const int64_t channels = 2 * (1 + static_cast<int64_t>(
+                                                      rng.uniformInt(5)));
+                // Drifting scale, so the open group's parameters keep
+                // changing as it fills.
+                Tensor kv(tokens, channels);
+                for (int64_t t = 0; t < tokens; ++t) {
+                    for (int64_t c = 0; c < channels; ++c) {
+                        kv.at(t, c) = static_cast<float>(rng.gaussian(
+                            0.3 * static_cast<double>(c),
+                            1.0 + static_cast<double>(t % 50) / 10.0));
+                    }
+                }
+                const KvCacheQuantizer quantizer(config);
+                KvStore store(channels, config);
+                for (int64_t t = 0; t < tokens; ++t) {
+                    store.append(kv.data() + t * channels);
+                    SCOPED_TRACE(::testing::Message()
+                                 << "group " << group << " bits " << bits
+                                 << " asym " << asymmetric << " length "
+                                 << t + 1);
+                    expectSameQuantizedKv(
+                        store.snapshot(),
+                        quantizer.quantize(prefixRows(kv, t + 1)));
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(KvStore, DequantizedSlicesMatchQuantizerDequantize)
+{
+    Rng rng(22);
+    const Tensor kv = makeKv(150, 16, 23);
+    for (const int bits : {4, 8}) {
+        const KvQuantConfig config{bits, 32, true};
+        KvStore store(16, config);
+        for (int64_t t = 0; t < kv.rows(); ++t)
+            store.append(kv.data() + t * 16);
+        const Tensor want =
+            KvCacheQuantizer(config).dequantize(store.snapshot());
+        for (int trial = 0; trial < 50; ++trial) {
+            const int64_t t0 = static_cast<int64_t>(rng.uniformInt(150));
+            const int64_t t1 =
+                t0 + static_cast<int64_t>(rng.uniformInt(
+                         static_cast<uint64_t>(150 - t0 + 1)));
+            const int64_t c0 = 2 * static_cast<int64_t>(rng.uniformInt(8));
+            const int64_t n = 2 * static_cast<int64_t>(rng.uniformInt(
+                                      static_cast<uint64_t>(8 - c0 / 2 + 1)));
+            std::vector<float> got(static_cast<size_t>((t1 - t0) * n));
+            store.dequantize(t0, t1, c0, n, got.data());
+            for (int64_t t = t0; t < t1; ++t) {
+                for (int64_t c = 0; c < n; ++c) {
+                    ASSERT_EQ(got[static_cast<size_t>((t - t0) * n + c)],
+                              want.at(t, c0 + c));
+                }
+            }
+        }
+    }
+}
+
+TEST(KvStore, PacksTwoValuesPerByteAtFourBitsAndBelow)
+{
+    const Tensor kv = makeKv(100, 12, 24);
+    for (const int bits : {2, 3, 4, 8}) {
+        KvStore store(12, KvQuantConfig{bits, 32, true});
+        for (int64_t t = 0; t < kv.rows(); ++t)
+            store.append(kv.data() + t * 12);
+        // Values, then 4 groups x 12 channels of (scale, zero point).
+        const int64_t value_bytes = bits <= 4 ? 100 * 12 / 2 : 100 * 12;
+        EXPECT_EQ(store.packed(), bits <= 4);
+        EXPECT_EQ(store.bytes(), value_bytes + 4 * 12 * 8) << bits;
+    }
+}
+
+TEST(KvStore, AppendRequantizesOnlyTheOpenGroup)
+{
+    obs::Counter &counter = obs::MetricsRegistry::global().counter(
+        "quant.kv_rows_quantized");
+    const Tensor kv = makeKv(70, 8, 25);
+    KvStore store(8, KvQuantConfig{4, 32, true});
+    for (int64_t t = 0; t < kv.rows(); ++t) {
+        const int64_t before = counter.value();
+        store.append(kv.data() + t * 8);
+        EXPECT_EQ(counter.value() - before, t % 32 + 1) << t;
+    }
+}
+
+TEST(KvStoreDeathTest, OddChannelsCannotPack)
+{
+    EXPECT_DEATH(KvStore(7, KvQuantConfig{4, 32, true}), "CHECK failed");
+    EXPECT_DEATH(KvStore(8, KvQuantConfig{9, 32, true}), "CHECK failed");
+}
 
 } // namespace
 } // namespace comet

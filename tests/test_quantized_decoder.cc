@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "comet/model/quantized_decoder.h"
 
@@ -203,6 +204,96 @@ TEST(QuantizedDecoder, PerplexityStaysUsable)
 
     EXPECT_LT(packed_ppl, fp_ppl * 6.0); // usable, not collapsed
     EXPECT_GE(packed_ppl, fp_ppl * 0.9);
+}
+
+/** Tokens of a deterministic test stream over the 64-token vocab. */
+std::vector<int32_t>
+testStream(int64_t length, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<int32_t> tokens;
+    for (int64_t i = 0; i < length; ++i)
+        tokens.push_back(static_cast<int32_t>(rng.uniformInt(64)));
+    return tokens;
+}
+
+TEST(QuantizedDecoder, PrefillMatchesTokenByTokenBitExact)
+{
+    // One batched forward over the prompt gives the logits of feeding
+    // it one token at a time, and leaves an identical KV state: the
+    // next 100 decode steps agree bit for bit. The lengths straddle
+    // the KV group (32) and attention chunk (64) boundaries.
+    const Harness h = makeHarness(82);
+    const QuantizedDecoder fresh(h.teacher, h.calibration);
+    for (const int64_t length : {1, 31, 32, 33, 129}) {
+        SCOPED_TRACE(::testing::Message() << "prompt " << length);
+        const std::vector<int32_t> stream =
+            testStream(length + 100, 83 + static_cast<uint64_t>(length));
+        const std::vector<int32_t> prompt(stream.begin(),
+                                          stream.begin() + length);
+        QuantizedDecoder batched = fresh;
+        QuantizedDecoder stepped = fresh;
+        std::vector<float> want;
+        for (int32_t token : prompt)
+            want = stepped.step(token);
+        ASSERT_EQ(batched.prefill(prompt), want);
+        EXPECT_EQ(batched.position(), length);
+        for (int64_t t = length; t < length + 100; ++t) {
+            const int32_t token = stream[static_cast<size_t>(t)];
+            ASSERT_EQ(batched.step(token), stepped.step(token))
+                << "decode step at position " << t;
+        }
+    }
+}
+
+TEST(QuantizedDecoder, PrefillAtNonzeroPositionMatchesSteps)
+{
+    // A second prompt chunk appended after decoding has started (the
+    // chunked-prefill shape) sees the existing cache exactly as the
+    // token-by-token path does.
+    const Harness h = makeHarness(84);
+    const std::vector<int32_t> stream = testStream(90, 85);
+    QuantizedDecoder batched(h.teacher, h.calibration);
+    QuantizedDecoder stepped = batched;
+    std::vector<float> want;
+    for (int64_t t = 0; t < 90; ++t)
+        want = stepped.step(stream[static_cast<size_t>(t)]);
+    (void)batched.prefill({stream.begin(), stream.begin() + 20});
+    (void)batched.step(stream[20]);
+    EXPECT_EQ(batched.prefill({stream.begin() + 21, stream.end()}), want);
+    EXPECT_EQ(batched.position(), 90);
+}
+
+TEST(QuantizedDecoder, CopyMidSequenceContinuesIdentically)
+{
+    // A snapshot taken mid-sequence owns its KV stores: the original
+    // and the copy decode the same continuation bit for bit, through
+    // the stores' buffer growth.
+    const Harness h = makeHarness(86);
+    const std::vector<int32_t> stream = testStream(150, 87);
+    QuantizedDecoder original(h.teacher, h.calibration);
+    (void)original.prefill({stream.begin(), stream.begin() + 20});
+    QuantizedDecoder copy = original;
+    for (int64_t t = 20; t < 150; ++t) {
+        const int32_t token = stream[static_cast<size_t>(t)];
+        ASSERT_EQ(copy.step(token), original.step(token)) << t;
+    }
+    EXPECT_EQ(copy.kvCacheBytes(), original.kvCacheBytes());
+}
+
+TEST(QuantizedDecoder, KvCacheBytesMatchClosedFormAt2048)
+{
+    // Measured from the stores' buffers: 0.5 B per value at 4 bits,
+    // plus one (scale, zero point) pair per (group, channel), for K
+    // and V of every layer.
+    const Harness h = makeHarness(88);
+    QuantizedDecoder decoder(h.teacher, h.calibration);
+    EXPECT_EQ(decoder.kvCacheBytes(), 0);
+    (void)decoder.prefill(testStream(2048, 89));
+    const int64_t layers = 2, kv_dim = 32, tokens = 2048, group = 32;
+    const int64_t values = 2 * layers * tokens * kv_dim;
+    const int64_t params = 2 * layers * (tokens / group) * kv_dim;
+    EXPECT_EQ(decoder.kvCacheBytes(), values / 2 + params * 8);
 }
 
 TEST(QuantizedDecoder, PlainMlpModelSupported)

@@ -339,12 +339,19 @@ TEST(RuntimeEquivalence, QuantizedDecoderEndToEnd)
 
     // Rebuilds the decoder under each pool size: covers the parallel
     // site-calibration sweep, the pooled weight quantization, the
-    // packed GEMMs, per-head attention, and the LM head.
+    // packed GEMMs (M = prompt length, then M = 1), per-kv-head
+    // attention over the KV store, and the LM head. Every decode
+    // step's logits are compared, not only the prefill's.
     auto [narrow, wide] = underBothPoolSizes([&] {
         QuantizedDecoder decoder(teacher, calibration);
-        return decoder.prefill(prompt);
+        std::vector<float> logits = decoder.prefill(prompt);
+        for (int32_t i = 0; i < 100; ++i) {
+            const std::vector<float> step = decoder.step((i * 37) % 64);
+            logits.insert(logits.end(), step.begin(), step.end());
+        }
+        return logits;
     });
-    expectBitEqual(narrow, wide, "decoder prefill logits");
+    expectBitEqual(narrow, wide, "decoder prefill and decode logits");
 }
 
 TEST(RuntimeEquivalence, ServingEnginePerRequestFanOut)
