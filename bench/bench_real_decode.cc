@@ -20,7 +20,17 @@
  *    read the context length). Gated;
  *  - KV store bytes per token at 2048 context, from
  *    QuantizedDecoder::kvCacheBytes() (packed values plus per-group
- *    parameters). Gated.
+ *    parameters). Gated;
+ *  - W4Ax GEMM runs, activation quantizations and W4Ax tiles per
+ *    decode step, from the `kernel.w4ax.runs`,
+ *    `quant.act_quantize_calls` and `kernel.w4ax.int{4,8}_tiles`
+ *    counters: fusing the projections that share an activation site
+ *    (q|k|v, gate|up) runs 4 GEMMs and 4 quantizations per layer
+ *    over the same tiles. Gated;
+ *  - the per-layer host split of the 64 steps ending at 2048 context,
+ *    replayed once with the decoder's spans recorded (decoder/qkv,
+ *    attention, o, mlp, lm_head), and the host time of the layer-0
+ *    q|k|v GEMM at M = 1 and M = 128: ungated.
  *
  * Checks (any failure exits 1): every logit is finite, and the rows
  * quantized per append never exceed the group size.
@@ -29,6 +39,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +49,7 @@
 
 #include "comet/model/quantized_decoder.h"
 #include "comet/obs/metrics.h"
+#include "comet/obs/trace_session.h"
 
 using namespace comet;
 
@@ -85,6 +98,24 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/** Median host microseconds of @p calls calls of @p fn. */
+template <typename Fn>
+double
+medianCallUs(int calls, Fn &&fn)
+{
+    std::vector<double> us;
+    for (int i = 0; i < calls; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        fn();
+        us.push_back(1e3 * msSince(start));
+    }
+    return median(std::move(us));
+}
+
+/** The decoder stages in forward order; each records a
+ * "decoder/<stage>" span. */
+const char *const kStages[] = {"qkv", "attention", "o", "mlp", "lm_head"};
+
 } // namespace
 
 int
@@ -125,8 +156,17 @@ main(int argc, char **argv)
         }
     };
 
-    obs::Counter &rows_quantized = obs::MetricsRegistry::global().counter(
-        "quant.kv_rows_quantized");
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    obs::Counter &rows_quantized =
+        registry.counter("quant.kv_rows_quantized");
+    // Per-step work counters, read over the last window's steps.
+    obs::Counter *const work[] = {
+        &registry.counter("kernel.w4ax.runs"),
+        &registry.counter("quant.act_quantize_calls"),
+        &registry.counter("kernel.w4ax.int4_tiles"),
+        &registry.counter("kernel.w4ax.int8_tiles")};
+    int64_t work_before[4] = {};
+    std::optional<QuantizedDecoder> window_start;
     const auto prefill_start = std::chrono::steady_clock::now();
     std::vector<float> logits = decoder.prefill(
         {stream.begin(), stream.begin() + kPromptTokens});
@@ -138,6 +178,11 @@ main(int argc, char **argv)
     int64_t window_rows = 0;
     int64_t max_rows = 0;
     for (int64_t t = kPromptTokens; t < kMaxContext; ++t) {
+        if (t == kMaxContext - kWindowTokens) {
+            window_start.emplace(decoder);
+            for (size_t c = 0; c < std::size(work); ++c)
+                work_before[c] = work[c]->value();
+        }
         const int64_t rows_before = rows_quantized.value();
         const auto start = std::chrono::steady_clock::now();
         logits = decoder.step(stream[static_cast<size_t>(t)]);
@@ -151,6 +196,59 @@ main(int argc, char **argv)
     }
     check(max_rows <= stores * qconfig.kv.group_size,
           "each append re-quantizes at most one group");
+    const auto per_step = [&](size_t c) {
+        return static_cast<double>(work[c]->value() - work_before[c]) /
+               static_cast<double>(kWindowTokens);
+    };
+    const double gemms_per_step = per_step(0);
+    const double quantizations_per_step = per_step(1);
+    const double tiles_per_step = per_step(2) + per_step(3);
+
+    // The per-layer split: the last window replayed with the
+    // decoder's spans recorded, each stage's span time per step.
+    obs::TraceSession &trace = obs::TraceSession::global();
+    trace.drain();
+    trace.start();
+    for (int64_t t = kMaxContext - kWindowTokens; t < kMaxContext; ++t)
+        (void)window_start->step(stream[static_cast<size_t>(t)]);
+    trace.stop();
+    double stage_us[std::size(kStages)] = {};
+    for (const obs::SpanRecord &span : trace.drain()) {
+        for (size_t i = 0; i < std::size(kStages); ++i) {
+            if (span.name == std::string("decoder/") + kStages[i])
+                stage_us[i] += 1e-3 * static_cast<double>(span.end_ns -
+                                                          span.begin_ns) /
+                               static_cast<double>(kWindowTokens);
+        }
+    }
+
+    // The layer-0 q|k|v GEMM, the decoder's widest site, alone.
+    const FmpqActivationQuantizer quantizer =
+        FmpqActivationQuantizer::calibrate(
+            calibration.activations(0, ActSite::kQkv), qconfig.fmpq);
+    W4AxGemmConfig gemm_config;
+    gemm_config.tile_m = qconfig.tile_m;
+    gemm_config.tile_n = qconfig.tile_n;
+    gemm_config.tile_k = qconfig.tile_k;
+    gemm_config.threads = qconfig.gemm_threads;
+    const Tensor qkv_weight =
+        stackRows({&teacher.weight({0, WeightKind::kQ}),
+                   &teacher.weight({0, WeightKind::kK}),
+                   &teacher.weight({0, WeightKind::kV})});
+    const W4AxGemm qkv(quantizer.quantizeWeight(qkv_weight),
+                       quantizer.blockPrecisions(), gemm_config);
+    Rng act_rng(seed + 1);
+    Tensor acts(kPromptTokens, teacher.config().hidden_size);
+    for (int64_t i = 0; i < acts.numel(); ++i)
+        acts[i] = static_cast<float>(act_rng.gaussian());
+    Tensor act_row(1, acts.cols());
+    std::copy(acts.data(), acts.data() + acts.cols(), act_row.data());
+    const MixedQuantizedActivation q_row = quantizer.quantize(act_row);
+    const MixedQuantizedActivation q_rows = quantizer.quantize(acts);
+    const double w4ax_m1_us =
+        medianCallUs(201, [&] { (void)qkv.run(q_row); });
+    const double w4ax_m128_us =
+        medianCallUs(21, [&] { (void)qkv.run(q_rows); });
 
     const double rows_per_step =
         static_cast<double>(window_rows) /
@@ -189,11 +287,41 @@ main(int argc, char **argv)
                 static_cast<long long>(kMaxContext), rows_per_step,
                 static_cast<long long>(qconfig.kv.group_size));
     std::printf("KV store bytes per token: %.1f\n", bytes_per_token);
+    std::printf("per decode step: %.0f W4Ax GEMMs, %.0f activation "
+                "quantizations, %.0f W4Ax tiles\n",
+                gemms_per_step, quantizations_per_step, tiles_per_step);
+    std::printf("layer-0 q|k|v W4Ax GEMM (N %lld, K %lld): %.1f us at "
+                "M=1, %.1f us at M=%lld\n",
+                static_cast<long long>(qkv_weight.rows()),
+                static_cast<long long>(qkv_weight.cols()), w4ax_m1_us,
+                w4ax_m128_us, static_cast<long long>(kPromptTokens));
+    double step_us = 0.0;
+    for (const double us : stage_us)
+        step_us += us;
+    std::printf("\nper-layer host split, 64 steps ending at %lld "
+                "context (us/step):\n",
+                static_cast<long long>(kMaxContext));
+    for (size_t i = 0; i < std::size(kStages); ++i) {
+        std::printf("  decoder/%-10s %8.1f  (%4.1f%%)\n", kStages[i],
+                    stage_us[i], 100.0 * stage_us[i] / step_us);
+    }
     report.addMetric("prefill_ms", prefill_ms, "ms", false, false);
     report.addMetric("kv_rows_quantized_per_step_ctx2048", rows_per_step,
                      "rows", true, false);
     report.addMetric("kv_store_bytes_per_token", bytes_per_token, "B",
                      true, false);
+    report.addMetric("w4ax_runs_per_step", gemms_per_step, "runs", true,
+                     false);
+    report.addMetric("act_quantizations_per_step", quantizations_per_step,
+                     "calls", true, false);
+    report.addMetric("w4ax_tiles_per_step", tiles_per_step, "tiles", true,
+                     false);
+    report.addMetric("w4ax_m1_us", w4ax_m1_us, "us", false, false);
+    report.addMetric("w4ax_m128_us", w4ax_m128_us, "us", false, false);
+    for (size_t i = 0; i < std::size(kStages); ++i) {
+        report.addMetric(std::string("host_us_") + kStages[i],
+                         stage_us[i], "us", false, false);
+    }
     report.writeIfRequested(argc, argv);
 
     if (failures > 0) {

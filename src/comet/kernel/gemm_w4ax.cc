@@ -4,7 +4,6 @@
 
 #include "comet/kernel/int4_pack.h"
 #include "comet/kernel/interleave.h"
-#include "comet/kernel/mma.h"
 #include "comet/obs/metrics.h"
 #include "comet/obs/trace_session.h"
 #include "comet/runtime/thread_pool.h"
@@ -14,17 +13,21 @@ namespace comet {
 
 namespace {
 
-/** Publishes one run's tile tallies to the global registry (cached
- * references: the registration mutex is paid once per process). */
+/** Publishes one run and its tile tallies to the global registry
+ * (cached references: the registration mutex is paid once per
+ * process). */
 void
-publishTileCounters(int64_t int4_tiles, int64_t int8_tiles)
+publishRunCounters(int64_t int4_tiles, int64_t int8_tiles)
 {
+    static obs::Counter &runs_counter =
+        obs::MetricsRegistry::global().counter("kernel.w4ax.runs");
     static obs::Counter &int4_counter =
         obs::MetricsRegistry::global().counter(
             "kernel.w4ax.int4_tiles");
     static obs::Counter &int8_counter =
         obs::MetricsRegistry::global().counter(
             "kernel.w4ax.int8_tiles");
+    runs_counter.add(1);
     if (int4_tiles > 0)
         int4_counter.add(int4_tiles);
     if (int8_tiles > 0)
@@ -40,8 +43,9 @@ W4AxGemm::W4AxGemm(BlockQuantizedWeight weight,
       config_(config), prepared_(prepareWeightsForW4A8(weight_.data))
 {
     COMET_CHECK(weight_.block_size > 0);
-    COMET_CHECK_MSG(static_cast<int64_t>(precisions_.size()) ==
-                        weight_.in_channels / weight_.block_size,
+    COMET_CHECK_MSG(weight_.in_channels % weight_.block_size == 0 &&
+                        static_cast<int64_t>(precisions_.size()) ==
+                            weight_.in_channels / weight_.block_size,
                     "precision map must have one entry per k block");
     COMET_CHECK(config_.tile_m > 0 && config_.tile_n > 0 &&
                 config_.tile_k > 0);
@@ -50,6 +54,46 @@ W4AxGemm::W4AxGemm(BlockQuantizedWeight weight,
                     "every tile has a single precision");
     COMET_CHECK_MSG(config_.tile_k % kInterleaveUnit == 0,
                     "tile_k must be a multiple of the interleave unit");
+    COMET_CHECK(config_.threads >= 0);
+    for (int64_t k0 = 0; k0 < weight_.in_channels; k0 += config_.tile_k)
+        int8_tiles_.push_back(
+            precisions_[static_cast<size_t>(k0 / weight_.block_size)] ==
+                    BlockPrecision::kInt8
+                ? 1
+                : 0);
+}
+
+void
+W4AxGemm::widenColumn(int64_t column, int8_t *widened,
+                      InstructionCounter *counter) const
+{
+    const int64_t tile_k = config_.tile_k;
+    for (size_t t = 0; t < int8_tiles_.size(); ++t) {
+        if (int8_tiles_[t] == 0)
+            continue;
+        const int64_t k0 = static_cast<int64_t>(t) * tile_k;
+        if (config_.use_fast_conversion) {
+            // The fast conversion costs 3 emulated instructions per
+            // register word (shl+and for lo, and for hi — see
+            // fastInt4ToInt8).
+            simd::fastWidenW4A8(prepared_.rowPtr(column) + k0 / 2, tile_k,
+                                widened + k0);
+            counter->add(3 * (tile_k / 8));
+            continue;
+        }
+        // Ablation path: the naive per-nibble conversion of the
+        // plain-layout weights. True INT4 values (no x16), far
+        // costlier in instructions.
+        for (int64_t k = k0; k < k0 + tile_k; k += 8) {
+            const ConvertedPair pair =
+                naiveInt4ToInt8(weight_.data.loadWord(column, k), counter);
+            for (int b = 0; b < 4; ++b) {
+                widened[k + b] = static_cast<int8_t>(pair.lo >> (8 * b));
+                widened[k + 4 + b] =
+                    static_cast<int8_t>(pair.hi >> (8 * b));
+            }
+        }
+    }
 }
 
 Tensor
@@ -65,149 +109,112 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     const int64_t m_dim = activation.tokens;
     const int64_t n_dim = weight_.out_features;
     const int64_t k_dim = weight_.in_channels;
+    const int64_t tile_k = config_.tile_k;
+    const auto k_tiles = static_cast<int64_t>(int8_tiles_.size());
+    const int64_t num_blocks = k_dim / weight_.block_size;
+
+    // Per k-tile epilogue factors: the scale block, and the fixup that
+    // divides the fast conversion's x16 back out of W4A8 dots.
+    const float w4a8_fixup =
+        config_.use_fast_conversion
+            ? 1.0f / static_cast<float>(kFastConvMultiplier)
+            : 1.0f;
+    std::vector<int64_t> tile_block(static_cast<size_t>(k_tiles));
+    std::vector<float> tile_fixup(static_cast<size_t>(k_tiles));
+    for (int64_t t = 0; t < k_tiles; ++t) {
+        tile_block[static_cast<size_t>(t)] =
+            t * tile_k / weight_.block_size;
+        tile_fixup[static_cast<size_t>(t)] =
+            int8_tiles_[static_cast<size_t>(t)] != 0 ? w4a8_fixup : 1.0f;
+    }
 
     Tensor out(m_dim, n_dim);
+    float *out_data = out.data();
+    const float *a_scales = activation.scales.data();
+    const float *w_scales = weight_.scales.data();
 
-    // The n dimension partitions across the runtime pool: every chunk
-    // owns a disjoint set of output columns, so the emulation is
-    // race-free and bit-identical for any thread count (tile
-    // iteration order within a column set is unchanged).
-    COMET_CHECK(config_.threads >= 0);
+    // Streams output columns [n_begin, n_end): each weight row is
+    // widened once, then every activation row takes one segmented dot
+    // pass and the epilogue sums its k-tiles in ascending order.
     const auto worker = [&](int64_t n_begin, int64_t n_end,
-                            W4AxGemmStats *thread_stats,
                             InstructionCounter *counter) {
-    for (int64_t m0 = 0; m0 < m_dim; m0 += config_.tile_m) {
-        const int64_t mm = std::min(config_.tile_m, m_dim - m0);
-        for (int64_t n0 = n_begin; n0 < n_end; n0 += config_.tile_n) {
-            const int64_t nn = std::min(config_.tile_n, n_dim - n0);
-            for (int64_t k0 = 0; k0 < k_dim; k0 += config_.tile_k) {
-                COMET_KERNEL_SPAN("w4ax/tile");
-                const int64_t kk = std::min(config_.tile_k, k_dim - k0);
-                const int64_t block = k0 / weight_.block_size;
-                const bool is_int4 =
-                    precisions_[static_cast<size_t>(block)] ==
-                    BlockPrecision::kInt4;
-
-                AccumTile acc(mm, nn);
-                float conv_fixup = 1.0f;
-                if (is_int4) {
-                    mmaInt4(acc, activation.int4_data, m0, weight_.data,
-                            n0, k0, kk);
-                } else if (config_.use_fast_conversion) {
-                    mmaW4A8Prepared(acc, activation.int8_data, m0,
-                                    prepared_, n0, k0, kk, counter);
-                    conv_fixup =
-                        1.0f / static_cast<float>(kFastConvMultiplier);
-                } else {
-                    // Ablation path: widen the plain-layout weights with
-                    // the naive per-nibble conversion, then run the
-                    // INT8 mma. Numerically identical, far costlier.
-                    Int8Tensor widened(nn, kk);
-                    for (int64_t j = 0; j < nn; ++j) {
-                        for (int64_t k = 0; k < kk; k += 8) {
-                            const ConvertedPair pair = naiveInt4ToInt8(
-                                weight_.data.loadWord(n0 + j, k0 + k),
-                                counter);
-                            widened.storeWord(j, k, pair.lo);
-                            widened.storeWord(j, k + 4, pair.hi);
-                        }
-                    }
-                    // The widened tile is indexed from local k 0 while
-                    // the activation stays at global k0, so contract
-                    // manually with the same span dot mmaInt8 uses.
-                    for (int64_t i = 0; i < mm; ++i) {
-                        const int8_t *a_row =
-                            activation.int8_data.rowPtr(m0 + i) + k0;
-                        for (int64_t j = 0; j < nn; ++j) {
-                            acc.at(i, j) = simd::dotInt8(
-                                a_row, widened.rowPtr(j), kk);
-                        }
-                    }
+        std::vector<int8_t> widened(static_cast<size_t>(k_dim));
+        std::vector<int32_t> dots(static_cast<size_t>(k_tiles));
+        for (int64_t j = n_begin; j < n_end; ++j) {
+            COMET_KERNEL_SPAN("w4ax/column");
+            widenColumn(j, widened.data(), counter);
+            const simd::MixedSpan w{weight_.data.rowPtr(j),
+                                    widened.data()};
+            const float *w_row_scales = w_scales + j * num_blocks;
+            for (int64_t i = 0; i < m_dim; ++i) {
+                const simd::MixedSpan a{activation.int4_data.rowPtr(i),
+                                        activation.int8_data.rowPtr(i)};
+                simd::dotSegments(a, w, int8_tiles_.data(), k_tiles,
+                                  tile_k, dots.data());
+                const float *a_row_scales = a_scales + i * num_blocks;
+                float sum = 0.0f;
+                for (int64_t t = 0; t < k_tiles; ++t) {
+                    const int64_t b = tile_block[static_cast<size_t>(t)];
+                    sum += static_cast<float>(
+                               dots[static_cast<size_t>(t)]) *
+                           (a_row_scales[b] *
+                            tile_fixup[static_cast<size_t>(t)]) *
+                           w_row_scales[b];
                 }
-
-                if (thread_stats != nullptr) {
-                    (is_int4 ? thread_stats->int4_tiles
-                             : thread_stats->int8_tiles) += 1;
-                    (is_int4 ? thread_stats->int4_mac_ops
-                             : thread_stats->int8_mac_ops) +=
-                        mm * nn * kk;
-                }
-
-                for (int64_t i = 0; i < mm; ++i) {
-                    const float a_scale =
-                        activation.scales.at(m0 + i, block) * conv_fixup;
-                    for (int64_t j = 0; j < nn; ++j) {
-                        out.at(m0 + i, n0 + j) +=
-                            static_cast<float>(acc.at(i, j)) * a_scale *
-                            weight_.scales.at(n0 + j, block);
-                    }
-                }
+                out_data[i * n_dim + j] = sum;
             }
         }
-    }
-    }; // worker
+    };
 
-    if (config_.threads == 1) {
-        InstructionCounter counter;
-        // Route through a local stats block so the registry counters
-        // tick even when the caller passes no stats sink.
-        W4AxGemmStats run_stats;
-        worker(0, n_dim, &run_stats, &counter);
-        publishTileCounters(run_stats.int4_tiles, run_stats.int8_tiles);
-        if (stats != nullptr) {
-            stats->int4_tiles += run_stats.int4_tiles;
-            stats->int8_tiles += run_stats.int8_tiles;
-            stats->int4_mac_ops += run_stats.int4_mac_ops;
-            stats->int8_mac_ops += run_stats.int8_mac_ops;
-            // Accumulate (like the threaded path below does): callers
-            // summing several gemms into one sink — sharded TP runs —
-            // must not see the last gemm overwrite the total.
-            stats->conversion_instructions += counter.count();
-        }
-        return out;
-    }
-
-    // Partition whole n-tiles across the runtime pool, one tile strip
-    // per chunk. Chunk boundaries are clamped to n_dim on both ends,
-    // so a ragged final tile (n_dim % tile_n != 0) gets exactly the
-    // leftover columns. Stats accumulate into chunk-indexed slots and
-    // reduce in ascending chunk order, so the totals match the
-    // sequential path bit-for-bit for any pool size.
-    const int64_t n_tiles =
-        (n_dim + config_.tile_n - 1) / config_.tile_n;
-    std::vector<W4AxGemmStats> chunk_stats(
-        static_cast<size_t>(n_tiles));
+    // Whole n-tiles partition across the pool: every chunk owns a
+    // disjoint set of output columns, so the run is race-free and
+    // bit-identical for any thread count. Below kMinPoolMacs the
+    // dispatch would cost more than it saves, so auto-parallel runs
+    // stay on the caller.
+    constexpr int64_t kMinPoolMacs = int64_t{1} << 20;
+    const int64_t n_tiles = (n_dim + config_.tile_n - 1) / config_.tile_n;
+    const bool on_caller =
+        config_.threads == 1 ||
+        (config_.threads == 0 && m_dim * n_dim * k_dim < kMinPoolMacs);
     std::vector<InstructionCounter> counters(
-        static_cast<size_t>(n_tiles));
-    ThreadPool::global().parallelForChunks(
-        0, n_tiles, 1,
-        [&](int64_t tile_begin, int64_t tile_end, int64_t chunk) {
-            const int64_t n_begin =
-                std::min(tile_begin * config_.tile_n, n_dim);
-            const int64_t n_end =
-                std::min(tile_end * config_.tile_n, n_dim);
-            worker(n_begin, n_end,
-                   &chunk_stats[static_cast<size_t>(chunk)],
-                   &counters[static_cast<size_t>(chunk)]);
-        },
-        config_.threads);
-    int64_t run_int4_tiles = 0;
-    int64_t run_int8_tiles = 0;
-    for (int64_t c = 0; c < n_tiles; ++c) {
-        const W4AxGemmStats &cs =
-            chunk_stats[static_cast<size_t>(c)];
-        run_int4_tiles += cs.int4_tiles;
-        run_int8_tiles += cs.int8_tiles;
-        if (stats != nullptr) {
-            stats->int4_tiles += cs.int4_tiles;
-            stats->int8_tiles += cs.int8_tiles;
-            stats->int4_mac_ops += cs.int4_mac_ops;
-            stats->int8_mac_ops += cs.int8_mac_ops;
-            stats->conversion_instructions +=
-                counters[static_cast<size_t>(c)].count();
-        }
+        static_cast<size_t>(on_caller ? 1 : n_tiles));
+    if (on_caller) {
+        worker(0, n_dim, &counters[0]);
+    } else {
+        ThreadPool::global().parallelForChunks(
+            0, n_tiles, 1,
+            [&](int64_t tile_begin, int64_t tile_end, int64_t chunk) {
+                worker(std::min(tile_begin * config_.tile_n, n_dim),
+                       std::min(tile_end * config_.tile_n, n_dim),
+                       &counters[static_cast<size_t>(chunk)]);
+            },
+            config_.threads);
     }
-    publishTileCounters(run_int4_tiles, run_int8_tiles);
+
+    // Statistics of the tile grid. The tiled kernel widens a column's
+    // INT8 k-tiles once per m-tile, so the conversions counted above
+    // (once per column) scale by the m-tile count.
+    const int64_t m_tiles = (m_dim + config_.tile_m - 1) / config_.tile_m;
+    int64_t int8_k_tiles = 0;
+    for (const uint8_t is_int8 : int8_tiles_)
+        int8_k_tiles += is_int8;
+    const int64_t int4_k_tiles = k_tiles - int8_k_tiles;
+    const int64_t int4_tiles = m_tiles * n_tiles * int4_k_tiles;
+    const int64_t int8_tiles = m_tiles * n_tiles * int8_k_tiles;
+    publishRunCounters(int4_tiles, int8_tiles);
+    if (stats != nullptr) {
+        int64_t conversions = 0;
+        for (const InstructionCounter &counter : counters)
+            conversions += counter.count();
+        // Accumulate: callers summing several gemms into one sink —
+        // sharded TP runs — must not see the last gemm overwrite the
+        // total.
+        stats->int4_tiles += int4_tiles;
+        stats->int8_tiles += int8_tiles;
+        stats->int4_mac_ops += m_dim * n_dim * int4_k_tiles * tile_k;
+        stats->int8_mac_ops += m_dim * n_dim * int8_k_tiles * tile_k;
+        stats->conversion_instructions += m_tiles * conversions;
+    }
     return out;
 }
 

@@ -12,11 +12,23 @@
  *    layout and widened on the fly with the 2-instruction fast
  *    conversion, whose x16 factor is folded into the block scale.
  *
- * Computation is organized in (tile_m x tile_n x tile_k) tiles exactly
- * like the GPU kernel (128^3 in the paper); each tile's precision is
- * decided by the activation block covering its k-range. The class also
- * reports per-run statistics (tile precision mix, conversion
- * instructions) consumed by tests and the ablation benches.
+ * The GPU kernel computes in (tile_m x tile_n x tile_k) tiles (128^3
+ * in the paper), each tile's precision decided by the activation block
+ * covering its k-range. Here the tile is the unit of accounting and of
+ * epilogue order, not of execution: run() streams rows. Per output
+ * column it widens the weight row's INT8 k-tiles once, then for every
+ * activation row one simd::dotSegments pass yields all per-k-tile
+ * INT32 dots of that (row, column) pair straight from the packed
+ * bytes, and the epilogue adds
+ *
+ *     float(dot_t) * (a_scale * fixup_t) * w_scale
+ *
+ * in ascending k-tile order — exactly the sum a tile-by-tile walk
+ * forms, so the output is bit-identical to it for any tile shape,
+ * thread count and precision map. Per-run statistics (tile precision
+ * mix, multiply-accumulates, conversion instructions) are derived from
+ * the tile grid and report what the tiled kernel executes; tests and
+ * the ablation benches consume them.
  */
 #pragma once
 
@@ -39,11 +51,12 @@ struct W4AxGemmConfig {
      * changes). Exists for the Figure 13 ablation. */
     bool use_fast_conversion = true;
     /** Host parallelism of the emulation (the GPU analogy: thread
-     * blocks run concurrently). Output tiles are partitioned along
-     * the n dimension and executed on the comet::runtime pool, so
-     * results and statistics are bit-identical for any value.
-     * 1 = sequential on the caller; 0 = use every pool slot
-     * (COMET_THREADS); k > 1 = cap the run at k executor slots. */
+     * blocks run concurrently). Whole n-tiles of output columns are
+     * partitioned across the comet::runtime pool, so results and
+     * statistics are bit-identical for any value. 1 = sequential on
+     * the caller; 0 = use every pool slot (COMET_THREADS), except
+     * that a GEMM too small to repay the dispatch runs on the caller;
+     * k > 1 = cap the run at k executor slots. */
     int threads = 1;
 };
 
@@ -90,7 +103,9 @@ class W4AxGemm
 
     /**
      * Executes the mixed-precision GEMM and returns the dequantized
-     * float output [tokens, out_features].
+     * float output [tokens, out_features]. Each call adds one to the
+     * `kernel.w4ax.runs` counter and its tile grid's W4A4 and W4A8
+     * tiles to `kernel.w4ax.int4_tiles` / `int8_tiles`.
      *
      * @pre activation block structure (size, count, precisions) matches
      *      the one this operator was built for.
@@ -99,11 +114,19 @@ class W4AxGemm
                W4AxGemmStats *stats = nullptr) const;
 
   private:
+    /** Widens the INT8 k-tiles of weight row @p column into
+     * @p widened (indexed by k, like the activation) with the
+     * configured conversion, counting its emulated instructions. */
+    void widenColumn(int64_t column, int8_t *widened,
+                     InstructionCounter *counter) const;
+
     BlockQuantizedWeight weight_;
     std::vector<BlockPrecision> precisions_;
     W4AxGemmConfig config_;
     /** Weights in prepared layout, used by INT8 blocks. */
     Int4Tensor prepared_;
+    /** Per k-tile: 1 when the tile runs the W4A8 path. */
+    std::vector<uint8_t> int8_tiles_;
 };
 
 /**

@@ -15,7 +15,10 @@
  *    callers fold 1/16 into the scale exactly as the paper describes.
  *
  * All three operate on the packed register words via dp4a/dp8a4, so the
- * bit-level layout machinery is exercised end to end.
+ * bit-level layout machinery is exercised end to end. W4AxGemm::run
+ * does not execute tile by tile (it streams rows through
+ * simd::dotSegments); these tile ops are the building blocks of the
+ * tile-walk oracle it is tested against.
  */
 #pragma once
 

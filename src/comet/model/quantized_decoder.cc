@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "comet/obs/trace_session.h"
 #include "comet/runtime/thread_pool.h"
 
 namespace comet {
@@ -14,6 +15,18 @@ float
 silu(float x)
 {
     return static_cast<float>(x / (1.0 + std::exp(-x)));
+}
+
+/** Columns [begin, begin + count) of @p t. */
+Tensor
+sliceColumns(const Tensor &t, int64_t begin, int64_t count)
+{
+    Tensor out(t.rows(), count);
+    for (int64_t r = 0; r < t.rows(); ++r) {
+        const float *src = t.data() + r * t.cols() + begin;
+        std::copy(src, src + count, out.data() + r * count);
+    }
+    return out;
 }
 
 } // namespace
@@ -62,36 +75,27 @@ QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
     for (int64_t i = 0; i < num_sites; ++i)
         sites_.push_back(
             SiteOps{std::move(*calibrated[static_cast<size_t>(i)])});
+    // Projections sharing an activation site stack into one weight;
+    // quantization is per output row, so the stacked packed weight is
+    // the separate ones' rows in order.
+    const auto gemm = [&](int64_t l, ActSite act_site,
+                          std::vector<WeightKind> kinds) {
+        const auto &quantizer = site(l, act_site);
+        std::vector<const Tensor *> parts;
+        for (WeightKind kind : kinds)
+            parts.push_back(&model_.weight({l, kind}));
+        return W4AxGemm(quantizer.quantizeWeight(stackRows(parts)),
+                        quantizer.blockPrecisions(), gemm_config);
+    };
     for (int64_t l = 0; l < mc.num_layers; ++l) {
-        LayerOps ops;
-        const auto &qkv = site(l, ActSite::kQkv);
-        for (WeightKind kind :
-             {WeightKind::kQ, WeightKind::kK, WeightKind::kV}) {
-            ops.attn.emplace_back(
-                qkv.quantizeWeight(model_.weight({l, kind})),
-                qkv.blockPrecisions(), gemm_config);
-        }
-        const auto &o_site = site(l, ActSite::kO);
-        ops.o.emplace_back(
-            o_site.quantizeWeight(model_.weight({l, WeightKind::kO})),
-            o_site.blockPrecisions(), gemm_config);
-        const auto &mlp_site = site(l, ActSite::kMlp);
-        if (mc.gated_mlp) {
-            ops.mlp.emplace_back(
-                mlp_site.quantizeWeight(
-                    model_.weight({l, WeightKind::kGate})),
-                mlp_site.blockPrecisions(), gemm_config);
-        }
-        ops.mlp.emplace_back(
-            mlp_site.quantizeWeight(
-                model_.weight({l, WeightKind::kUp})),
-            mlp_site.blockPrecisions(), gemm_config);
-        const auto &down_site = site(l, ActSite::kDown);
-        ops.down.emplace_back(
-            down_site.quantizeWeight(
-                model_.weight({l, WeightKind::kDown})),
-            down_site.blockPrecisions(), gemm_config);
-        layers_.push_back(std::move(ops));
+        layers_.push_back(LayerOps{
+            gemm(l, ActSite::kQkv,
+                 {WeightKind::kQ, WeightKind::kK, WeightKind::kV}),
+            gemm(l, ActSite::kO, {WeightKind::kO}),
+            mc.gated_mlp
+                ? gemm(l, ActSite::kMlp, {WeightKind::kGate, WeightKind::kUp})
+                : gemm(l, ActSite::kMlp, {WeightKind::kUp}),
+            gemm(l, ActSite::kDown, {WeightKind::kDown})});
     }
 }
 
@@ -158,48 +162,54 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
         KvStore &v_store = v_stores_[static_cast<size_t>(l)];
         const LayerOps &ops = layers_[static_cast<size_t>(l)];
 
-        // --- Attention block (packed W4Ax projections over every
-        // row, then causal attention one row at a time) ---
-        const Tensor h =
-            model_.rmsNormRows(x, model_.attnNormGain(l));
-        Tensor q = runLinear(l, ActSite::kQkv, ops.attn[0], h);
-        Tensor k = runLinear(l, ActSite::kQkv, ops.attn[1], h);
-        const Tensor v = runLinear(l, ActSite::kQkv, ops.attn[2], h);
+        // --- Attention block (one packed q|k|v GEMM over every row,
+        // then causal attention one row at a time) ---
+        const Tensor qkv = [&] {
+            COMET_SPAN("decoder/qkv");
+            return runLinear(l, ActSite::kQkv, ops.qkv,
+                             model_.rmsNormRows(x, model_.attnNormGain(l)));
+        }();
         Tensor attn(rows, d);
-        for (int64_t r = 0; r < rows; ++r) {
-            const int64_t pos = position_ + r;
-            ropeRow(q, r, mc.num_heads, mc.headDim(), pos);
-            ropeRow(k, r, mc.num_kv_heads, mc.headDim(), pos);
-            k_store.append(k.data() + r * kv_dim);
-            v_store.append(v.data() + r * kv_dim);
-            std::copy(q.data() + r * d, q.data() + (r + 1) * d,
-                      q_row.begin());
-            const std::vector<float> out = decodeAttentionQuantized(
-                attn_config_, q_row, k_store, v_store);
-            std::copy(out.begin(), out.end(), attn.data() + r * d);
+        {
+            COMET_SPAN("decoder/attention");
+            Tensor q = sliceColumns(qkv, 0, d);
+            Tensor k = sliceColumns(qkv, d, kv_dim);
+            const Tensor v = sliceColumns(qkv, d + kv_dim, kv_dim);
+            for (int64_t r = 0; r < rows; ++r) {
+                const int64_t pos = position_ + r;
+                ropeRow(q, r, mc.num_heads, mc.headDim(), pos);
+                ropeRow(k, r, mc.num_kv_heads, mc.headDim(), pos);
+                k_store.append(k.data() + r * kv_dim);
+                v_store.append(v.data() + r * kv_dim);
+                std::copy(q.data() + r * d, q.data() + (r + 1) * d,
+                          q_row.begin());
+                const std::vector<float> out = decodeAttentionQuantized(
+                    attn_config_, q_row, k_store, v_store);
+                std::copy(out.begin(), out.end(), attn.data() + r * d);
+            }
         }
-        const Tensor o = runLinear(l, ActSite::kO, ops.o[0], attn);
-        for (int64_t i = 0; i < x.numel(); ++i)
-            x[i] += o[i];
+        {
+            COMET_SPAN("decoder/o");
+            const Tensor o = runLinear(l, ActSite::kO, ops.o, attn);
+            for (int64_t i = 0; i < x.numel(); ++i)
+                x[i] += o[i];
+        }
 
-        // --- MLP block ---
+        // --- MLP block (one packed [gate|]up GEMM, then down) ---
+        COMET_SPAN("decoder/mlp");
         const Tensor m = model_.rmsNormRows(x, model_.mlpNormGain(l));
-        Tensor inter(rows, mc.intermediate_size);
-        if (mc.gated_mlp) {
-            const Tensor gate =
-                runLinear(l, ActSite::kMlp, ops.mlp[0], m);
-            const Tensor up =
-                runLinear(l, ActSite::kMlp, ops.mlp[1], m);
-            for (int64_t i = 0; i < inter.numel(); ++i)
-                inter[i] = silu(gate[i]) * up[i];
-        } else {
-            const Tensor up =
-                runLinear(l, ActSite::kMlp, ops.mlp[0], m);
-            for (int64_t i = 0; i < inter.numel(); ++i)
-                inter[i] = std::max(up[i], 0.0f);
+        const int64_t inter_dim = mc.intermediate_size;
+        const Tensor up = runLinear(l, ActSite::kMlp, ops.mlp, m);
+        Tensor inter(rows, inter_dim);
+        for (int64_t r = 0; r < rows; ++r) {
+            const float *src = up.data() + r * up.cols();
+            float *dst = inter.data() + r * inter_dim;
+            for (int64_t c = 0; c < inter_dim; ++c) {
+                dst[c] = mc.gated_mlp ? silu(src[c]) * src[inter_dim + c]
+                                      : std::max(src[c], 0.0f);
+            }
         }
-        const Tensor down =
-            runLinear(l, ActSite::kDown, ops.down[0], inter);
+        const Tensor down = runLinear(l, ActSite::kDown, ops.down, inter);
         for (int64_t i = 0; i < x.numel(); ++i)
             x[i] += down[i];
     }
@@ -207,6 +217,7 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
 
     // Only the last row's logits are returned, so the final norm and
     // the LM head run on that row alone.
+    COMET_SPAN("decoder/lm_head");
     Tensor last(1, d);
     std::copy(x.data() + (rows - 1) * d, x.data() + rows * d,
               last.data());

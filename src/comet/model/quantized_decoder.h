@@ -21,6 +21,16 @@
  * prefilled at once gives bit-identical logits to feeding it token by
  * token.
  *
+ * Projections that read the same activation site run as one GEMM:
+ * q|k|v at the QKV site and gate|up at the MLP site, their weights
+ * stacked along the output rows. Weights quantize per output row, so
+ * the stacked packed weight holds the separate ones' bytes, and the
+ * fused output's column slices equal the separate GEMMs' outputs bit
+ * for bit, while each site's activation is quantized once. A decode
+ * step runs four GEMMs per layer; prefill() records one span per stage
+ * (decoder/qkv, decoder/attention, decoder/o, decoder/mlp,
+ * decoder/lm_head) for the per-layer host split.
+ *
  * Verified (tests) against the fake-quantization reference: the
  * packed integer path and the dequantize-then-float-GEMM path agree
  * to float rounding.
@@ -97,10 +107,10 @@ class QuantizedDecoder
     };
 
     struct LayerOps {
-        std::vector<W4AxGemm> attn; ///< q, k, v (QKV-site layout)
-        std::vector<W4AxGemm> o;    ///< o (O-site layout)
-        std::vector<W4AxGemm> mlp;  ///< [gate,] up (MLP-site layout)
-        std::vector<W4AxGemm> down; ///< down (Down-site layout)
+        W4AxGemm qkv;  ///< q|k|v stacked (QKV-site layout)
+        W4AxGemm o;    ///< o (O-site layout)
+        W4AxGemm mlp;  ///< [gate|]up stacked (MLP-site layout)
+        W4AxGemm down; ///< down (Down-site layout)
     };
 
     /** Quantizes the activation rows at @p site and runs @p gemm. */

@@ -15,7 +15,7 @@
  * Span names must be string literals (or otherwise outlive the
  * session): buffers store the pointer, not a copy.
  *
- * Kernel-tile spans sit behind the compile-time `COMET_KERNEL_SPAN`
+ * Kernel inner-loop spans sit behind the compile-time `COMET_KERNEL_SPAN`
  * macro (enabled with -DCOMET_OBS_KERNEL_SPANS=1 via the
  * COMET_KERNEL_SPANS CMake option) so the default build keeps
  * inner-loop code completely span-free.
@@ -163,7 +163,7 @@ class ScopedSpan
 #if defined(COMET_OBS_KERNEL_SPANS) && COMET_OBS_KERNEL_SPANS
 /** Kernel inner-loop span: compiled in only with the
  * COMET_KERNEL_SPANS build option so the default build stays
- * zero-overhead inside tile loops. */
+ * zero-overhead inside kernel loops. */
 #define COMET_KERNEL_SPAN(name) COMET_SPAN(name)
 #else
 #define COMET_KERNEL_SPAN(name)                                            \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "comet/obs/metrics.h"
 #include "comet/runtime/thread_pool.h"
 
 namespace comet {
@@ -125,6 +126,9 @@ FmpqActivationQuantizer::quantize(const Tensor &x) const
 {
     COMET_CHECK(x.shape().rank() == 2);
     COMET_CHECK(x.cols() == channels());
+    static obs::Counter &calls = obs::MetricsRegistry::global().counter(
+        "quant.act_quantize_calls");
+    calls.add(1);
     const int64_t tokens = x.rows();
     const int64_t k = config_.block_size;
     const auto &order = permutation_.order();

@@ -149,7 +149,8 @@ class FmpqActivationQuantizer
 
     /**
      * Quantizes runtime activations to packed mixed-precision form in
-     * permuted channel order, for the bit-exact kernel path.
+     * permuted channel order, for the bit-exact kernel path. Each call
+     * adds one to the `quant.act_quantize_calls` counter.
      */
     MixedQuantizedActivation quantize(const Tensor &x) const;
 

@@ -217,6 +217,16 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
+dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
+            int64_t n_segments, int64_t segment_values, int32_t *out)
+{
+    COMET_CHECK(n_segments >= 0 && segment_values > 0 &&
+                segment_values % 16 == 0);
+    COMET_SIMD_DISPATCH(dotSegments(a, b, int8_segments, n_segments,
+                                    segment_values, out));
+}
+
+void
 minMaxUpdate(const float *x, int64_t n, float *mins, float *maxs)
 {
     COMET_CHECK(n >= 0);

@@ -132,6 +132,36 @@ int32_t dotInt8(const int8_t *a, const int8_t *b, int64_t n);
 int32_t dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values);
 
 /**
+ * One operand of dotSegments(): the same span of values in both
+ * storage forms. A segment reads the form its precision names, so the
+ * other form's bytes there are ignored (and a form no segment reads
+ * may be null).
+ */
+struct MixedSpan {
+    const uint8_t *int4 = nullptr; ///< packed INT4, two values per byte
+    const int8_t *int8 = nullptr;  ///< INT8, one value per byte
+};
+
+/**
+ * Segmented mixed-precision dot product — the W4Ax inner loop for one
+ * (row, column) pair. The span splits into @p n_segments consecutive
+ * segments of @p segment_values values (the GEMM's k-tiles), and for
+ * every segment s starting at value v = s * segment_values:
+ *
+ *     out[s] = int8_segments[s] != 0
+ *                  ? dotInt8(a.int8 + v, b.int8 + v, segment_values)
+ *                  : dotInt4(a.int4 + v / 2, b.int4 + v / 2,
+ *                            segment_values)
+ *
+ * computed in one pass with every partial sum held in registers.
+ * Exact for any operands (INT8 x INT8 products are summed in INT32).
+ * @p segment_values must be a positive multiple of 16.
+ */
+void dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
+                 int64_t n_segments, int64_t segment_values,
+                 int32_t *out);
+
+/**
  * Running per-element min/max update: mins[i] = min(mins[i], x[i])
  * and maxs[i] = max(maxs[i], x[i]) for i in [0, n). The channel-wise
  * KV quantization range pass, vectorized across channels.

@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "comet/common/status.h"
 
 #define COMET_AVX2 __attribute__((target("avx2")))
@@ -77,6 +79,49 @@ madd32x8(__m256i a, __m256i b)
         _mm256_cvtepi8_epi16(_mm256_extracti128_si256(b, 1));
     return _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo),
                             _mm256_madd_epi16(a_hi, b_hi));
+}
+
+/** The 16 values of 8 packed INT4 bytes, sign-extended to 16 bits:
+ * all low nibbles, then all high nibbles. That order is a fixed
+ * permutation of the logical one, so a dot product of two operands
+ * widened alike is unchanged. */
+COMET_AVX2 inline __m256i
+widenInt4x16(const uint8_t *packed)
+{
+    const __m128i lo_mask = _mm_set1_epi8(0x0f);
+    const __m128i eight = _mm_set1_epi8(8);
+    const __m128i bytes =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(packed));
+    const __m128i nibbles = _mm_and_si128(
+        _mm_unpacklo_epi64(bytes, _mm_srli_epi16(bytes, 4)), lo_mask);
+    return _mm256_cvtepi8_epi16(
+        _mm_sub_epi8(_mm_xor_si128(nibbles, eight), eight));
+}
+
+/** The 16 values at @p values, sign-extended to 16 bits. */
+COMET_AVX2 inline __m256i
+widenInt8x16(const int8_t *values)
+{
+    return _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(values)));
+}
+
+/** Lane i of the result is the sum of the eight lanes of @p v[i]. */
+COMET_AVX2 inline __m256i
+hsum8Epi32(const __m256i v[8])
+{
+    // Two hadd rounds leave, per 128-bit half, the sums of v[0..3]
+    // (and of v[4..7]) over that half's lanes; adding the halves
+    // finishes every sum.
+    const __m256i s0123 =
+        _mm256_hadd_epi32(_mm256_hadd_epi32(v[0], v[1]),
+                          _mm256_hadd_epi32(v[2], v[3]));
+    const __m256i s4567 =
+        _mm256_hadd_epi32(_mm256_hadd_epi32(v[4], v[5]),
+                          _mm256_hadd_epi32(v[6], v[7]));
+    return _mm256_add_epi32(
+        _mm256_permute2x128_si256(s0123, s4567, 0x20),
+        _mm256_permute2x128_si256(s0123, s4567, 0x31));
 }
 
 } // namespace
@@ -265,6 +310,45 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
     }
     return hsumEpi32(acc) +
            scalar::dotInt4(a + v / 2, b + v / 2, n_values - v);
+}
+
+COMET_AVX2 void
+dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
+            int64_t n_segments, int64_t segment_values, int32_t *out)
+{
+    // Segments go in groups of eight: each accumulates 16 values per
+    // step into eight INT32 lanes, and one transposed reduction turns
+    // the group's eight accumulators into its eight dots.
+    for (int64_t s0 = 0; s0 < n_segments; s0 += 8) {
+        const int64_t group = std::min<int64_t>(8, n_segments - s0);
+        __m256i acc[8];
+        for (int64_t g = 0; g < 8; ++g) {
+            acc[g] = _mm256_setzero_si256();
+            if (g >= group)
+                continue;
+            const int64_t begin = (s0 + g) * segment_values;
+            const int64_t end = begin + segment_values;
+            if (int8_segments[s0 + g] != 0) {
+                for (int64_t v = begin; v < end; v += 16) {
+                    acc[g] = _mm256_add_epi32(
+                        acc[g],
+                        _mm256_madd_epi16(widenInt8x16(a.int8 + v),
+                                          widenInt8x16(b.int8 + v)));
+                }
+            } else {
+                for (int64_t v = begin; v < end; v += 16) {
+                    acc[g] = _mm256_add_epi32(
+                        acc[g],
+                        _mm256_madd_epi16(widenInt4x16(a.int4 + v / 2),
+                                          widenInt4x16(b.int4 + v / 2)));
+                }
+            }
+        }
+        alignas(32) int32_t sums[8];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(sums),
+                           hsum8Epi32(acc));
+        std::copy(sums, sums + group, out + s0);
+    }
 }
 
 COMET_AVX2 void

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "comet/simd/simd.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define COMET_SIMD_X86 1
 #else
@@ -38,6 +40,9 @@ namespace detail {
     int32_t dotInt8(const int8_t *a, const int8_t *b, int64_t n);          \
     int32_t dotInt4(const uint8_t *a, const uint8_t *b,                    \
                     int64_t n_values);                                     \
+    void dotSegments(MixedSpan a, MixedSpan b,                             \
+                     const uint8_t *int8_segments, int64_t n_segments,     \
+                     int64_t segment_values, int32_t *out);                \
     void minMaxUpdate(const float *x, int64_t n, float *mins,              \
                       float *maxs);                                        \
     void quantizeAffine(const float *x, const float *scales,               \

@@ -171,6 +171,35 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
+dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
+            int64_t n_segments, int64_t segment_values, int32_t *out)
+{
+    const uint8x8_t lo_mask = vdup_n_u8(0x0f);
+    // 8 packed bytes as 16 values: all low nibbles, then all high
+    // ones (a permutation shared by both operands, so dots agree).
+    const auto widen4 = [&](const uint8_t *packed) {
+        const uint8x8_t bytes = vld1_u8(packed);
+        return signExtend4(
+            vcombine_u8(vand_u8(bytes, lo_mask), vshr_n_u8(bytes, 4)));
+    };
+    for (int64_t s = 0; s < n_segments; ++s) {
+        const int64_t begin = s * segment_values;
+        const int64_t end = begin + segment_values;
+        int32x4_t acc = vdupq_n_s32(0);
+        if (int8_segments[s] != 0) {
+            for (int64_t v = begin; v < end; v += 16)
+                acc = madd16x8(acc, vld1q_s8(a.int8 + v),
+                               vld1q_s8(b.int8 + v));
+        } else {
+            for (int64_t v = begin; v < end; v += 16)
+                acc = madd16x8(acc, widen4(a.int4 + v / 2),
+                               widen4(b.int4 + v / 2));
+        }
+        out[s] = vaddvq_s32(acc);
+    }
+}
+
+void
 minMaxUpdate(const float *x, int64_t n, float *mins, float *maxs)
 {
     int64_t i = 0;

@@ -143,6 +143,19 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
+dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
+            int64_t n_segments, int64_t segment_values, int32_t *out)
+{
+    for (int64_t s = 0; s < n_segments; ++s) {
+        const int64_t v = s * segment_values;
+        out[s] = int8_segments[s] != 0
+                     ? dotInt8(a.int8 + v, b.int8 + v, segment_values)
+                     : dotInt4(a.int4 + v / 2, b.int4 + v / 2,
+                               segment_values);
+    }
+}
+
+void
 minMaxUpdate(const float *x, int64_t n, float *mins, float *maxs)
 {
     for (int64_t i = 0; i < n; ++i) {

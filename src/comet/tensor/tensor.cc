@@ -89,4 +89,20 @@ relativeError(const Tensor &a, const Tensor &b)
     return std::sqrt(num) / std::max(std::sqrt(den), 1e-12);
 }
 
+Tensor
+stackRows(const std::vector<const Tensor *> &parts)
+{
+    COMET_CHECK(!parts.empty());
+    int64_t rows = 0;
+    for (const Tensor *part : parts) {
+        COMET_CHECK(part->cols() == parts.front()->cols());
+        rows += part->rows();
+    }
+    Tensor out(rows, parts.front()->cols());
+    float *dst = out.data();
+    for (const Tensor *part : parts)
+        dst = std::copy(part->data(), part->data() + part->numel(), dst);
+    return out;
+}
+
 } // namespace comet

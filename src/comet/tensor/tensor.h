@@ -195,4 +195,8 @@ double maxAbsError(const Tensor &a, const Tensor &b);
 /** Relative Frobenius error ||a-b|| / max(||a||, eps). */
 double relativeError(const Tensor &a, const Tensor &b);
 
+/** The rows of the 2-D tensors @p parts stacked in order.
+ * @pre parts is non-empty and every part has the same column count. */
+Tensor stackRows(const std::vector<const Tensor *> &parts);
+
 } // namespace comet

@@ -2,14 +2,19 @@
  * @file
  * Unit and integration tests for the COMET-W4Ax mixed-precision GEMM:
  * bit-exact agreement with the dequantized reference, the ablation
- * path, and the execution statistics.
+ * path, the execution statistics, and bit identity (outputs and
+ * statistics) with the tile-walk oracle in w4ax_tile_walk.h.
  */
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <iterator>
 
 #include "comet/common/rng.h"
 #include "comet/kernel/gemm_ref.h"
 #include "comet/kernel/gemm_w4ax.h"
 #include "comet/model/synthetic.h"
+#include "w4ax_tile_walk.h"
 
 namespace comet {
 namespace {
@@ -343,6 +348,124 @@ TEST_P(W4AxFuzz, RandomLayoutsStayExact)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, W4AxFuzz, ::testing::Range(0, 10));
+
+/** Every field of two statistics blocks agrees. */
+void
+expectSameStats(const W4AxGemmStats &a, const W4AxGemmStats &b)
+{
+    EXPECT_EQ(a.int4_tiles, b.int4_tiles);
+    EXPECT_EQ(a.int8_tiles, b.int8_tiles);
+    EXPECT_EQ(a.conversion_instructions, b.conversion_instructions);
+    EXPECT_EQ(a.int4_mac_ops, b.int4_mac_ops);
+    EXPECT_EQ(a.int8_mac_ops, b.int8_mac_ops);
+}
+
+/** The two tensors hold the same bytes. */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) ==
+               0;
+}
+
+/** Differential: the row-streaming kernel against the tile walk over
+ * random extents, block sizes, tile shapes (ragged m and n edges
+ * included), precision maps, thread counts and both conversions. */
+class W4AxTileWalkDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(W4AxTileWalkDifferential, BitIdenticalOutputsAndStats)
+{
+    const auto seed = static_cast<uint64_t>(GetParam());
+    Rng rng(seed * 104729 + 7);
+    const int64_t tiles[] = {8, 16, 32, 128};
+    const auto pick = [&](auto &values) {
+        return values[rng.uniformInt(std::size(values))];
+    };
+    const int64_t blocks[] = {16, 32, 64, 128};
+    const int64_t block = pick(blocks);
+    // tile_k must divide the block and be a multiple of the 16-value
+    // interleave unit (tile_k = 8 is rejected at construction).
+    std::vector<int64_t> tile_ks;
+    for (int64_t tk : {16, 32, 128})
+        if (block % tk == 0)
+            tile_ks.push_back(tk);
+    const int64_t channels =
+        block * (1 + static_cast<int64_t>(rng.uniformInt(512 / block)));
+    const int64_t tokens = 1 + static_cast<int64_t>(rng.uniformInt(40));
+    const int64_t out_features =
+        1 + static_cast<int64_t>(rng.uniformInt(80));
+
+    std::vector<int64_t> order(static_cast<size_t>(channels));
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int64_t>(i);
+    rng.shuffle(order);
+    const double int8_share = rng.uniform();
+    std::vector<BlockPrecision> precisions;
+    for (int64_t b = 0; b < channels / block; ++b)
+        precisions.push_back(rng.uniform() < int8_share
+                                 ? BlockPrecision::kInt8
+                                 : BlockPrecision::kInt4);
+    FmpqConfig fmpq;
+    fmpq.block_size = block;
+    const auto quantizer = FmpqActivationQuantizer::fromParts(
+        fmpq, ChannelPermutation(std::move(order)), precisions);
+
+    Tensor x(tokens, channels);
+    Tensor w(out_features, channels);
+    for (int64_t i = 0; i < x.numel(); ++i)
+        x[i] = static_cast<float>(rng.gaussian(0, 3));
+    for (int64_t i = 0; i < w.numel(); ++i)
+        w[i] = static_cast<float>(rng.gaussian(0, 0.2));
+    const auto qa = quantizer.quantize(x);
+    const auto qw = quantizer.quantizeWeight(w);
+
+    W4AxGemmConfig config;
+    config.tile_m = pick(tiles);
+    config.tile_n = pick(tiles);
+    config.tile_k = tile_ks[rng.uniformInt(tile_ks.size())];
+    for (const bool fast : {true, false}) {
+        config.use_fast_conversion = fast;
+        W4AxGemmStats want_stats;
+        const Tensor want =
+            tileWalkW4Ax(qw, precisions, config, qa, &want_stats);
+        for (const int threads : {1, 0, 3}) {
+            config.threads = threads;
+            W4AxGemmStats got_stats;
+            const Tensor got =
+                W4AxGemm(qw, precisions, config).run(qa, &got_stats);
+            EXPECT_TRUE(sameBits(want, got))
+                << "seed " << seed << " fast " << fast << " threads "
+                << threads;
+            expectSameStats(want_stats, got_stats);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, W4AxTileWalkDifferential,
+                         ::testing::Range(0, 40));
+
+TEST(W4AxGemm, PoolSizedGemmMatchesTileWalk)
+{
+    // Large enough (128 x 96 x 256) for an auto-parallel run to fan
+    // out across the pool, with ragged 32-wide n-tiles.
+    W4AxFixture s = makeFixture(128, 100, 256, 32, 12);
+    W4AxGemmConfig config;
+    config.tile_m = 16;
+    config.tile_n = 32;
+    config.tile_k = 16;
+    config.threads = 0;
+    W4AxGemmStats want_stats, got_stats;
+    const Tensor want = tileWalkW4Ax(
+        s.weight, s.quantizer.blockPrecisions(), config, s.activation,
+        &want_stats);
+    const Tensor got =
+        W4AxGemm(s.weight, s.quantizer.blockPrecisions(), config)
+            .run(s.activation, &got_stats);
+    EXPECT_TRUE(sameBits(want, got));
+    expectSameStats(want_stats, got_stats);
+}
 
 } // namespace
 } // namespace comet

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "comet/model/quantized_decoder.h"
@@ -294,6 +295,65 @@ TEST(QuantizedDecoder, KvCacheBytesMatchClosedFormAt2048)
     const int64_t values = 2 * layers * tokens * kv_dim;
     const int64_t params = 2 * layers * (tokens / group) * kv_dim;
     EXPECT_EQ(decoder.kvCacheBytes(), values / 2 + params * 8);
+}
+
+TEST(QuantizedDecoder, FusedSiteGemmsSliceToSeparateGemmsBitExact)
+{
+    // The decoder runs q|k|v and gate|up as one GEMM per activation
+    // site on row-stacked weights. Column slices of the fused output
+    // must equal the separate per-projection GEMMs bit for bit, on the
+    // site's calibration rows (M = 72) and on one decode row.
+    const Harness h = makeHarness(33);
+    const QuantizedDecoderConfig config;
+    W4AxGemmConfig gemm_config;
+    gemm_config.tile_m = config.tile_m;
+    gemm_config.tile_n = config.tile_n;
+    gemm_config.tile_k = config.tile_k;
+    gemm_config.threads = config.gemm_threads;
+    const std::pair<ActSite, std::vector<WeightKind>> fusions[] = {
+        {ActSite::kQkv, {WeightKind::kQ, WeightKind::kK, WeightKind::kV}},
+        {ActSite::kMlp, {WeightKind::kGate, WeightKind::kUp}}};
+    for (int64_t l = 0; l < h.teacher.config().num_layers; ++l) {
+        for (const auto &[act_site, kinds] : fusions) {
+            const Tensor &x = h.calibration.activations(l, act_site);
+            const auto quantizer =
+                FmpqActivationQuantizer::calibrate(x, config.fmpq);
+            std::vector<const Tensor *> parts;
+            for (WeightKind kind : kinds)
+                parts.push_back(&h.teacher.weight({l, kind}));
+            const W4AxGemm fused(quantizer.quantizeWeight(stackRows(parts)),
+                                 quantizer.blockPrecisions(),
+                                 gemm_config);
+            Tensor one_row(1, x.cols());
+            std::copy(x.data(), x.data() + x.cols(), one_row.data());
+            const Tensor *inputs[] = {&x, &one_row};
+            for (const Tensor *input : inputs) {
+                const MixedQuantizedActivation act =
+                    quantizer.quantize(*input);
+                const Tensor out = fused.run(act);
+                int64_t col = 0;
+                for (WeightKind kind : kinds) {
+                    const Tensor part =
+                        W4AxGemm(quantizer.quantizeWeight(
+                                     h.teacher.weight({l, kind})),
+                                 quantizer.blockPrecisions(), gemm_config)
+                            .run(act);
+                    for (int64_t r = 0; r < part.rows(); ++r) {
+                        EXPECT_EQ(std::memcmp(out.data() + r * out.cols() +
+                                                  col,
+                                              part.data() + r * part.cols(),
+                                              static_cast<size_t>(
+                                                  part.cols()) *
+                                                  sizeof(float)),
+                                  0)
+                            << "layer " << l << " row " << r;
+                    }
+                    col += part.cols();
+                }
+                EXPECT_EQ(col, out.cols());
+            }
+        }
+    }
 }
 
 TEST(QuantizedDecoder, PlainMlpModelSupported)

@@ -266,6 +266,95 @@ TEST_P(SimdEquivalence, DotInt4MatchesUnpackedDot)
     }
 }
 
+/** Random operands for dotSegments over @p values values: packed
+ * INT4 and INT8 forms of both sides, plus random segment flags. */
+struct SegmentOperands {
+    std::vector<uint8_t> a4, b4;
+    std::vector<int8_t> a8, b8;
+    std::vector<uint8_t> int8_segments;
+
+    simd::MixedSpan a() const { return {a4.data(), a8.data()}; }
+    simd::MixedSpan b() const { return {b4.data(), b8.data()}; }
+};
+
+SegmentOperands
+randomSegmentOperands(Rng &rng, int64_t n_segments, int64_t segment)
+{
+    const int64_t values = n_segments * segment;
+    SegmentOperands ops{randomPackedBytes(rng, values / 2),
+                        randomPackedBytes(rng, values / 2),
+                        randomInt8(rng, values, -128, 127),
+                        randomInt8(rng, values, -128, 127),
+                        {}};
+    for (int64_t s = 0; s < n_segments; ++s)
+        ops.int8_segments.push_back(
+            static_cast<uint8_t>(rng.uniformInt(2)));
+    return ops;
+}
+
+TEST_P(SimdEquivalence, DotSegmentsMatchesScalarOnRaggedCounts)
+{
+    Rng rng(18);
+    for (const int64_t segment : {16, 32, 48, 128}) {
+        for (int64_t n_segments = 1; n_segments <= 17; ++n_segments) {
+            const SegmentOperands ops =
+                randomSegmentOperands(rng, n_segments, segment);
+            std::vector<int32_t> got(static_cast<size_t>(n_segments));
+            std::vector<int32_t> want(got.size());
+            simd::dotSegments(ops.a(), ops.b(), ops.int8_segments.data(),
+                              n_segments, segment, got.data());
+            simd::detail::scalar::dotSegments(
+                ops.a(), ops.b(), ops.int8_segments.data(), n_segments,
+                segment, want.data());
+            EXPECT_EQ(got, want)
+                << "segment " << segment << " count " << n_segments;
+            // The scalar reference is the per-segment span dots.
+            for (int64_t s = 0; s < n_segments; ++s) {
+                const int64_t v = s * segment;
+                const auto i = static_cast<size_t>(v);
+                EXPECT_EQ(want[static_cast<size_t>(s)],
+                          ops.int8_segments[static_cast<size_t>(s)] != 0
+                              ? simd::detail::scalar::dotInt8(
+                                    &ops.a8[i], &ops.b8[i], segment)
+                              : simd::detail::scalar::dotInt4(
+                                    &ops.a4[i / 2], &ops.b4[i / 2],
+                                    segment));
+            }
+        }
+    }
+}
+
+TEST_P(SimdEquivalence, DotSegmentsExtremeOperands)
+{
+    constexpr int64_t kSegment = 128;
+    constexpr int64_t kSegments = 9;
+    constexpr int64_t kValues = kSegment * kSegments;
+    // All nibbles 0x8: every INT4 product is (-8) * (-8).
+    const std::vector<uint8_t> int4_min(kValues / 2, 0x88);
+    const std::vector<uint8_t> int4_flags(kSegments, 0);
+    std::vector<int32_t> out(kSegments);
+    simd::dotSegments({int4_min.data(), nullptr},
+                      {int4_min.data(), nullptr}, int4_flags.data(),
+                      kSegments, kSegment, out.data());
+    for (const int32_t dot : out)
+        EXPECT_EQ(dot, 64 * kSegment);
+
+    // INT8 activations at +-127 (and -128) against fast-widened
+    // weights of -128 (16 x the INT4 minimum).
+    const std::vector<uint8_t> int8_flags(kSegments, 1);
+    const std::vector<int8_t> widened_min(kValues, -128);
+    for (const int8_t a : {int8_t{127}, int8_t{-127}, int8_t{-128}}) {
+        const std::vector<int8_t> act(kValues, a);
+        simd::dotSegments({nullptr, act.data()},
+                          {nullptr, widened_min.data()},
+                          int8_flags.data(), kSegments, kSegment,
+                          out.data());
+        for (const int32_t dot : out)
+            EXPECT_EQ(dot, -128 * int32_t{a} * kSegment)
+                << "a = " << int{a};
+    }
+}
+
 TEST_P(SimdEquivalence, MinMaxUpdateBitIdenticalToScalar)
 {
     Rng rng(18);
@@ -364,6 +453,7 @@ TEST_P(SimdEquivalence, ZeroLengthSpansAreNoOps)
     simd::dequantAffine(nullptr, nullptr, nullptr, 0, nullptr);
     EXPECT_EQ(simd::dotInt8(nullptr, nullptr, 0), 0);
     EXPECT_EQ(simd::dotInt4(nullptr, nullptr, 0), 0);
+    simd::dotSegments({}, {}, nullptr, 0, 16, nullptr);
 }
 
 TEST(SimdMode, ScalarAlwaysSupportedAndListedFirst)
@@ -429,6 +519,8 @@ TEST(SimdDeathTest, ShapeChecks)
     EXPECT_DEATH(simd::unpackInt4(packed, 3, out), "");
     EXPECT_DEATH(simd::packInt4(out, 3, packed), "");
     EXPECT_DEATH(simd::fastWidenW4A8(packed, 8, out), "");
+    int32_t dots[1];
+    EXPECT_DEATH(simd::dotSegments({}, {}, packed, 1, 8, dots), "");
     const float x[1] = {0.0f};
     const float scales[1] = {1.0f};
     const int32_t zps[1] = {0};
