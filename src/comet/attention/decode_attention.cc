@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "comet/runtime/thread_pool.h"
+#include "comet/simd/simd.h"
 
 namespace comet {
 
@@ -80,21 +82,21 @@ decodeAttentionReference(const AttentionConfig &config,
 namespace {
 
 /**
- * scores[t] = (q . k_t) * inv_sqrt for @p rows dense K rows, each dot
- * summed in double in channel order. Four rows run side by side:
- * their sums are independent, so interleaving them hides the add
- * latency without changing any row's summation order.
+ * scores[t] = (q . k_t) * inv_sqrt for @p rows K rows @p stride floats
+ * apart, each dot summed in double in channel order. Four rows run
+ * side by side: their sums are independent, so interleaving them
+ * hides the add latency without changing any row's summation order.
  */
 void
-chunkScores(const float *q, const float *k, int64_t rows, int64_t hd,
-            double inv_sqrt, double *scores)
+chunkScores(const float *q, const float *k, int64_t stride, int64_t rows,
+            int64_t hd, double inv_sqrt, double *scores)
 {
     int64_t t = 0;
     for (; t + 4 <= rows; t += 4) {
-        const float *k0 = k + t * hd;
-        const float *k1 = k0 + hd;
-        const float *k2 = k1 + hd;
-        const float *k3 = k2 + hd;
+        const float *k0 = k + t * stride;
+        const float *k1 = k0 + stride;
+        const float *k2 = k1 + stride;
+        const float *k3 = k2 + stride;
         double dot0 = 0.0, dot1 = 0.0, dot2 = 0.0, dot3 = 0.0;
         for (int64_t d = 0; d < hd; ++d) {
             const auto qd = static_cast<double>(q[d]);
@@ -109,7 +111,7 @@ chunkScores(const float *q, const float *k, int64_t rows, int64_t hd,
         scores[t + 3] = dot3 * inv_sqrt;
     }
     for (; t < rows; ++t) {
-        const float *kt = k + t * hd;
+        const float *kt = k + t * stride;
         double dot = 0.0;
         for (int64_t d = 0; d < hd; ++d)
             dot += static_cast<double>(q[d]) * static_cast<double>(kt[d]);
@@ -118,35 +120,25 @@ chunkScores(const float *q, const float *k, int64_t rows, int64_t hd,
 }
 
 /**
- * Shared online-softmax core: streams tokens [0, tokens) in chunks.
- * For each chunk, @p load_k / @p load_v fill a dense
- * [chunk rows, head_dim] buffer with one kv head's slice of the
- * cache, called as load(t0, t1, c0, n, out) for rows [t0, t1) and
- * channels [c0, c0 + n). The float, whole-history quantized and
- * store paths differ only in their loaders, so they accumulate in
- * the same order.
+ * Online-softmax core over the first @p tokens rows of float
+ * [tokens, kv_dim] K/V caches, read in place one chunk at a time.
  */
-template <typename LoadK, typename LoadV>
 std::vector<float>
 onlineCore(const AttentionConfig &config, const std::vector<float> &q,
-           int64_t tokens, LoadK load_k, LoadV load_v)
+           int64_t tokens, const Tensor &k, const Tensor &v)
 {
     COMET_CHECK(config.chunk_tokens > 0);
     const int64_t hd = config.head_dim;
     const int64_t group = config.num_heads / config.num_kv_heads;
+    const int64_t kv_dim = config.kvDim();
     const double inv_sqrt = 1.0 / std::sqrt(static_cast<double>(hd));
 
     std::vector<float> out(static_cast<size_t>(config.qDim()), 0.0f);
-    // KV heads parallelize across the runtime pool. Each loads its
-    // cache slice one chunk at a time, once for all the query heads
-    // that share it; every query head keeps its own running state and
-    // writes a disjoint output slice, so the result is bit-identical
-    // for any pool size.
+    // KV heads parallelize across the runtime pool. Every query head
+    // keeps its own running state and writes a disjoint output slice,
+    // so the result is bit-identical for any pool size.
     parallelFor(0, config.num_kv_heads, 1, [&](int64_t kv_begin,
                                                int64_t kv_end) {
-    const size_t chunk_values =
-        static_cast<size_t>(config.chunk_tokens * hd);
-    std::vector<float> k_chunk(chunk_values), v_chunk(chunk_values);
     // Running state of the online softmax for each query head of the
     // group: max, sum and a head_dim accumulator.
     std::vector<double> running_max(static_cast<size_t>(group));
@@ -161,10 +153,10 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
         std::fill(acc.begin(), acc.end(), 0.0);
 
         for (int64_t t0 = 0; t0 < tokens; t0 += config.chunk_tokens) {
-            const int64_t t1 = std::min(t0 + config.chunk_tokens, tokens);
-            const int64_t rows = t1 - t0;
-            load_k(t0, t1, kvh * hd, hd, k_chunk.data());
-            load_v(t0, t1, kvh * hd, hd, v_chunk.data());
+            const int64_t rows =
+                std::min(t0 + config.chunk_tokens, tokens) - t0;
+            const float *k_chunk = k.data() + t0 * kv_dim + kvh * hd;
+            const float *v_chunk = v.data() + t0 * kv_dim + kvh * hd;
 
             for (int64_t g = 0; g < group; ++g) {
                 const float *qh = q.data() + (kvh * group + g) * hd;
@@ -173,7 +165,7 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
                 double &sum_h = running_sum[static_cast<size_t>(g)];
 
                 // Chunk scores and chunk max.
-                chunkScores(qh, k_chunk.data(), rows, hd, inv_sqrt,
+                chunkScores(qh, k_chunk, kv_dim, rows, hd, inv_sqrt,
                             chunk_scores.data());
                 double chunk_max = -1e300;
                 for (int64_t t = 0; t < rows; ++t)
@@ -192,7 +184,7 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
                     const double w = std::exp(
                         chunk_scores[static_cast<size_t>(t)] - new_max);
                     sum_h += w;
-                    const float *vt = v_chunk.data() + t * hd;
+                    const float *vt = v_chunk + t * kv_dim;
                     for (int64_t d = 0; d < hd; ++d)
                         acc_h[d] += w * static_cast<double>(vt[d]);
                 }
@@ -214,17 +206,128 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
     return out;
 }
 
-/** Loader over the rows of a float [tokens, kv_dim] cache. */
-auto
-floatLoader(const Tensor &kv)
+/** Per-thread working buffers of the store path, kept across calls:
+ * prefill attends once per prompt row. */
+struct FoldScratch {
+    std::vector<float> q_scaled;   ///< [head_dim]
+    std::vector<float> zero;       ///< [head_dim], one group's, as float
+    std::vector<float> value_sums; ///< [head_dim]
+    std::vector<float> weights;    ///< [query heads, tokens]
+    std::vector<float> ones;       ///< [rows of the largest group]
+    std::vector<float> acc;        ///< [query heads, head_dim]
+    std::vector<float> sums;       ///< [query heads]
+};
+
+/** The raw rows of @p store from token @p t0, starting at channel
+ * @p c0 (a kv head's slice). */
+simd::QuantRows
+headRows(const KvStore &store, int64_t t0, int64_t c0)
 {
-    return [&kv](int64_t t0, int64_t t1, int64_t c0, int64_t n,
-                 float *out) {
-        for (int64_t t = t0; t < t1; ++t) {
-            const float *row = kv.data() + t * kv.cols() + c0;
-            std::copy(row, row + n, out + (t - t0) * n);
+    return {store.values() + t0 * store.rowBytes() +
+                (store.packed() ? c0 / 2 : c0),
+            store.rowBytes(), store.packed()};
+}
+
+/** max(x[0, n)), x[t] into lane t % 8 and the lanes then in order:
+ * eight compare chains overlap where one would serialize. */
+float
+laneMax(const float *x, int64_t n)
+{
+    float lanes[8];
+    std::fill(lanes, lanes + 8, std::numeric_limits<float>::lowest());
+    int64_t t = 0;
+    for (; t + 8 <= n; t += 8) {
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j)
+            lanes[j] = std::max(lanes[j], x[t + j]);
+    }
+    for (int j = 0; t < n; ++t, ++j)
+        lanes[j] = std::max(lanes[j], x[t]);
+    return *std::max_element(lanes, lanes + 8);
+}
+
+/**
+ * Fused attention of the query heads sharing kv head @p kvh, writing
+ * their output slices. Groups run in the outer loop, so each group's
+ * K and V rows are read once for all its query heads. See
+ * decode_attention.h for the order of operations;
+ * tests/kv_fold_attention.h restates it.
+ */
+void
+foldKvHead(const AttentionConfig &config, const float *q, const KvStore &k,
+           const KvStore &v, int64_t kvh, FoldScratch &s, float *out)
+{
+    const int64_t hd = config.head_dim;
+    const int64_t heads = config.num_heads / config.num_kv_heads;
+    const int64_t c0 = kvh * hd;
+    const int64_t tokens = k.tokens();
+    const int64_t group_size = k.groupSize();
+    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
+    q += kvh * heads * hd;
+    out += kvh * heads * hd;
+    float *q_scaled = s.q_scaled.data();
+    float *zero = s.zero.data();
+    // Group g's rows [t0, t1) share its per-channel parameters; p
+    // points at channel c0 of them.
+    const auto for_each_group = [&](auto &&body) {
+        for (int64_t t0 = 0; t0 < tokens; t0 += group_size) {
+            const int64_t p = (t0 / group_size) * k.channels() + c0;
+            body(t0, std::min(t0 + group_size, tokens) - t0, p);
         }
     };
+
+    // Scores: per group q' = q * sK and bias = q' . zpK, then one raw
+    // dot per row: (q' . k_raw - bias) / sqrt(hd).
+    for_each_group([&](int64_t t0, int64_t rows, int64_t p) {
+        for (int64_t c = 0; c < hd; ++c)
+            zero[c] = static_cast<float>(k.zeroPoints()[p + c]);
+        for (int64_t h = 0; h < heads; ++h) {
+            for (int64_t c = 0; c < hd; ++c)
+                q_scaled[c] = q[h * hd + c] * k.scales()[p + c];
+            float bias;
+            simd::gemvF32(q_scaled, zero, hd, 1, hd, &bias);
+            float *w = s.weights.data() + h * tokens + t0;
+            simd::dotRowsF32(q_scaled, headRows(k, t0, c0), rows, hd, w);
+            for (int64_t t = 0; t < rows; ++t)
+                w[t] = (w[t] - bias) * inv_sqrt;
+        }
+    });
+    for (int64_t h = 0; h < heads; ++h) {
+        float *w = s.weights.data() + h * tokens;
+        const float max_score = laneMax(w, tokens);
+        for (int64_t t = 0; t < tokens; ++t)
+            w[t] -= max_score;
+        simd::expF32(w, tokens, w);
+    }
+
+    // Values: per group the raw sums a = sum_t w_t v_raw and
+    // W = sum_t w_t, folded once: acc += sV * (a - zpV * W).
+    float *value_sums = s.value_sums.data();
+    std::fill(s.acc.begin(), s.acc.end(), 0.0f);
+    std::fill(s.sums.begin(), s.sums.end(), 0.0f);
+    for_each_group([&](int64_t t0, int64_t rows, int64_t p) {
+        const float *v_scale = v.scales() + p;
+        for (int64_t c = 0; c < hd; ++c)
+            zero[c] = static_cast<float>(v.zeroPoints()[p + c]);
+        for (int64_t h = 0; h < heads; ++h) {
+            const float *w = s.weights.data() + h * tokens + t0;
+            float weight_sum;
+            simd::gemvF32(w, s.ones.data(), rows, 1, rows, &weight_sum);
+            std::fill(value_sums, value_sums + hd, 0.0f);
+            simd::accumulateRowsF32(w, headRows(v, t0, c0), rows, hd,
+                                    value_sums);
+            s.sums[static_cast<size_t>(h)] += weight_sum;
+            float *acc = s.acc.data() + h * hd;
+            for (int64_t c = 0; c < hd; ++c)
+                acc[c] += v_scale[c] * (value_sums[c] - zero[c] * weight_sum);
+        }
+    });
+    for (int64_t h = 0; h < heads; ++h) {
+        const float sum = s.sums[static_cast<size_t>(h)];
+        COMET_CHECK(sum > 0.0f);
+        for (int64_t c = 0; c < hd; ++c)
+            out[h * hd + c] = s.acc[static_cast<size_t>(h * hd + c)] / sum;
+    }
 }
 
 } // namespace
@@ -245,7 +348,7 @@ decodeAttentionOnline(const AttentionConfig &config,
 {
     validate(config, q, k.cols(), v.cols());
     COMET_CHECK(tokens <= k.rows() && tokens <= v.rows());
-    return onlineCore(config, q, tokens, floatLoader(k), floatLoader(v));
+    return onlineCore(config, q, tokens, k, v);
 }
 
 std::vector<float>
@@ -260,10 +363,8 @@ decodeAttentionQuantized(const AttentionConfig &config,
 
     // The oracle form: dequantize each whole cache up front through
     // KvCacheQuantizer, then stream the floats.
-    const Tensor k_float = quantizer.dequantize(k);
-    const Tensor v_float = quantizer.dequantize(v);
-    return onlineCore(config, q, k.tokens, floatLoader(k_float),
-                      floatLoader(v_float));
+    return onlineCore(config, q, k.tokens, quantizer.dequantize(k),
+                      quantizer.dequantize(v));
 }
 
 std::vector<float>
@@ -272,39 +373,38 @@ decodeAttentionQuantized(const AttentionConfig &config,
                          const KvStore &v)
 {
     validate(config, q, k.channels(), v.channels());
-    COMET_CHECK(k.tokens() == v.tokens());
-    const auto loader = [](const KvStore &store) {
-        return [&store](int64_t t0, int64_t t1, int64_t c0, int64_t n,
-                        float *out) {
-            store.dequantize(t0, t1, c0, n, out);
-        };
-    };
-    return onlineCore(config, q, k.tokens(), loader(k), loader(v));
-}
+    COMET_CHECK(k.tokens() == v.tokens() && k.tokens() > 0);
+    COMET_CHECK(k.groupSize() == v.groupSize());
+    COMET_CHECK(!k.packed() || config.head_dim % 2 == 0);
+    COMET_CHECK(!v.packed() || config.head_dim % 2 == 0);
 
-std::vector<std::vector<float>>
-decodeAttentionOnlineBatch(const AttentionConfig &config,
-                           const std::vector<DecodeBatchItem> &batch)
-{
-    for (const DecodeBatchItem &item : batch) {
-        COMET_CHECK(item.q != nullptr && item.k != nullptr &&
-                    item.v != nullptr);
-    }
-    std::vector<std::vector<float>> out(batch.size());
-    // One chunk per sequence: the per-sequence computation is exactly
-    // decodeAttentionOnline (whose inner per-kv-head parallelFor runs
-    // inline when nested), so batched and one-at-a-time results are
-    // identical for any pool size.
-    parallelFor(
-        0, static_cast<int64_t>(batch.size()), 1,
-        [&](int64_t b_begin, int64_t b_end) {
-            for (int64_t b = b_begin; b < b_end; ++b) {
-                const DecodeBatchItem &item =
-                    batch[static_cast<size_t>(b)];
-                out[static_cast<size_t>(b)] = decodeAttentionOnline(
-                    config, *item.q, *item.k, *item.v);
-            }
-        });
+    std::vector<float> out(static_cast<size_t>(config.qDim()));
+    const auto hd = static_cast<size_t>(config.head_dim);
+    const auto heads =
+        static_cast<size_t>(config.num_heads / config.num_kv_heads);
+    // Each kv head is independent and writes its own query heads'
+    // slices, so the fan-out is bit-identical for any pool size. A
+    // score dot and a value accumulate per query channel and token:
+    // below kMinPoolMacs the heads run on the caller.
+    const auto kv_heads = [&](int64_t begin, int64_t end) {
+        // Thread storage, not captured: each thread running kv heads
+        // uses its own buffers.
+        thread_local FoldScratch s;
+        s.q_scaled.resize(hd);
+        s.zero.resize(hd);
+        s.value_sums.resize(hd);
+        s.weights.resize(heads * static_cast<size_t>(k.tokens()));
+        s.ones.assign(
+            static_cast<size_t>(std::min(k.groupSize(), k.tokens())), 1.0f);
+        s.acc.resize(heads * hd);
+        s.sums.resize(heads);
+        for (int64_t kvh = begin; kvh < end; ++kvh)
+            foldKvHead(config, q.data(), k, v, kvh, s, out.data());
+    };
+    if (2 * k.tokens() * config.qDim() < kMinPoolMacs)
+        kv_heads(0, config.num_kv_heads);
+    else
+        parallelFor(0, config.num_kv_heads, 1, kv_heads);
     return out;
 }
 

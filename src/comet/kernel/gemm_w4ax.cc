@@ -171,7 +171,6 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     // bit-identical for any thread count. Below kMinPoolMacs the
     // dispatch would cost more than it saves, so auto-parallel runs
     // stay on the caller.
-    constexpr int64_t kMinPoolMacs = int64_t{1} << 20;
     const int64_t n_tiles = (n_dim + config_.tile_n - 1) / config_.tile_n;
     const bool on_caller =
         config_.threads == 1 ||

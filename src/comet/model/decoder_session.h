@@ -8,8 +8,9 @@
  * layer's K/V, and attends over the cache with the online-softmax
  * kernel from comet/attention. With a KvQuantConfig attached, each
  * layer's K and V live in an append-only KvStore (the same packed
- * store QuantizedDecoder uses) and attention dequantizes each chunk as
- * it streams — the KV4 half of the paper's W4A4KV4 path, exercised
+ * store QuantizedDecoder uses) and attention reads the packed values,
+ * folding the quantization parameters into its sums — the KV4 half of
+ * the paper's W4A4KV4 path, exercised
  * numerically on the tiny model with float weights.
  *
  * Invariant (tested): with an FP16 cache, the session's logits match
@@ -35,7 +36,7 @@ class DecoderSession
     /**
      * Opens a session. When @p kv_quant is set, the per-layer KV
      * caches are stored quantized (e.g. the paper's channel-wise
-     * asymmetric INT4) and attention dequantizes them as it streams.
+     * asymmetric INT4) and attention reads them packed.
      */
     explicit DecoderSession(const TinyTransformer &model,
                             std::optional<KvQuantConfig> kv_quant =

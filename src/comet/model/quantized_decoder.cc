@@ -6,6 +6,7 @@
 
 #include "comet/obs/trace_session.h"
 #include "comet/runtime/thread_pool.h"
+#include "comet/simd/simd.h"
 
 namespace comet {
 
@@ -224,20 +225,19 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
     const Tensor normed =
         model_.rmsNormRows(last, model_.finalNormGain());
     // The LM head stays FP16 in every configuration (engine
-    // convention). Vocabulary rows are independent dot products; the
-    // fan-out writes disjoint entries, bit-identical for any pool
-    // size.
+    // convention): a float GEMV over the tied embedding rows in the
+    // fixed simd lane order. Each row's logit does not depend on which
+    // rows share its call, so the fan-out (above kMinPoolMacs) is
+    // bit-identical for any pool size.
     std::vector<float> logits(static_cast<size_t>(mc.vocab_size));
-    parallelFor(0, mc.vocab_size, 64, [&](int64_t v_begin,
-                                          int64_t v_end) {
-        for (int64_t v = v_begin; v < v_end; ++v) {
-            const float *row = model_.embedding().data() + v * d;
-            double sum = 0.0;
-            for (int64_t c = 0; c < d; ++c)
-                sum += static_cast<double>(normed[c]) * row[c];
-            logits[static_cast<size_t>(v)] = static_cast<float>(sum);
-        }
-    });
+    const auto gemv = [&](int64_t v_begin, int64_t v_end) {
+        simd::gemvF32(normed.data(), model_.embedding().data() + v_begin * d,
+                      d, v_end - v_begin, d, logits.data() + v_begin);
+    };
+    if (mc.vocab_size * d < kMinPoolMacs)
+        gemv(0, mc.vocab_size);
+    else
+        parallelFor(0, mc.vocab_size, 64, gemv);
     return logits;
 }
 

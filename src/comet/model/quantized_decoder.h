@@ -9,10 +9,11 @@
  * activation quantization), and each layer's K and V live in an
  * append-only KvStore: channel-wise asymmetric INT4, two values per
  * byte, quantized as rows are appended (only the open token group is
- * re-derived). Attention dequantizes each streamed chunk straight from
- * the store. Only the norms, the nonlinearity, RoPE and the softmax
- * stay in float — exactly the precision boundary of the paper's
- * framework.
+ * re-derived). Attention reads the packed values directly and folds
+ * each token group's scales and zero points into its float sums. Only
+ * the norms, the nonlinearity, RoPE, the softmax and the FP16 LM head
+ * (a fixed-order SIMD float GEMV) stay in float — exactly the
+ * precision boundary of the paper's framework.
  *
  * One forward serves prefill and decode: prefill() runs every GEMM at
  * M = prompt length, then RoPE, the store append and attention row by

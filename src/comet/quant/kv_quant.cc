@@ -232,30 +232,6 @@ KvStore::append(const float *row)
     rowsQuantizedCounter().add(open);
 }
 
-void
-KvStore::dequantize(int64_t t0, int64_t t1, int64_t c0, int64_t n,
-                    float *out) const
-{
-    COMET_CHECK(0 <= t0 && t0 <= t1 && t1 <= tokens_);
-    COMET_CHECK(c0 >= 0 && n >= 0 && c0 + n <= channels_);
-    COMET_CHECK(!packed() || (c0 % 2 == 0 && n % 2 == 0));
-    std::vector<int8_t> qrow(packed() ? static_cast<size_t>(n) : 0);
-    for (int64_t t = t0; t < t1; ++t) {
-        const uint8_t *src = values_.data() + t * rowBytes();
-        const int8_t *q;
-        if (packed()) {
-            simd::unpackInt4(src + c0 / 2, n, qrow.data());
-            q = qrow.data();
-        } else {
-            q = reinterpret_cast<const int8_t *>(src) + c0;
-        }
-        const int64_t param0 = (t / config_.group_size) * channels_ + c0;
-        simd::dequantAffine(q, scales_.data() + param0,
-                            zero_points_.data() + param0, n,
-                            out + (t - t0) * n);
-    }
-}
-
 QuantizedKv
 KvStore::snapshot() const
 {

@@ -18,7 +18,9 @@
  *    4 bits and below. Each append re-derives only the open (last,
  *    partial) group; closed groups are final. Its contents are
  *    bit-identical to KvCacheQuantizer::quantize of the whole history
- *    at every length.
+ *    at every length. It has no float read path: attention reads the
+ *    raw values and folds each group's parameters into its own sums
+ *    (decode_attention.h).
  */
 #pragma once
 
@@ -88,7 +90,8 @@ class KvCacheQuantizer
  * most group_size of them): each append re-derives that group's
  * parameters and re-quantizes its rows, so the store always equals
  * KvCacheQuantizer::quantize of the whole history, bit for bit. No
- * dequantized copy is kept; readers dequantize the slices they need.
+ * dequantized copy is kept, and none is produced: readers take the
+ * raw values and the per-(group, channel) parameters.
  */
 class KvStore
 {
@@ -98,6 +101,7 @@ class KvStore
 
     int64_t tokens() const { return tokens_; }
     int64_t channels() const { return channels_; }
+    int64_t groupSize() const { return config_.group_size; }
 
     /** True when values are stored two per byte. */
     bool packed() const { return config_.bits <= 4; }
@@ -107,13 +111,21 @@ class KvStore
      * `quant.kv_rows_quantized` counter. */
     void append(const float *row);
 
-    /**
-     * Dequantizes rows [t0, t1) of channels [c0, c0 + n) into @p out
-     * (row stride n), as float(q - zero_point) * scale.
-     * @pre c0 and n are even when packed().
-     */
-    void dequantize(int64_t t0, int64_t t1, int64_t c0, int64_t n,
-                    float *out) const;
+    /** Bytes per token row: channels() / 2 when packed(), else
+     * channels(). */
+    int64_t rowBytes() const;
+
+    /** Raw values: token t's row starts at values() + t * rowBytes().
+     * Valid until the next append. */
+    const uint8_t *values() const { return values_.data(); }
+
+    /** Parameters, [groups, channels]: channel c of group g (tokens
+     * [g * groupSize(), (g + 1) * groupSize())) dequantizes as
+     * float(q - zeroPoints()[i]) * scales()[i], i = g * channels() + c.
+     * Valid until the next append. @{ */
+    const float *scales() const { return scales_.data(); }
+    const int32_t *zeroPoints() const { return zero_points_.data(); }
+    /** @} */
 
     /** The history in KvCacheQuantizer::quantize's form. */
     QuantizedKv snapshot() const;
@@ -123,8 +135,6 @@ class KvStore
     int64_t bytes() const;
 
   private:
-    int64_t rowBytes() const;
-
     int64_t channels_;
     KvQuantConfig config_;
     int64_t tokens_ = 0;

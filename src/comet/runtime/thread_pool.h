@@ -52,6 +52,12 @@ struct RuntimeConfig {
     int threads = 0;
 };
 
+/** Multiply-adds below which a kernel runs on the caller instead of
+ * fanning out: under it the pool dispatch costs more than it saves.
+ * The W4Ax GEMM, the fused decode attention and the LM head each
+ * compare their own work against it. */
+constexpr int64_t kMinPoolMacs = int64_t{1} << 20;
+
 /** Number of grain-sized chunks a [begin, end) range splits into.
  * This — not the thread count — is the unit of scheduling, so it also
  * defines the partial-result slots of deterministic reductions. */

@@ -251,5 +251,36 @@ dequantAffine(const int8_t *q, const float *scales,
     COMET_SIMD_DISPATCH(dequantAffine(q, scales, zero_points, n, out));
 }
 
+void
+dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
+           float *out)
+{
+    COMET_CHECK(n_rows >= 0 && n >= 0 && (!rows.packed || n % 2 == 0));
+    COMET_SIMD_DISPATCH(dotRowsF32(x, rows, n_rows, n, out));
+}
+
+void
+gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
+        int64_t n, float *out)
+{
+    COMET_CHECK(n_rows >= 0 && n >= 0 && stride >= n);
+    COMET_SIMD_DISPATCH(gemvF32(x, rows, stride, n_rows, n, out));
+}
+
+void
+accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
+                  int64_t n, float *acc)
+{
+    COMET_CHECK(n_rows >= 0 && n >= 0 && (!rows.packed || n % 2 == 0));
+    COMET_SIMD_DISPATCH(accumulateRowsF32(w, rows, n_rows, n, acc));
+}
+
+void
+expF32(const float *x, int64_t n, float *out)
+{
+    COMET_CHECK(n >= 0);
+    COMET_SIMD_DISPATCH(expF32(x, n, out));
+}
+
 } // namespace simd
 } // namespace comet

@@ -5,7 +5,9 @@
  *
  * Every sweep, soak and figure bench in this repo bottoms out in the
  * scalar INT4/INT8 emulation loops (nibble pack/unpack, fast
- * conversion, interleaving, KV quant/dequant, dp4a accumulation).
+ * conversion, interleaving, KV quant/dequant, dp4a accumulation) and
+ * the float loops of the real decoder (attention over raw KV values,
+ * the LM head).
  * This module lifts those inner loops to span-level routines with
  * three backends:
  *
@@ -23,11 +25,14 @@
  *
  * **Bit-identity guarantee:** every routine produces bit-identical
  * output across all backends. Integer routines are exact by
- * construction; the float routines (quantize/dequantize/min-max)
- * perform the same IEEE operations lane-wise that the scalar code
- * performs element-wise, in an order-insensitive way, so results
- * match to the last bit. The equivalence suite (test_simd.cc) locks
- * this in for every dispatched routine under every supported mode.
+ * construction; the elementwise float routines (quantize/dequantize/
+ * min-max, the weighted row accumulation, exp) perform the same IEEE
+ * operations lane-wise that the scalar code performs element-wise, and
+ * the float dot products (the fused attention's scores, the LM head)
+ * fix their summation order: eight lanes and one reduction tree,
+ * multiplies and adds never fused. Results match to the last bit. The
+ * equivalence suite (test_simd.cc) locks this in for every dispatched
+ * routine under every supported mode.
  *
  * Data layout conventions match tensor/packed.h: packed INT4 spans
  * are little-endian nibble order (value i of a byte pair occupies the
@@ -185,6 +190,57 @@ void quantizeAffine(const float *x, const float *scales,
  */
 void dequantAffine(const int8_t *q, const float *scales,
                    const int32_t *zero_points, int64_t n, float *out);
+
+/**
+ * Rows of raw quantized values, read as floats without their
+ * quantization parameters: row r starts at data + r * stride bytes
+ * and holds two INT4 values per byte (little-endian nibble order)
+ * when @p packed, else one INT8 value per byte.
+ */
+struct QuantRows {
+    const uint8_t *data = nullptr;
+    int64_t stride = 0; ///< bytes from one row to the next
+    bool packed = false;
+};
+
+/**
+ * The float dot products of the fused attention and the LM head, in
+ * one fixed order: for out[r] = sum_i x[i] * row_r[i], value i's
+ * product (multiply, then round) is added to lane i % 8, lanes
+ * starting at +0.0f and taking their terms in ascending i, and the
+ * eight lanes then reduce as ((l0 + l1) + (l2 + l3)) +
+ * ((l4 + l5) + (l6 + l7)). No multiply-add is fused, so every backend
+ * returns the same bits.
+ *
+ * dotRowsF32 reads @p n_rows rows of raw quantized values (@p n even
+ * when packed); gemvF32 reads float rows starting @p stride floats
+ * apart.
+ * @{
+ */
+void dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
+                float *out);
+void gemvF32(const float *x, const float *rows, int64_t stride,
+             int64_t n_rows, int64_t n, float *out);
+/** @} */
+
+/**
+ * Weighted accumulation of raw quantized rows:
+ * acc[i] = acc[i] + w[r] * row_r[i] for rows r = 0 .. n_rows - 1 in
+ * that order, each product rounded before its add (the attention
+ * value sum over raw INT4/INT8 values). Elementwise, so every backend
+ * returns the same bits. @p n is even when packed.
+ */
+void accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
+                       int64_t n, float *acc);
+
+/**
+ * out[i] = e^x[i] in float by one fixed sequence of IEEE operations
+ * (Cephes expf: x = k ln 2 + r with k = floor(x log2 e + 1/2), a
+ * degree-7 polynomial in r, times 2^k), within 2 ulp of the exact
+ * value on [-87, 88]. Inputs below -87 give +0.0f; inputs above 88
+ * are evaluated at 88. Every backend returns the same bits.
+ */
+void expF32(const float *x, int64_t n, float *out);
 
 } // namespace simd
 } // namespace comet

@@ -9,7 +9,9 @@
  * routines use exact lane arithmetic, float routines perform the same
  * IEEE operations per lane that the scalar loop performs per element
  * (true division, copysign(0.5) rounding, truncating conversion).
- * Ragged tails fall through to the scalar backend.
+ * Ragged tails fall through to the scalar backend, except in the
+ * float dots, whose last block is zero-padded (exact; see
+ * dotRowsImpl).
  */
 #include "comet/simd/simd_internal.h"
 
@@ -18,6 +20,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "comet/common/status.h"
 
@@ -122,6 +125,208 @@ hsum8Epi32(const __m256i v[8])
     return _mm256_add_epi32(
         _mm256_permute2x128_si256(s0123, s4567, 0x20),
         _mm256_permute2x128_si256(s0123, s4567, 0x31));
+}
+
+/** Row r's lanes of the fixed-order dot (simd.h), reduced by the
+ * fixed tree: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). @{ */
+COMET_AVX2 inline float
+hsumTreePs(__m256 v)
+{
+    // hadd pairs (l0+l1, l2+l3 | l4+l5, l6+l7), then pairs of pairs
+    // per 128-bit half; the halves add last.
+    __m256 h = _mm256_hadd_ps(v, v);
+    h = _mm256_hadd_ps(h, h);
+    return _mm256_cvtss_f32(h) +
+           _mm_cvtss_f32(_mm256_extractf128_ps(h, 1));
+}
+
+/** Lane r of the result is hsumTreePs(v[r]). */
+COMET_AVX2 inline __m256
+hsum8TreePs(const __m256 v[8])
+{
+    const __m256 s0123 = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]),
+                                        _mm256_hadd_ps(v[2], v[3]));
+    const __m256 s4567 = _mm256_hadd_ps(_mm256_hadd_ps(v[4], v[5]),
+                                        _mm256_hadd_ps(v[6], v[7]));
+    return _mm256_add_ps(_mm256_permute2f128_ps(s0123, s4567, 0x20),
+                         _mm256_permute2f128_ps(s0123, s4567, 0x31));
+}
+/** @} */
+
+/**
+ * Row readers for the float kernels: block(r, i) is values
+ * [i, i + 8) of row r as floats; tail(r, i, count) reads count < 8
+ * values from i and zero-fills the other lanes (never past the row).
+ * @{
+ */
+struct NibbleRows {
+    const uint8_t *data;
+    int64_t stride;
+
+    COMET_AVX2 static __m256
+    widen(uint32_t word)
+    {
+        // Value k sits in bits [4k, 4k + 4): shift it to the top of
+        // its lane, then sign-extend it back down.
+        const __m256i to_top = _mm256_setr_epi32(28, 24, 20, 16, 12, 8, 4, 0);
+        return _mm256_cvtepi32_ps(_mm256_srai_epi32(
+            _mm256_sllv_epi32(_mm256_set1_epi32(static_cast<int>(word)),
+                              to_top),
+            28));
+    }
+
+    COMET_AVX2 __m256
+    block(int64_t r, int64_t i) const
+    {
+        uint32_t word;
+        std::memcpy(&word, data + r * stride + i / 2, sizeof(word));
+        return widen(word);
+    }
+
+    COMET_AVX2 __m256
+    tail(int64_t r, int64_t i, int64_t count) const
+    {
+        uint32_t word = 0;
+        std::memcpy(&word, data + r * stride + i / 2,
+                    static_cast<size_t>(count / 2));
+        return widen(word);
+    }
+};
+
+struct Int8Rows {
+    const uint8_t *data;
+    int64_t stride;
+
+    COMET_AVX2 __m256
+    block(int64_t r, int64_t i) const
+    {
+        return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
+            reinterpret_cast<const __m128i *>(data + r * stride + i))));
+    }
+
+    COMET_AVX2 __m256
+    tail(int64_t r, int64_t i, int64_t count) const
+    {
+        alignas(16) uint8_t bytes[16] = {};
+        std::memcpy(bytes, data + r * stride + i, static_cast<size_t>(count));
+        return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+            _mm_load_si128(reinterpret_cast<const __m128i *>(bytes))));
+    }
+};
+
+struct FloatRows {
+    const float *data;
+    int64_t stride;
+
+    COMET_AVX2 __m256
+    block(int64_t r, int64_t i) const
+    {
+        return _mm256_loadu_ps(data + r * stride + i);
+    }
+
+    COMET_AVX2 __m256
+    tail(int64_t r, int64_t i, int64_t count) const
+    {
+        alignas(32) float values[8] = {};
+        std::memcpy(values, data + r * stride + i,
+                    static_cast<size_t>(count) * sizeof(float));
+        return _mm256_load_ps(values);
+    }
+};
+/** @} */
+
+/**
+ * The fixed-order dot of @p x against @p n_rows rows. Rows go eight
+ * at a time (eight independent lane accumulators, one transposed
+ * reduction). A ragged tail adds zero products to the unused lanes,
+ * which leaves them unchanged: a lane that starts at +0.0f can never
+ * hold -0.0f, so adding +0.0f is exact.
+ */
+template <typename Rows>
+COMET_AVX2 inline void
+dotRowsImpl(const float *x, const Rows &rows, int64_t n_rows, int64_t n,
+            float *out)
+{
+    const int64_t full = n - n % 8;
+    alignas(32) float x_tail[8] = {};
+    if (full < n)
+        std::memcpy(x_tail, x + full,
+                    static_cast<size_t>(n - full) * sizeof(float));
+    const __m256 xt = _mm256_load_ps(x_tail);
+    int64_t r = 0;
+    // The row loops unroll fully so the eight accumulators stay in
+    // registers.
+    for (; n_rows - r >= 8; r += 8) {
+        __m256 acc[8];
+#pragma GCC unroll 8
+        for (int g = 0; g < 8; ++g)
+            acc[g] = _mm256_setzero_ps();
+        for (int64_t i = 0; i < full; i += 8) {
+            const __m256 xv = _mm256_loadu_ps(x + i);
+#pragma GCC unroll 8
+            for (int g = 0; g < 8; ++g)
+                acc[g] = _mm256_add_ps(
+                    acc[g], _mm256_mul_ps(xv, rows.block(r + g, i)));
+        }
+        if (full < n) {
+#pragma GCC unroll 8
+            for (int g = 0; g < 8; ++g)
+                acc[g] = _mm256_add_ps(
+                    acc[g], _mm256_mul_ps(xt, rows.tail(r + g, full,
+                                                        n - full)));
+        }
+        _mm256_storeu_ps(out + r, hsum8TreePs(acc));
+    }
+    for (; r < n_rows; ++r) {
+        __m256 acc = _mm256_setzero_ps();
+        for (int64_t i = 0; i < full; i += 8)
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(_mm256_loadu_ps(x + i), rows.block(r, i)));
+        if (full < n)
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(xt, rows.tail(r, full, n - full)));
+        out[r] = hsumTreePs(acc);
+    }
+}
+
+/**
+ * acc[i] += w[r] * row_r[i], rows in order. Up to four 8-value blocks
+ * run side by side, so four independent add chains cover the rows'
+ * latency; the ragged tail goes to the scalar backend (elementwise,
+ * so the split does not change any value).
+ */
+template <typename Rows>
+COMET_AVX2 inline void
+accumulateImpl(const float *w, const Rows &rows, int64_t n_rows,
+               int64_t full, float *acc)
+{
+    int64_t i = 0;
+    for (; full - i >= 32; i += 32) {
+        __m256 a0 = _mm256_loadu_ps(acc + i);
+        __m256 a1 = _mm256_loadu_ps(acc + i + 8);
+        __m256 a2 = _mm256_loadu_ps(acc + i + 16);
+        __m256 a3 = _mm256_loadu_ps(acc + i + 24);
+        for (int64_t r = 0; r < n_rows; ++r) {
+            const __m256 wr = _mm256_set1_ps(w[r]);
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(wr, rows.block(r, i)));
+            a1 = _mm256_add_ps(a1, _mm256_mul_ps(wr, rows.block(r, i + 8)));
+            a2 = _mm256_add_ps(a2,
+                               _mm256_mul_ps(wr, rows.block(r, i + 16)));
+            a3 = _mm256_add_ps(a3,
+                               _mm256_mul_ps(wr, rows.block(r, i + 24)));
+        }
+        _mm256_storeu_ps(acc + i, a0);
+        _mm256_storeu_ps(acc + i + 8, a1);
+        _mm256_storeu_ps(acc + i + 16, a2);
+        _mm256_storeu_ps(acc + i + 24, a3);
+    }
+    for (; full - i >= 8; i += 8) {
+        __m256 a = _mm256_loadu_ps(acc + i);
+        for (int64_t r = 0; r < n_rows; ++r)
+            a = _mm256_add_ps(
+                a, _mm256_mul_ps(_mm256_set1_ps(w[r]), rows.block(r, i)));
+        _mm256_storeu_ps(acc + i, a);
+    }
 }
 
 } // namespace
@@ -417,6 +622,75 @@ dequantAffine(const int8_t *q, const float *scales,
     }
     scalar::dequantAffine(q + i, scales + i, zero_points + i, n - i,
                           out + i);
+}
+
+COMET_AVX2 void
+dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
+           float *out)
+{
+    if (rows.packed)
+        dotRowsImpl(x, NibbleRows{rows.data, rows.stride}, n_rows, n, out);
+    else
+        dotRowsImpl(x, Int8Rows{rows.data, rows.stride}, n_rows, n, out);
+}
+
+COMET_AVX2 void
+gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
+        int64_t n, float *out)
+{
+    dotRowsImpl(x, FloatRows{rows, stride}, n_rows, n, out);
+}
+
+COMET_AVX2 void
+accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
+                  int64_t n, float *acc)
+{
+    const int64_t full = n - n % 8;
+    if (rows.packed)
+        accumulateImpl(w, NibbleRows{rows.data, rows.stride}, n_rows, full,
+                       acc);
+    else
+        accumulateImpl(w, Int8Rows{rows.data, rows.stride}, n_rows, full,
+                       acc);
+    QuantRows tail = rows;
+    tail.data += rows.packed ? full / 2 : full;
+    scalar::accumulateRowsF32(w, tail, n_rows, n - full, acc + full);
+}
+
+COMET_AVX2 void
+expF32(const float *x, int64_t n, float *out)
+{
+    const __m256 lo = _mm256_set1_ps(kExpLo);
+    const __m256 hi = _mm256_set1_ps(kExpHi);
+    int64_t i = 0;
+    for (; n - i >= 8; i += 8) {
+        const __m256 xv = _mm256_loadu_ps(x + i);
+        // min_ps returns hi for a NaN lane; the blend below puts the
+        // input NaN back, as the scalar backend returns it.
+        const __m256 v = _mm256_min_ps(xv, hi);
+        const __m256 k = _mm256_floor_ps(_mm256_add_ps(
+            _mm256_mul_ps(v, _mm256_set1_ps(kExpLog2e)),
+            _mm256_set1_ps(0.5f)));
+        const __m256 r = _mm256_sub_ps(
+            _mm256_sub_ps(v, _mm256_mul_ps(k, _mm256_set1_ps(kExpLn2Hi))),
+            _mm256_mul_ps(k, _mm256_set1_ps(kExpLn2Lo)));
+        __m256 p = _mm256_set1_ps(kExpPoly[0]);
+        for (int j = 1; j < 6; ++j)
+            p = _mm256_add_ps(_mm256_mul_ps(p, r),
+                              _mm256_set1_ps(kExpPoly[j]));
+        p = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0f));
+        const __m256i bits = _mm256_slli_epi32(
+            _mm256_add_epi32(_mm256_cvttps_epi32(k),
+                             _mm256_set1_epi32(127)),
+            23);
+        __m256 e = _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+        e = _mm256_andnot_ps(_mm256_cmp_ps(xv, lo, _CMP_LT_OQ), e);
+        e = _mm256_blendv_ps(e, xv, _mm256_cmp_ps(xv, xv, _CMP_UNORD_Q));
+        _mm256_storeu_ps(out + i, e);
+    }
+    scalar::expF32(x + i, n - i, out + i);
 }
 
 } // namespace avx2

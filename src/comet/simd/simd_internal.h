@@ -51,6 +51,13 @@ namespace detail {
     void dequantAffine(const int8_t *q, const float *scales,               \
                        const int32_t *zero_points, int64_t n,              \
                        float *out);                                        \
+    void dotRowsF32(const float *x, QuantRows rows, int64_t n_rows,        \
+                    int64_t n, float *out);                                \
+    void gemvF32(const float *x, const float *rows, int64_t stride,        \
+                 int64_t n_rows, int64_t n, float *out);                   \
+    void accumulateRowsF32(const float *w, QuantRows rows,                 \
+                           int64_t n_rows, int64_t n, float *acc);         \
+    void expF32(const float *x, int64_t n, float *out);                    \
     }
 
 COMET_SIMD_DECLARE_BACKEND(scalar)
@@ -62,6 +69,18 @@ COMET_SIMD_DECLARE_BACKEND(neon)
 #endif
 
 #undef COMET_SIMD_DECLARE_BACKEND
+/** @} */
+
+/** Constants of expF32 (Cephes expf), shared so every backend runs
+ * the same operations on the same values. @{ */
+constexpr float kExpLo = -87.0f; ///< below: the result is +0.0f
+constexpr float kExpHi = 88.0f;  ///< above: evaluated at kExpHi
+constexpr float kExpLog2e = 1.44269504088896341f;
+constexpr float kExpLn2Hi = 0.693359375f;
+constexpr float kExpLn2Lo = -2.12194440e-4f;
+constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f,
+                               8.3334519073e-3f, 4.1665795894e-2f,
+                               1.6666665459e-1f, 5.0000001201e-1f};
 /** @} */
 
 /** True when the running CPU supports AVX2 (false off x86). */

@@ -16,6 +16,8 @@
 
 #include <arm_neon.h>
 
+#include <cstring>
+
 #include "comet/common/status.h"
 
 namespace comet {
@@ -41,6 +43,160 @@ madd16x8(int32x4_t acc, int8x16_t a, int8x16_t b)
     const int16x8_t lo = vmull_s8(vget_low_s8(a), vget_low_s8(b));
     const int16x8_t hi = vmull_s8(vget_high_s8(a), vget_high_s8(b));
     return vpadalq_s16(vpadalq_s16(acc, lo), hi);
+}
+
+/** Eight float lanes of the fixed-order dot: l0..l3 and l4..l7. */
+struct Lanes8 {
+    float32x4_t lo;
+    float32x4_t hi;
+};
+
+/** The fixed reduction tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). */
+inline float
+hsumTree(Lanes8 v)
+{
+    const float32x4_t pairs = vpaddq_f32(v.lo, v.hi);
+    const float32x4_t quads = vpaddq_f32(pairs, pairs);
+    return vgetq_lane_f32(quads, 0) + vgetq_lane_f32(quads, 1);
+}
+
+inline Lanes8
+addProduct(Lanes8 acc, Lanes8 a, Lanes8 b)
+{
+    return {vaddq_f32(acc.lo, vmulq_f32(a.lo, b.lo)),
+            vaddq_f32(acc.hi, vmulq_f32(a.hi, b.hi))};
+}
+
+/** Row readers: block(r, i) is values [i, i + 8) of row r as floats;
+ * tail(r, i, count) reads count < 8 values and zero-fills the rest.
+ * @{ */
+struct NibbleRows {
+    const uint8_t *data;
+    int64_t stride;
+
+    static Lanes8
+    widen(uint32_t word)
+    {
+        // Value k sits in bits [4k, 4k + 4): shift it to the top of
+        // its lane, then sign-extend it back down.
+        const int32x4_t lo_shift = {28, 24, 20, 16};
+        const int32x4_t hi_shift = {12, 8, 4, 0};
+        const uint32x4_t w = vdupq_n_u32(word);
+        return {vcvtq_f32_s32(vshrq_n_s32(
+                    vreinterpretq_s32_u32(vshlq_u32(w, lo_shift)), 28)),
+                vcvtq_f32_s32(vshrq_n_s32(
+                    vreinterpretq_s32_u32(vshlq_u32(w, hi_shift)), 28))};
+    }
+
+    Lanes8
+    block(int64_t r, int64_t i) const
+    {
+        uint32_t word;
+        std::memcpy(&word, data + r * stride + i / 2, sizeof(word));
+        return widen(word);
+    }
+
+    Lanes8
+    tail(int64_t r, int64_t i, int64_t count) const
+    {
+        uint32_t word = 0;
+        std::memcpy(&word, data + r * stride + i / 2,
+                    static_cast<size_t>(count / 2));
+        return widen(word);
+    }
+};
+
+struct Int8Rows {
+    const uint8_t *data;
+    int64_t stride;
+
+    static Lanes8
+    widen(const int8_t *values)
+    {
+        const int16x8_t v16 = vmovl_s8(vld1_s8(values));
+        return {vcvtq_f32_s32(vmovl_s16(vget_low_s16(v16))),
+                vcvtq_f32_s32(vmovl_s16(vget_high_s16(v16)))};
+    }
+
+    Lanes8
+    block(int64_t r, int64_t i) const
+    {
+        return widen(
+            reinterpret_cast<const int8_t *>(data + r * stride + i));
+    }
+
+    Lanes8
+    tail(int64_t r, int64_t i, int64_t count) const
+    {
+        int8_t values[8] = {};
+        std::memcpy(values, data + r * stride + i,
+                    static_cast<size_t>(count));
+        return widen(values);
+    }
+};
+
+struct FloatRows {
+    const float *data;
+    int64_t stride;
+
+    Lanes8
+    block(int64_t r, int64_t i) const
+    {
+        const float *p = data + r * stride + i;
+        return {vld1q_f32(p), vld1q_f32(p + 4)};
+    }
+
+    Lanes8
+    tail(int64_t r, int64_t i, int64_t count) const
+    {
+        float values[8] = {};
+        std::memcpy(values, data + r * stride + i,
+                    static_cast<size_t>(count) * sizeof(float));
+        return {vld1q_f32(values), vld1q_f32(values + 4)};
+    }
+};
+/** @} */
+
+/** The fixed-order dot of @p x against every row. A ragged tail adds
+ * zero products to the unused lanes, which leaves them unchanged (a
+ * lane that starts at +0.0f never holds -0.0f). */
+template <typename Rows>
+void
+dotRowsImpl(const float *x, const Rows &rows, int64_t n_rows, int64_t n,
+            float *out)
+{
+    const int64_t full = n - n % 8;
+    float x_tail[8] = {};
+    if (full < n)
+        std::memcpy(x_tail, x + full,
+                    static_cast<size_t>(n - full) * sizeof(float));
+    const Lanes8 xt{vld1q_f32(x_tail), vld1q_f32(x_tail + 4)};
+    for (int64_t r = 0; r < n_rows; ++r) {
+        Lanes8 acc{vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)};
+        for (int64_t i = 0; i < full; i += 8)
+            acc = addProduct(acc, {vld1q_f32(x + i), vld1q_f32(x + i + 4)},
+                             rows.block(r, i));
+        if (full < n)
+            acc = addProduct(acc, xt, rows.tail(r, full, n - full));
+        out[r] = hsumTree(acc);
+    }
+}
+
+/** acc[i] += w[r] * row_r[i] over the whole 8-value blocks. */
+template <typename Rows>
+void
+accumulateImpl(const float *w, const Rows &rows, int64_t n_rows,
+               int64_t full, float *acc)
+{
+    for (int64_t i = 0; i < full; i += 8) {
+        Lanes8 a{vld1q_f32(acc + i), vld1q_f32(acc + i + 4)};
+        for (int64_t r = 0; r < n_rows; ++r) {
+            const float32x4_t wr = vdupq_n_f32(w[r]);
+            a = addProduct(a, {wr, wr}, rows.block(r, i));
+        }
+        vst1q_f32(acc + i, a.lo);
+        vst1q_f32(acc + i + 4, a.hi);
+    }
 }
 
 } // namespace
@@ -271,6 +427,69 @@ dequantAffine(const int8_t *q, const float *scales,
     }
     scalar::dequantAffine(q + i, scales + i, zero_points + i, n - i,
                           out + i);
+}
+
+void
+dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
+           float *out)
+{
+    if (rows.packed)
+        dotRowsImpl(x, NibbleRows{rows.data, rows.stride}, n_rows, n, out);
+    else
+        dotRowsImpl(x, Int8Rows{rows.data, rows.stride}, n_rows, n, out);
+}
+
+void
+gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
+        int64_t n, float *out)
+{
+    dotRowsImpl(x, FloatRows{rows, stride}, n_rows, n, out);
+}
+
+void
+accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
+                  int64_t n, float *acc)
+{
+    const int64_t full = n - n % 8;
+    if (rows.packed)
+        accumulateImpl(w, NibbleRows{rows.data, rows.stride}, n_rows, full,
+                       acc);
+    else
+        accumulateImpl(w, Int8Rows{rows.data, rows.stride}, n_rows, full,
+                       acc);
+    QuantRows tail = rows;
+    tail.data += rows.packed ? full / 2 : full;
+    scalar::accumulateRowsF32(w, tail, n_rows, n - full, acc + full);
+}
+
+void
+expF32(const float *x, int64_t n, float *out)
+{
+    const float32x4_t lo = vdupq_n_f32(kExpLo);
+    const float32x4_t hi = vdupq_n_f32(kExpHi);
+    int64_t i = 0;
+    for (; n - i >= 4; i += 4) {
+        const float32x4_t xv = vld1q_f32(x + i);
+        const float32x4_t v = vbslq_f32(vcgtq_f32(xv, hi), hi, xv);
+        const float32x4_t k = vrndmq_f32(vaddq_f32(
+            vmulq_f32(v, vdupq_n_f32(kExpLog2e)), vdupq_n_f32(0.5f)));
+        const float32x4_t r = vsubq_f32(
+            vsubq_f32(v, vmulq_f32(k, vdupq_n_f32(kExpLn2Hi))),
+            vmulq_f32(k, vdupq_n_f32(kExpLn2Lo)));
+        float32x4_t p = vdupq_n_f32(kExpPoly[0]);
+        for (int j = 1; j < 6; ++j)
+            p = vaddq_f32(vmulq_f32(p, r), vdupq_n_f32(kExpPoly[j]));
+        p = vaddq_f32(vaddq_f32(vmulq_f32(p, vmulq_f32(r, r)), r),
+                      vdupq_n_f32(1.0f));
+        const int32x4_t bits = vshlq_n_s32(
+            vaddq_s32(vcvtq_s32_f32(k), vdupq_n_s32(127)), 23);
+        float32x4_t e = vmulq_f32(p, vreinterpretq_f32_s32(bits));
+        e = vbslq_f32(vcltq_f32(xv, lo), vdupq_n_f32(0.0f), e);
+        // A NaN lane returns its input, as the scalar backend does.
+        e = vbslq_f32(vceqq_f32(xv, xv), e, xv);
+        vst1q_f32(out + i, e);
+    }
+    scalar::expF32(x + i, n - i, out + i);
 }
 
 } // namespace neon

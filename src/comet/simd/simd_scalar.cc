@@ -6,6 +6,7 @@
  */
 #include "comet/simd/simd_internal.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "comet/common/status.h"
@@ -46,6 +47,30 @@ storeWordLe(uint8_t *p, uint32_t word)
     word = __builtin_bswap32(word);
 #endif
     std::memcpy(p, &word, sizeof(word));
+}
+
+/** Value @p i of a raw quantized row, as float. */
+inline float
+quantValue(const uint8_t *row, bool packed, int64_t i)
+{
+    if (!packed)
+        return static_cast<float>(static_cast<int8_t>(row[i]));
+    const uint32_t byte = row[i / 2];
+    return static_cast<float>(
+        signExtend4(i % 2 == 0 ? byte & 0x0f : byte >> 4));
+}
+
+/** The fixed-order dot product (simd.h): eight lanes, value i into
+ * lane i % 8, then the fixed reduction tree. */
+template <typename Value>
+float
+laneDot(const float *x, int64_t n, Value value)
+{
+    float lanes[8] = {};
+    for (int64_t i = 0; i < n; ++i)
+        lanes[i % 8] += x[i] * value(i);
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
 }
 
 } // namespace
@@ -189,6 +214,68 @@ dequantAffine(const int8_t *q, const float *scales,
         out[i] = static_cast<float>(static_cast<int32_t>(q[i]) -
                                     zero_points[i]) *
                  scales[i];
+    }
+}
+
+void
+dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
+           float *out)
+{
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const uint8_t *row = rows.data + r * rows.stride;
+        out[r] = laneDot(x, n, [&](int64_t i) {
+            return quantValue(row, rows.packed, i);
+        });
+    }
+}
+
+void
+gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
+        int64_t n, float *out)
+{
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const float *row = rows + r * stride;
+        out[r] = laneDot(x, n, [&](int64_t i) { return row[i]; });
+    }
+}
+
+void
+accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
+                  int64_t n, float *acc)
+{
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const uint8_t *row = rows.data + r * rows.stride;
+        for (int64_t i = 0; i < n; ++i)
+            acc[i] += w[r] * quantValue(row, rows.packed, i);
+    }
+}
+
+void
+expF32(const float *x, int64_t n, float *out)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        float v = x[i];
+        if (std::isnan(v)) {
+            out[i] = v;
+            continue;
+        }
+        if (v < kExpLo) {
+            out[i] = 0.0f;
+            continue;
+        }
+        v = v > kExpHi ? kExpHi : v;
+        const float k = std::floor(v * kExpLog2e + 0.5f);
+        const float r = (v - k * kExpLn2Hi) - k * kExpLn2Lo;
+        float p = kExpPoly[0];
+        for (int j = 1; j < 6; ++j)
+            p = p * r + kExpPoly[j];
+        p = (p * (r * r) + r) + 1.0f;
+        const uint32_t bits = static_cast<uint32_t>(
+                                  static_cast<int32_t>(k) + 127)
+                              << 23;
+        float pow2;
+        std::memcpy(&pow2, &bits, sizeof(pow2));
+        out[i] = p * pow2;
     }
 }
 

@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit and property tests for decode attention: reference vs online
- * softmax equivalence, GQA mapping, and the quantized-cache path.
+ * softmax equivalence, GQA mapping, and the quantized-cache paths (the
+ * fused store path against its scalar model and the dequantize-first
+ * oracle).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "comet/attention/decode_attention.h"
 #include "comet/common/rng.h"
+#include "comet/simd/simd.h"
+#include "kv_fold_attention.h"
 
 namespace comet {
 namespace {
@@ -153,27 +158,123 @@ TEST(DecodeAttention, QuantizedCacheApproximatesFloat)
     EXPECT_LT(maxDiff(dequant_ref, quantized), 1e-5);
 }
 
-TEST(DecodeAttention, StoreMatchesQuantizedOracleBitExact)
+/**
+ * One store-path case: @p gqa query heads per kv head over two kv
+ * heads of @p head_dim channels. Appends drifting K/V rows one at a
+ * time (past the second group boundary, or to 70 tokens) and calls
+ * @p check(config, q, k, v, kv_config) after every append.
+ */
+template <typename Check>
+void
+storeCase(Rng &rng, const KvQuantConfig &kv_config, int64_t gqa,
+          int64_t head_dim, Check &check)
 {
-    // The fused-dequant store path against the whole-history oracle,
-    // at every length across chunk and group boundaries, for KV4
-    // (nibble-packed) and KV8 stores under GQA.
-    for (const int bits : {4, 8}) {
-        Fixture f = makeFixture(4, 2, 16, 75, 11);
-        const KvQuantConfig kv_config{bits, 32, true};
-        const KvCacheQuantizer quantizer(kv_config);
-        KvStore k(f.config.kvDim(), kv_config);
-        KvStore v(f.config.kvDim(), kv_config);
-        for (int64_t t = 0; t < f.k.rows(); ++t) {
-            k.append(f.k.data() + t * f.config.kvDim());
-            v.append(f.v.data() + t * f.config.kvDim());
-            const auto fused = decodeAttentionQuantized(f.config, f.q, k, v);
-            const auto oracle = decodeAttentionQuantized(
-                f.config, f.q, k.snapshot(), v.snapshot(), quantizer);
-            ASSERT_EQ(fused, oracle) << "bits " << bits << " tokens "
-                                     << t + 1;
+    AttentionConfig config;
+    config.num_kv_heads = 2;
+    config.num_heads = 2 * gqa;
+    config.head_dim = head_dim;
+    config.chunk_tokens = 16;
+    const int64_t kv_dim = config.kvDim();
+    std::vector<float> q(static_cast<size_t>(config.qDim()));
+    for (float &x : q)
+        x = static_cast<float>(rng.gaussian(0, 1));
+    KvStore k(kv_dim, kv_config), v(kv_dim, kv_config);
+    std::vector<float> k_row(static_cast<size_t>(kv_dim));
+    std::vector<float> v_row(static_cast<size_t>(kv_dim));
+    const int64_t tokens =
+        std::min<int64_t>(2 * kv_config.group_size + 1, 70);
+    for (int64_t t = 0; t < tokens; ++t) {
+        // Channel offsets and a drifting spread, so zero points move
+        // across groups.
+        const double spread = 1.0 + 0.05 * static_cast<double>(t % 23);
+        for (int64_t c = 0; c < kv_dim; ++c) {
+            const auto cd = static_cast<double>(c);
+            k_row[static_cast<size_t>(c)] = static_cast<float>(
+                rng.gaussian(0.2 * std::fmod(cd, 5.0), spread));
+            v_row[static_cast<size_t>(c)] = static_cast<float>(
+                rng.gaussian(-0.1 * std::fmod(cd, 3.0), spread));
+        }
+        k.append(k_row.data());
+        v.append(v_row.data());
+        SCOPED_TRACE(::testing::Message()
+                     << "gqa " << gqa << " head_dim " << head_dim
+                     << " tokens " << t + 1);
+        check(config, q, k, v, kv_config);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/** The store-path sweep: KV bits {2, 3, 4, 8}, groups {1, 7, 32, 64},
+ * symmetric and asymmetric, GQA {1, 2, 4}, head_dim {8, 16, 32, 64}. */
+template <typename Check>
+void
+sweepStores(Check check)
+{
+    Rng rng(31);
+    for (const int bits : {2, 3, 4, 8}) {
+        for (const int64_t group : {1, 7, 32, 64}) {
+            for (const bool asymmetric : {true, false}) {
+                const KvQuantConfig kv_config{bits, group, asymmetric};
+                SCOPED_TRACE(::testing::Message()
+                             << "bits " << bits << " group " << group
+                             << " asym " << asymmetric);
+                for (const int64_t gqa : {1, 2, 4}) {
+                    for (const int64_t head_dim : {8, 16, 32, 64}) {
+                        storeCase(rng, kv_config, gqa, head_dim, check);
+                        if (::testing::Test::HasFatalFailure())
+                            return;
+                    }
+                }
+            }
         }
     }
+}
+
+TEST(DecodeAttention, StoreMatchesFoldedModelBitExact)
+{
+    // The fused store path equals the scalar model of its folded order
+    // bit for bit, under every SIMD backend this machine runs.
+    const simd::Mode saved = simd::activeMode();
+    for (const simd::Mode mode : simd::supportedModes()) {
+        simd::setMode(mode);
+        SCOPED_TRACE(simd::modeName(mode));
+        sweepStores([](const AttentionConfig &config,
+                       const std::vector<float> &q, const KvStore &k,
+                       const KvStore &v, const KvQuantConfig &) {
+            ASSERT_EQ(decodeAttentionQuantized(config, q, k, v),
+                      foldAttentionModel(config, q, k.snapshot(),
+                                         v.snapshot()));
+        });
+    }
+    simd::setMode(saved);
+}
+
+TEST(DecodeAttention, StoreWithinStatedBoundOfDequantizeFirstOracle)
+{
+    // The bound stated in decode_attention.h: the float, folded store
+    // path against the double, dequantize-first oracle over the same
+    // quantized values.
+    double worst = 0.0;
+    sweepStores([&](const AttentionConfig &config,
+                    const std::vector<float> &q, const KvStore &k,
+                    const KvStore &v, const KvQuantConfig &kv_config) {
+        const KvCacheQuantizer quantizer(kv_config);
+        const QuantizedKv v_snapshot = v.snapshot();
+        const auto oracle = decodeAttentionQuantized(
+            config, q, k.snapshot(), v_snapshot, quantizer);
+        const Tensor v_values = quantizer.dequantize(v_snapshot);
+        double v_max = 0.0;
+        for (int64_t i = 0; i < v_values.numel(); ++i)
+            v_max = std::max(v_max, std::fabs(double{v_values[i]}));
+        const double diff =
+            maxDiff(decodeAttentionQuantized(config, q, k, v), oracle);
+        worst = std::max(worst, diff / (v_max + 0.05));
+        ASSERT_LE(diff, 4e-6 * v_max + 1e-6);
+    });
+    char worst_text[32];
+    std::snprintf(worst_text, sizeof(worst_text), "%.3g", worst);
+    RecordProperty("worst_error_over_max_v", worst_text);
 }
 
 TEST(DecodeAttention, OnlineReadsACachePrefixInPlace)

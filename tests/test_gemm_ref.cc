@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "comet/common/rng.h"
 #include "comet/kernel/gemm_ref.h"
 
@@ -26,6 +28,37 @@ TEST(GemmFloat, SmallKnownResult)
     EXPECT_FLOAT_EQ(out.at(0, 1), 5.0f);
     EXPECT_FLOAT_EQ(out.at(1, 0), 4.0f);
     EXPECT_FLOAT_EQ(out.at(1, 1), 11.0f);
+}
+
+TEST(GemmFloat, BitIdenticalToNaiveTripleLoopOnRaggedShapes)
+{
+    // Every output is one double sum in ascending k, whichever of the
+    // four side-by-side columns (or the ragged column tail) it lands in.
+    Rng rng(2);
+    for (const int64_t m : {1, 3}) {
+        for (const int64_t n : {1, 2, 3, 4, 5, 7, 8, 13}) {
+            for (const int64_t k : {1, 2, 9, 64}) {
+                Tensor x(m, k), w(n, k);
+                for (int64_t i = 0; i < x.numel(); ++i)
+                    x[i] = static_cast<float>(rng.gaussian(0, 1));
+                for (int64_t i = 0; i < w.numel(); ++i)
+                    w[i] = static_cast<float>(rng.gaussian(0, 3));
+                Tensor want(m, n);
+                for (int64_t r = 0; r < m; ++r) {
+                    for (int64_t c = 0; c < n; ++c) {
+                        double sum = 0.0;
+                        for (int64_t j = 0; j < k; ++j)
+                            sum += static_cast<double>(x.at(r, j)) * w.at(c, j);
+                        want.at(r, c) = static_cast<float>(sum);
+                    }
+                }
+                const Tensor got = gemmFloat(x, w);
+                const auto bytes = sizeof(float) * static_cast<size_t>(m * n);
+                ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+                    << "m " << m << " n " << n << " k " << k;
+            }
+        }
+    }
 }
 
 TEST(GemmFloat, IdentityWeight)

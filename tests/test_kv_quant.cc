@@ -236,37 +236,6 @@ TEST(KvStore, MatchesWholeHistoryQuantizeAtEveryLength)
     }
 }
 
-TEST(KvStore, DequantizedSlicesMatchQuantizerDequantize)
-{
-    Rng rng(22);
-    const Tensor kv = makeKv(150, 16, 23);
-    for (const int bits : {4, 8}) {
-        const KvQuantConfig config{bits, 32, true};
-        KvStore store(16, config);
-        for (int64_t t = 0; t < kv.rows(); ++t)
-            store.append(kv.data() + t * 16);
-        const Tensor want =
-            KvCacheQuantizer(config).dequantize(store.snapshot());
-        for (int trial = 0; trial < 50; ++trial) {
-            const int64_t t0 = static_cast<int64_t>(rng.uniformInt(150));
-            const int64_t t1 =
-                t0 + static_cast<int64_t>(rng.uniformInt(
-                         static_cast<uint64_t>(150 - t0 + 1)));
-            const int64_t c0 = 2 * static_cast<int64_t>(rng.uniformInt(8));
-            const int64_t n = 2 * static_cast<int64_t>(rng.uniformInt(
-                                      static_cast<uint64_t>(8 - c0 / 2 + 1)));
-            std::vector<float> got(static_cast<size_t>((t1 - t0) * n));
-            store.dequantize(t0, t1, c0, n, got.data());
-            for (int64_t t = t0; t < t1; ++t) {
-                for (int64_t c = 0; c < n; ++c) {
-                    ASSERT_EQ(got[static_cast<size_t>((t - t0) * n + c)],
-                              want.at(t, c0 + c));
-                }
-            }
-        }
-    }
-}
-
 TEST(KvStore, PacksTwoValuesPerByteAtFourBitsAndBelow)
 {
     const Tensor kv = makeKv(100, 12, 24);

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "comet/attention/decode_attention.h"
 #include "comet/common/rng.h"
 #include "comet/kernel/gemm_ref.h"
 #include "comet/kernel/gemm_w4ax.h"
@@ -20,6 +19,7 @@
 #include "comet/model/synthetic.h"
 #include "comet/runtime/thread_pool.h"
 #include "comet/serve/engine.h"
+#include "decode_attention_batch.h"
 
 namespace comet {
 namespace {
@@ -248,6 +248,22 @@ TEST(RuntimeEquivalence, DecodeAttentionPaths)
                                         quantizer);
     });
     expectBitEqual(q_narrow, q_wide, "decodeAttentionQuantized");
+}
+
+TEST(RuntimeEquivalence, DecodeAttentionStorePath)
+{
+    // Long enough that the fused store path fans its kv heads out.
+    const AttentionFixture f = makeAttention(4100, 44);
+    ASSERT_GE(2 * f.k.rows() * f.config.qDim(), kMinPoolMacs);
+    const KvQuantConfig kv_config{4, 32, true};
+    KvStore k(f.config.kvDim(), kv_config), v(f.config.kvDim(), kv_config);
+    for (int64_t t = 0; t < f.k.rows(); ++t) {
+        k.append(f.k.data() + t * f.config.kvDim());
+        v.append(f.v.data() + t * f.config.kvDim());
+    }
+    auto [narrow, wide] = underBothPoolSizes(
+        [&] { return decodeAttentionQuantized(f.config, f.q, k, v); });
+    expectBitEqual(narrow, wide, "store decodeAttentionQuantized");
 }
 
 TEST(RuntimeEquivalence, DecodeAttentionBatch)

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "comet/common/rng.h"
@@ -454,6 +456,217 @@ TEST_P(SimdEquivalence, ZeroLengthSpansAreNoOps)
     EXPECT_EQ(simd::dotInt8(nullptr, nullptr, 0), 0);
     EXPECT_EQ(simd::dotInt4(nullptr, nullptr, 0), 0);
     simd::dotSegments({}, {}, nullptr, 0, 16, nullptr);
+    simd::dotRowsF32(nullptr, {}, 0, 0, nullptr);
+    simd::gemvF32(nullptr, nullptr, 0, 0, 0, nullptr);
+    simd::accumulateRowsF32(nullptr, {}, 0, 0, nullptr);
+    simd::expF32(nullptr, 0, nullptr);
+    // Rows of zero values: every dot is +0.0f.
+    float dots[3] = {1.0f, 1.0f, 1.0f};
+    simd::dotRowsF32(nullptr, {nullptr, 0, true}, 3, 0, dots);
+    for (const float dot : dots)
+        EXPECT_TRUE(dot == 0.0f && !std::signbit(dot));
+}
+
+/** Bitwise equality of two float spans (NaN-safe). */
+::testing::AssertionResult
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << "sizes differ";
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return ::testing::AssertionFailure()
+                   << "differs at " << i << ": " << a[i] << " vs " << b[i];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** The documented order of the float dots (simd.h), stated directly:
+ * value i into lane i % 8, then ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). */
+template <typename Value>
+float
+documentedDot(const float *x, int64_t n, Value value)
+{
+    float lanes[8] = {};
+    for (int64_t i = 0; i < n; ++i)
+        lanes[i % 8] += x[i] * value(i);
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
+/** Raw values of a QuantRows row as floats (the independent unpack). */
+float
+rawValue(const simd::QuantRows &rows, int64_t r, int64_t i)
+{
+    const uint8_t *row = rows.data + r * rows.stride;
+    if (!rows.packed)
+        return static_cast<float>(static_cast<int8_t>(row[i]));
+    const int nibble = i % 2 == 0 ? row[i / 2] & 0x0f : row[i / 2] >> 4;
+    return static_cast<float>(nibble >= 8 ? nibble - 16 : nibble);
+}
+
+TEST_P(SimdEquivalence, FloatRowKernelsMatchScalarOnRaggedShapes)
+{
+    // Row counts across the eight-row blocks and their tails, every
+    // span length (even when packed), rows padded past their values.
+    Rng rng(19);
+    for (const bool packed : {true, false}) {
+        for (const int64_t n : kAnySpans) {
+            if (packed && n % 2 != 0)
+                continue;
+            for (const int64_t n_rows : {0, 1, 5, 8, 9, 16, 17}) {
+                const int64_t stride = (packed ? n / 2 : n) + 3;
+                const std::vector<uint8_t> bytes =
+                    randomPackedBytes(rng, n_rows * stride);
+                const simd::QuantRows rows{bytes.data(), stride, packed};
+                const std::vector<float> x = randomFloats(rng, n);
+                const std::vector<float> w = randomFloats(rng, n_rows);
+                const std::vector<float> acc0 = randomFloats(rng, n);
+                const std::vector<float> float_rows =
+                    randomFloats(rng, n_rows * (n + 1));
+                SCOPED_TRACE(::testing::Message()
+                             << "packed " << packed << " n " << n
+                             << " rows " << n_rows);
+
+                std::vector<float> got(static_cast<size_t>(n_rows));
+                std::vector<float> want(got.size());
+                simd::dotRowsF32(x.data(), rows, n_rows, n, got.data());
+                simd::detail::scalar::dotRowsF32(x.data(), rows, n_rows, n,
+                                                 want.data());
+                EXPECT_TRUE(sameBits(got, want));
+                for (int64_t r = 0; r < n_rows; ++r) {
+                    const float dot = documentedDot(
+                        x.data(), n,
+                        [&](int64_t i) { return rawValue(rows, r, i); });
+                    EXPECT_TRUE(
+                        sameBits({want[static_cast<size_t>(r)]}, {dot}));
+                }
+
+                simd::gemvF32(x.data(), float_rows.data(), n + 1, n_rows, n,
+                              got.data());
+                simd::detail::scalar::gemvF32(x.data(), float_rows.data(),
+                                              n + 1, n_rows, n, want.data());
+                EXPECT_TRUE(sameBits(got, want));
+
+                std::vector<float> acc_got = acc0, acc_want = acc0;
+                simd::accumulateRowsF32(w.data(), rows, n_rows, n,
+                                        acc_got.data());
+                simd::detail::scalar::accumulateRowsF32(
+                    w.data(), rows, n_rows, n, acc_want.data());
+                EXPECT_TRUE(sameBits(acc_got, acc_want));
+                for (int64_t i = 0; i < n; ++i) {
+                    float a = acc0[static_cast<size_t>(i)];
+                    for (int64_t r = 0; r < n_rows; ++r)
+                        a += w[static_cast<size_t>(r)] * rawValue(rows, r, i);
+                    EXPECT_TRUE(
+                        sameBits({acc_want[static_cast<size_t>(i)]}, {a}));
+                }
+            }
+        }
+    }
+}
+
+TEST_P(SimdEquivalence, FloatRowKernelsExtremeValues)
+{
+    // All-minimum and all-maximum nibbles and bytes against operands
+    // whose products overflow to infinity and cancel to NaN.
+    constexpr int64_t kN = 66;
+    constexpr int64_t kRows = 11;
+    const float big = 3e38f;
+    std::vector<float> x(kN), w(kRows);
+    for (int64_t i = 0; i < kN; ++i)
+        x[static_cast<size_t>(i)] =
+            i % 3 == 0 ? big : (i % 3 == 1 ? -big : 1.5f);
+    for (int64_t r = 0; r < kRows; ++r)
+        w[static_cast<size_t>(r)] = r % 2 == 0 ? big : -0.0f;
+    for (const uint8_t byte : {uint8_t{0x88}, uint8_t{0x77}, uint8_t{0x80},
+                               uint8_t{0x7f}, uint8_t{0x00}}) {
+        for (const bool packed : {true, false}) {
+            const int64_t stride = packed ? kN / 2 : kN;
+            const std::vector<uint8_t> bytes(
+                static_cast<size_t>(kRows * stride), byte);
+            const simd::QuantRows rows{bytes.data(), stride, packed};
+            SCOPED_TRACE(::testing::Message()
+                         << "byte " << int{byte} << " packed " << packed);
+            std::vector<float> got(kRows), want(kRows);
+            simd::dotRowsF32(x.data(), rows, kRows, kN, got.data());
+            simd::detail::scalar::dotRowsF32(x.data(), rows, kRows, kN,
+                                             want.data());
+            EXPECT_TRUE(sameBits(got, want));
+            std::vector<float> acc_got(kN, 1.0f), acc_want(kN, 1.0f);
+            simd::accumulateRowsF32(w.data(), rows, kRows, kN,
+                                    acc_got.data());
+            simd::detail::scalar::accumulateRowsF32(w.data(), rows, kRows, kN,
+                                                    acc_want.data());
+            EXPECT_TRUE(sameBits(acc_got, acc_want));
+        }
+    }
+    // Packed extremes read as -8 and 7: x = 1 sums them exactly.
+    const std::vector<float> ones(16, 1.0f);
+    const std::vector<uint8_t> minmax{0x78, 0x78, 0x78, 0x78,
+                                      0x78, 0x78, 0x78, 0x78};
+    float dot = 0.0f;
+    simd::dotRowsF32(ones.data(), {minmax.data(), 8, true}, 1, 16, &dot);
+    EXPECT_EQ(dot, 8.0f * (-8.0f + 7.0f));
+}
+
+TEST_P(SimdEquivalence, GemvRowsIndependentOfBatching)
+{
+    // A row's dot does not depend on which rows share its call (the
+    // LM head's pool fan-out splits the vocabulary into chunks).
+    Rng rng(20);
+    constexpr int64_t kRows = 61, kN = 37;
+    const std::vector<float> x = randomFloats(rng, kN);
+    const std::vector<float> rows = randomFloats(rng, kRows * kN);
+    std::vector<float> whole(kRows), pieces(kRows);
+    simd::gemvF32(x.data(), rows.data(), kN, kRows, kN, whole.data());
+    for (int64_t r0 = 0; r0 < kRows;) {
+        const int64_t count = std::min<int64_t>(1 + r0 % 9, kRows - r0);
+        simd::gemvF32(x.data(), rows.data() + r0 * kN, kN, count, kN,
+                      pieces.data() + r0);
+        r0 += count;
+    }
+    EXPECT_TRUE(sameBits(whole, pieces));
+}
+
+TEST_P(SimdEquivalence, ExpF32MatchesScalarAndStdExp)
+{
+    Rng rng(21);
+    std::vector<float> x;
+    for (const int64_t n : kAnySpans) {
+        for (int64_t i = 0; i < n; ++i)
+            x.push_back(static_cast<float>(rng.uniform() * 190.0 - 95.0));
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float special :
+         {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+          -87.0f, std::nextafter(-87.0f, -inf), std::nextafter(-87.0f, 0.0f),
+          88.0f, 88.5f, 1e30f, -1e30f, 1e-40f, -1e-40f, 0.5f, -0.5f})
+        x.push_back(special);
+    const auto n = static_cast<int64_t>(x.size());
+    for (const int64_t offset : {int64_t{0}, int64_t{3}}) {
+        std::vector<float> got(x.size() - static_cast<size_t>(offset));
+        std::vector<float> want(got.size());
+        simd::expF32(x.data() + offset, n - offset, got.data());
+        simd::detail::scalar::expF32(x.data() + offset, n - offset,
+                                     want.data());
+        EXPECT_TRUE(sameBits(got, want)) << "offset " << offset;
+    }
+    std::vector<float> e(x.size());
+    simd::expF32(x.data(), n, e.data());
+    for (size_t i = 0; i < x.size(); ++i) {
+        const float v = x[i];
+        if (std::isnan(v)) {
+            EXPECT_TRUE(std::isnan(e[i]));
+        } else if (v < -87.0f) {
+            EXPECT_EQ(e[i], 0.0f) << v;
+        } else {
+            // Within 2 ulp of the exact value (1 ulp = 2^-23 relative
+            // at most); inputs above 88 are evaluated at 88.
+            const double exact = std::exp(std::min(double{v}, 88.0));
+            EXPECT_LE(std::fabs(e[i] - exact), 2.0 * 0x1p-23 * exact) << v;
+        }
+    }
 }
 
 TEST(SimdMode, ScalarAlwaysSupportedAndListedFirst)
@@ -527,6 +740,11 @@ TEST(SimdDeathTest, ShapeChecks)
     int8_t q[1];
     EXPECT_DEATH(
         simd::quantizeAffine(x, scales, zps, 1, 7, -8, q), "");
+    float f[4] = {};
+    EXPECT_DEATH(simd::dotRowsF32(f, {packed, 2, true}, 1, 3, f), "");
+    EXPECT_DEATH(simd::accumulateRowsF32(f, {packed, 2, true}, 1, 3, f), "");
+    EXPECT_DEATH(simd::gemvF32(f, f, 2, 1, 3, f), "");
+    EXPECT_DEATH(simd::expF32(f, -1, f), "");
 }
 
 } // namespace
