@@ -132,7 +132,11 @@ stepUs(const LlmConfig &model, int tp, int64_t batch,
     config.input_tokens = 1024;
     config.output_tokens = 512;
     config.tensor_parallel = tp;
-    return ServingEngine(config).decodeStepLatencyUs(batch, context);
+    StepPlan plan;
+    plan.decode_batch = batch;
+    plan.decode_context_sum = batch * context;
+    StepGemmMemo gemm_memo;
+    return ServingEngine(config).stepLatencyUs(plan, gemm_memo);
 }
 
 } // namespace

@@ -1,18 +1,18 @@
 /**
  * @file
- * Example: token generation through the incremental decoder session —
- * the W4A4KV4 inference path end to end on the tiny model.
+ * Example: token generation through the incremental decoder with
+ * float weights and an FP16 or an INT4 KV cache, on the tiny model.
  *
- * Compares an FP16-cache session against an INT4-cache session on the
- * same prompt: generated continuations, KV cache footprints, and the
- * logit perturbation the 4-bit cache introduces.
+ * Compares the FP16-cache decoder against the INT4-cache one on the
+ * same prompt: generated continuations, measured KV cache footprints,
+ * and the logit perturbation the 4-bit cache introduces.
  *
  * Build & run:  ./build/examples/generate
  */
 #include <cmath>
 #include <cstdio>
 
-#include "comet/model/decoder_session.h"
+#include "comet/model/quantized_decoder.h"
 
 using namespace comet;
 
@@ -32,8 +32,8 @@ main()
     const auto model = TinyTransformer::random(config);
     const std::vector<int32_t> prompt{5, 23, 41, 7, 66, 12};
 
-    DecoderSession fp16(model);
-    DecoderSession kv4(model, KvQuantConfig{4, 32, true});
+    QuantizedDecoder fp16(model);
+    QuantizedDecoder kv4(model, KvQuantConfig{4, 32, true});
 
     const std::vector<float> fp16_logits = fp16.prefill(prompt);
     const std::vector<float> kv4_logits = kv4.prefill(prompt);
@@ -44,15 +44,15 @@ main()
                                 kv4_logits[v]));
     }
     std::printf("prompt of %zu tokens prefilled through both "
-                "sessions\n",
+                "decoders\n",
                 prompt.size());
     std::printf("next-token logit perturbation from the INT4 cache: "
                 "max |delta| = %.4f\n\n",
                 max_diff);
 
     Rng rng_a(7), rng_b(7);
-    DecoderSession gen_fp(model);
-    DecoderSession gen_kv4(model, KvQuantConfig{4, 32, true});
+    QuantizedDecoder gen_fp(model);
+    QuantizedDecoder gen_kv4(model, KvQuantConfig{4, 32, true});
     const auto seq_fp = gen_fp.generate(prompt, 12, rng_a);
     const auto seq_kv4 = gen_kv4.generate(prompt, 12, rng_b);
 
@@ -66,9 +66,16 @@ main()
     print_seq("FP16 cache:", seq_fp);
     print_seq("INT4 cache:", seq_kv4);
 
-    std::printf("\nKV cache footprints after generation: FP16 %.0f B, "
-                "INT4 %.0f B (4x smaller)\n",
-                gen_fp.kvCacheBytes(), gen_kv4.kvCacheBytes());
+    // INT4 values take a quarter of the FP16 bytes, but every token
+    // group of 32 also keeps a scale and zero point per channel.
+    const int64_t fp_bytes = gen_fp.kvCacheBytes();
+    const int64_t kv4_bytes = gen_kv4.kvCacheBytes();
+    std::printf("\nKV cache footprints after generation: FP16 %lld B, "
+                "INT4 %lld B (%.1fx smaller)\n",
+                static_cast<long long>(fp_bytes),
+                static_cast<long long>(kv4_bytes),
+                static_cast<double>(fp_bytes) /
+                    static_cast<double>(kv4_bytes));
     std::printf("(identical sampling seeds; divergence, if any, is "
                 "pure KV-quantization effect)\n");
     return 0;

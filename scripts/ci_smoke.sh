@@ -46,6 +46,9 @@
 #     decoded to 2048 context on the host; its exit status asserts
 #     finite logits and that each KV store append re-quantizes at
 #     most one token group.
+#   - examples/generate: the incremental decoder with float weights
+#     and an FP16 vs INT4 KV cache, generating from one prompt; it
+#     prints the measured KV footprints of both caches.
 #
 # Usage: scripts/ci_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -107,6 +110,8 @@ run python3 "$(dirname "$0")/check_bench.py" \
     "${json_dir}/tp_scaling.json" \
     "${json_dir}/real_decode.json" \
     "${json_dir}/real_decode.json"
+
+run "${build_dir}/examples/generate"
 
 run "${bench_dir}/bench_runtime_scaling" --smoke
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "comet/kernel/gemm_ref.h"
 #include "comet/obs/trace_session.h"
 #include "comet/runtime/thread_pool.h"
 #include "comet/simd/simd.h"
@@ -30,27 +31,100 @@ sliceColumns(const Tensor &t, int64_t begin, int64_t count)
     return out;
 }
 
+/** The weights a site's linear stacks, in output-row order. */
+std::vector<const Tensor *>
+siteWeights(const TinyTransformer &model, int64_t layer, ActSite site)
+{
+    std::vector<WeightKind> kinds;
+    switch (site) {
+    case ActSite::kQkv:
+        kinds = {WeightKind::kQ, WeightKind::kK, WeightKind::kV};
+        break;
+    case ActSite::kO:
+        kinds = {WeightKind::kO};
+        break;
+    case ActSite::kMlp:
+        kinds = model.config().gated_mlp
+                    ? std::vector{WeightKind::kGate, WeightKind::kUp}
+                    : std::vector{WeightKind::kUp};
+        break;
+    case ActSite::kDown:
+        kinds = {WeightKind::kDown};
+        break;
+    }
+    std::vector<const Tensor *> parts;
+    for (WeightKind kind : kinds)
+        parts.push_back(&model.weight({layer, kind}));
+    return parts;
+}
+
 } // namespace
+
+Tensor
+QuantizedDecoder::Linear::run(const Tensor &h) const
+{
+    if (const auto *p = std::get_if<Packed>(&form))
+        return p->gemm.run(p->quantizer.quantize(h));
+    return gemmFloat(h, std::get<Tensor>(form));
+}
+
+QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
+                                   std::optional<KvQuantConfig> kv_quant)
+    : QuantizedDecoder(model, kv_quant, floatLinears(model))
+{
+}
 
 QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
                                    const CalibrationData &calibration,
                                    QuantizedDecoderConfig config)
-    : model_(model), config_(config)
+    : QuantizedDecoder(model, config.kv,
+                       packedLinears(model, calibration, config))
+{
+}
+
+QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
+                                   std::optional<KvQuantConfig> kv_quant,
+                                   std::vector<Linear> linears)
+    : model_(model), linears_(std::move(linears))
 {
     const auto &mc = model_.config();
     attn_config_.num_heads = mc.num_heads;
     attn_config_.num_kv_heads = mc.num_kv_heads;
     attn_config_.head_dim = mc.headDim();
     attn_config_.chunk_tokens = 64;
-    k_stores_.assign(static_cast<size_t>(mc.num_layers),
-                    KvStore(attn_config_.kvDim(), config_.kv));
-    v_stores_ = k_stores_;
+    if (kv_quant) {
+        k_stores_.assign(static_cast<size_t>(mc.num_layers),
+                         KvStore(attn_config_.kvDim(), *kv_quant));
+        v_stores_ = k_stores_;
+    } else {
+        float_kv_.resize(static_cast<size_t>(mc.num_layers));
+        reserveFloatKv(16);
+    }
+}
 
+std::vector<QuantizedDecoder::Linear>
+QuantizedDecoder::floatLinears(const TinyTransformer &model)
+{
+    std::vector<Linear> linears;
+    for (int64_t l = 0; l < model.config().num_layers; ++l) {
+        for (int s = 0; s < kNumActSites; ++s) {
+            linears.push_back(Linear{stackRows(
+                siteWeights(model, l, static_cast<ActSite>(s)))});
+        }
+    }
+    return linears;
+}
+
+std::vector<QuantizedDecoder::Linear>
+QuantizedDecoder::packedLinears(const TinyTransformer &model,
+                                const CalibrationData &calibration,
+                                const QuantizedDecoderConfig &config)
+{
     W4AxGemmConfig gemm_config;
-    gemm_config.tile_m = config_.tile_m;
-    gemm_config.tile_n = config_.tile_n;
-    gemm_config.tile_k = config_.tile_k;
-    gemm_config.threads = config_.gemm_threads;
+    gemm_config.tile_m = config.tile_m;
+    gemm_config.tile_n = config.tile_n;
+    gemm_config.tile_k = config.tile_k;
+    gemm_config.threads = config.gemm_threads;
 
     // Calibrate one FMPQ quantizer per (layer, site), then pack every
     // weight in its feeding site's permuted block layout. The
@@ -58,7 +132,7 @@ QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
     // out across the runtime pool into index-addressed slots, so the
     // site order (and every quantizer) matches the sequential sweep
     // exactly.
-    const int64_t num_sites = mc.num_layers * kNumActSites;
+    const int64_t num_sites = model.config().num_layers * kNumActSites;
     std::vector<std::optional<FmpqActivationQuantizer>> calibrated(
         static_cast<size_t>(num_sites));
     parallelFor(0, num_sites, 1, [&](int64_t begin, int64_t end) {
@@ -68,67 +142,71 @@ QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
                 static_cast<ActSite>(i % kNumActSites);
             calibrated[static_cast<size_t>(i)] =
                 FmpqActivationQuantizer::calibrate(
-                    calibration.activations(l, act_site),
-                    config_.fmpq);
+                    calibration.activations(l, act_site), config.fmpq);
         }
     });
-    sites_.reserve(static_cast<size_t>(num_sites));
-    for (int64_t i = 0; i < num_sites; ++i)
-        sites_.push_back(
-            SiteOps{std::move(*calibrated[static_cast<size_t>(i)])});
     // Projections sharing an activation site stack into one weight;
     // quantization is per output row, so the stacked packed weight is
     // the separate ones' rows in order.
-    const auto gemm = [&](int64_t l, ActSite act_site,
-                          std::vector<WeightKind> kinds) {
-        const auto &quantizer = site(l, act_site);
-        std::vector<const Tensor *> parts;
-        for (WeightKind kind : kinds)
-            parts.push_back(&model_.weight({l, kind}));
-        return W4AxGemm(quantizer.quantizeWeight(stackRows(parts)),
-                        quantizer.blockPrecisions(), gemm_config);
-    };
-    for (int64_t l = 0; l < mc.num_layers; ++l) {
-        layers_.push_back(LayerOps{
-            gemm(l, ActSite::kQkv,
-                 {WeightKind::kQ, WeightKind::kK, WeightKind::kV}),
-            gemm(l, ActSite::kO, {WeightKind::kO}),
-            mc.gated_mlp
-                ? gemm(l, ActSite::kMlp, {WeightKind::kGate, WeightKind::kUp})
-                : gemm(l, ActSite::kMlp, {WeightKind::kUp}),
-            gemm(l, ActSite::kDown, {WeightKind::kDown})});
+    std::vector<Linear> linears;
+    for (int64_t i = 0; i < num_sites; ++i) {
+        FmpqActivationQuantizer &quantizer =
+            *calibrated[static_cast<size_t>(i)];
+        W4AxGemm gemm(quantizer.quantizeWeight(stackRows(siteWeights(
+                          model, i / kNumActSites,
+                          static_cast<ActSite>(i % kNumActSites)))),
+                      quantizer.blockPrecisions(), gemm_config);
+        linears.push_back(
+            Linear{Linear::Packed{std::move(quantizer), std::move(gemm)}});
     }
+    return linears;
 }
 
-const FmpqActivationQuantizer &
-QuantizedDecoder::site(int64_t layer, ActSite act_site) const
+const QuantizedDecoder::Linear &
+QuantizedDecoder::linear(int64_t layer, ActSite act_site) const
 {
-    return sites_[static_cast<size_t>(layer * kNumActSites +
-                                      static_cast<int>(act_site))]
-        .quantizer;
+    return linears_[static_cast<size_t>(layer * kNumActSites +
+                                        static_cast<int>(act_site))];
 }
 
 double
 QuantizedDecoder::w4a4ComputeFraction() const
 {
     double sum = 0.0;
-    for (const SiteOps &ops : sites_)
-        sum += ops.quantizer.w4a4ComputeFraction();
-    return sum / static_cast<double>(sites_.size());
+    for (const Linear &l : linears_) {
+        if (const auto *p = std::get_if<Linear::Packed>(&l.form))
+            sum += p->quantizer.w4a4ComputeFraction();
+    }
+    return sum / static_cast<double>(linears_.size());
 }
 
-Tensor
-QuantizedDecoder::runLinear(int64_t layer, ActSite act_site,
-                            const W4AxGemm &gemm,
-                            const Tensor &h) const
+void
+QuantizedDecoder::reserveFloatKv(int64_t tokens)
 {
-    return gemm.run(site(layer, act_site).quantize(h));
+    if (float_kv_.empty() || tokens <= float_kv_.front().k.rows())
+        return;
+    int64_t capacity = std::max<int64_t>(float_kv_.front().k.rows(), 16);
+    while (capacity < tokens)
+        capacity *= 2;
+    const int64_t kv_dim = attn_config_.kvDim();
+    for (FloatKv &cache : float_kv_) {
+        Tensor k(capacity, kv_dim);
+        Tensor v(capacity, kv_dim);
+        std::copy(cache.k.data(), cache.k.data() + position_ * kv_dim,
+                  k.data());
+        std::copy(cache.v.data(), cache.v.data() + position_ * kv_dim,
+                  v.data());
+        cache.k = std::move(k);
+        cache.v = std::move(v);
+    }
 }
 
 int64_t
 QuantizedDecoder::kvCacheBytes() const
 {
-    int64_t bytes = 0;
+    // The float cache stands for FP16: 2 B per value, K and V.
+    int64_t bytes = static_cast<int64_t>(float_kv_.size()) * 2 *
+                    attn_config_.kvDim() * position_ * 2;
     for (size_t l = 0; l < k_stores_.size(); ++l)
         bytes += k_stores_[l].bytes() + v_stores_[l].bytes();
     return bytes;
@@ -157,18 +235,17 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
         std::copy(embedding, embedding + d, x.data() + r * d);
     }
 
+    reserveFloatKv(position_ + rows);
     std::vector<float> q_row(static_cast<size_t>(d));
     for (int64_t l = 0; l < mc.num_layers; ++l) {
-        KvStore &k_store = k_stores_[static_cast<size_t>(l)];
-        KvStore &v_store = v_stores_[static_cast<size_t>(l)];
-        const LayerOps &ops = layers_[static_cast<size_t>(l)];
+        const auto layer = static_cast<size_t>(l);
 
-        // --- Attention block (one packed q|k|v GEMM over every row,
-        // then causal attention one row at a time) ---
+        // --- Attention block (one q|k|v GEMM over every row, then
+        // causal attention one row at a time) ---
         const Tensor qkv = [&] {
             COMET_SPAN("decoder/qkv");
-            return runLinear(l, ActSite::kQkv, ops.qkv,
-                             model_.rmsNormRows(x, model_.attnNormGain(l)));
+            return linear(l, ActSite::kQkv)
+                .run(model_.rmsNorm(x, model_.attnNormGain(l)));
         }();
         Tensor attn(rows, d);
         {
@@ -180,27 +257,42 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
                 const int64_t pos = position_ + r;
                 ropeRow(q, r, mc.num_heads, mc.headDim(), pos);
                 ropeRow(k, r, mc.num_kv_heads, mc.headDim(), pos);
-                k_store.append(k.data() + r * kv_dim);
-                v_store.append(v.data() + r * kv_dim);
                 std::copy(q.data() + r * d, q.data() + (r + 1) * d,
                           q_row.begin());
-                const std::vector<float> out = decodeAttentionQuantized(
-                    attn_config_, q_row, k_store, v_store);
+                std::vector<float> out;
+                if (float_kv_.empty()) {
+                    KvStore &k_store = k_stores_[layer];
+                    KvStore &v_store = v_stores_[layer];
+                    k_store.append(k.data() + r * kv_dim);
+                    v_store.append(v.data() + r * kv_dim);
+                    out = decodeAttentionQuantized(attn_config_, q_row,
+                                                   k_store, v_store);
+                } else {
+                    FloatKv &cache = float_kv_[layer];
+                    std::copy(k.data() + r * kv_dim,
+                              k.data() + (r + 1) * kv_dim,
+                              cache.k.data() + pos * kv_dim);
+                    std::copy(v.data() + r * kv_dim,
+                              v.data() + (r + 1) * kv_dim,
+                              cache.v.data() + pos * kv_dim);
+                    out = decodeAttentionOnline(attn_config_, q_row,
+                                                cache.k, cache.v, pos + 1);
+                }
                 std::copy(out.begin(), out.end(), attn.data() + r * d);
             }
         }
         {
             COMET_SPAN("decoder/o");
-            const Tensor o = runLinear(l, ActSite::kO, ops.o, attn);
+            const Tensor o = linear(l, ActSite::kO).run(attn);
             for (int64_t i = 0; i < x.numel(); ++i)
                 x[i] += o[i];
         }
 
-        // --- MLP block (one packed [gate|]up GEMM, then down) ---
+        // --- MLP block (one [gate|]up GEMM, then down) ---
         COMET_SPAN("decoder/mlp");
-        const Tensor m = model_.rmsNormRows(x, model_.mlpNormGain(l));
         const int64_t inter_dim = mc.intermediate_size;
-        const Tensor up = runLinear(l, ActSite::kMlp, ops.mlp, m);
+        const Tensor up = linear(l, ActSite::kMlp)
+                              .run(model_.rmsNorm(x, model_.mlpNormGain(l)));
         Tensor inter(rows, inter_dim);
         for (int64_t r = 0; r < rows; ++r) {
             const float *src = up.data() + r * up.cols();
@@ -210,7 +302,7 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
                                       : std::max(src[c], 0.0f);
             }
         }
-        const Tensor down = runLinear(l, ActSite::kDown, ops.down, inter);
+        const Tensor down = linear(l, ActSite::kDown).run(inter);
         for (int64_t i = 0; i < x.numel(); ++i)
             x[i] += down[i];
     }
@@ -222,13 +314,17 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
     Tensor last(1, d);
     std::copy(x.data() + (rows - 1) * d, x.data() + rows * d,
               last.data());
-    const Tensor normed =
-        model_.rmsNormRows(last, model_.finalNormGain());
+    const Tensor normed = model_.rmsNorm(last, model_.finalNormGain());
     // The LM head stays FP16 in every configuration (engine
-    // convention): a float GEMV over the tied embedding rows in the
-    // fixed simd lane order. Each row's logit does not depend on which
-    // rows share its call, so the fan-out (above kMinPoolMacs) is
-    // bit-identical for any pool size.
+    // convention). The float reference keeps gemmFloat's double sums
+    // over the tied embedding; the packed path runs a float GEMV over
+    // its rows in the fixed simd lane order. Each row's logit does not
+    // depend on which rows share its call, so the fan-out (above
+    // kMinPoolMacs) is bit-identical for any pool size.
+    if (std::holds_alternative<Tensor>(linears_.front().form)) {
+        const Tensor head = gemmFloat(normed, model_.embedding());
+        return {head.data(), head.data() + mc.vocab_size};
+    }
     std::vector<float> logits(static_cast<size_t>(mc.vocab_size));
     const auto gemv = [&](int64_t v_begin, int64_t v_end) {
         simd::gemvF32(normed.data(), model_.embedding().data() + v_begin * d,
@@ -239,6 +335,39 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
     else
         parallelFor(0, mc.vocab_size, 64, gemv);
     return logits;
+}
+
+std::vector<int32_t>
+QuantizedDecoder::generate(const std::vector<int32_t> &prompt,
+                           int64_t new_tokens, Rng &rng)
+{
+    std::vector<int32_t> sequence = prompt;
+    std::vector<float> logits = prefill(prompt);
+    for (int64_t i = 0; i < new_tokens; ++i) {
+        // Temperature-1 sampling over the softmax of the logits.
+        double max_logit = logits[0];
+        for (float v : logits)
+            max_logit = std::max(max_logit, static_cast<double>(v));
+        std::vector<double> probs(logits.size());
+        double sum = 0.0;
+        for (size_t v = 0; v < logits.size(); ++v) {
+            probs[v] = std::exp(static_cast<double>(logits[v]) -
+                                max_logit);
+            sum += probs[v];
+        }
+        double u = rng.uniform() * sum;
+        int32_t pick = 0;
+        for (size_t v = 0; v < probs.size(); ++v) {
+            u -= probs[v];
+            if (u <= 0.0) {
+                pick = static_cast<int32_t>(v);
+                break;
+            }
+        }
+        sequence.push_back(pick);
+        logits = step(pick);
+    }
+    return sequence;
 }
 
 } // namespace comet

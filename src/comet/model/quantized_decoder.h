@@ -1,6 +1,7 @@
 /**
  * @file
- * W4A4KV4 inference through the real packed kernels.
+ * The incremental decoder: W4A4KV4 inference through the real packed
+ * kernels, and the float reference it is judged against.
  *
  * Everything the paper's system does at serving time, executed for
  * real on the tiny model: every linear layer runs as a packed
@@ -32,6 +33,14 @@
  * (decoder/qkv, decoder/attention, decoder/o, decoder/mlp,
  * decoder/lm_head) for the per-layer host split.
  *
+ * The float reference runs on the same forward: each site's weights
+ * stacked in float and run by gemmFloat (every output column its own
+ * ascending-k double sum, so the stacked slices equal the separate
+ * GEMMs bit for bit), the LM head a float GEMM over the tied
+ * embedding, and K and V in a doubling float cache standing for FP16,
+ * or in the same KvStores for float weights with a KV4 cache. The
+ * decoder/... spans come from both.
+ *
  * Verified (tests) against the fake-quantization reference: the
  * packed integer path and the dequantize-then-float-GEMM path agree
  * to float rounding.
@@ -40,9 +49,11 @@
 
 #include <memory>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "comet/attention/decode_attention.h"
+#include "comet/common/rng.h"
 #include "comet/kernel/gemm_w4ax.h"
 #include "comet/model/perplexity.h"
 #include "comet/model/tiny_transformer.h"
@@ -69,13 +80,26 @@ struct QuantizedDecoderConfig {
 };
 
 /**
- * An incremental decoder whose linear layers execute as packed W4Ax
- * GEMMs over a nibble-packed KV4 cache. Copyable: a copy continues the
- * sequence independently.
+ * The incremental decoder. Its linears run packed (W4Ax GEMMs, the
+ * W4A4KV4 path) or in float (the FP16 reference); K and V live in
+ * per-layer KvStores, or in a float cache for the FP16 reference.
+ * Copyable: a copy continues the sequence independently.
  */
 class QuantizedDecoder
 {
   public:
+    /**
+     * The float reference: every linear is a float GEMM over the
+     * model's weights and the LM head a float GEMM over the tied
+     * embedding. Without @p kv_quant, K and V live in a float cache
+     * standing for FP16; with it, in KvStores (float weights, KV4).
+     * Invariant (tested): with the float cache the logits match
+     * TinyTransformer::forward() up to float reordering.
+     */
+    explicit QuantizedDecoder(const TinyTransformer &model,
+                              std::optional<KvQuantConfig> kv_quant =
+                                  std::nullopt);
+
     /**
      * Quantizes @p model: calibrates one FMPQ quantizer per
      * activation site from @p calibration and packs every weight
@@ -87,7 +111,8 @@ class QuantizedDecoder
 
     int64_t position() const { return position_; }
 
-    /** Mean W4A4 compute fraction across all sites (Section 6.2). */
+    /** Mean W4A4 compute fraction across all sites (Section 6.2); 0
+     * for the float reference. */
     double w4a4ComputeFraction() const;
 
     /** Feeds one token; returns next-token logits [vocab]. */
@@ -97,37 +122,66 @@ class QuantizedDecoder
      * after its last token. */
     std::vector<float> prefill(const std::vector<int32_t> &tokens);
 
-    /** Bytes the KV stores hold (packed values plus per-group
-     * parameters, every layer, K and V), measured from their
-     * buffers. */
+    /**
+     * Sampled generation: feeds @p prompt, then samples @p new_tokens
+     * continuations at temperature 1; returns prompt + continuation.
+     */
+    std::vector<int32_t> generate(const std::vector<int32_t> &prompt,
+                                  int64_t new_tokens, Rng &rng);
+
+    /** Bytes the KV cache holds, every layer, K and V: measured from
+     * the KvStores' buffers (packed values plus per-group
+     * parameters), or 2 B per value for the float cache (the FP16 it
+     * stands for). */
     int64_t kvCacheBytes() const;
 
   private:
-    struct SiteOps {
-        FmpqActivationQuantizer quantizer;
+    /** One activation site's projections (q|k|v, o, [gate|]up or
+     * down, stacked along the output rows) in one of two forms. */
+    struct Linear {
+        /** The site's FMPQ quantizer and its packed W4Ax GEMM. */
+        struct Packed {
+            FmpqActivationQuantizer quantizer;
+            W4AxGemm gemm;
+        };
+        /** Packed, or the stacked float weight run by gemmFloat. */
+        std::variant<Packed, Tensor> form;
+
+        Tensor run(const Tensor &h) const;
     };
 
-    struct LayerOps {
-        W4AxGemm qkv;  ///< q|k|v stacked (QKV-site layout)
-        W4AxGemm o;    ///< o (O-site layout)
-        W4AxGemm mlp;  ///< [gate|]up stacked (MLP-site layout)
-        W4AxGemm down; ///< down (Down-site layout)
+    /** One layer's float K and V: rows [0, position) of
+     * [capacity, kv_dim], the capacity doubling as tokens arrive. */
+    struct FloatKv {
+        Tensor k{1, 1};
+        Tensor v{1, 1};
     };
 
-    /** Quantizes the activation rows at @p site and runs @p gemm. */
-    Tensor runLinear(int64_t layer, ActSite site,
-                     const W4AxGemm &gemm, const Tensor &h) const;
+    /** Sets up attention and the KV caches around @p linears. */
+    QuantizedDecoder(const TinyTransformer &model,
+                     std::optional<KvQuantConfig> kv_quant,
+                     std::vector<Linear> linears);
 
-    const FmpqActivationQuantizer &site(int64_t layer,
-                                        ActSite act_site) const;
+    /** Float linears for the reference, [layer * kNumActSites + site]. */
+    static std::vector<Linear> floatLinears(const TinyTransformer &model);
+
+    /** Calibrated, packed linears, [layer * kNumActSites + site]. */
+    static std::vector<Linear>
+    packedLinears(const TinyTransformer &model,
+                  const CalibrationData &calibration,
+                  const QuantizedDecoderConfig &config);
+
+    const Linear &linear(int64_t layer, ActSite act_site) const;
+
+    /** Grows the float caches (doubling) to hold @p tokens rows. */
+    void reserveFloatKv(int64_t tokens);
 
     const TinyTransformer &model_;
-    QuantizedDecoderConfig config_;
-    std::vector<SiteOps> sites_; ///< [layer * kNumActSites + site]
-    std::vector<LayerOps> layers_;
+    std::vector<Linear> linears_; ///< [layer * kNumActSites + site]
     AttentionConfig attn_config_;
-    std::vector<KvStore> k_stores_; ///< [layer]
-    std::vector<KvStore> v_stores_; ///< [layer]
+    std::vector<KvStore> k_stores_; ///< [layer], when KV is quantized
+    std::vector<KvStore> v_stores_; ///< [layer], when KV is quantized
+    std::vector<FloatKv> float_kv_; ///< [layer], otherwise
     int64_t position_ = 0;
 };
 

@@ -188,13 +188,10 @@ class TinyTransformer
     }
     /** @} */
 
-    /** RMS-normalizes each row of x with the given gains (exposed for
+    /** RMS-normalizes each row of x with the given gains (public for
      * incremental decoders that must match forward() exactly). */
-    Tensor rmsNormRows(const Tensor &x,
-                       const std::vector<float> &gain) const
-    {
-        return rmsNorm(x, gain);
-    }
+    Tensor rmsNorm(const Tensor &x,
+                   const std::vector<float> &gain) const;
 
   private:
     struct LayerWeights {
@@ -205,10 +202,6 @@ class TinyTransformer
     };
 
     TinyTransformer() = default;
-
-    /** RMS-normalizes each row of x with the given gains. */
-    Tensor rmsNorm(const Tensor &x,
-                   const std::vector<float> &gain) const;
 
     TinyTransformerConfig config_;
     Tensor embedding_; ///< [vocab, hidden]; also the (tied) LM head

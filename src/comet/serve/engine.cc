@@ -276,15 +276,6 @@ ServingEngine::stepLatencyUs(const StepPlan &plan,
 }
 
 double
-ServingEngine::decodeStepLatencyUs(int64_t batch,
-                                   int64_t context_tokens) const
-{
-    COMET_CHECK(batch > 0);
-    return stepGemmLatencyUs(batch) +
-           attentionLatencyUs(batch, context_tokens);
-}
-
-double
 ServingEngine::prefillLatencyUs(int64_t batch) const
 {
     return prefillLatencyUs(std::vector<int64_t>(

@@ -168,11 +168,6 @@ class ServingEngine
      * does not fit at all. */
     int64_t maxBatchSize() const;
 
-    /** Latency of one decode iteration at the given batch and mean
-     * context length, microseconds. */
-    double decodeStepLatencyUs(int64_t batch,
-                               int64_t context_tokens) const;
-
     /** Latency of one sequence's prefill at the given batch,
      * microseconds (per-iteration, the batch prefills together; every
      * sequence at the configured input_tokens). */

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the incremental decoder session: exact agreement with the
- * full forward pass, KV-quantized decoding, and generation.
+ * Tests for the float reference decoder under its DecoderSession
+ * alias (the name perfbench uses): exact agreement with the full
+ * forward pass, KV-quantized decoding, and generation.
  */
 #include <gtest/gtest.h>
 
@@ -144,7 +145,9 @@ TEST(DecoderSession, KvBytesReflectPrecisionAndLength)
     kv4.prefill({1, 2, 3, 4});
     // 2 caches * 2 layers * 32 kv_dim * 4 tokens * bytes.
     EXPECT_DOUBLE_EQ(fp.kvCacheBytes(), 2.0 * 2 * 32 * 4 * 2.0);
-    EXPECT_DOUBLE_EQ(kv4.kvCacheBytes(), fp.kvCacheBytes() / 4.0);
+    // 4 stores * (4 tokens * 16 B of nibbles + 32 channels * 8 B of
+    // scale and zero point for the one open group).
+    EXPECT_DOUBLE_EQ(kv4.kvCacheBytes(), 4.0 * (4 * 16 + 32 * 8));
 }
 
 TEST(DecoderSessionDeathTest, BadTokenRejected)

@@ -26,6 +26,18 @@ makeConfig(const LlmConfig &model, ServingMode mode,
     return config;
 }
 
+/** One decode-only step of @p batch sequences at @p context tokens
+ * each, costed by the engine's one step-cost function. */
+double
+decodeStepUs(const ServingEngine &engine, int64_t batch, int64_t context)
+{
+    StepPlan plan;
+    plan.decode_batch = batch;
+    plan.decode_context_sum = batch * context;
+    StepGemmMemo gemm_memo;
+    return engine.stepLatencyUs(plan, gemm_memo);
+}
+
 TEST(ServingMode, NamesMatchPaperLegends)
 {
     EXPECT_STREQ(servingModeName(ServingMode::kTrtFp16),
@@ -87,10 +99,10 @@ TEST(ServingEngine, DecodeLatencyGrowsWithBatchAndContext)
 {
     const ServingEngine engine(makeConfig(
         LlmConfig::llama3_8b(), ServingMode::kCometW4AxKv4));
-    EXPECT_LT(engine.decodeStepLatencyUs(4, 512),
-              engine.decodeStepLatencyUs(64, 512));
-    EXPECT_LT(engine.decodeStepLatencyUs(16, 256),
-              engine.decodeStepLatencyUs(16, 4096));
+    EXPECT_LT(decodeStepUs(engine, 4, 512),
+              decodeStepUs(engine, 64, 512));
+    EXPECT_LT(decodeStepUs(engine, 16, 256),
+              decodeStepUs(engine, 16, 4096));
 }
 
 TEST(ServingEngine, ThroughputImprovesWithBatch)
@@ -201,8 +213,8 @@ TEST(TensorParallel, DegreeOneIsTheBaseline)
     config.tensor_parallel = 1;
     const ServingEngine explicit_one(config);
     EXPECT_DOUBLE_EQ(single.weightBytes(), explicit_one.weightBytes());
-    EXPECT_DOUBLE_EQ(single.decodeStepLatencyUs(16, 512),
-                     explicit_one.decodeStepLatencyUs(16, 512));
+    EXPECT_DOUBLE_EQ(decodeStepUs(single, 16, 512),
+                     decodeStepUs(explicit_one, 16, 512));
     EXPECT_DOUBLE_EQ(single.allReduceLatencyUs(16), 0.0);
 }
 
@@ -243,8 +255,8 @@ TEST(TensorParallel, SpeedupIsSubLinear)
     const ServingEngine one(config);
     config.tensor_parallel = 4;
     const ServingEngine four(config);
-    const double t1 = one.decodeStepLatencyUs(64, 1024);
-    const double t4 = four.decodeStepLatencyUs(64, 1024);
+    const double t1 = decodeStepUs(one, 64, 1024);
+    const double t4 = decodeStepUs(four, 64, 1024);
     EXPECT_LT(t4, t1);
     EXPECT_GT(t4, t1 / 4.0);
 }

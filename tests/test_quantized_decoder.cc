@@ -218,31 +218,48 @@ testStream(int64_t length, uint64_t seed)
     return tokens;
 }
 
+/** The decoder's three modes over @p h: W4A4KV4, then the float
+ * reference with a float cache and with a KV4 store. */
+std::vector<QuantizedDecoder>
+everyMode(const Harness &h)
+{
+    std::vector<QuantizedDecoder> modes;
+    modes.emplace_back(h.teacher, h.calibration);
+    modes.emplace_back(h.teacher);
+    modes.emplace_back(h.teacher, KvQuantConfig{4, 32, true});
+    return modes;
+}
+
 TEST(QuantizedDecoder, PrefillMatchesTokenByTokenBitExact)
 {
     // One batched forward over the prompt gives the logits of feeding
     // it one token at a time, and leaves an identical KV state: the
     // next 100 decode steps agree bit for bit. The lengths straddle
-    // the KV group (32) and attention chunk (64) boundaries.
+    // the KV group (32), float cache growth (16, 32, 64, 128) and
+    // attention chunk (64) boundaries.
     const Harness h = makeHarness(82);
-    const QuantizedDecoder fresh(h.teacher, h.calibration);
-    for (const int64_t length : {1, 31, 32, 33, 129}) {
-        SCOPED_TRACE(::testing::Message() << "prompt " << length);
-        const std::vector<int32_t> stream =
-            testStream(length + 100, 83 + static_cast<uint64_t>(length));
-        const std::vector<int32_t> prompt(stream.begin(),
-                                          stream.begin() + length);
-        QuantizedDecoder batched = fresh;
-        QuantizedDecoder stepped = fresh;
-        std::vector<float> want;
-        for (int32_t token : prompt)
-            want = stepped.step(token);
-        ASSERT_EQ(batched.prefill(prompt), want);
-        EXPECT_EQ(batched.position(), length);
-        for (int64_t t = length; t < length + 100; ++t) {
-            const int32_t token = stream[static_cast<size_t>(t)];
-            ASSERT_EQ(batched.step(token), stepped.step(token))
-                << "decode step at position " << t;
+    const std::vector<QuantizedDecoder> modes = everyMode(h);
+    for (size_t mode = 0; mode < modes.size(); ++mode) {
+        for (const int64_t length : {1, 31, 32, 33, 129}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "mode " << mode << " prompt " << length);
+            const QuantizedDecoder &fresh = modes[mode];
+            const std::vector<int32_t> stream =
+                testStream(length + 100, 83 + static_cast<uint64_t>(length));
+            const std::vector<int32_t> prompt(stream.begin(),
+                                              stream.begin() + length);
+            QuantizedDecoder batched = fresh;
+            QuantizedDecoder stepped = fresh;
+            std::vector<float> want;
+            for (int32_t token : prompt)
+                want = stepped.step(token);
+            ASSERT_EQ(batched.prefill(prompt), want);
+            EXPECT_EQ(batched.position(), length);
+            for (int64_t t = length; t < length + 100; ++t) {
+                const int32_t token = stream[static_cast<size_t>(t)];
+                ASSERT_EQ(batched.step(token), stepped.step(token))
+                    << "decode step at position " << t;
+            }
         }
     }
 }
@@ -272,14 +289,15 @@ TEST(QuantizedDecoder, CopyMidSequenceContinuesIdentically)
     // the stores' buffer growth.
     const Harness h = makeHarness(86);
     const std::vector<int32_t> stream = testStream(150, 87);
-    QuantizedDecoder original(h.teacher, h.calibration);
-    (void)original.prefill({stream.begin(), stream.begin() + 20});
-    QuantizedDecoder copy = original;
-    for (int64_t t = 20; t < 150; ++t) {
-        const int32_t token = stream[static_cast<size_t>(t)];
-        ASSERT_EQ(copy.step(token), original.step(token)) << t;
+    for (QuantizedDecoder &original : everyMode(h)) {
+        (void)original.prefill({stream.begin(), stream.begin() + 20});
+        QuantizedDecoder copy = original;
+        for (int64_t t = 20; t < 150; ++t) {
+            const int32_t token = stream[static_cast<size_t>(t)];
+            ASSERT_EQ(copy.step(token), original.step(token)) << t;
+        }
+        EXPECT_EQ(copy.kvCacheBytes(), original.kvCacheBytes());
     }
-    EXPECT_EQ(copy.kvCacheBytes(), original.kvCacheBytes());
 }
 
 TEST(QuantizedDecoder, KvCacheBytesMatchClosedFormAt2048)

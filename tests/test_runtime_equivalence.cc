@@ -356,14 +356,24 @@ TEST(RuntimeEquivalence, QuantizedDecoderEndToEnd)
     // Rebuilds the decoder under each pool size: covers the parallel
     // site-calibration sweep, the pooled weight quantization, the
     // packed GEMMs (M = prompt length, then M = 1), per-kv-head
-    // attention over the KV store, and the LM head. Every decode
-    // step's logits are compared, not only the prefill's.
+    // attention over the KV store, and the LM head. The float
+    // reference (float cache, and float weights with a KV4 store)
+    // runs the same forward and is compared too. Every decode step's
+    // logits are compared, not only the prefill's.
     auto [narrow, wide] = underBothPoolSizes([&] {
-        QuantizedDecoder decoder(teacher, calibration);
-        std::vector<float> logits = decoder.prefill(prompt);
-        for (int32_t i = 0; i < 100; ++i) {
-            const std::vector<float> step = decoder.step((i * 37) % 64);
-            logits.insert(logits.end(), step.begin(), step.end());
+        std::vector<QuantizedDecoder> modes;
+        modes.emplace_back(teacher, calibration);
+        modes.emplace_back(teacher);
+        modes.emplace_back(teacher, KvQuantConfig{4, 32, true});
+        std::vector<float> logits;
+        for (QuantizedDecoder &decoder : modes) {
+            const std::vector<float> prefill = decoder.prefill(prompt);
+            logits.insert(logits.end(), prefill.begin(), prefill.end());
+            for (int32_t i = 0; i < 100; ++i) {
+                const std::vector<float> step =
+                    decoder.step((i * 37) % 64);
+                logits.insert(logits.end(), step.begin(), step.end());
+            }
         }
         return logits;
     });

@@ -228,8 +228,12 @@ TEST(TpEquivalenceTest, HigherDegreesActuallyChangeLatency)
     // does alter the latency surface it is allowed to alter.
     const ServingEngine one(tpEngineConfig(1, 1024));
     const ServingEngine four(tpEngineConfig(4, 1024));
-    EXPECT_NE(one.decodeStepLatencyUs(8, 256),
-              four.decodeStepLatencyUs(8, 256));
+    StepPlan plan;
+    plan.decode_batch = 8;
+    plan.decode_context_sum = 8 * 256;
+    StepGemmMemo one_memo, four_memo;
+    EXPECT_NE(one.stepLatencyUs(plan, one_memo),
+              four.stepLatencyUs(plan, four_memo));
     EXPECT_GT(four.allReduceLatencyUs(8), 0.0);
     EXPECT_DOUBLE_EQ(one.allReduceLatencyUs(8), 0.0);
 }
