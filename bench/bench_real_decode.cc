@@ -29,13 +29,15 @@
  *    over the same tiles. Gated;
  *  - the per-layer host split of the 64 steps ending at 2048 context,
  *    replayed once with the decoder's spans recorded (decoder/qkv,
- *    attention, o, mlp, lm_head), and the host time of the layer-0
+ *    attention, o, mlp, lm_head), the same split of one 128-token
+ *    prefill, and the host time of the layer-0 FMPQ quantization and
  *    q|k|v GEMM at M = 1 and M = 128: ungated.
  *
  * Checks (any failure exits 1): every logit is finite, and the rows
  * quantized per append never exceed the group size.
  */
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -115,6 +117,43 @@ medianCallUs(int calls, Fn &&fn)
 /** The decoder stages in forward order; each records a
  * "decoder/<stage>" span. */
 const char *const kStages[] = {"qkv", "attention", "o", "mlp", "lm_head"};
+constexpr size_t kNumStages = std::size(kStages);
+
+/** Host microseconds per stage of the decoder work @p fn does, run
+ * once with spans recorded, divided by @p per. */
+template <typename Fn>
+std::array<double, kNumStages>
+stageSplitUs(double per, Fn &&fn)
+{
+    obs::TraceSession &trace = obs::TraceSession::global();
+    trace.drain();
+    trace.start();
+    fn();
+    trace.stop();
+    std::array<double, kNumStages> us{};
+    for (const obs::SpanRecord &span : trace.drain()) {
+        for (size_t i = 0; i < kNumStages; ++i) {
+            if (span.name == std::string("decoder/") + kStages[i])
+                us[i] += 1e-3 *
+                         static_cast<double>(span.end_ns - span.begin_ns) /
+                         per;
+        }
+    }
+    return us;
+}
+
+/** Prints one stage split with each stage's share of the total. */
+void
+printStageSplit(const std::array<double, kNumStages> &us)
+{
+    double total = 0.0;
+    for (const double stage : us)
+        total += stage;
+    for (size_t i = 0; i < kNumStages; ++i) {
+        std::printf("  decoder/%-10s %8.1f  (%4.1f%%)\n", kStages[i], us[i],
+                    100.0 * us[i] / total);
+    }
+}
 
 } // namespace
 
@@ -167,6 +206,7 @@ main(int argc, char **argv)
         &registry.counter("kernel.w4ax.int8_tiles")};
     int64_t work_before[4] = {};
     std::optional<QuantizedDecoder> window_start;
+    const QuantizedDecoder fresh = decoder;
     const auto prefill_start = std::chrono::steady_clock::now();
     std::vector<float> logits = decoder.prefill(
         {stream.begin(), stream.begin() + kPromptTokens});
@@ -204,23 +244,21 @@ main(int argc, char **argv)
     const double quantizations_per_step = per_step(1);
     const double tiles_per_step = per_step(2) + per_step(3);
 
-    // The per-layer split: the last window replayed with the
-    // decoder's spans recorded, each stage's span time per step.
-    obs::TraceSession &trace = obs::TraceSession::global();
-    trace.drain();
-    trace.start();
-    for (int64_t t = kMaxContext - kWindowTokens; t < kMaxContext; ++t)
-        (void)window_start->step(stream[static_cast<size_t>(t)]);
-    trace.stop();
-    double stage_us[std::size(kStages)] = {};
-    for (const obs::SpanRecord &span : trace.drain()) {
-        for (size_t i = 0; i < std::size(kStages); ++i) {
-            if (span.name == std::string("decoder/") + kStages[i])
-                stage_us[i] += 1e-3 * static_cast<double>(span.end_ns -
-                                                          span.begin_ns) /
-                               static_cast<double>(kWindowTokens);
-        }
-    }
+    // The per-layer splits: the last window replayed with the
+    // decoder's spans recorded (each stage's span time per step), and
+    // the prompt prefilled again from the fresh decoder.
+    const std::array<double, kNumStages> stage_us =
+        stageSplitUs(static_cast<double>(kWindowTokens), [&] {
+            for (int64_t t = kMaxContext - kWindowTokens; t < kMaxContext;
+                 ++t)
+                (void)window_start->step(stream[static_cast<size_t>(t)]);
+        });
+    const std::array<double, kNumStages> prefill_stage_us =
+        stageSplitUs(1.0, [&] {
+            QuantizedDecoder prefiller = fresh;
+            (void)prefiller.prefill(
+                {stream.begin(), stream.begin() + kPromptTokens});
+        });
 
     // The layer-0 q|k|v GEMM, the decoder's widest site, alone.
     const FmpqActivationQuantizer quantizer =
@@ -245,6 +283,10 @@ main(int argc, char **argv)
     std::copy(acts.data(), acts.data() + acts.cols(), act_row.data());
     const MixedQuantizedActivation q_row = quantizer.quantize(act_row);
     const MixedQuantizedActivation q_rows = quantizer.quantize(acts);
+    const double quantize_m1_us =
+        medianCallUs(201, [&] { (void)quantizer.quantize(act_row); });
+    const double quantize_m128_us =
+        medianCallUs(21, [&] { (void)quantizer.quantize(acts); });
     const double w4ax_m1_us =
         medianCallUs(201, [&] { (void)qkv.run(q_row); });
     const double w4ax_m128_us =
@@ -295,16 +337,17 @@ main(int argc, char **argv)
                 static_cast<long long>(qkv_weight.rows()),
                 static_cast<long long>(qkv_weight.cols()), w4ax_m1_us,
                 w4ax_m128_us, static_cast<long long>(kPromptTokens));
-    double step_us = 0.0;
-    for (const double us : stage_us)
-        step_us += us;
+    std::printf("layer-0 q|k|v FMPQ quantization (K %lld): %.2f us at "
+                "M=1, %.1f us at M=%lld\n",
+                static_cast<long long>(qkv_weight.cols()), quantize_m1_us,
+                quantize_m128_us, static_cast<long long>(kPromptTokens));
     std::printf("\nper-layer host split, 64 steps ending at %lld "
                 "context (us/step):\n",
                 static_cast<long long>(kMaxContext));
-    for (size_t i = 0; i < std::size(kStages); ++i) {
-        std::printf("  decoder/%-10s %8.1f  (%4.1f%%)\n", kStages[i],
-                    stage_us[i], 100.0 * stage_us[i] / step_us);
-    }
+    printStageSplit(stage_us);
+    std::printf("\nper-layer host split of one %lld-token prefill (us):\n",
+                static_cast<long long>(kPromptTokens));
+    printStageSplit(prefill_stage_us);
     report.addMetric("prefill_ms", prefill_ms, "ms", false, false);
     report.addMetric("kv_rows_quantized_per_step_ctx2048", rows_per_step,
                      "rows", true, false);
@@ -318,9 +361,15 @@ main(int argc, char **argv)
                      false);
     report.addMetric("w4ax_m1_us", w4ax_m1_us, "us", false, false);
     report.addMetric("w4ax_m128_us", w4ax_m128_us, "us", false, false);
-    for (size_t i = 0; i < std::size(kStages); ++i) {
+    report.addMetric("act_quantize_m1_us", quantize_m1_us, "us", false,
+                     false);
+    report.addMetric("act_quantize_m128_us", quantize_m128_us, "us", false,
+                     false);
+    for (size_t i = 0; i < kNumStages; ++i) {
         report.addMetric(std::string("host_us_") + kStages[i],
                          stage_us[i], "us", false, false);
+        report.addMetric(std::string("prefill_host_us_") + kStages[i],
+                         prefill_stage_us[i], "us", false, false);
     }
     report.writeIfRequested(argc, argv);
 

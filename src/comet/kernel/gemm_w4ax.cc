@@ -55,44 +55,90 @@ W4AxGemm::W4AxGemm(BlockQuantizedWeight weight,
     COMET_CHECK_MSG(config_.tile_k % kInterleaveUnit == 0,
                     "tile_k must be a multiple of the interleave unit");
     COMET_CHECK(config_.threads >= 0);
-    for (int64_t k0 = 0; k0 < weight_.in_channels; k0 += config_.tile_k)
+    for (int64_t k0 = 0; k0 < weight_.in_channels; k0 += config_.tile_k) {
         int8_tiles_.push_back(
             precisions_[static_cast<size_t>(k0 / weight_.block_size)] ==
                     BlockPrecision::kInt8
                 ? 1
                 : 0);
+        int8_k_tiles_ += int8_tiles_.back();
+    }
+
+    // The epilogue reads weight scales per k-tile, a column block's
+    // eight side by side; the per-block matrix is not kept.
+    const int64_t n_dim = weight_.out_features;
+    scale_stride_ = n_dim + simd::kColumnBlock;
+    tile_scales_.assign(int8_tiles_.size() *
+                            static_cast<size_t>(scale_stride_),
+                        0.0f);
+    for (size_t t = 0; t < int8_tiles_.size(); ++t) {
+        const int64_t block =
+            static_cast<int64_t>(t) * config_.tile_k / weight_.block_size;
+        for (int64_t j = 0; j < n_dim; ++j)
+            tile_scales_[t * static_cast<size_t>(scale_stride_) +
+                         static_cast<size_t>(j)] =
+                weight_.scales.at(j, block);
+    }
+    weight_.scales = Tensor();
 }
 
 void
-W4AxGemm::widenColumn(int64_t column, int8_t *widened,
-                      InstructionCounter *counter) const
+W4AxGemm::widenBlock(int64_t column, int64_t width, int8_t *plain,
+                     int8_t *converted, int16_t *block,
+                     InstructionCounter *counter) const
 {
+    const int64_t k_dim = weight_.in_channels;
     const int64_t tile_k = config_.tile_k;
-    for (size_t t = 0; t < int8_tiles_.size(); ++t) {
-        if (int8_tiles_[t] == 0)
-            continue;
-        const int64_t k0 = static_cast<int64_t>(t) * tile_k;
-        if (config_.use_fast_conversion) {
-            // The fast conversion costs 3 emulated instructions per
-            // register word (shl+and for lo, and for hi — see
-            // fastInt4ToInt8).
-            simd::fastWidenW4A8(prepared_.rowPtr(column) + k0 / 2, tile_k,
-                                widened + k0);
-            counter->add(3 * (tile_k / 8));
-            continue;
-        }
+    const auto k_tiles = static_cast<int64_t>(int8_tiles_.size());
+
+    // The block's rows are contiguous in both layouts, so one span
+    // call widens all of them to INT8; the columns past the last are
+    // zero.
+    simd::unpackInt4(weight_.data.rowPtr(column), width * k_dim, plain);
+    std::fill(plain + width * k_dim, plain + simd::kColumnBlock * k_dim,
+              int8_t{0});
+    if (int8_k_tiles_ > 0 && config_.use_fast_conversion) {
+        // The fast conversion costs 3 emulated instructions per
+        // register word (shl+and for lo, and for hi — see
+        // fastInt4ToInt8).
+        simd::fastWidenW4A8(prepared_.rowPtr(column), width * k_dim,
+                            converted);
+        counter->add(width * int8_k_tiles_ * 3 * (tile_k / 8));
+    } else if (int8_k_tiles_ > 0) {
         // Ablation path: the naive per-nibble conversion of the
         // plain-layout weights. True INT4 values (no x16), far
         // costlier in instructions.
-        for (int64_t k = k0; k < k0 + tile_k; k += 8) {
-            const ConvertedPair pair =
-                naiveInt4ToInt8(weight_.data.loadWord(column, k), counter);
-            for (int b = 0; b < 4; ++b) {
-                widened[k + b] = static_cast<int8_t>(pair.lo >> (8 * b));
-                widened[k + 4 + b] =
-                    static_cast<int8_t>(pair.hi >> (8 * b));
+        for (int64_t c = 0; c < width; ++c) {
+            for (int64_t t = 0; t < k_tiles; ++t) {
+                if (int8_tiles_[static_cast<size_t>(t)] == 0)
+                    continue;
+                for (int64_t k = t * tile_k; k < (t + 1) * tile_k; k += 8) {
+                    const ConvertedPair pair = naiveInt4ToInt8(
+                        weight_.data.loadWord(column + c, k), counter);
+                    int8_t *dst = converted + c * k_dim + k;
+                    for (int b = 0; b < 4; ++b) {
+                        dst[b] = static_cast<int8_t>(pair.lo >> (8 * b));
+                        dst[4 + b] = static_cast<int8_t>(pair.hi >> (8 * b));
+                    }
+                }
             }
         }
+    }
+    if (int8_k_tiles_ > 0)
+        std::fill(converted + width * k_dim,
+                  converted + simd::kColumnBlock * k_dim, int8_t{0});
+
+    // Each run of k-tiles of one precision widens in one call.
+    for (int64_t t0 = 0; t0 < k_tiles;) {
+        const uint8_t is_int8 = int8_tiles_[static_cast<size_t>(t0)];
+        int64_t t1 = t0 + 1;
+        while (t1 < k_tiles && int8_tiles_[static_cast<size_t>(t1)] == is_int8)
+            ++t1;
+        const int64_t k0 = t0 * tile_k;
+        simd::widenColumnBlock((is_int8 != 0 ? converted : plain) + k0, k_dim,
+                               (t1 - t0) * tile_k,
+                               block + k0 * simd::kColumnBlock);
+        t0 = t1;
     }
 }
 
@@ -106,6 +152,7 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
                     "activation block precisions must match the map the "
                     "operator was built for");
 
+    constexpr int64_t kBlock = simd::kColumnBlock;
     const int64_t m_dim = activation.tokens;
     const int64_t n_dim = weight_.out_features;
     const int64_t k_dim = weight_.in_channels;
@@ -113,55 +160,63 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     const auto k_tiles = static_cast<int64_t>(int8_tiles_.size());
     const int64_t num_blocks = k_dim / weight_.block_size;
 
-    // Per k-tile epilogue factors: the scale block, and the fixup that
-    // divides the fast conversion's x16 back out of W4A8 dots.
+    // Every activation row widened once, and per (row, k-tile) its
+    // scale times the fixup that divides the fast conversion's x16
+    // back out of W4A8 dots.
     const float w4a8_fixup =
         config_.use_fast_conversion
             ? 1.0f / static_cast<float>(kFastConvMultiplier)
             : 1.0f;
-    std::vector<int64_t> tile_block(static_cast<size_t>(k_tiles));
-    std::vector<float> tile_fixup(static_cast<size_t>(k_tiles));
-    for (int64_t t = 0; t < k_tiles; ++t) {
-        tile_block[static_cast<size_t>(t)] =
-            t * tile_k / weight_.block_size;
-        tile_fixup[static_cast<size_t>(t)] =
-            int8_tiles_[static_cast<size_t>(t)] != 0 ? w4a8_fixup : 1.0f;
+    std::vector<int16_t> a_rows(static_cast<size_t>(m_dim * k_dim));
+    std::vector<float> a_tile_scales(static_cast<size_t>(m_dim * k_tiles));
+    {
+        std::vector<int8_t> unpacked(static_cast<size_t>(k_dim));
+        for (int64_t i = 0; i < m_dim; ++i) {
+            simd::unpackInt4(activation.int4_data.rowPtr(i), k_dim,
+                             unpacked.data());
+            const int8_t *int8_row = activation.int8_data.rowPtr(i);
+            const float *scales =
+                activation.scales.data() + i * num_blocks;
+            for (int64_t t = 0; t < k_tiles; ++t) {
+                const bool is_int8 = int8_tiles_[static_cast<size_t>(t)] != 0;
+                const int64_t k0 = t * tile_k;
+                std::copy_n((is_int8 ? int8_row : unpacked.data()) + k0,
+                            tile_k, a_rows.data() + i * k_dim + k0);
+                a_tile_scales[static_cast<size_t>(i * k_tiles + t)] =
+                    scales[k0 / weight_.block_size] *
+                    (is_int8 ? w4a8_fixup : 1.0f);
+            }
+        }
     }
 
     Tensor out(m_dim, n_dim);
     float *out_data = out.data();
-    const float *a_scales = activation.scales.data();
-    const float *w_scales = weight_.scales.data();
 
-    // Streams output columns [n_begin, n_end): each weight row is
-    // widened once, then every activation row takes one segmented dot
-    // pass and the epilogue sums its k-tiles in ascending order.
+    // Streams output columns [n_begin, n_end) a column block at a
+    // time: the block is widened once, then every activation row takes
+    // one dotColumnBlock call for its per-k-tile dots and one
+    // scaleColumnBlock call that sums them, k-tiles in ascending order.
     const auto worker = [&](int64_t n_begin, int64_t n_end,
                             InstructionCounter *counter) {
-        std::vector<int8_t> widened(static_cast<size_t>(k_dim));
-        std::vector<int32_t> dots(static_cast<size_t>(k_tiles));
-        for (int64_t j = n_begin; j < n_end; ++j) {
-            COMET_KERNEL_SPAN("w4ax/column");
-            widenColumn(j, widened.data(), counter);
-            const simd::MixedSpan w{weight_.data.rowPtr(j),
-                                    widened.data()};
-            const float *w_row_scales = w_scales + j * num_blocks;
+        std::vector<int8_t> plain(static_cast<size_t>(kBlock * k_dim));
+        std::vector<int8_t> converted(plain.size());
+        std::vector<int16_t> block(plain.size());
+        std::vector<int32_t> dots(static_cast<size_t>(k_tiles * kBlock));
+        for (int64_t j0 = n_begin; j0 < n_end; j0 += kBlock) {
+            COMET_KERNEL_SPAN("w4ax/column_block");
+            const int64_t width = std::min(kBlock, n_end - j0);
+            widenBlock(j0, width, plain.data(), converted.data(),
+                       block.data(), counter);
             for (int64_t i = 0; i < m_dim; ++i) {
-                const simd::MixedSpan a{activation.int4_data.rowPtr(i),
-                                        activation.int8_data.rowPtr(i)};
-                simd::dotSegments(a, w, int8_tiles_.data(), k_tiles,
-                                  tile_k, dots.data());
-                const float *a_row_scales = a_scales + i * num_blocks;
-                float sum = 0.0f;
-                for (int64_t t = 0; t < k_tiles; ++t) {
-                    const int64_t b = tile_block[static_cast<size_t>(t)];
-                    sum += static_cast<float>(
-                               dots[static_cast<size_t>(t)]) *
-                           (a_row_scales[b] *
-                            tile_fixup[static_cast<size_t>(t)]) *
-                           w_row_scales[b];
-                }
-                out_data[i * n_dim + j] = sum;
+                simd::dotColumnBlock(a_rows.data() + i * k_dim,
+                                     block.data(), k_tiles, tile_k,
+                                     dots.data());
+                float sums[kBlock];
+                simd::scaleColumnBlock(dots.data(),
+                                       a_tile_scales.data() + i * k_tiles,
+                                       tile_scales_.data() + j0,
+                                       scale_stride_, k_tiles, sums);
+                std::copy_n(sums, width, out_data + i * n_dim + j0);
             }
         }
     };
@@ -194,12 +249,9 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     // INT8 k-tiles once per m-tile, so the conversions counted above
     // (once per column) scale by the m-tile count.
     const int64_t m_tiles = (m_dim + config_.tile_m - 1) / config_.tile_m;
-    int64_t int8_k_tiles = 0;
-    for (const uint8_t is_int8 : int8_tiles_)
-        int8_k_tiles += is_int8;
-    const int64_t int4_k_tiles = k_tiles - int8_k_tiles;
+    const int64_t int4_k_tiles = k_tiles - int8_k_tiles_;
     const int64_t int4_tiles = m_tiles * n_tiles * int4_k_tiles;
-    const int64_t int8_tiles = m_tiles * n_tiles * int8_k_tiles;
+    const int64_t int8_tiles = m_tiles * n_tiles * int8_k_tiles_;
     publishRunCounters(int4_tiles, int8_tiles);
     if (stats != nullptr) {
         int64_t conversions = 0;
@@ -211,7 +263,7 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
         stats->int4_tiles += int4_tiles;
         stats->int8_tiles += int8_tiles;
         stats->int4_mac_ops += m_dim * n_dim * int4_k_tiles * tile_k;
-        stats->int8_mac_ops += m_dim * n_dim * int8_k_tiles * tile_k;
+        stats->int8_mac_ops += m_dim * n_dim * int8_k_tiles_ * tile_k;
         stats->conversion_instructions += m_tiles * conversions;
     }
     return out;

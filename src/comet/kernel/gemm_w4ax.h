@@ -14,21 +14,30 @@
  *
  * The GPU kernel computes in (tile_m x tile_n x tile_k) tiles (128^3
  * in the paper), each tile's precision decided by the activation block
- * covering its k-range. Here the tile is the unit of accounting and of
- * epilogue order, not of execution: run() streams rows. Per output
- * column it widens the weight row's INT8 k-tiles once, then for every
- * activation row one simd::dotSegments pass yields all per-k-tile
- * INT32 dots of that (row, column) pair straight from the packed
- * bytes, and the epilogue adds
+ * covering its k-range, and widens each packed weight tile once in
+ * registers for a whole m-tile. Here the tile is the unit of
+ * accounting and of epilogue order, not of execution; run() is
+ * column-blocked instead:
  *
- *     float(dot_t) * (a_scale * fixup_t) * w_scale
+ *  - every activation row is widened once per run into an int16
+ *    operand row (INT4 blocks sign-extended, INT8 blocks copied);
+ *  - every block of simd::kColumnBlock (8) output columns is widened
+ *    once per run from the packed bytes (INT4 k-tiles sign-extended,
+ *    INT8 k-tiles through the configured conversion, the fast one
+ *    keeping its x16), and no widened copy outlives the run;
+ *  - per (row, column block), one simd::dotColumnBlock call yields the
+ *    eight columns' per-k-tile INT32 dots, and the epilogue adds
  *
- * in ascending k-tile order — exactly the sum a tile-by-tile walk
- * forms, so the output is bit-identical to it for any tile shape,
- * thread count and precision map. Per-run statistics (tile precision
- * mix, multiply-accumulates, conversion instructions) are derived from
- * the tile grid and report what the tiled kernel executes; tests and
- * the ablation benches consume them.
+ *        float(dot_t) * (a_scale * fixup_t) * w_scale_t
+ *
+ *    per column in ascending k-tile order — exactly the sum a
+ *    tile-by-tile walk forms, so the output is bit-identical to it for
+ *    any tile shape, thread count and precision map.
+ *
+ * Per-run statistics (tile precision mix, multiply-accumulates,
+ * conversion instructions) are derived from the tile grid and report
+ * what the tiled kernel executes; tests and the ablation benches
+ * consume them.
  */
 #pragma once
 
@@ -114,11 +123,14 @@ class W4AxGemm
                W4AxGemmStats *stats = nullptr) const;
 
   private:
-    /** Widens the INT8 k-tiles of weight row @p column into
-     * @p widened (indexed by k, like the activation) with the
-     * configured conversion, counting its emulated instructions. */
-    void widenColumn(int64_t column, int8_t *widened,
-                     InstructionCounter *counter) const;
+    /** Widens output columns [@p column, @p column + @p width)
+     * (width <= simd::kColumnBlock) into @p block in the column-block
+     * layout, the block's unused columns zero, counting the
+     * conversion's emulated instructions. @p plain and @p converted
+     * are scratch of kColumnBlock * in_channels values each. */
+    void widenBlock(int64_t column, int64_t width, int8_t *plain,
+                    int8_t *converted, int16_t *block,
+                    InstructionCounter *counter) const;
 
     BlockQuantizedWeight weight_;
     std::vector<BlockPrecision> precisions_;
@@ -127,6 +139,12 @@ class W4AxGemm
     Int4Tensor prepared_;
     /** Per k-tile: 1 when the tile runs the W4A8 path. */
     std::vector<uint8_t> int8_tiles_;
+    int64_t int8_k_tiles_ = 0; ///< k-tiles on the W4A8 path
+    /** Weight scale per (k-tile, column), column-contiguous: tile t's
+     * row starts at t * scale_stride_, padded with zeros so a column
+     * block starting at any column reads kColumnBlock scales. */
+    std::vector<float> tile_scales_;
+    int64_t scale_stride_ = 0;
 };
 
 /**

@@ -5,6 +5,7 @@
 
 #include "comet/obs/metrics.h"
 #include "comet/runtime/thread_pool.h"
+#include "comet/simd/simd.h"
 
 namespace comet {
 
@@ -130,61 +131,83 @@ FmpqActivationQuantizer::quantize(const Tensor &x) const
         "quant.act_quantize_calls");
     calls.add(1);
     const int64_t tokens = x.rows();
+    const int64_t n_channels = channels();
     const int64_t k = config_.block_size;
+    const int64_t num_blocks = numBlocks();
     const auto &order = permutation_.order();
 
     MixedQuantizedActivation qa{
         tokens,
-        channels(),
+        n_channels,
         k,
         precisions_,
-        Int4Tensor(tokens, channels()),
-        Int8Tensor(tokens, channels()),
-        Tensor(tokens, numBlocks()),
+        Int4Tensor(tokens, n_channels),
+        Int8Tensor(tokens, n_channels),
+        Tensor(tokens, num_blocks),
     };
 
     const QuantRange r4 = signedRange(config_.low_bits);
     const QuantRange r8 = signedRange(config_.high_bits);
 
-    // Per-token sweep, parallel across the pool; rows of every output
-    // tensor are disjoint, so results are bit-identical for any pool
-    // size. (Packed INT4 rows are padded to whole bytes per row, so
-    // row writes never share a byte.)
-    parallelFor(0, tokens, 1, [&](int64_t t_begin, int64_t t_end) {
-    for (int64_t t = t_begin; t < t_end; ++t) {
-        for (int64_t b = 0; b < numBlocks(); ++b) {
-            const bool is_int4 = precisions_[static_cast<size_t>(b)] ==
-                                 BlockPrecision::kInt4;
-            const int bits = is_int4 ? config_.low_bits
-                                     : config_.high_bits;
-            float abs_max = 0.0f;
-            for (int64_t i = 0; i < k; ++i) {
-                const int64_t src =
-                    order[static_cast<size_t>(b * k + i)];
-                abs_max = std::max(abs_max, std::fabs(x.at(t, src)));
+    // Rows [t_begin, t_end): each token's row is gathered into
+    // permuted order once, every block's absmax gives its scale, and
+    // each run of same-precision blocks quantizes in one
+    // simd::quantizeAffine call (bit-identical to QuantParams::quantize
+    // plus the clamp). INT4 blocks land in a row-wide staging span that
+    // one simd::packInt4 call packs; its INT8 blocks stay 0, as do the
+    // INT4 blocks of an int8_data row.
+    const auto quantizeRows = [&](int64_t t_begin, int64_t t_end) {
+        std::vector<float> gathered(static_cast<size_t>(n_channels));
+        std::vector<float> channel_scales(gathered.size());
+        std::vector<int8_t> int4_row(gathered.size(), 0);
+        const std::vector<int32_t> zero_points(gathered.size(), 0);
+        for (int64_t t = t_begin; t < t_end; ++t) {
+            const float *row = x.data() + t * n_channels;
+            for (int64_t i = 0; i < n_channels; ++i)
+                gathered[static_cast<size_t>(i)] =
+                    row[order[static_cast<size_t>(i)]];
+            float *scales = qa.scales.data() + t * num_blocks;
+            for (int64_t b = 0; b < num_blocks; ++b) {
+                const auto begin = gathered.begin() + b * k;
+                float abs_max = 0.0f;
+                for (auto it = begin; it != begin + k; ++it)
+                    abs_max = std::max(abs_max, std::fabs(*it));
+                scales[b] = chooseSymmetric(
+                                abs_max, precisions_[static_cast<size_t>(b)] ==
+                                                 BlockPrecision::kInt4
+                                             ? config_.low_bits
+                                             : config_.high_bits)
+                                .scale;
+                std::fill_n(channel_scales.begin() + b * k, k, scales[b]);
             }
-            const QuantParams params = chooseSymmetric(abs_max, bits);
-            qa.scales.at(t, b) = params.scale;
-            for (int64_t i = 0; i < k; ++i) {
-                const int64_t dst = b * k + i;
-                const int64_t src =
-                    order[static_cast<size_t>(dst)];
-                const int32_t q = params.quantize(x.at(t, src));
-                if (is_int4) {
-                    qa.int4_data.set(
-                        t, dst,
-                        static_cast<int8_t>(
-                            std::clamp(q, r4.qmin, r4.qmax)));
-                } else {
-                    qa.int8_data.set(
-                        t, dst,
-                        static_cast<int8_t>(
-                            std::clamp(q, r8.qmin, r8.qmax)));
-                }
+            int8_t *int8_row = qa.int8_data.rowPtr(t);
+            for (int64_t b0 = 0; b0 < num_blocks;) {
+                const BlockPrecision precision =
+                    precisions_[static_cast<size_t>(b0)];
+                int64_t b1 = b0 + 1;
+                while (b1 < num_blocks &&
+                       precisions_[static_cast<size_t>(b1)] == precision)
+                    ++b1;
+                const bool is_int4 = precision == BlockPrecision::kInt4;
+                const QuantRange &range = is_int4 ? r4 : r8;
+                simd::quantizeAffine(
+                    gathered.data() + b0 * k, channel_scales.data() + b0 * k,
+                    zero_points.data(), (b1 - b0) * k, range.qmin, range.qmax,
+                    (is_int4 ? int4_row.data() : int8_row) + b0 * k);
+                b0 = b1;
             }
+            simd::packInt4(int4_row.data(), n_channels,
+                           qa.int4_data.rowPtr(t));
         }
-    }
-    });
+    };
+
+    // Rows of every output tensor are disjoint (packed INT4 rows are
+    // whole bytes), so any split is bit-identical; below kMinPoolMacs
+    // values the pool dispatch would cost more than it saves.
+    if (tokens * n_channels < kMinPoolMacs)
+        quantizeRows(0, tokens);
+    else
+        parallelFor(0, tokens, 1, quantizeRows);
     return qa;
 }
 

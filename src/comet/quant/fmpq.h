@@ -149,8 +149,15 @@ class FmpqActivationQuantizer
 
     /**
      * Quantizes runtime activations to packed mixed-precision form in
-     * permuted channel order, for the bit-exact kernel path. Each call
-     * adds one to the `quant.act_quantize_calls` counter.
+     * permuted channel order, for the bit-exact kernel path. Each
+     * token's row is gathered into permuted order once; every block
+     * takes its absmax scale, and each run of same-precision blocks
+     * quantizes through simd::quantizeAffine, the INT4 ones packed by
+     * simd::packInt4 — byte-identical to the element-wise
+     * QuantParams::quantize-and-clamp loop kept as the test oracle.
+     * Rows fan out across the pool only when tokens x channels reaches
+     * kMinPoolMacs. Each call adds one to the
+     * `quant.act_quantize_calls` counter.
      */
     MixedQuantizedActivation quantize(const Tensor &x) const;
 

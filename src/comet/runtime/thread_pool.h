@@ -55,7 +55,8 @@ struct RuntimeConfig {
 /** Multiply-adds below which a kernel runs on the caller instead of
  * fanning out: under it the pool dispatch costs more than it saves.
  * The W4Ax GEMM, the fused decode attention and the LM head each
- * compare their own work against it. */
+ * compare their own work against it, and the FMPQ activation
+ * quantizer its tokens x channels. */
 constexpr int64_t kMinPoolMacs = int64_t{1} << 20;
 
 /** Number of grain-sized chunks a [begin, end) range splits into.

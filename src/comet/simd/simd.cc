@@ -217,13 +217,29 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
-dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
-            int64_t n_segments, int64_t segment_values, int32_t *out)
+widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
+                 int16_t *out)
 {
-    COMET_CHECK(n_segments >= 0 && segment_values > 0 &&
-                segment_values % 16 == 0);
-    COMET_SIMD_DISPATCH(dotSegments(a, b, int8_segments, n_segments,
-                                    segment_values, out));
+    COMET_CHECK(n_values >= 0 && n_values % 2 == 0 && stride >= n_values);
+    COMET_SIMD_DISPATCH(widenColumnBlock(columns, stride, n_values, out));
+}
+
+void
+dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
+               int64_t tile_values, int32_t *out)
+{
+    COMET_CHECK(n_tiles >= 0 && tile_values > 0 && tile_values % 16 == 0);
+    COMET_SIMD_DISPATCH(dotColumnBlock(a, w, n_tiles, tile_values, out));
+}
+
+void
+scaleColumnBlock(const int32_t *dots, const float *a_scales,
+                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                 float *out)
+{
+    COMET_CHECK(n_tiles >= 0 && (n_tiles <= 1 || w_stride >= kColumnBlock));
+    COMET_SIMD_DISPATCH(
+        scaleColumnBlock(dots, a_scales, w_scales, w_stride, n_tiles, out));
 }
 
 void

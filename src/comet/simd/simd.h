@@ -5,9 +5,9 @@
  *
  * Every sweep, soak and figure bench in this repo bottoms out in the
  * scalar INT4/INT8 emulation loops (nibble pack/unpack, fast
- * conversion, interleaving, KV quant/dequant, dp4a accumulation) and
- * the float loops of the real decoder (attention over raw KV values,
- * the LM head).
+ * conversion, interleaving, KV quant/dequant, dp4a accumulation, the
+ * column-blocked W4Ax dots and their epilogue) and the float loops of
+ * the real decoder (attention over raw KV values, the LM head).
  * This module lifts those inner loops to span-level routines with
  * three backends:
  *
@@ -26,8 +26,9 @@
  * **Bit-identity guarantee:** every routine produces bit-identical
  * output across all backends. Integer routines are exact by
  * construction; the elementwise float routines (quantize/dequantize/
- * min-max, the weighted row accumulation, exp) perform the same IEEE
- * operations lane-wise that the scalar code performs element-wise, and
+ * min-max, the weighted row accumulation, the W4Ax epilogue, exp)
+ * perform the same IEEE operations lane-wise that the scalar code
+ * performs element-wise, and
  * the float dot products (the fused attention's scores, the LM head)
  * fix their summation order: eight lanes and one reduction tree,
  * multiplies and adds never fused. Results match to the last bit. The
@@ -137,34 +138,58 @@ int32_t dotInt8(const int8_t *a, const int8_t *b, int64_t n);
 int32_t dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values);
 
 /**
- * One operand of dotSegments(): the same span of values in both
- * storage forms. A segment reads the form its precision names, so the
- * other form's bytes there are ignored (and a form no segment reads
- * may be null).
+ * Columns in one block of the column-block layout, the W4Ax kernel's
+ * widened weight operand: for a block of kColumnBlock output columns
+ * over a span of values, value v of column c sits at
+ * [((v / 2) * kColumnBlock + c) * 2 + v % 2] — per pair of values,
+ * the block's columns side by side.
  */
-struct MixedSpan {
-    const uint8_t *int4 = nullptr; ///< packed INT4, two values per byte
-    const int8_t *int8 = nullptr;  ///< INT8, one value per byte
-};
+constexpr int64_t kColumnBlock = 8;
 
 /**
- * Segmented mixed-precision dot product — the W4Ax inner loop for one
- * (row, column) pair. The span splits into @p n_segments consecutive
- * segments of @p segment_values values (the GEMM's k-tiles), and for
- * every segment s starting at value v = s * segment_values:
- *
- *     out[s] = int8_segments[s] != 0
- *                  ? dotInt8(a.int8 + v, b.int8 + v, segment_values)
- *                  : dotInt4(a.int4 + v / 2, b.int4 + v / 2,
- *                            segment_values)
- *
- * computed in one pass with every partial sum held in registers.
- * Exact for any operands (INT8 x INT8 products are summed in INT32).
- * @p segment_values must be a positive multiple of 16.
+ * Widens kColumnBlock INT8 column spans into the column-block layout:
+ * column c's values are columns[c * stride + v] for v < @p n_values,
+ * and value v of column c is written, sign-extended, to
+ * out[((v / 2) * kColumnBlock + c) * 2 + v % 2]. @p n_values is
+ * even.
  */
-void dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
-                 int64_t n_segments, int64_t segment_values,
-                 int32_t *out);
+void widenColumnBlock(const int8_t *columns, int64_t stride,
+                      int64_t n_values, int16_t *out);
+
+/**
+ * The W4Ax inner loop for one activation row against one block of
+ * kColumnBlock output columns, over @p n_tiles k-tiles of
+ * @p tile_values values each. @p a is the row widened to int16 and
+ * @p w the block in the column-block layout over the same values. For
+ * every tile t and column c,
+ *
+ *     out[t * kColumnBlock + c] =
+ *         sum over v in [t * tile_values, (t + 1) * tile_values) of
+ *             a[v] * w[((v / 2) * kColumnBlock + c) * 2 + v % 2]
+ *
+ * in INT32. Exact when every operand lies in [-128, 128] and
+ * @p tile_values <= 2^17 — widened INT4 and INT8 values, the fast
+ * conversion's x16 included. @p tile_values must be a positive
+ * multiple of 16.
+ */
+void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
+                    int64_t tile_values, int32_t *out);
+
+/**
+ * The W4Ax epilogue of one (row, column block): from the per-k-tile
+ * dots dotColumnBlock() returns, for every column c < kColumnBlock,
+ *
+ *     out[c] = sum over t = 0, 1, ... n_tiles - 1 of
+ *         float(dots[t * kColumnBlock + c]) * a_scales[t] *
+ *             w_scales[t * w_stride + c]
+ *
+ * starting from +0.0f, each term's multiplies rounded left to right
+ * before its add (no fused multiply-add). Elementwise per column, so
+ * every backend returns the same bits.
+ */
+void scaleColumnBlock(const int32_t *dots, const float *a_scales,
+                      const float *w_scales, int64_t w_stride,
+                      int64_t n_tiles, float *out);
 
 /**
  * Running per-element min/max update: mins[i] = min(mins[i], x[i])

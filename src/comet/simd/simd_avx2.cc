@@ -19,7 +19,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstring>
 
 #include "comet/common/status.h"
@@ -84,47 +83,14 @@ madd32x8(__m256i a, __m256i b)
                             _mm256_madd_epi16(a_hi, b_hi));
 }
 
-/** The 16 values of 8 packed INT4 bytes, sign-extended to 16 bits:
- * all low nibbles, then all high nibbles. That order is a fixed
- * permutation of the logical one, so a dot product of two operands
- * widened alike is unchanged. */
+/** The int16 pair at @p p, broadcast to all eight 32-bit lanes
+ * (one load-port broadcast from memory). */
 COMET_AVX2 inline __m256i
-widenInt4x16(const uint8_t *packed)
+broadcastPair(const int16_t *p)
 {
-    const __m128i lo_mask = _mm_set1_epi8(0x0f);
-    const __m128i eight = _mm_set1_epi8(8);
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(packed));
-    const __m128i nibbles = _mm_and_si128(
-        _mm_unpacklo_epi64(bytes, _mm_srli_epi16(bytes, 4)), lo_mask);
-    return _mm256_cvtepi8_epi16(
-        _mm_sub_epi8(_mm_xor_si128(nibbles, eight), eight));
-}
-
-/** The 16 values at @p values, sign-extended to 16 bits. */
-COMET_AVX2 inline __m256i
-widenInt8x16(const int8_t *values)
-{
-    return _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(values)));
-}
-
-/** Lane i of the result is the sum of the eight lanes of @p v[i]. */
-COMET_AVX2 inline __m256i
-hsum8Epi32(const __m256i v[8])
-{
-    // Two hadd rounds leave, per 128-bit half, the sums of v[0..3]
-    // (and of v[4..7]) over that half's lanes; adding the halves
-    // finishes every sum.
-    const __m256i s0123 =
-        _mm256_hadd_epi32(_mm256_hadd_epi32(v[0], v[1]),
-                          _mm256_hadd_epi32(v[2], v[3]));
-    const __m256i s4567 =
-        _mm256_hadd_epi32(_mm256_hadd_epi32(v[4], v[5]),
-                          _mm256_hadd_epi32(v[6], v[7]));
-    return _mm256_add_epi32(
-        _mm256_permute2x128_si256(s0123, s4567, 0x20),
-        _mm256_permute2x128_si256(s0123, s4567, 0x31));
+    int32_t pair;
+    std::memcpy(&pair, p, sizeof(pair));
+    return _mm256_set1_epi32(pair);
 }
 
 /** Row r's lanes of the fixed-order dot (simd.h), reduced by the
@@ -518,42 +484,89 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 COMET_AVX2 void
-dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
-            int64_t n_segments, int64_t segment_values, int32_t *out)
+widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
+                 int16_t *out)
 {
-    // Segments go in groups of eight: each accumulates 16 values per
-    // step into eight INT32 lanes, and one transposed reduction turns
-    // the group's eight accumulators into its eight dots.
-    for (int64_t s0 = 0; s0 < n_segments; s0 += 8) {
-        const int64_t group = std::min<int64_t>(8, n_segments - s0);
-        __m256i acc[8];
-        for (int64_t g = 0; g < 8; ++g) {
-            acc[g] = _mm256_setzero_si256();
-            if (g >= group)
-                continue;
-            const int64_t begin = (s0 + g) * segment_values;
-            const int64_t end = begin + segment_values;
-            if (int8_segments[s0 + g] != 0) {
-                for (int64_t v = begin; v < end; v += 16) {
-                    acc[g] = _mm256_add_epi32(
-                        acc[g],
-                        _mm256_madd_epi16(widenInt8x16(a.int8 + v),
-                                          widenInt8x16(b.int8 + v)));
-                }
-            } else {
-                for (int64_t v = begin; v < end; v += 16) {
-                    acc[g] = _mm256_add_epi32(
-                        acc[g],
-                        _mm256_madd_epi16(widenInt4x16(a.int4 + v / 2),
-                                          widenInt4x16(b.int4 + v / 2)));
-                }
-            }
+    int64_t v = 0;
+    for (; n_values - v >= 16; v += 16) {
+        // Column c's 16 values as eight 32-bit pairs, then an 8 x 8
+        // transpose of the pairs: output row p holds pair p of every
+        // column.
+        __m256i r[kColumnBlock];
+#pragma GCC unroll 8
+        for (int c = 0; c < kColumnBlock; ++c)
+            r[c] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(columns + c * stride + v)));
+        __m256i t[kColumnBlock];
+#pragma GCC unroll 4
+        for (int c = 0; c < kColumnBlock; c += 2) {
+            t[c] = _mm256_unpacklo_epi32(r[c], r[c + 1]);
+            t[c + 1] = _mm256_unpackhi_epi32(r[c], r[c + 1]);
         }
-        alignas(32) int32_t sums[8];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(sums),
-                           hsum8Epi32(acc));
-        std::copy(sums, sums + group, out + s0);
+        // u[q] (q < 4) holds pairs q and q + 4 of columns 0-3; u[q + 4]
+        // the same pairs of columns 4-7.
+        __m256i u[kColumnBlock];
+#pragma GCC unroll 2
+        for (int h = 0; h < kColumnBlock; h += 4) {
+            u[h] = _mm256_unpacklo_epi64(t[h], t[h + 2]);
+            u[h + 1] = _mm256_unpackhi_epi64(t[h], t[h + 2]);
+            u[h + 2] = _mm256_unpacklo_epi64(t[h + 1], t[h + 3]);
+            u[h + 3] = _mm256_unpackhi_epi64(t[h + 1], t[h + 3]);
+        }
+        __m256i *dst = reinterpret_cast<__m256i *>(out + v * kColumnBlock);
+#pragma GCC unroll 4
+        for (int q = 0; q < 4; ++q) {
+            _mm256_storeu_si256(
+                dst + q, _mm256_permute2x128_si256(u[q], u[q + 4], 0x20));
+            _mm256_storeu_si256(
+                dst + q + 4, _mm256_permute2x128_si256(u[q], u[q + 4], 0x31));
+        }
     }
+    scalar::widenColumnBlock(columns + v, stride, n_values - v,
+                             out + v * kColumnBlock);
+}
+
+COMET_AVX2 void
+dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
+               int64_t tile_values, int32_t *out)
+{
+    // One multiply-add per value pair covers all eight columns: the
+    // row's pair is broadcast against the block's pair row, so the
+    // accumulator's lanes are the columns and no reduction is needed.
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        __m256i acc0 = _mm256_setzero_si256();
+        __m256i acc1 = _mm256_setzero_si256();
+        for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
+             v += 4) {
+            const __m256i *w_pairs =
+                reinterpret_cast<const __m256i *>(w + v * kColumnBlock);
+            acc0 = _mm256_add_epi32(
+                acc0, _mm256_madd_epi16(broadcastPair(a + v),
+                                        _mm256_loadu_si256(w_pairs)));
+            acc1 = _mm256_add_epi32(
+                acc1, _mm256_madd_epi16(broadcastPair(a + v + 2),
+                                        _mm256_loadu_si256(w_pairs + 1)));
+        }
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(out + t * kColumnBlock),
+            _mm256_add_epi32(acc0, acc1));
+    }
+}
+
+COMET_AVX2 void
+scaleColumnBlock(const int32_t *dots, const float *a_scales,
+                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                 float *out)
+{
+    __m256 sum = _mm256_setzero_ps();
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        const __m256 dot = _mm256_cvtepi32_ps(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(dots + t * kColumnBlock)));
+        sum = _mm256_add_ps(
+            sum, _mm256_mul_ps(_mm256_mul_ps(dot, _mm256_set1_ps(a_scales[t])),
+                               _mm256_loadu_ps(w_scales + t * w_stride)));
+    }
+    _mm256_storeu_ps(out, sum);
 }
 
 COMET_AVX2 void
@@ -581,8 +594,13 @@ quantizeAffine(const float *x, const float *scales,
     const __m256 half = _mm256_set1_ps(0.5f);
     const __m256i qmin_v = _mm256_set1_epi32(qmin);
     const __m256i qmax_v = _mm256_set1_epi32(qmax);
+    // Byte 0 of every 32-bit lane, gathered into the low 8 bytes: the
+    // modular narrowing of the scalar static_cast<int8_t>.
+    const __m256i low_bytes = _mm256_setr_epi8(
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 4,
+        8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+    const __m256i join = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
     int64_t i = 0;
-    alignas(32) int32_t lanes[8];
     for (; n - i >= 8; i += 8) {
         const __m256 t = _mm256_div_ps(_mm256_loadu_ps(x + i),
                                        _mm256_loadu_ps(scales + i));
@@ -595,9 +613,10 @@ quantizeAffine(const float *x, const float *scales,
             _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(zero_points + i)));
         q = _mm256_min_epi32(_mm256_max_epi32(q, qmin_v), qmax_v);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), q);
-        for (int k = 0; k < 8; ++k)
-            out[i + k] = static_cast<int8_t>(lanes[k]);
+        const __m256i bytes = _mm256_permutevar8x32_epi32(
+            _mm256_shuffle_epi8(q, low_bytes), join);
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(out + i),
+                         _mm256_castsi256_si128(bytes));
     }
     scalar::quantizeAffine(x + i, scales + i, zero_points + i, n - i,
                            qmin, qmax, out + i);

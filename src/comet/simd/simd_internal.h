@@ -40,9 +40,14 @@ namespace detail {
     int32_t dotInt8(const int8_t *a, const int8_t *b, int64_t n);          \
     int32_t dotInt4(const uint8_t *a, const uint8_t *b,                    \
                     int64_t n_values);                                     \
-    void dotSegments(MixedSpan a, MixedSpan b,                             \
-                     const uint8_t *int8_segments, int64_t n_segments,     \
-                     int64_t segment_values, int32_t *out);                \
+    void widenColumnBlock(const int8_t *columns, int64_t stride,           \
+                          int64_t n_values, int16_t *out);                 \
+    void dotColumnBlock(const int16_t *a, const int16_t *w,                \
+                        int64_t n_tiles, int64_t tile_values,              \
+                        int32_t *out);                                     \
+    void scaleColumnBlock(const int32_t *dots, const float *a_scales,      \
+                          const float *w_scales, int64_t w_stride,         \
+                          int64_t n_tiles, float *out);                    \
     void minMaxUpdate(const float *x, int64_t n, float *mins,              \
                       float *maxs);                                        \
     void quantizeAffine(const float *x, const float *scales,               \

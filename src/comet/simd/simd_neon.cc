@@ -327,32 +327,84 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
-dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
-            int64_t n_segments, int64_t segment_values, int32_t *out)
+widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
+                 int16_t *out)
 {
-    const uint8x8_t lo_mask = vdup_n_u8(0x0f);
-    // 8 packed bytes as 16 values: all low nibbles, then all high
-    // ones (a permutation shared by both operands, so dots agree).
-    const auto widen4 = [&](const uint8_t *packed) {
-        const uint8x8_t bytes = vld1_u8(packed);
-        return signExtend4(
-            vcombine_u8(vand_u8(bytes, lo_mask), vshr_n_u8(bytes, 4)));
-    };
-    for (int64_t s = 0; s < n_segments; ++s) {
-        const int64_t begin = s * segment_values;
-        const int64_t end = begin + segment_values;
-        int32x4_t acc = vdupq_n_s32(0);
-        if (int8_segments[s] != 0) {
-            for (int64_t v = begin; v < end; v += 16)
-                acc = madd16x8(acc, vld1q_s8(a.int8 + v),
-                               vld1q_s8(b.int8 + v));
-        } else {
-            for (int64_t v = begin; v < end; v += 16)
-                acc = madd16x8(acc, widen4(a.int4 + v / 2),
-                               widen4(b.int4 + v / 2));
+    int64_t v = 0;
+    for (; n_values - v >= 8; v += 8) {
+        // Column c's 8 values as four 32-bit pairs; a 4 x 4 transpose
+        // of the pairs per half-block gives pair p of every column.
+        int32x4_t r[kColumnBlock];
+        for (int c = 0; c < kColumnBlock; ++c)
+            r[c] = vreinterpretq_s32_s16(
+                vmovl_s8(vld1_s8(columns + c * stride + v)));
+        int32_t *dst = reinterpret_cast<int32_t *>(out + v * kColumnBlock);
+        for (int h = 0; h < kColumnBlock; h += 4) {
+            const int64x2_t t0 =
+                vreinterpretq_s64_s32(vtrn1q_s32(r[h], r[h + 1]));
+            const int64x2_t t1 =
+                vreinterpretq_s64_s32(vtrn2q_s32(r[h], r[h + 1]));
+            const int64x2_t t2 =
+                vreinterpretq_s64_s32(vtrn1q_s32(r[h + 2], r[h + 3]));
+            const int64x2_t t3 =
+                vreinterpretq_s64_s32(vtrn2q_s32(r[h + 2], r[h + 3]));
+            vst1q_s32(dst + 0 * kColumnBlock + h,
+                      vreinterpretq_s32_s64(vtrn1q_s64(t0, t2)));
+            vst1q_s32(dst + 1 * kColumnBlock + h,
+                      vreinterpretq_s32_s64(vtrn1q_s64(t1, t3)));
+            vst1q_s32(dst + 2 * kColumnBlock + h,
+                      vreinterpretq_s32_s64(vtrn2q_s64(t0, t2)));
+            vst1q_s32(dst + 3 * kColumnBlock + h,
+                      vreinterpretq_s32_s64(vtrn2q_s64(t1, t3)));
         }
-        out[s] = vaddvq_s32(acc);
     }
+    scalar::widenColumnBlock(columns + v, stride, n_values - v,
+                             out + v * kColumnBlock);
+}
+
+void
+dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
+               int64_t tile_values, int32_t *out)
+{
+    // Per value pair, vld2q splits the block's pair row into the eight
+    // columns' even and odd values; each multiplies its broadcast row
+    // value into two four-column accumulators.
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        int32x4_t lo = vdupq_n_s32(0);
+        int32x4_t hi = vdupq_n_s32(0);
+        for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
+             v += 2) {
+            const int16x8x2_t pair = vld2q_s16(w + v * kColumnBlock);
+            lo = vmlal_n_s16(lo, vget_low_s16(pair.val[0]), a[v]);
+            hi = vmlal_high_n_s16(hi, pair.val[0], a[v]);
+            lo = vmlal_n_s16(lo, vget_low_s16(pair.val[1]), a[v + 1]);
+            hi = vmlal_high_n_s16(hi, pair.val[1], a[v + 1]);
+        }
+        vst1q_s32(out + t * kColumnBlock, lo);
+        vst1q_s32(out + t * kColumnBlock + 4, hi);
+    }
+}
+
+void
+scaleColumnBlock(const int32_t *dots, const float *a_scales,
+                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                 float *out)
+{
+    float32x4_t lo = vdupq_n_f32(0.0f);
+    float32x4_t hi = vdupq_n_f32(0.0f);
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        const int32_t *d = dots + t * kColumnBlock;
+        const float *w = w_scales + t * w_stride;
+        lo = vaddq_f32(lo, vmulq_f32(vmulq_n_f32(vcvtq_f32_s32(vld1q_s32(d)),
+                                                 a_scales[t]),
+                                     vld1q_f32(w)));
+        hi = vaddq_f32(hi,
+                       vmulq_f32(vmulq_n_f32(vcvtq_f32_s32(vld1q_s32(d + 4)),
+                                             a_scales[t]),
+                                 vld1q_f32(w + 4)));
+    }
+    vst1q_f32(out, lo);
+    vst1q_f32(out + 4, hi);
 }
 
 void

@@ -168,15 +168,43 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
-dotSegments(MixedSpan a, MixedSpan b, const uint8_t *int8_segments,
-            int64_t n_segments, int64_t segment_values, int32_t *out)
+widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
+                 int16_t *out)
 {
-    for (int64_t s = 0; s < n_segments; ++s) {
-        const int64_t v = s * segment_values;
-        out[s] = int8_segments[s] != 0
-                     ? dotInt8(a.int8 + v, b.int8 + v, segment_values)
-                     : dotInt4(a.int4 + v / 2, b.int4 + v / 2,
-                               segment_values);
+    for (int64_t c = 0; c < kColumnBlock; ++c)
+        for (int64_t v = 0; v < n_values; ++v)
+            out[((v / 2) * kColumnBlock + c) * 2 + v % 2] =
+                columns[c * stride + v];
+}
+
+void
+dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
+               int64_t tile_values, int32_t *out)
+{
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        for (int64_t c = 0; c < kColumnBlock; ++c) {
+            int32_t acc = 0;
+            for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
+                 ++v)
+                acc += static_cast<int32_t>(a[v]) *
+                       static_cast<int32_t>(
+                           w[((v / 2) * kColumnBlock + c) * 2 + v % 2]);
+            out[t * kColumnBlock + c] = acc;
+        }
+    }
+}
+
+void
+scaleColumnBlock(const int32_t *dots, const float *a_scales,
+                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                 float *out)
+{
+    for (int64_t c = 0; c < kColumnBlock; ++c) {
+        float sum = 0.0f;
+        for (int64_t t = 0; t < n_tiles; ++t)
+            sum += static_cast<float>(dots[t * kColumnBlock + c]) *
+                   a_scales[t] * w_scales[t * w_stride + c];
+        out[c] = sum;
     }
 }
 

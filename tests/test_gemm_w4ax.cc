@@ -370,7 +370,7 @@ sameBits(const Tensor &a, const Tensor &b)
                0;
 }
 
-/** Differential: the row-streaming kernel against the tile walk over
+/** Differential: the column-blocked kernel against the tile walk over
  * random extents, block sizes, tile shapes (ragged m and n edges
  * included), precision maps, thread counts and both conversions. */
 class W4AxTileWalkDifferential : public ::testing::TestWithParam<int> {};
@@ -445,6 +445,66 @@ TEST_P(W4AxTileWalkDifferential, BitIdenticalOutputsAndStats)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, W4AxTileWalkDifferential,
                          ::testing::Range(0, 40));
+
+/** Differential at the column-blocked kernel's edges: every N from 1
+ * to 17 (ragged 8-column blocks, and n-tiles of 4 that split blocks
+ * across chunks), M = 1, 3 and 128, k-tiles of one to four 16-value
+ * chunks, both conversions and a mixed precision map. */
+TEST(W4AxGemm, ColumnBlockEdgesMatchTileWalk)
+{
+    constexpr int64_t kChannels = 128;
+    constexpr int64_t kBlock = 64;
+    Rng rng(29);
+    std::vector<int64_t> order(kChannels);
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int64_t>(i);
+    rng.shuffle(order);
+    const std::vector<BlockPrecision> precisions = {BlockPrecision::kInt8,
+                                                    BlockPrecision::kInt4};
+    FmpqConfig fmpq;
+    fmpq.block_size = kBlock;
+    const auto quantizer = FmpqActivationQuantizer::fromParts(
+        fmpq, ChannelPermutation(std::move(order)), precisions);
+    for (const int64_t tokens : {1, 3, 128}) {
+        Tensor x(tokens, kChannels);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x[i] = static_cast<float>(rng.gaussian(0, 3));
+        const auto qa = quantizer.quantize(x);
+        for (int64_t n = 1; n <= 17; ++n) {
+            Tensor w(n, kChannels);
+            for (int64_t i = 0; i < w.numel(); ++i)
+                w[i] = static_cast<float>(rng.gaussian(0, 0.2));
+            const auto qw = quantizer.quantizeWeight(w);
+            for (const int64_t tile_k : {16, 32, 64}) {
+                for (const bool fast : {true, false}) {
+                    for (const int64_t tile_n : {4, 16}) {
+                        W4AxGemmConfig config;
+                        config.tile_m = 16;
+                        config.tile_n = tile_n;
+                        config.tile_k = tile_k;
+                        config.use_fast_conversion = fast;
+                        W4AxGemmStats want_stats;
+                        const Tensor want = tileWalkW4Ax(
+                            qw, precisions, config, qa, &want_stats);
+                        for (const int threads : {1, 3}) {
+                            config.threads = threads;
+                            W4AxGemmStats got_stats;
+                            const Tensor got =
+                                W4AxGemm(qw, precisions, config)
+                                    .run(qa, &got_stats);
+                            EXPECT_TRUE(sameBits(want, got))
+                                << "M " << tokens << " N " << n
+                                << " tile_k " << tile_k << " fast " << fast
+                                << " tile_n " << tile_n << " threads "
+                                << threads;
+                            expectSameStats(want_stats, got_stats);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(W4AxGemm, PoolSizedGemmMatchesTileWalk)
 {

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "comet/common/rng.h"
@@ -268,92 +269,98 @@ TEST_P(SimdEquivalence, DotInt4MatchesUnpackedDot)
     }
 }
 
-/** Random operands for dotSegments over @p values values: packed
- * INT4 and INT8 forms of both sides, plus random segment flags. */
-struct SegmentOperands {
-    std::vector<uint8_t> a4, b4;
-    std::vector<int8_t> a8, b8;
-    std::vector<uint8_t> int8_segments;
-
-    simd::MixedSpan a() const { return {a4.data(), a8.data()}; }
-    simd::MixedSpan b() const { return {b4.data(), b8.data()}; }
-};
-
-SegmentOperands
-randomSegmentOperands(Rng &rng, int64_t n_segments, int64_t segment)
+/** Index of value @p v of column @p c in the column-block layout. */
+size_t
+columnBlockIndex(int64_t v, int64_t c)
 {
-    const int64_t values = n_segments * segment;
-    SegmentOperands ops{randomPackedBytes(rng, values / 2),
-                        randomPackedBytes(rng, values / 2),
-                        randomInt8(rng, values, -128, 127),
-                        randomInt8(rng, values, -128, 127),
-                        {}};
-    for (int64_t s = 0; s < n_segments; ++s)
-        ops.int8_segments.push_back(
-            static_cast<uint8_t>(rng.uniformInt(2)));
-    return ops;
+    return static_cast<size_t>(((v / 2) * simd::kColumnBlock + c) * 2 +
+                               v % 2);
 }
 
-TEST_P(SimdEquivalence, DotSegmentsMatchesScalarOnRaggedCounts)
+TEST_P(SimdEquivalence, WidenColumnBlockGoldenAndScalar)
 {
+    constexpr int64_t kBlock = simd::kColumnBlock;
+    Rng rng(17);
+    for (const int64_t n : kEvenSpans) {
+        const int64_t stride = n + 2 * static_cast<int64_t>(rng.uniformInt(3));
+        const std::vector<int8_t> columns =
+            randomInt8(rng, kBlock * std::max<int64_t>(stride, 1), -128, 127);
+        std::vector<int16_t> got(static_cast<size_t>(kBlock * n));
+        std::vector<int16_t> want(got.size());
+        simd::widenColumnBlock(columns.data(), stride, n, got.data());
+        simd::detail::scalar::widenColumnBlock(columns.data(), stride, n,
+                                               want.data());
+        EXPECT_EQ(got, want) << "n=" << n;
+        for (int64_t c = 0; c < kBlock; ++c)
+            for (int64_t v = 0; v < n; ++v)
+                EXPECT_EQ(want[columnBlockIndex(v, c)],
+                          columns[static_cast<size_t>(c * stride + v)]);
+    }
+}
+
+TEST_P(SimdEquivalence, DotColumnBlockMatchesScalarOnRaggedCounts)
+{
+    constexpr int64_t kBlock = simd::kColumnBlock;
     Rng rng(18);
-    for (const int64_t segment : {16, 32, 48, 128}) {
-        for (int64_t n_segments = 1; n_segments <= 17; ++n_segments) {
-            const SegmentOperands ops =
-                randomSegmentOperands(rng, n_segments, segment);
-            std::vector<int32_t> got(static_cast<size_t>(n_segments));
+    for (const int64_t tile : {16, 32, 48, 128}) {
+        for (int64_t n_tiles = 1; n_tiles <= 17; ++n_tiles) {
+            // Widened operands: INT8 activations against weights on
+            // the fast conversion's x16 grid.
+            const int64_t n = n_tiles * tile;
+            const std::vector<int8_t> a8 = randomInt8(rng, n, -128, 127);
+            const std::vector<int16_t> a(a8.begin(), a8.end());
+            std::vector<int8_t> columns = randomInt8(rng, kBlock * n, -8, 7);
+            for (int8_t &v : columns)
+                v = static_cast<int8_t>(v * 16);
+            std::vector<int16_t> w(columns.size());
+            simd::widenColumnBlock(columns.data(), n, n, w.data());
+            std::vector<int32_t> got(static_cast<size_t>(n_tiles * kBlock));
             std::vector<int32_t> want(got.size());
-            simd::dotSegments(ops.a(), ops.b(), ops.int8_segments.data(),
-                              n_segments, segment, got.data());
-            simd::detail::scalar::dotSegments(
-                ops.a(), ops.b(), ops.int8_segments.data(), n_segments,
-                segment, want.data());
-            EXPECT_EQ(got, want)
-                << "segment " << segment << " count " << n_segments;
-            // The scalar reference is the per-segment span dots.
-            for (int64_t s = 0; s < n_segments; ++s) {
-                const int64_t v = s * segment;
-                const auto i = static_cast<size_t>(v);
-                EXPECT_EQ(want[static_cast<size_t>(s)],
-                          ops.int8_segments[static_cast<size_t>(s)] != 0
-                              ? simd::detail::scalar::dotInt8(
-                                    &ops.a8[i], &ops.b8[i], segment)
-                              : simd::detail::scalar::dotInt4(
-                                    &ops.a4[i / 2], &ops.b4[i / 2],
-                                    segment));
+            simd::dotColumnBlock(a.data(), w.data(), n_tiles, tile,
+                                 got.data());
+            simd::detail::scalar::dotColumnBlock(a.data(), w.data(),
+                                                 n_tiles, tile,
+                                                 want.data());
+            EXPECT_EQ(got, want) << "tile " << tile << " count " << n_tiles;
+            // The scalar reference is one INT8 span dot per
+            // (tile, column).
+            for (int64_t t = 0; t < n_tiles; ++t) {
+                for (int64_t c = 0; c < kBlock; ++c) {
+                    EXPECT_EQ(want[static_cast<size_t>(t * kBlock + c)],
+                              simd::detail::scalar::dotInt8(
+                                  &a8[static_cast<size_t>(t * tile)],
+                                  &columns[static_cast<size_t>(c * n +
+                                                               t * tile)],
+                                  tile));
+                }
             }
         }
     }
 }
 
-TEST_P(SimdEquivalence, DotSegmentsExtremeOperands)
+TEST_P(SimdEquivalence, DotColumnBlockExtremeOperands)
 {
-    constexpr int64_t kSegment = 128;
-    constexpr int64_t kSegments = 9;
-    constexpr int64_t kValues = kSegment * kSegments;
-    // All nibbles 0x8: every INT4 product is (-8) * (-8).
-    const std::vector<uint8_t> int4_min(kValues / 2, 0x88);
-    const std::vector<uint8_t> int4_flags(kSegments, 0);
-    std::vector<int32_t> out(kSegments);
-    simd::dotSegments({int4_min.data(), nullptr},
-                      {int4_min.data(), nullptr}, int4_flags.data(),
-                      kSegments, kSegment, out.data());
+    constexpr int64_t kTile = 128;
+    constexpr int64_t kTiles = 9;
+    constexpr int64_t kBlock = simd::kColumnBlock;
+    std::vector<int32_t> out(kTiles * kBlock);
+    // INT4 minima on both sides: every product is (-8) * (-8).
+    const std::vector<int16_t> int4_row(kTiles * kTile, -8);
+    const std::vector<int16_t> int4_block(kTiles * kBlock * kTile, -8);
+    simd::dotColumnBlock(int4_row.data(), int4_block.data(), kTiles, kTile,
+                         out.data());
     for (const int32_t dot : out)
-        EXPECT_EQ(dot, 64 * kSegment);
+        EXPECT_EQ(dot, 64 * kTile);
 
     // INT8 activations at +-127 (and -128) against fast-widened
     // weights of -128 (16 x the INT4 minimum).
-    const std::vector<uint8_t> int8_flags(kSegments, 1);
-    const std::vector<int8_t> widened_min(kValues, -128);
-    for (const int8_t a : {int8_t{127}, int8_t{-127}, int8_t{-128}}) {
-        const std::vector<int8_t> act(kValues, a);
-        simd::dotSegments({nullptr, act.data()},
-                          {nullptr, widened_min.data()},
-                          int8_flags.data(), kSegments, kSegment,
-                          out.data());
+    const std::vector<int16_t> widened_min(kTiles * kBlock * kTile, -128);
+    for (const int16_t a : {int16_t{127}, int16_t{-127}, int16_t{-128}}) {
+        const std::vector<int16_t> act(kTiles * kTile, a);
+        simd::dotColumnBlock(act.data(), widened_min.data(), kTiles, kTile,
+                             out.data());
         for (const int32_t dot : out)
-            EXPECT_EQ(dot, -128 * int32_t{a} * kSegment)
-                << "a = " << int{a};
+            EXPECT_EQ(dot, -128 * int32_t{a} * kTile) << "a = " << a;
     }
 }
 
@@ -384,29 +391,36 @@ TEST_P(SimdEquivalence, MinMaxUpdateBitIdenticalToScalar)
 TEST_P(SimdEquivalence, QuantizeAffineBitIdenticalToQuantParams)
 {
     Rng rng(19);
-    for (const int64_t n : kAnySpans) {
-        const std::vector<float> x = randomFloats(rng, n);
-        std::vector<float> scales(static_cast<size_t>(n));
-        std::vector<int32_t> zps(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-            scales[static_cast<size_t>(i)] = static_cast<float>(
-                0.05 + 0.001 * static_cast<double>(rng.uniformInt(
-                                   1000)));
-            zps[static_cast<size_t>(i)] =
-                static_cast<int32_t>(rng.uniformInt(15)) - 7;
-        }
-        std::vector<int8_t> got(static_cast<size_t>(n), 111);
-        simd::quantizeAffine(x.data(), scales.data(), zps.data(), n,
-                             -8, 7, got.data());
-        for (int64_t i = 0; i < n; ++i) {
-            QuantParams p;
-            p.scale = scales[static_cast<size_t>(i)];
-            p.zero_point = zps[static_cast<size_t>(i)];
-            const int32_t q = std::clamp(
-                p.quantize(x[static_cast<size_t>(i)]), -8, 7);
-            EXPECT_EQ(got[static_cast<size_t>(i)],
-                      static_cast<int8_t>(q))
-                << "n=" << n << " i=" << i;
+    // INT4 and INT8 ranges, and one wider than int8_t, whose values
+    // narrow modulo 256 exactly as the scalar cast does.
+    const std::pair<int32_t, int32_t> ranges[] = {
+        {-8, 7}, {-128, 127}, {-1000, 1000}};
+    for (const auto &[qmin, qmax] : ranges) {
+        for (const int64_t n : kAnySpans) {
+            const std::vector<float> x = randomFloats(rng, n);
+            std::vector<float> scales(static_cast<size_t>(n));
+            std::vector<int32_t> zps(static_cast<size_t>(n));
+            for (int64_t i = 0; i < n; ++i) {
+                scales[static_cast<size_t>(i)] = static_cast<float>(
+                    (0.05 + 0.001 * static_cast<double>(rng.uniformInt(
+                                        1000))) *
+                    7.0 / qmax);
+                zps[static_cast<size_t>(i)] =
+                    static_cast<int32_t>(rng.uniformInt(15)) - 7;
+            }
+            std::vector<int8_t> got(static_cast<size_t>(n), 111);
+            simd::quantizeAffine(x.data(), scales.data(), zps.data(), n,
+                                 qmin, qmax, got.data());
+            for (int64_t i = 0; i < n; ++i) {
+                QuantParams p;
+                p.scale = scales[static_cast<size_t>(i)];
+                p.zero_point = zps[static_cast<size_t>(i)];
+                const int32_t q = std::clamp(
+                    p.quantize(x[static_cast<size_t>(i)]), qmin, qmax);
+                EXPECT_EQ(got[static_cast<size_t>(i)],
+                          static_cast<int8_t>(q))
+                    << "range " << qmax << " n=" << n << " i=" << i;
+            }
         }
     }
 }
@@ -455,7 +469,8 @@ TEST_P(SimdEquivalence, ZeroLengthSpansAreNoOps)
     simd::dequantAffine(nullptr, nullptr, nullptr, 0, nullptr);
     EXPECT_EQ(simd::dotInt8(nullptr, nullptr, 0), 0);
     EXPECT_EQ(simd::dotInt4(nullptr, nullptr, 0), 0);
-    simd::dotSegments({}, {}, nullptr, 0, 16, nullptr);
+    simd::widenColumnBlock(nullptr, 0, 0, nullptr);
+    simd::dotColumnBlock(nullptr, nullptr, 0, 16, nullptr);
     simd::dotRowsF32(nullptr, {}, 0, 0, nullptr);
     simd::gemvF32(nullptr, nullptr, 0, 0, 0, nullptr);
     simd::accumulateRowsF32(nullptr, {}, 0, 0, nullptr);
@@ -479,6 +494,38 @@ sameBits(const std::vector<float> &a, const std::vector<float> &b)
                    << "differs at " << i << ": " << a[i] << " vs " << b[i];
     }
     return ::testing::AssertionSuccess();
+}
+
+TEST_P(SimdEquivalence, ScaleColumnBlockMatchesDocumentedOrder)
+{
+    constexpr int64_t kBlock = simd::kColumnBlock;
+    Rng rng(21);
+    for (int64_t n_tiles = 0; n_tiles <= 17; ++n_tiles) {
+        const int64_t stride =
+            kBlock + static_cast<int64_t>(rng.uniformInt(5));
+        std::vector<int32_t> dots(static_cast<size_t>(n_tiles * kBlock));
+        for (int32_t &dot : dots)
+            dot = static_cast<int32_t>(rng.uniformInt(1 << 22)) - (1 << 21);
+        const std::vector<float> a_scales =
+            randomFloats(rng, n_tiles, 0.0, 0.1);
+        const std::vector<float> w_scales =
+            randomFloats(rng, n_tiles * stride, 0.0, 0.01);
+        std::vector<float> got(kBlock), want(kBlock);
+        simd::scaleColumnBlock(dots.data(), a_scales.data(), w_scales.data(),
+                               stride, n_tiles, got.data());
+        // simd.h's statement of the epilogue: from +0.0f, k-tiles in
+        // ascending order, multiplies left to right.
+        for (int64_t c = 0; c < kBlock; ++c) {
+            float sum = 0.0f;
+            for (int64_t t = 0; t < n_tiles; ++t)
+                sum += static_cast<float>(
+                           dots[static_cast<size_t>(t * kBlock + c)]) *
+                       a_scales[static_cast<size_t>(t)] *
+                       w_scales[static_cast<size_t>(t * stride + c)];
+            want[static_cast<size_t>(c)] = sum;
+        }
+        EXPECT_TRUE(sameBits(got, want)) << "n_tiles " << n_tiles;
+    }
 }
 
 /** The documented order of the float dots (simd.h), stated directly:
@@ -732,8 +779,12 @@ TEST(SimdDeathTest, ShapeChecks)
     EXPECT_DEATH(simd::unpackInt4(packed, 3, out), "");
     EXPECT_DEATH(simd::packInt4(out, 3, packed), "");
     EXPECT_DEATH(simd::fastWidenW4A8(packed, 8, out), "");
-    int32_t dots[1];
-    EXPECT_DEATH(simd::dotSegments({}, {}, packed, 1, 8, dots), "");
+    const int16_t operands[8 * simd::kColumnBlock] = {};
+    int32_t dots[simd::kColumnBlock];
+    EXPECT_DEATH(simd::dotColumnBlock(operands, operands, 1, 8, dots), "");
+    int16_t widened[8 * simd::kColumnBlock];
+    EXPECT_DEATH(simd::widenColumnBlock(out, 8, 3, widened), "");
+    EXPECT_DEATH(simd::widenColumnBlock(out, 4, 8, widened), "");
     const float x[1] = {0.0f};
     const float scales[1] = {1.0f};
     const int32_t zps[1] = {0};
