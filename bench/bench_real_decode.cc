@@ -13,11 +13,17 @@
  *  - per-token host ms (median of the 64 decode steps ending at
  *    contexts 256, 1024 and 2048) and the prefill time: raw CPU
  *    timings, ungated;
- *  - KV rows quantized per decode step per K/V store at 2048 context,
- *    from the `quant.kv_rows_quantized` counter: the append-only store
- *    re-quantizes only its open group, so this stays at or below the
- *    group size at any context (a whole-history re-quantization would
- *    read the context length). Gated;
+ *  - KV values quantized per append (one K or V row) at 2048 context,
+ *    from the `quant.kv_values_quantized` counter: the append-only
+ *    store quantizes the row and re-quantizes only the held values of
+ *    the open-group channels whose range the row moved, so this stays
+ *    at most the group size times the channels at any context.
+ *    Gated;
+ *  - K/V rows widened per decode step at 2048 context, from the
+ *    `attention.kv_rows_widened` counter: the store attention widens
+ *    each raw K and V row once per kv head for all the query heads
+ *    sharing it, so one step widens tokens x kv heads x 2 x layers
+ *    rows. Gated;
  *  - KV store bytes per token at 2048 context, from
  *    QuantizedDecoder::kvCacheBytes() (packed values plus per-group
  *    parameters). Gated;
@@ -30,11 +36,14 @@
  *  - the per-layer host split of the 64 steps ending at 2048 context,
  *    replayed once with the decoder's spans recorded (decoder/qkv,
  *    attention, o, mlp, lm_head), the same split of one 128-token
- *    prefill, and the host time of the layer-0 FMPQ quantization and
- *    q|k|v GEMM at M = 1 and M = 128: ungated.
+ *    prefill, the host time of the layer-0 FMPQ quantization and
+ *    q|k|v GEMM at M = 1 and M = 128, and of the store attention at
+ *    256 and 2048 context and one K+V append, on stores of the
+ *    model's K/V width filled with Gaussian rows: ungated.
  *
- * Checks (any failure exits 1): every logit is finite, and the rows
- * quantized per append never exceed the group size.
+ * Checks (any failure exits 1): every logit is finite, the values
+ * quantized per append never exceed one open group's, and the last
+ * step widens exactly tokens x kv heads x 2 x layers K/V rows.
  */
 #include <algorithm>
 #include <array>
@@ -163,8 +172,8 @@ main(int argc, char **argv)
     bench::handleArgs(
         argc, argv,
         "host time per token of the real W4A4KV4 decoder against "
-        "context length, with the KV store's rows-quantized and "
-        "bytes-per-token counters",
+        "context length, with the KV store's values-quantized, "
+        "rows-widened and bytes-per-token counters",
         {{"--seed=", "token stream seed (default 1)"},
          {bench::BenchReport::kJsonFlag,
           bench::BenchReport::kJsonFlagHelp}});
@@ -196,8 +205,10 @@ main(int argc, char **argv)
     };
 
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
-    obs::Counter &rows_quantized =
-        registry.counter("quant.kv_rows_quantized");
+    obs::Counter &values_quantized =
+        registry.counter("quant.kv_values_quantized");
+    obs::Counter &rows_widened =
+        registry.counter("attention.kv_rows_widened");
     // Per-step work counters, read over the last window's steps.
     obs::Counter *const work[] = {
         &registry.counter("kernel.w4ax.runs"),
@@ -215,27 +226,36 @@ main(int argc, char **argv)
 
     // step_ms[t]: the decode step that feeds the token at position t.
     std::vector<double> step_ms(static_cast<size_t>(kMaxContext), 0.0);
-    int64_t window_rows = 0;
-    int64_t max_rows = 0;
+    int64_t window_values = 0;
+    int64_t max_values = 0;
+    int64_t last_step_rows_widened = 0;
     for (int64_t t = kPromptTokens; t < kMaxContext; ++t) {
         if (t == kMaxContext - kWindowTokens) {
             window_start.emplace(decoder);
             for (size_t c = 0; c < std::size(work); ++c)
                 work_before[c] = work[c]->value();
         }
-        const int64_t rows_before = rows_quantized.value();
+        const int64_t values_before = values_quantized.value();
+        const int64_t widened_before = rows_widened.value();
         const auto start = std::chrono::steady_clock::now();
         logits = decoder.step(stream[static_cast<size_t>(t)]);
         step_ms[static_cast<size_t>(t)] = msSince(start);
-        const int64_t rows = rows_quantized.value() - rows_before;
-        max_rows = std::max(max_rows, rows);
+        const int64_t values = values_quantized.value() - values_before;
+        last_step_rows_widened = rows_widened.value() - widened_before;
+        max_values = std::max(max_values, values);
         if (t >= kMaxContext - kWindowTokens)
-            window_rows += rows;
+            window_values += values;
         check(allFinite(logits),
               "decode logits are finite at position " + std::to_string(t));
     }
-    check(max_rows <= stores * qconfig.kv.group_size,
+    const int64_t kv_dim = teacher.config().num_kv_heads *
+                           teacher.config().headDim();
+    check(max_values <= stores * qconfig.kv.group_size * kv_dim,
           "each append re-quantizes at most one group");
+    check(last_step_rows_widened ==
+              kMaxContext * teacher.config().num_kv_heads * 2 *
+                  teacher.config().num_layers,
+          "the last step widens each K/V row once per kv head");
     const auto per_step = [&](size_t c) {
         return static_cast<double>(work[c]->value() - work_before[c]) /
                static_cast<double>(kWindowTokens);
@@ -292,8 +312,40 @@ main(int argc, char **argv)
     const double w4ax_m128_us =
         medianCallUs(21, [&] { (void)qkv.run(q_rows); });
 
-    const double rows_per_step =
-        static_cast<double>(window_rows) /
+    // The store attention and the K+V append alone, on stores of the
+    // model's K/V shape filled with Gaussian rows.
+    AttentionConfig attention_config;
+    attention_config.num_heads = teacher.config().num_heads;
+    attention_config.num_kv_heads = teacher.config().num_kv_heads;
+    attention_config.head_dim = teacher.config().headDim();
+    Rng kv_rng(seed + 2);
+    Tensor kv_rows(2 * kMaxContext, kv_dim);
+    for (int64_t i = 0; i < kv_rows.numel(); ++i)
+        kv_rows[i] = static_cast<float>(kv_rng.gaussian());
+    std::vector<float> query(static_cast<size_t>(attention_config.qDim()));
+    for (float &x : query)
+        x = static_cast<float>(kv_rng.gaussian());
+    KvStore k_store(kv_dim, qconfig.kv), v_store(kv_dim, qconfig.kv);
+    int64_t filled = 0;
+    const double append_us = medianCallUs(kPromptTokens * 4, [&] {
+        k_store.append(kv_rows.data() + filled * kv_dim);
+        v_store.append(kv_rows.data() + (kMaxContext + filled) * kv_dim);
+        ++filled;
+    });
+    std::vector<double> attention_us;
+    for (const int64_t context : {int64_t{256}, kMaxContext}) {
+        for (; filled < context; ++filled) {
+            k_store.append(kv_rows.data() + filled * kv_dim);
+            v_store.append(kv_rows.data() + (kMaxContext + filled) * kv_dim);
+        }
+        attention_us.push_back(medianCallUs(201, [&] {
+            (void)decodeAttentionQuantized(attention_config, query, k_store,
+                                           v_store);
+        }));
+    }
+
+    const double values_per_append =
+        static_cast<double>(window_values) /
         static_cast<double>(kWindowTokens * stores);
     const double bytes_per_token =
         static_cast<double>(decoder.kvCacheBytes()) /
@@ -324,10 +376,14 @@ main(int argc, char **argv)
         report.addMetric("tok_ms_ctx" + std::to_string(context), ms, "ms",
                          /*gate=*/false, /*higher_is_better=*/false);
     }
-    std::printf("KV rows quantized per step per store at %lld context: "
-                "%.2f (group size %lld)\n",
-                static_cast<long long>(kMaxContext), rows_per_step,
-                static_cast<long long>(qconfig.kv.group_size));
+    std::printf("KV values quantized per append at %lld context: %.2f "
+                "(group size %lld x %lld channels)\n",
+                static_cast<long long>(kMaxContext), values_per_append,
+                static_cast<long long>(qconfig.kv.group_size),
+                static_cast<long long>(kv_dim));
+    std::printf("K/V rows widened by the step at %lld context: %lld\n",
+                static_cast<long long>(kMaxContext),
+                static_cast<long long>(last_step_rows_widened));
     std::printf("KV store bytes per token: %.1f\n", bytes_per_token);
     std::printf("per decode step: %.0f W4Ax GEMMs, %.0f activation "
                 "quantizations, %.0f W4Ax tiles\n",
@@ -341,6 +397,10 @@ main(int argc, char **argv)
                 "M=1, %.1f us at M=%lld\n",
                 static_cast<long long>(qkv_weight.cols()), quantize_m1_us,
                 quantize_m128_us, static_cast<long long>(kPromptTokens));
+    std::printf("store attention: %.1f us at 256 context, %.1f us at "
+                "%lld; one K+V append: %.2f us\n",
+                attention_us[0], attention_us[1],
+                static_cast<long long>(kMaxContext), append_us);
     std::printf("\nper-layer host split, 64 steps ending at %lld "
                 "context (us/step):\n",
                 static_cast<long long>(kMaxContext));
@@ -349,8 +409,11 @@ main(int argc, char **argv)
                 static_cast<long long>(kPromptTokens));
     printStageSplit(prefill_stage_us);
     report.addMetric("prefill_ms", prefill_ms, "ms", false, false);
-    report.addMetric("kv_rows_quantized_per_step_ctx2048", rows_per_step,
-                     "rows", true, false);
+    report.addMetric("kv_values_quantized_per_append_ctx2048",
+                     values_per_append, "values", true, false);
+    report.addMetric("kv_rows_widened_per_step_ctx2048",
+                     static_cast<double>(last_step_rows_widened), "rows",
+                     true, false);
     report.addMetric("kv_store_bytes_per_token", bytes_per_token, "B",
                      true, false);
     report.addMetric("w4ax_runs_per_step", gemms_per_step, "runs", true,
@@ -365,6 +428,11 @@ main(int argc, char **argv)
                      false);
     report.addMetric("act_quantize_m128_us", quantize_m128_us, "us", false,
                      false);
+    report.addMetric("store_attention_us_ctx256", attention_us[0], "us",
+                     false, false);
+    report.addMetric("store_attention_us_ctx2048", attention_us[1], "us",
+                     false, false);
+    report.addMetric("kv_append_us", append_us, "us", false, false);
     for (size_t i = 0; i < kNumStages; ++i) {
         report.addMetric(std::string("host_us_") + kStages[i],
                          stage_us[i], "us", false, false);

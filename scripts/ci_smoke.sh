@@ -44,8 +44,9 @@
 #     a TP=2 engine with the tp.allreduce failpoint armed.
 #   - bench_real_decode: the real W4A4KV4 decoder prefilled and
 #     decoded to 2048 context on the host; its exit status asserts
-#     finite logits and that each KV store append re-quantizes at
-#     most one token group.
+#     finite logits, that each KV store append re-quantizes at most
+#     one token group's values, and that a step widens each K/V row
+#     once per kv head.
 #   - examples/generate: the incremental decoder with float weights
 #     and an FP16 vs INT4 KV cache, generating from one prompt; it
 #     prints the measured KV footprints of both caches.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "comet/obs/metrics.h"
 #include "comet/runtime/thread_pool.h"
 #include "comet/simd/simd.h"
 
@@ -206,16 +207,28 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
     return out;
 }
 
+/** K and V rows the store path widens from their raw values,
+ * process-wide: each row once per kv head and batch of
+ * simd::kRowVectorBlock query heads. */
+obs::Counter &
+rowsWidenedCounter()
+{
+    static obs::Counter &counter =
+        obs::MetricsRegistry::global().counter("attention.kv_rows_widened");
+    return counter;
+}
+
 /** Per-thread working buffers of the store path, kept across calls:
  * prefill attends once per prompt row. */
 struct FoldScratch {
-    std::vector<float> q_scaled;   ///< [head_dim]
-    std::vector<float> zero;       ///< [head_dim], one group's, as float
-    std::vector<float> value_sums; ///< [head_dim]
-    std::vector<float> weights;    ///< [query heads, tokens]
-    std::vector<float> ones;       ///< [rows of the largest group]
-    std::vector<float> acc;        ///< [query heads, head_dim]
-    std::vector<float> sums;       ///< [query heads]
+    std::vector<float> q_scaled;    ///< [query heads, head_dim]
+    std::vector<float> zero;        ///< [head_dim], one group's, as float
+    std::vector<float> head_sums;   ///< [query heads], one group's
+    std::vector<float> value_sums;  ///< [query heads, head_dim]
+    std::vector<float> weights;     ///< [query heads, tokens]
+    std::vector<float> ones;        ///< [rows of the largest group]
+    std::vector<float> acc;         ///< [query heads, head_dim]
+    std::vector<float> sums;        ///< [query heads]
 };
 
 /** The raw rows of @p store from token @p t0, starting at channel
@@ -248,8 +261,9 @@ laneMax(const float *x, int64_t n)
 
 /**
  * Fused attention of the query heads sharing kv head @p kvh, writing
- * their output slices. Groups run in the outer loop, so each group's
- * K and V rows are read once for all its query heads. See
+ * their output slices. Groups run in the outer loop, and one score
+ * dot and one value accumulation per group serve every query head, so
+ * each K and V row is widened once per kv head. See
  * decode_attention.h for the order of operations;
  * tests/kv_fold_attention.h restates it.
  */
@@ -267,6 +281,8 @@ foldKvHead(const AttentionConfig &config, const float *q, const KvStore &k,
     out += kvh * heads * hd;
     float *q_scaled = s.q_scaled.data();
     float *zero = s.zero.data();
+    float *head_sums = s.head_sums.data();
+    float *weights = s.weights.data();
     // Group g's rows [t0, t1) share its per-channel parameters; p
     // points at channel c0 of them.
     const auto for_each_group = [&](auto &&body) {
@@ -276,57 +292,65 @@ foldKvHead(const AttentionConfig &config, const float *q, const KvStore &k,
         }
     };
 
-    // Scores: per group q' = q * sK and bias = q' . zpK, then one raw
-    // dot per row: (q' . k_raw - bias) / sqrt(hd).
+    // Scores: per group and head q' = q * sK and bias = zpK . q', then
+    // one raw dot per row and head: (q' . k_raw - bias) / sqrt(hd).
     for_each_group([&](int64_t t0, int64_t rows, int64_t p) {
+        const float *k_scale = k.scales() + p;
         for (int64_t c = 0; c < hd; ++c)
             zero[c] = static_cast<float>(k.zeroPoints()[p + c]);
         for (int64_t h = 0; h < heads; ++h) {
             for (int64_t c = 0; c < hd; ++c)
-                q_scaled[c] = q[h * hd + c] * k.scales()[p + c];
-            float bias;
-            simd::gemvF32(q_scaled, zero, hd, 1, hd, &bias);
-            float *w = s.weights.data() + h * tokens + t0;
-            simd::dotRowsF32(q_scaled, headRows(k, t0, c0), rows, hd, w);
+                q_scaled[h * hd + c] = q[h * hd + c] * k_scale[c];
+        }
+        simd::gemvF32(zero, q_scaled, hd, heads, hd, head_sums);
+        float *w = weights + t0;
+        simd::dotRowsF32(q_scaled, hd, heads, headRows(k, t0, c0), rows, hd,
+                         w, tokens);
+        for (int64_t h = 0; h < heads; ++h) {
+            const float bias = head_sums[h];
+            float *w_h = w + h * tokens;
             for (int64_t t = 0; t < rows; ++t)
-                w[t] = (w[t] - bias) * inv_sqrt;
+                w_h[t] = (w_h[t] - bias) * inv_sqrt;
         }
     });
     for (int64_t h = 0; h < heads; ++h) {
-        float *w = s.weights.data() + h * tokens;
+        float *w = weights + h * tokens;
         const float max_score = laneMax(w, tokens);
         for (int64_t t = 0; t < tokens; ++t)
             w[t] -= max_score;
-        simd::expF32(w, tokens, w);
     }
+    simd::expF32(weights, heads * tokens, weights);
 
-    // Values: per group the raw sums a = sum_t w_t v_raw and
-    // W = sum_t w_t, folded once: acc += sV * (a - zpV * W).
+    // Values: per group and head the raw sums a = sum_t w_t v_raw and
+    // W = ones . w, folded once: acc += sV * (a - zpV * W).
     float *value_sums = s.value_sums.data();
+    float *acc = s.acc.data();
     std::fill(s.acc.begin(), s.acc.end(), 0.0f);
     std::fill(s.sums.begin(), s.sums.end(), 0.0f);
     for_each_group([&](int64_t t0, int64_t rows, int64_t p) {
         const float *v_scale = v.scales() + p;
         for (int64_t c = 0; c < hd; ++c)
             zero[c] = static_cast<float>(v.zeroPoints()[p + c]);
+        simd::gemvF32(s.ones.data(), weights + t0, tokens, heads, rows,
+                      head_sums);
+        std::fill(s.value_sums.begin(), s.value_sums.end(), 0.0f);
+        simd::accumulateRowsF32(weights + t0, tokens, heads,
+                                headRows(v, t0, c0), rows, hd, value_sums,
+                                hd);
         for (int64_t h = 0; h < heads; ++h) {
-            const float *w = s.weights.data() + h * tokens + t0;
-            float weight_sum;
-            simd::gemvF32(w, s.ones.data(), rows, 1, rows, &weight_sum);
-            std::fill(value_sums, value_sums + hd, 0.0f);
-            simd::accumulateRowsF32(w, headRows(v, t0, c0), rows, hd,
-                                    value_sums);
+            const float weight_sum = head_sums[h];
             s.sums[static_cast<size_t>(h)] += weight_sum;
-            float *acc = s.acc.data() + h * hd;
             for (int64_t c = 0; c < hd; ++c)
-                acc[c] += v_scale[c] * (value_sums[c] - zero[c] * weight_sum);
+                acc[h * hd + c] +=
+                    v_scale[c] *
+                    (value_sums[h * hd + c] - zero[c] * weight_sum);
         }
     });
     for (int64_t h = 0; h < heads; ++h) {
         const float sum = s.sums[static_cast<size_t>(h)];
         COMET_CHECK(sum > 0.0f);
         for (int64_t c = 0; c < hd; ++c)
-            out[h * hd + c] = s.acc[static_cast<size_t>(h * hd + c)] / sum;
+            out[h * hd + c] = acc[h * hd + c] / sum;
     }
 }
 
@@ -390,9 +414,10 @@ decodeAttentionQuantized(const AttentionConfig &config,
         // Thread storage, not captured: each thread running kv heads
         // uses its own buffers.
         thread_local FoldScratch s;
-        s.q_scaled.resize(hd);
+        s.q_scaled.resize(heads * hd);
         s.zero.resize(hd);
-        s.value_sums.resize(hd);
+        s.head_sums.resize(heads);
+        s.value_sums.resize(heads * hd);
         s.weights.resize(heads * static_cast<size_t>(k.tokens()));
         s.ones.assign(
             static_cast<size_t>(std::min(k.groupSize(), k.tokens())), 1.0f);
@@ -401,6 +426,12 @@ decodeAttentionQuantized(const AttentionConfig &config,
         for (int64_t kvh = begin; kvh < end; ++kvh)
             foldKvHead(config, q.data(), k, v, kvh, s, out.data());
     };
+    const int64_t head_batches =
+        (config.num_heads / config.num_kv_heads + simd::kRowVectorBlock -
+         1) /
+        simd::kRowVectorBlock;
+    rowsWidenedCounter().add(2 * k.tokens() * config.num_kv_heads *
+                             head_batches);
     if (2 * k.tokens() * config.qDim() < kMinPoolMacs)
         kv_heads(0, config.num_kv_heads);
     else

@@ -111,23 +111,29 @@ std::vector<float> decodeAttentionQuantized(
  * into the sums once per group. Per query head, in float:
  *
  *  - scores, per group: q'_c = q_c * sK_c and
- *    bias = simd::gemvF32(q', float(zpK)), then per row
- *    score_t = (simd::dotRowsF32(q', raw k_t) - bias) * (1 / sqrt(hd));
+ *    bias = sum_c float(zpK_c) * q'_c in the fixed dot order, then per
+ *    row score_t = (q' . raw k_t - bias) * (1 / sqrt(hd));
  *  - weights: w_t = simd::expF32(score_t - max_t score_t) over the
  *    whole history (every score is known before any value is read, so
  *    no running rescale is needed);
- *  - values, per group: a = simd::accumulateRowsF32(w, raw v) from
- *    zero and W = simd::gemvF32(w, ones), then sum += W and
- *    acc_c += sV_c * (a_c - float(zpV_c) * W);
+ *  - values, per group: a_c = sum_t w_t * raw v_t,c from zero, rows in
+ *    order, and W = sum_t 1 * w_t in the fixed dot order, then
+ *    sum += W and acc_c += sV_c * (a_c - float(zpV_c) * W);
  *
- * and finally out = acc / sum. The order is fixed, so the result is
+ * and finally out = acc / sum. One simd::dotRowsF32 and one
+ * simd::accumulateRowsF32 call per (kv head, group) serve all the
+ * query heads that share the kv head, so each raw K and V row is
+ * widened once per kv head (per simd::kRowVectorBlock query heads);
+ * every head's operations and their order are the ones above, whatever
+ * the number of heads (products commute, so zpK . q' and 1 . w equal
+ * q' . zpK and w . 1 bit for bit). The order is fixed, so the result is
  * bit-identical across SIMD backends and pool sizes. It is not
  * bit-identical to decodeAttentionQuantized over the stores'
  * snapshots (that oracle dequantizes first and sums in double): the
  * two differ by at most 4e-6 * max|dequantized V| + 1e-6 per output,
  * tested over randomized stores (2-8 bits, groups 1-64, symmetric and
- * asymmetric, GQA 1-4, head_dim 8-64, every length to 70 tokens),
- * where the worst case measures 3.2e-7 * max|V|. K and V must share
+ * asymmetric, GQA 1-8, head_dim 8-64 including 12, every length to 70
+ * tokens), where the worst case measures 3.9e-7 * max|V|. K and V must share
  * the group size; head_dim must be even for a packed store.
  */
 std::vector<float> decodeAttentionQuantized(const AttentionConfig &config,

@@ -26,13 +26,12 @@
  * (m, n) tile): every per-SM busy time, the makespan and the total work
  * are integer tile counts times the two tile durations, computed in
  * O(num_sms + k_tiles) without materializing a tile. It is the path the
- * cost model runs for every COMET GEMM. scheduleTiles() is the discrete
- * simulation of the same policies over an explicit tile list
- * (buildGemmTiles()); it is kept as the differential oracle the tests
- * compare the closed form against. The two agree bit-for-bit whenever
- * the tile sums are exact (e.g. dyadic durations); otherwise they differ
- * only by summation rounding, at most 2 * n * 2^-53 relative for n
- * summed tiles.
+ * cost model runs for every COMET GEMM. The discrete simulation of the
+ * same policies over an explicit tile list lives in the tests
+ * (tests/sm_schedule_oracle.h) as the differential oracle of the closed
+ * form. The two agree bit-for-bit whenever the tile sums are exact
+ * (e.g. dyadic durations); otherwise they differ only by summation
+ * rounding, at most 2 * n * 2^-53 relative for n summed tiles.
  */
 #pragma once
 
@@ -53,12 +52,6 @@ enum class SchedulingStrategy {
 
 /** Returns a short human-readable strategy name. */
 const char *schedulingStrategyName(SchedulingStrategy strategy);
-
-/** One schedulable tile of a mixed-precision GEMM. */
-struct TileWork {
-    double duration = 0.0;       ///< microseconds on one SM
-    BlockPrecision precision = BlockPrecision::kInt4;
-};
 
 /** Outcome of scheduling a tile list onto the SMs. */
 struct ScheduleResult {
@@ -84,8 +77,8 @@ struct SchedulerConfig {
 /**
  * Compact description of a GEMM's tile grid in kernel issue order: the
  * k-tile precision pattern (k innermost) repeated once per (m, n) tile.
- * It describes exactly the list buildGemmTiles() materializes when the
- * precision block size equals tile_k.
+ * It describes exactly the tile list the tests' oracle materializes
+ * when the precision block size equals tile_k.
  */
 struct TileGrid {
     int64_t repeats = 0; ///< m_tiles * n_tiles
@@ -106,27 +99,5 @@ struct TileGrid {
 ScheduleResult scheduleTileGrid(const TileGrid &grid,
                                 const SchedulerConfig &config,
                                 SchedulingStrategy strategy);
-
-/** Simulates the given policy over the tile list (the reference
- * scheduleTileGrid() is tested against). */
-ScheduleResult scheduleTiles(const std::vector<TileWork> &tiles,
-                             const SchedulerConfig &config,
-                             SchedulingStrategy strategy);
-
-/**
- * Builds the tile list of an (m, n, k) GEMM with the given per-k-block
- * precision pattern: tiles iterate over the m x n grid for each k block,
- * with per-tile durations supplied by the caller. Every materialized tile
- * counts toward `gpusim.tiles_materialized`; no production path calls
- * this (the cost model schedules a TileGrid instead).
- */
-std::vector<TileWork> buildGemmTiles(int64_t m, int64_t n, int64_t k,
-                                     int64_t tile_m, int64_t tile_n,
-                                     int64_t tile_k,
-                                     const std::vector<BlockPrecision>
-                                         &k_block_precisions,
-                                     int64_t block_size,
-                                     double int4_tile_us,
-                                     double int8_tile_us);
 
 } // namespace comet

@@ -50,13 +50,14 @@ ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
 {
     COMET_CHECK(head_dim % 2 == 0);
     float *r = x.data() + row * x.cols();
-    for (int64_t h = 0; h < heads; ++h) {
-        for (int64_t d = 0; d < head_dim / 2; ++d) {
-            const double theta =
-                static_cast<double>(pos) *
-                std::pow(10000.0, -2.0 * static_cast<double>(d) /
-                                      static_cast<double>(head_dim));
-            const double c = std::cos(theta), s = std::sin(theta);
+    // Every head rotates pair d by the same angle: one cos/sin per pair.
+    for (int64_t d = 0; d < head_dim / 2; ++d) {
+        const double theta =
+            static_cast<double>(pos) *
+            std::pow(10000.0, -2.0 * static_cast<double>(d) /
+                                  static_cast<double>(head_dim));
+        const double c = std::cos(theta), s = std::sin(theta);
+        for (int64_t h = 0; h < heads; ++h) {
             float *pair = r + h * head_dim + 2 * d;
             const float x0 = pair[0];
             const float x1 = pair[1];

@@ -16,14 +16,25 @@ KvCacheQuantizer::KvCacheQuantizer(KvQuantConfig config) : config_(config)
 
 namespace {
 
-/** KV rows (re)quantized by KvStore appends, process-wide: the open
- * group's length per append, so at most group_size each. */
+/** KV values (re)quantized by KvStore appends, process-wide: the
+ * appended row, plus the held values of every channel whose range it
+ * moved. */
 obs::Counter &
-rowsQuantizedCounter()
+valuesQuantizedCounter()
 {
     static obs::Counter &counter =
-        obs::MetricsRegistry::global().counter("quant.kv_rows_quantized");
+        obs::MetricsRegistry::global().counter("quant.kv_values_quantized");
     return counter;
+}
+
+/** The quantizer of a channel whose group spans [min_val, max_val]. */
+QuantParams
+channelParams(float min_val, float max_val, const KvQuantConfig &config)
+{
+    if (config.asymmetric)
+        return chooseAsymmetric(min_val, max_val, config.bits);
+    return chooseSymmetric(std::max(std::fabs(min_val), std::fabs(max_val)),
+                           config.bits);
 }
 
 /**
@@ -58,19 +69,11 @@ struct GroupParams {
             simd::minMaxUpdate(rows + t * channels, channels,
                                mins.data(), maxs.data());
         }
-        for (int64_t c = 0; c < channels; ++c) {
-            const size_t ci = static_cast<size_t>(c);
-            QuantParams params;
-            if (config.asymmetric) {
-                params = chooseAsymmetric(mins[ci], maxs[ci],
-                                          config.bits);
-            } else {
-                params = chooseSymmetric(
-                    std::max(std::fabs(mins[ci]), std::fabs(maxs[ci])),
-                    config.bits);
-            }
-            scales[ci] = params.scale;
-            zero_points[ci] = params.zero_point;
+        for (size_t c = 0; c < static_cast<size_t>(channels); ++c) {
+            const QuantParams params =
+                channelParams(mins[c], maxs[c], config);
+            scales[c] = params.scale;
+            zero_points[c] = params.zero_point;
         }
     }
 
@@ -189,47 +192,99 @@ KvStore::rowBytes() const
 void
 KvStore::append(const float *row)
 {
-    if (tokens_ % config_.group_size == 0) {
+    const auto ch = static_cast<size_t>(channels_);
+    const bool opens = tokens_ % config_.group_size == 0;
+    if (opens) {
         // The previous group is closed: its values and parameters are
         // final, and a new group opens with this row.
         open_rows_.clear();
-        scales_.resize(scales_.size() + static_cast<size_t>(channels_));
-        zero_points_.resize(zero_points_.size() +
-                            static_cast<size_t>(channels_));
+        scales_.resize(scales_.size() + ch);
+        zero_points_.resize(zero_points_.size() + ch);
+        open_mins_.assign(row, row + channels_);
+        open_maxs_.assign(row, row + channels_);
     }
     open_rows_.insert(open_rows_.end(), row, row + channels_);
     ++tokens_;
     values_.resize(static_cast<size_t>(tokens_ * rowBytes()));
-
-    // Re-derive the open group over every row it now holds, as
-    // KvCacheQuantizer::quantize does for the trailing group.
     const int64_t open = static_cast<int64_t>(open_rows_.size()) /
                          channels_;
     const int64_t t0 = tokens_ - open;
-    GroupParams group(channels_);
-    group.derive(open_rows_.data(), open, channels_, config_);
-    const size_t param0 =
-        scales_.size() - static_cast<size_t>(channels_);
-    std::copy(group.scales.begin(), group.scales.end(),
-              scales_.begin() + static_cast<std::ptrdiff_t>(param0));
-    std::copy(group.zero_points.begin(), group.zero_points.end(),
-              zero_points_.begin() +
-                  static_cast<std::ptrdiff_t>(param0));
+    float *scales = scales_.data() + (scales_.size() - ch);
+    int32_t *zero_points = zero_points_.data() + (zero_points_.size() - ch);
 
-    const QuantRange range = signedRange(config_.bits);
-    std::vector<int8_t> qrow(static_cast<size_t>(channels_));
-    for (int64_t r = 0; r < open; ++r) {
-        uint8_t *dst = values_.data() + (t0 + r) * rowBytes();
-        int8_t *q =
-            packed() ? qrow.data() : reinterpret_cast<int8_t *>(dst);
-        simd::quantizeAffine(open_rows_.data() + r * channels_,
-                             group.scales.data(),
-                             group.zero_points.data(), channels_,
-                             range.qmin, range.qmax, q);
-        if (packed())
-            simd::packInt4(qrow.data(), channels_, dst);
+    // The running range takes the row by the same minMaxUpdate step
+    // KvCacheQuantizer::quantize's scan runs, so it equals that scan's
+    // range over the open group. That step replaces a bound exactly
+    // when x < min or x > max, and then with a different value; every
+    // other channel keeps its range, its parameters and its held
+    // values.
+    AppendBuffers &buf = buffers_;
+    const auto derive = [&](int64_t c) {
+        const auto ci = static_cast<size_t>(c);
+        const QuantParams params =
+            channelParams(open_mins_[ci], open_maxs_[ci], config_);
+        scales[c] = params.scale;
+        zero_points[c] = params.zero_point;
+    };
+    buf.moved.clear();
+    if (opens) {
+        for (int64_t c = 0; c < channels_; ++c)
+            derive(c);
+    } else {
+        for (int64_t c = 0; c < channels_; ++c) {
+            const auto ci = static_cast<size_t>(c);
+            if (row[c] < open_mins_[ci] || row[c] > open_maxs_[ci])
+                buf.moved.push_back(c);
+        }
+        simd::minMaxUpdate(row, channels_, open_mins_.data(),
+                           open_maxs_.data());
+        for (const int64_t c : buf.moved)
+            derive(c);
     }
-    rowsQuantizedCounter().add(open);
+
+    // The new row, whole, then each moved channel's held values down
+    // its column, through the same simd::quantizeAffine as the row.
+    const QuantRange range = signedRange(config_.bits);
+    // Columns are padded to whole blocks of 8 (zeros under scale 1), so
+    // the SIMD quantizer needs no scalar tail; the padding is dropped.
+    const int64_t held = open - 1;
+    const auto held_size = static_cast<size_t>(held);
+    const size_t padded = (held_size + 7) / 8 * 8;
+    buf.q.resize(std::max(ch, padded));
+    uint8_t *dst = values_.data() + (tokens_ - 1) * rowBytes();
+    int8_t *q = packed() ? buf.q.data() : reinterpret_cast<int8_t *>(dst);
+    simd::quantizeAffine(row, scales, zero_points, channels_, range.qmin,
+                         range.qmax, q);
+    if (packed())
+        simd::packInt4(q, channels_, dst);
+    buf.column.assign(padded, 0.0f);
+    buf.scales.assign(padded, 1.0f);
+    buf.zero_points.assign(padded, 0);
+    for (const int64_t c : buf.moved) {
+        for (size_t r = 0; r < held_size; ++r)
+            buf.column[r] = open_rows_[r * ch + static_cast<size_t>(c)];
+        std::fill_n(buf.scales.begin(), held_size, scales[c]);
+        std::fill_n(buf.zero_points.begin(), held_size, zero_points[c]);
+        simd::quantizeAffine(buf.column.data(), buf.scales.data(),
+                             buf.zero_points.data(),
+                             static_cast<int64_t>(padded), range.qmin,
+                             range.qmax, buf.q.data());
+        for (int64_t r = 0; r < held; ++r) {
+            uint8_t *row_dst = values_.data() + (t0 + r) * rowBytes();
+            const auto value =
+                static_cast<uint8_t>(buf.q[static_cast<size_t>(r)]);
+            if (!packed())
+                row_dst[c] = value;
+            else if (c % 2 == 0)
+                row_dst[c / 2] = static_cast<uint8_t>(
+                    (row_dst[c / 2] & 0xf0) | (value & 0x0f));
+            else
+                row_dst[c / 2] = static_cast<uint8_t>(
+                    (row_dst[c / 2] & 0x0f) | (value << 4));
+        }
+    }
+    valuesQuantizedCounter().add(
+        channels_ + static_cast<int64_t>(buf.moved.size()) * held);
 }
 
 QuantizedKv

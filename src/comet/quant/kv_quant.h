@@ -15,8 +15,9 @@
  *    one call (one byte per value). It is the reference the serving
  *    store is tested against, and the form TP shards slice.
  *  - KvStore is the serving cache: append-only, nibble-packed at
- *    4 bits and below. Each append re-derives only the open (last,
- *    partial) group; closed groups are final. Its contents are
+ *    4 bits and below. Each append updates only the open (last,
+ *    partial) group, and in it only the channels whose range the new
+ *    row moved; closed groups are final. Its contents are
  *    bit-identical to KvCacheQuantizer::quantize of the whole history
  *    at every length. It has no float read path: attention reads the
  *    raw values and folds each group's parameters into its own sums
@@ -87,11 +88,13 @@ class KvCacheQuantizer
  * Values are stored two per byte (Int4Tensor's nibble order) when
  * bits <= 4 and one per byte otherwise; parameters are kept per
  * (group, channel). Only the open group's float rows are retained (at
- * most group_size of them): each append re-derives that group's
- * parameters and re-quantizes its rows, so the store always equals
- * KvCacheQuantizer::quantize of the whole history, bit for bit. No
- * dequantized copy is kept, and none is produced: readers take the
- * raw values and the per-(group, channel) parameters.
+ * most group_size of them), with its running per-channel min and max.
+ * Channels are quantized independently, so each append re-derives the
+ * parameters and re-quantizes the held values of only the channels
+ * whose min or max the row moved, and quantizes the row itself; the
+ * store always equals KvCacheQuantizer::quantize of the whole history,
+ * bit for bit. No dequantized copy is kept, and none is produced:
+ * readers take the raw values and the per-(group, channel) parameters.
  */
 class KvStore
 {
@@ -106,9 +109,10 @@ class KvStore
     /** True when values are stored two per byte. */
     bool packed() const { return config_.bits <= 4; }
 
-    /** Appends one row of channels() floats. Adds the rows it
-     * (re)quantizes — the open group's length — to the
-     * `quant.kv_rows_quantized` counter. */
+    /** Appends one row of channels() floats. Adds the values it
+     * (re)quantizes — the row's, plus the held values of each channel
+     * whose range it moved — to the `quant.kv_values_quantized`
+     * counter. */
     void append(const float *row);
 
     /** Bytes per token row: channels() / 2 when packed(), else
@@ -142,6 +146,20 @@ class KvStore
     std::vector<float> scales_;        ///< [groups, channels]
     std::vector<int32_t> zero_points_; ///< [groups, channels]
     std::vector<float> open_rows_;     ///< open group, [rows, channels]
+    std::vector<float> open_mins_;     ///< open group's range, [channels]
+    std::vector<float> open_maxs_;     ///< open group's range, [channels]
+    /** Working buffers of append(), kept between calls. */
+    struct AppendBuffers {
+        std::vector<int64_t> moved; ///< channels the row moved
+        /** One moved channel's held values, padded to a multiple
+         * of 8, with its parameters repeated per value
+         * (quantizeAffine's form). @{ */
+        std::vector<float> column;
+        std::vector<float> scales;
+        std::vector<int32_t> zero_points;
+        /** @} */
+        std::vector<int8_t> q; ///< quantized row or column, unpacked
+    } buffers_;
 };
 
 } // namespace comet

@@ -268,11 +268,14 @@ dequantAffine(const int8_t *q, const float *scales,
 }
 
 void
-dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
-           float *out)
+dotRowsF32(const float *x, int64_t x_stride, int64_t n_x, QuantRows rows,
+           int64_t n_rows, int64_t n, float *out, int64_t out_stride)
 {
     COMET_CHECK(n_rows >= 0 && n >= 0 && (!rows.packed || n % 2 == 0));
-    COMET_SIMD_DISPATCH(dotRowsF32(x, rows, n_rows, n, out));
+    COMET_CHECK(n_x >= 0 &&
+                (n_x <= 1 || (x_stride >= n && out_stride >= n_rows)));
+    COMET_SIMD_DISPATCH(
+        dotRowsF32(x, x_stride, n_x, rows, n_rows, n, out, out_stride));
 }
 
 void
@@ -284,11 +287,15 @@ gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
 }
 
 void
-accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
-                  int64_t n, float *acc)
+accumulateRowsF32(const float *w, int64_t w_stride, int64_t n_w,
+                  QuantRows rows, int64_t n_rows, int64_t n, float *acc,
+                  int64_t acc_stride)
 {
     COMET_CHECK(n_rows >= 0 && n >= 0 && (!rows.packed || n % 2 == 0));
-    COMET_SIMD_DISPATCH(accumulateRowsF32(w, rows, n_rows, n, acc));
+    COMET_CHECK(n_w >= 0 &&
+                (n_w <= 1 || (w_stride >= n_rows && acc_stride >= n)));
+    COMET_SIMD_DISPATCH(accumulateRowsF32(w, w_stride, n_w, rows, n_rows, n,
+                                          acc, acc_stride));
 }
 
 void

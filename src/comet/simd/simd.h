@@ -229,6 +229,13 @@ struct QuantRows {
 };
 
 /**
+ * Vectors one widening of a raw row serves in dotRowsF32 and
+ * accumulateRowsF32: the SIMD backends widen each row block once for
+ * up to this many vectors, and once per such batch beyond it.
+ */
+constexpr int64_t kRowVectorBlock = 8;
+
+/**
  * The float dot products of the fused attention and the LM head, in
  * one fixed order: for out[r] = sum_i x[i] * row_r[i], value i's
  * product (multiply, then round) is added to lane i % 8, lanes
@@ -238,25 +245,34 @@ struct QuantRows {
  * returns the same bits.
  *
  * dotRowsF32 reads @p n_rows rows of raw quantized values (@p n even
- * when packed); gemvF32 reads float rows starting @p stride floats
- * apart.
+ * when packed) against @p n_x vectors, vector g at x + g * x_stride,
+ * and writes out[g * out_stride + r] = x_g . row_r: the query heads
+ * that share a kv head, each row widened once for all of them. Each
+ * dot is the one-vector dot above, so the result does not depend on
+ * @p n_x. gemvF32 reads float rows starting @p stride floats apart
+ * against one vector.
  * @{
  */
-void dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
-                float *out);
+void dotRowsF32(const float *x, int64_t x_stride, int64_t n_x,
+                QuantRows rows, int64_t n_rows, int64_t n, float *out,
+                int64_t out_stride);
 void gemvF32(const float *x, const float *rows, int64_t stride,
              int64_t n_rows, int64_t n, float *out);
 /** @} */
 
 /**
- * Weighted accumulation of raw quantized rows:
- * acc[i] = acc[i] + w[r] * row_r[i] for rows r = 0 .. n_rows - 1 in
- * that order, each product rounded before its add (the attention
- * value sum over raw INT4/INT8 values). Elementwise, so every backend
+ * Weighted accumulation of raw quantized rows into @p n_w
+ * accumulators: for g < n_w,
+ * acc_g[i] = acc_g[i] + w_g[r] * row_r[i] for rows r = 0 .. n_rows - 1
+ * in that order, where w_g = w + g * w_stride and
+ * acc_g = acc + g * acc_stride, each product rounded before its add
+ * (the attention value sums of the query heads sharing a kv head, each
+ * raw row widened once for all of them). Elementwise, so every backend
  * returns the same bits. @p n is even when packed.
  */
-void accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
-                       int64_t n, float *acc);
+void accumulateRowsF32(const float *w, int64_t w_stride, int64_t n_w,
+                       QuantRows rows, int64_t n_rows, int64_t n,
+                       float *acc, int64_t acc_stride);
 
 /**
  * out[i] = e^x[i] in float by one fixed sequence of IEEE operations

@@ -11,7 +11,7 @@
  * (true division, copysign(0.5) rounding, truncating conversion).
  * Ragged tails fall through to the scalar backend, except in the
  * float dots, whose last block is zero-padded (exact; see
- * dotRowsImpl).
+ * dotTile).
  */
 #include "comet/simd/simd_internal.h"
 
@@ -19,6 +19,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "comet/common/status.h"
@@ -202,97 +203,205 @@ struct FloatRows {
 /** @} */
 
 /**
- * The fixed-order dot of @p x against @p n_rows rows. Rows go eight
- * at a time (eight independent lane accumulators, one transposed
- * reduction). A ragged tail adds zero products to the unused lanes,
- * which leaves them unchanged: a lane that starts at +0.0f can never
- * hold -0.0f, so adding +0.0f is exact.
+ * The fixed-order dots of @p G vectors against the @p R rows from
+ * @p r0: per 8-value block, each row is widened once and multiplied by
+ * every vector, into accumulator g * R + r; one transposed reduction
+ * then forms all R * G dots, each vector's R of them side by side. A
+ * ragged tail adds zero products to the unused lanes (@p x_tail holds
+ * each vector's tail, zero-padded), which leaves them unchanged: a lane
+ * that starts at +0.0f can never hold -0.0f, so adding +0.0f is exact.
  */
-template <typename Rows>
+template <int G, int R, typename Rows>
 COMET_AVX2 inline void
-dotRowsImpl(const float *x, const Rows &rows, int64_t n_rows, int64_t n,
-            float *out)
+dotTile(const float *x, int64_t x_stride, const float *x_tail,
+        const Rows &rows, int64_t r0, int64_t n, float *out,
+        int64_t out_stride)
 {
+    static_assert(G * R <= 8, "one accumulator per (row, vector)");
     const int64_t full = n - n % 8;
-    alignas(32) float x_tail[8] = {};
-    if (full < n)
-        std::memcpy(x_tail, x + full,
-                    static_cast<size_t>(n - full) * sizeof(float));
-    const __m256 xt = _mm256_load_ps(x_tail);
-    int64_t r = 0;
-    // The row loops unroll fully so the eight accumulators stay in
-    // registers.
-    for (; n_rows - r >= 8; r += 8) {
-        __m256 acc[8];
+    // The loops unroll fully so the accumulators stay in registers.
+    __m256 acc[8];
 #pragma GCC unroll 8
-        for (int g = 0; g < 8; ++g)
-            acc[g] = _mm256_setzero_ps();
-        for (int64_t i = 0; i < full; i += 8) {
-            const __m256 xv = _mm256_loadu_ps(x + i);
+    for (int j = 0; j < 8; ++j)
+        acc[j] = _mm256_setzero_ps();
+    for (int64_t i = 0; i < full; i += 8) {
+        __m256 xv[G];
 #pragma GCC unroll 8
-            for (int g = 0; g < 8; ++g)
-                acc[g] = _mm256_add_ps(
-                    acc[g], _mm256_mul_ps(xv, rows.block(r + g, i)));
+        for (int g = 0; g < G; ++g)
+            xv[g] = _mm256_loadu_ps(x + g * x_stride + i);
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+            const __m256 row = rows.block(r0 + r, i);
+#pragma GCC unroll 8
+            for (int g = 0; g < G; ++g)
+                acc[g * R + r] = _mm256_add_ps(acc[g * R + r],
+                                               _mm256_mul_ps(xv[g], row));
         }
-        if (full < n) {
-#pragma GCC unroll 8
-            for (int g = 0; g < 8; ++g)
-                acc[g] = _mm256_add_ps(
-                    acc[g], _mm256_mul_ps(xt, rows.tail(r + g, full,
-                                                        n - full)));
-        }
-        _mm256_storeu_ps(out + r, hsum8TreePs(acc));
     }
-    for (; r < n_rows; ++r) {
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t i = 0; i < full; i += 8)
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(_mm256_loadu_ps(x + i), rows.block(r, i)));
-        if (full < n)
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(xt, rows.tail(r, full, n - full)));
-        out[r] = hsumTreePs(acc);
+    if (full < n) {
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+            const __m256 row = rows.tail(r0 + r, full, n - full);
+#pragma GCC unroll 8
+            for (int g = 0; g < G; ++g)
+                acc[g * R + r] = _mm256_add_ps(
+                    acc[g * R + r],
+                    _mm256_mul_ps(_mm256_load_ps(x_tail + 8 * g), row));
+        }
+    }
+    if constexpr (G * R == 1) {
+        out[r0] = hsumTreePs(acc[0]);
+    } else {
+        alignas(32) float dots[8];
+        _mm256_store_ps(dots, hsum8TreePs(acc));
+        for (int g = 0; g < G; ++g)
+            std::memcpy(out + g * out_stride + r0, dots + g * R,
+                        R * sizeof(float));
     }
 }
 
-/**
- * acc[i] += w[r] * row_r[i], rows in order. Up to four 8-value blocks
- * run side by side, so four independent add chains cover the rows'
- * latency; the ragged tail goes to the scalar backend (elementwise,
- * so the split does not change any value).
- */
+/** The fixed-order dots of @p G vectors against @p n_rows rows, in
+ * tiles of 8 / G rows (eight accumulators) and then one row at a
+ * time. */
+template <int G, typename Rows>
+COMET_AVX2 inline void
+dotRowsImpl(const float *x, int64_t x_stride, const Rows &rows,
+            int64_t n_rows, int64_t n, float *out, int64_t out_stride)
+{
+    constexpr int R = 8 / G;
+    const int64_t full = n - n % 8;
+    alignas(32) float x_tail[8 * G] = {};
+    if (full < n) {
+        for (int g = 0; g < G; ++g)
+            std::memcpy(x_tail + 8 * g, x + g * x_stride + full,
+                        static_cast<size_t>(n - full) * sizeof(float));
+    }
+    int64_t r = 0;
+    for (; n_rows - r >= R; r += R)
+        dotTile<G, R>(x, x_stride, x_tail, rows, r, n, out, out_stride);
+    if constexpr (R > 1) {
+        for (; r < n_rows; ++r)
+            dotTile<G, 1>(x, x_stride, x_tail, rows, r, n, out, out_stride);
+    }
+}
+
+/** dotRowsImpl<n_x>, for 1 <= @p n_x <= kRowVectorBlock. */
+template <int G = 1, typename Rows>
+COMET_AVX2 inline void
+dotRowsBlock(const float *x, int64_t x_stride, int64_t n_x,
+             const Rows &rows, int64_t n_rows, int64_t n, float *out,
+             int64_t out_stride)
+{
+    if constexpr (G < kRowVectorBlock) {
+        if (n_x > G)
+            return dotRowsBlock<G + 1>(x, x_stride, n_x, rows, n_rows, n,
+                                       out, out_stride);
+    }
+    dotRowsImpl<G>(x, x_stride, rows, n_rows, n, out, out_stride);
+}
+
+/** The fixed-order dots of any number of vectors, kRowVectorBlock at
+ * a time. */
 template <typename Rows>
 COMET_AVX2 inline void
-accumulateImpl(const float *w, const Rows &rows, int64_t n_rows,
-               int64_t full, float *acc)
+dotRowsAny(const float *x, int64_t x_stride, int64_t n_x, const Rows &rows,
+           int64_t n_rows, int64_t n, float *out, int64_t out_stride)
 {
-    int64_t i = 0;
-    for (; full - i >= 32; i += 32) {
-        __m256 a0 = _mm256_loadu_ps(acc + i);
-        __m256 a1 = _mm256_loadu_ps(acc + i + 8);
-        __m256 a2 = _mm256_loadu_ps(acc + i + 16);
-        __m256 a3 = _mm256_loadu_ps(acc + i + 24);
-        for (int64_t r = 0; r < n_rows; ++r) {
-            const __m256 wr = _mm256_set1_ps(w[r]);
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(wr, rows.block(r, i)));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(wr, rows.block(r, i + 8)));
-            a2 = _mm256_add_ps(a2,
-                               _mm256_mul_ps(wr, rows.block(r, i + 16)));
-            a3 = _mm256_add_ps(a3,
-                               _mm256_mul_ps(wr, rows.block(r, i + 24)));
+    for (int64_t g = 0; g < n_x; g += kRowVectorBlock)
+        dotRowsBlock(x + g * x_stride, x_stride,
+                     std::min(n_x - g, kRowVectorBlock), rows, n_rows, n,
+                     out + g * out_stride, out_stride);
+}
+
+/**
+ * acc_g[i, i + 8C) += w_g[r] * row_r[i, i + 8C) for @p G vectors,
+ * rows in order: each row's C blocks are widened once for every
+ * vector, and the G * C accumulators (at most eight) are independent
+ * add chains that cover the rows' latency.
+ */
+template <int G, int C, typename Rows>
+COMET_AVX2 inline void
+accumulateTile(const float *w, int64_t w_stride, const Rows &rows,
+               int64_t n_rows, int64_t i, float *acc, int64_t acc_stride)
+{
+    static_assert(G * C <= 8, "at most eight accumulators");
+    __m256 a[G * C];
+#pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+#pragma GCC unroll 4
+        for (int c = 0; c < C; ++c)
+            a[g * C + c] = _mm256_loadu_ps(acc + g * acc_stride + i + 8 * c);
+    }
+    for (int64_t r = 0; r < n_rows; ++r) {
+        __m256 block[C];
+#pragma GCC unroll 4
+        for (int c = 0; c < C; ++c)
+            block[c] = rows.block(r, i + 8 * c);
+#pragma GCC unroll 8
+        for (int g = 0; g < G; ++g) {
+            const __m256 wr = _mm256_set1_ps(w[g * w_stride + r]);
+#pragma GCC unroll 4
+            for (int c = 0; c < C; ++c)
+                a[g * C + c] = _mm256_add_ps(a[g * C + c],
+                                             _mm256_mul_ps(wr, block[c]));
         }
-        _mm256_storeu_ps(acc + i, a0);
-        _mm256_storeu_ps(acc + i + 8, a1);
-        _mm256_storeu_ps(acc + i + 16, a2);
-        _mm256_storeu_ps(acc + i + 24, a3);
     }
-    for (; full - i >= 8; i += 8) {
-        __m256 a = _mm256_loadu_ps(acc + i);
-        for (int64_t r = 0; r < n_rows; ++r)
-            a = _mm256_add_ps(
-                a, _mm256_mul_ps(_mm256_set1_ps(w[r]), rows.block(r, i)));
-        _mm256_storeu_ps(acc + i, a);
+#pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+#pragma GCC unroll 4
+        for (int c = 0; c < C; ++c)
+            _mm256_storeu_ps(acc + g * acc_stride + i + 8 * c, a[g * C + c]);
     }
+}
+
+/** The weighted accumulation of @p G vectors over the whole 8-value
+ * blocks [0, @p full): four blocks per pass for one or two vectors,
+ * fewer for more, then single blocks. The ragged tail goes to the
+ * scalar backend (elementwise, so the split does not change any
+ * value). */
+template <int G, typename Rows>
+COMET_AVX2 inline void
+accumulateImpl(const float *w, int64_t w_stride, const Rows &rows,
+               int64_t n_rows, int64_t full, float *acc, int64_t acc_stride)
+{
+    constexpr int C = G <= 2 ? 4 : (G <= 4 ? 2 : 1);
+    int64_t i = 0;
+    for (; full - i >= 8 * C; i += 8 * C)
+        accumulateTile<G, C>(w, w_stride, rows, n_rows, i, acc, acc_stride);
+    if constexpr (C > 1) {
+        for (; full - i >= 8; i += 8)
+            accumulateTile<G, 1>(w, w_stride, rows, n_rows, i, acc,
+                                 acc_stride);
+    }
+}
+
+/** accumulateImpl<n_w>, for 1 <= @p n_w <= kRowVectorBlock. */
+template <int G = 1, typename Rows>
+COMET_AVX2 inline void
+accumulateBlock(const float *w, int64_t w_stride, int64_t n_w,
+                const Rows &rows, int64_t n_rows, int64_t full, float *acc,
+                int64_t acc_stride)
+{
+    if constexpr (G < kRowVectorBlock) {
+        if (n_w > G)
+            return accumulateBlock<G + 1>(w, w_stride, n_w, rows, n_rows,
+                                          full, acc, acc_stride);
+    }
+    accumulateImpl<G>(w, w_stride, rows, n_rows, full, acc, acc_stride);
+}
+
+/** The weighted accumulation of any number of vectors,
+ * kRowVectorBlock at a time, over the whole 8-value blocks. */
+template <typename Rows>
+COMET_AVX2 inline void
+accumulateAny(const float *w, int64_t w_stride, int64_t n_w,
+              const Rows &rows, int64_t n_rows, int64_t full, float *acc,
+              int64_t acc_stride)
+{
+    for (int64_t g = 0; g < n_w; g += kRowVectorBlock)
+        accumulateBlock(w + g * w_stride, w_stride,
+                        std::min(n_w - g, kRowVectorBlock), rows, n_rows,
+                        full, acc + g * acc_stride, acc_stride);
 }
 
 } // namespace
@@ -644,36 +753,42 @@ dequantAffine(const int8_t *q, const float *scales,
 }
 
 COMET_AVX2 void
-dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
-           float *out)
+dotRowsF32(const float *x, int64_t x_stride, int64_t n_x, QuantRows rows,
+           int64_t n_rows, int64_t n, float *out, int64_t out_stride)
 {
     if (rows.packed)
-        dotRowsImpl(x, NibbleRows{rows.data, rows.stride}, n_rows, n, out);
+        dotRowsAny(x, x_stride, n_x, NibbleRows{rows.data, rows.stride},
+                   n_rows, n, out, out_stride);
     else
-        dotRowsImpl(x, Int8Rows{rows.data, rows.stride}, n_rows, n, out);
+        dotRowsAny(x, x_stride, n_x, Int8Rows{rows.data, rows.stride},
+                   n_rows, n, out, out_stride);
 }
 
 COMET_AVX2 void
 gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
         int64_t n, float *out)
 {
-    dotRowsImpl(x, FloatRows{rows, stride}, n_rows, n, out);
+    dotRowsImpl<1>(x, 0, FloatRows{rows, stride}, n_rows, n, out, 0);
 }
 
 COMET_AVX2 void
-accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
-                  int64_t n, float *acc)
+accumulateRowsF32(const float *w, int64_t w_stride, int64_t n_w,
+                  QuantRows rows, int64_t n_rows, int64_t n, float *acc,
+                  int64_t acc_stride)
 {
     const int64_t full = n - n % 8;
     if (rows.packed)
-        accumulateImpl(w, NibbleRows{rows.data, rows.stride}, n_rows, full,
-                       acc);
+        accumulateAny(w, w_stride, n_w, NibbleRows{rows.data, rows.stride},
+                      n_rows, full, acc, acc_stride);
     else
-        accumulateImpl(w, Int8Rows{rows.data, rows.stride}, n_rows, full,
-                       acc);
+        accumulateAny(w, w_stride, n_w, Int8Rows{rows.data, rows.stride},
+                      n_rows, full, acc, acc_stride);
+    if (full == n)
+        return;
     QuantRows tail = rows;
     tail.data += rows.packed ? full / 2 : full;
-    scalar::accumulateRowsF32(w, tail, n_rows, n - full, acc + full);
+    scalar::accumulateRowsF32(w, w_stride, n_w, tail, n_rows, n - full,
+                              acc + full, acc_stride);
 }
 
 COMET_AVX2 void

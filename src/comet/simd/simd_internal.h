@@ -56,12 +56,14 @@ namespace detail {
     void dequantAffine(const int8_t *q, const float *scales,               \
                        const int32_t *zero_points, int64_t n,              \
                        float *out);                                        \
-    void dotRowsF32(const float *x, QuantRows rows, int64_t n_rows,        \
-                    int64_t n, float *out);                                \
+    void dotRowsF32(const float *x, int64_t x_stride, int64_t n_x,         \
+                    QuantRows rows, int64_t n_rows, int64_t n,             \
+                    float *out, int64_t out_stride);                       \
     void gemvF32(const float *x, const float *rows, int64_t stride,        \
                  int64_t n_rows, int64_t n, float *out);                   \
-    void accumulateRowsF32(const float *w, QuantRows rows,                 \
-                           int64_t n_rows, int64_t n, float *acc);         \
+    void accumulateRowsF32(const float *w, int64_t w_stride, int64_t n_w,  \
+                           QuantRows rows, int64_t n_rows, int64_t n,      \
+                           float *acc, int64_t acc_stride);                \
     void expF32(const float *x, int64_t n, float *out);                    \
     }
 

@@ -16,6 +16,7 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "comet/common/status.h"
@@ -157,46 +158,155 @@ struct FloatRows {
 };
 /** @} */
 
-/** The fixed-order dot of @p x against every row. A ragged tail adds
- * zero products to the unused lanes, which leaves them unchanged (a
- * lane that starts at +0.0f never holds -0.0f). */
-template <typename Rows>
+/** The fixed-order dots of @p G vectors against the @p R rows from
+ * @p r0: per 8-value block, each row is widened once and multiplied by
+ * every vector. A ragged tail adds zero products to the unused lanes
+ * (@p x_tail holds each vector's tail, zero-padded), which leaves them
+ * unchanged (a lane that starts at +0.0f never holds -0.0f). */
+template <int G, int R, typename Rows>
 void
-dotRowsImpl(const float *x, const Rows &rows, int64_t n_rows, int64_t n,
-            float *out)
+dotTile(const float *x, int64_t x_stride, const float *x_tail,
+        const Rows &rows, int64_t r0, int64_t n, float *out,
+        int64_t out_stride)
 {
     const int64_t full = n - n % 8;
-    float x_tail[8] = {};
-    if (full < n)
-        std::memcpy(x_tail, x + full,
-                    static_cast<size_t>(n - full) * sizeof(float));
-    const Lanes8 xt{vld1q_f32(x_tail), vld1q_f32(x_tail + 4)};
-    for (int64_t r = 0; r < n_rows; ++r) {
-        Lanes8 acc{vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)};
-        for (int64_t i = 0; i < full; i += 8)
-            acc = addProduct(acc, {vld1q_f32(x + i), vld1q_f32(x + i + 4)},
-                             rows.block(r, i));
-        if (full < n)
-            acc = addProduct(acc, xt, rows.tail(r, full, n - full));
-        out[r] = hsumTree(acc);
+    Lanes8 acc[R * G];
+    for (int j = 0; j < R * G; ++j)
+        acc[j] = {vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)};
+    for (int64_t i = 0; i < full; i += 8) {
+        for (int r = 0; r < R; ++r) {
+            const Lanes8 row = rows.block(r0 + r, i);
+            for (int g = 0; g < G; ++g) {
+                const float *xg = x + g * x_stride + i;
+                acc[g * R + r] = addProduct(
+                    acc[g * R + r], {vld1q_f32(xg), vld1q_f32(xg + 4)}, row);
+            }
+        }
+    }
+    if (full < n) {
+        for (int r = 0; r < R; ++r) {
+            const Lanes8 row = rows.tail(r0 + r, full, n - full);
+            for (int g = 0; g < G; ++g) {
+                const float *xg = x_tail + 8 * g;
+                acc[g * R + r] = addProduct(
+                    acc[g * R + r], {vld1q_f32(xg), vld1q_f32(xg + 4)}, row);
+            }
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        for (int g = 0; g < G; ++g)
+            out[g * out_stride + r0 + r] = hsumTree(acc[g * R + r]);
     }
 }
 
-/** acc[i] += w[r] * row_r[i] over the whole 8-value blocks. */
+/** The fixed-order dots of @p G vectors against @p n_rows rows, in
+ * tiles of 8 / G rows and then one row at a time. */
+template <int G, typename Rows>
+void
+dotRowsImpl(const float *x, int64_t x_stride, const Rows &rows,
+            int64_t n_rows, int64_t n, float *out, int64_t out_stride)
+{
+    constexpr int R = 8 / G;
+    const int64_t full = n - n % 8;
+    float x_tail[8 * G] = {};
+    if (full < n) {
+        for (int g = 0; g < G; ++g)
+            std::memcpy(x_tail + 8 * g, x + g * x_stride + full,
+                        static_cast<size_t>(n - full) * sizeof(float));
+    }
+    int64_t r = 0;
+    for (; n_rows - r >= R; r += R)
+        dotTile<G, R>(x, x_stride, x_tail, rows, r, n, out, out_stride);
+    if constexpr (R > 1) {
+        for (; r < n_rows; ++r)
+            dotTile<G, 1>(x, x_stride, x_tail, rows, r, n, out, out_stride);
+    }
+}
+
+/** dotRowsImpl<n_x>, for 1 <= @p n_x <= kRowVectorBlock. */
+template <int G = 1, typename Rows>
+void
+dotRowsBlock(const float *x, int64_t x_stride, int64_t n_x,
+             const Rows &rows, int64_t n_rows, int64_t n, float *out,
+             int64_t out_stride)
+{
+    if constexpr (G < kRowVectorBlock) {
+        if (n_x > G)
+            return dotRowsBlock<G + 1>(x, x_stride, n_x, rows, n_rows, n,
+                                       out, out_stride);
+    }
+    dotRowsImpl<G>(x, x_stride, rows, n_rows, n, out, out_stride);
+}
+
+/** The fixed-order dots of any number of vectors, kRowVectorBlock at
+ * a time. */
 template <typename Rows>
 void
-accumulateImpl(const float *w, const Rows &rows, int64_t n_rows,
-               int64_t full, float *acc)
+dotRowsAny(const float *x, int64_t x_stride, int64_t n_x, const Rows &rows,
+           int64_t n_rows, int64_t n, float *out, int64_t out_stride)
+{
+    for (int64_t g = 0; g < n_x; g += kRowVectorBlock)
+        dotRowsBlock(x + g * x_stride, x_stride,
+                     std::min(n_x - g, kRowVectorBlock), rows, n_rows, n,
+                     out + g * out_stride, out_stride);
+}
+
+/** acc_g[i, i + 8) += w_g[r] * row_r[i, i + 8) over the whole 8-value
+ * blocks for @p G vectors, rows in order: each row block is widened
+ * once for every vector. */
+template <int G, typename Rows>
+void
+accumulateImpl(const float *w, int64_t w_stride, const Rows &rows,
+               int64_t n_rows, int64_t full, float *acc, int64_t acc_stride)
 {
     for (int64_t i = 0; i < full; i += 8) {
-        Lanes8 a{vld1q_f32(acc + i), vld1q_f32(acc + i + 4)};
-        for (int64_t r = 0; r < n_rows; ++r) {
-            const float32x4_t wr = vdupq_n_f32(w[r]);
-            a = addProduct(a, {wr, wr}, rows.block(r, i));
+        Lanes8 a[G];
+        for (int g = 0; g < G; ++g) {
+            const float *acc_g = acc + g * acc_stride + i;
+            a[g] = {vld1q_f32(acc_g), vld1q_f32(acc_g + 4)};
         }
-        vst1q_f32(acc + i, a.lo);
-        vst1q_f32(acc + i + 4, a.hi);
+        for (int64_t r = 0; r < n_rows; ++r) {
+            const Lanes8 row = rows.block(r, i);
+            for (int g = 0; g < G; ++g) {
+                const float32x4_t wr = vdupq_n_f32(w[g * w_stride + r]);
+                a[g] = addProduct(a[g], {wr, wr}, row);
+            }
+        }
+        for (int g = 0; g < G; ++g) {
+            float *acc_g = acc + g * acc_stride + i;
+            vst1q_f32(acc_g, a[g].lo);
+            vst1q_f32(acc_g + 4, a[g].hi);
+        }
     }
+}
+
+/** accumulateImpl<n_w>, for 1 <= @p n_w <= kRowVectorBlock. */
+template <int G = 1, typename Rows>
+void
+accumulateBlock(const float *w, int64_t w_stride, int64_t n_w,
+                const Rows &rows, int64_t n_rows, int64_t full, float *acc,
+                int64_t acc_stride)
+{
+    if constexpr (G < kRowVectorBlock) {
+        if (n_w > G)
+            return accumulateBlock<G + 1>(w, w_stride, n_w, rows, n_rows,
+                                          full, acc, acc_stride);
+    }
+    accumulateImpl<G>(w, w_stride, rows, n_rows, full, acc, acc_stride);
+}
+
+/** The weighted accumulation of any number of vectors,
+ * kRowVectorBlock at a time, over the whole 8-value blocks. */
+template <typename Rows>
+void
+accumulateAny(const float *w, int64_t w_stride, int64_t n_w,
+              const Rows &rows, int64_t n_rows, int64_t full, float *acc,
+              int64_t acc_stride)
+{
+    for (int64_t g = 0; g < n_w; g += kRowVectorBlock)
+        accumulateBlock(w + g * w_stride, w_stride,
+                        std::min(n_w - g, kRowVectorBlock), rows, n_rows,
+                        full, acc + g * acc_stride, acc_stride);
 }
 
 } // namespace
@@ -482,36 +592,42 @@ dequantAffine(const int8_t *q, const float *scales,
 }
 
 void
-dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
-           float *out)
+dotRowsF32(const float *x, int64_t x_stride, int64_t n_x, QuantRows rows,
+           int64_t n_rows, int64_t n, float *out, int64_t out_stride)
 {
     if (rows.packed)
-        dotRowsImpl(x, NibbleRows{rows.data, rows.stride}, n_rows, n, out);
+        dotRowsAny(x, x_stride, n_x, NibbleRows{rows.data, rows.stride},
+                   n_rows, n, out, out_stride);
     else
-        dotRowsImpl(x, Int8Rows{rows.data, rows.stride}, n_rows, n, out);
+        dotRowsAny(x, x_stride, n_x, Int8Rows{rows.data, rows.stride},
+                   n_rows, n, out, out_stride);
 }
 
 void
 gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
         int64_t n, float *out)
 {
-    dotRowsImpl(x, FloatRows{rows, stride}, n_rows, n, out);
+    dotRowsImpl<1>(x, 0, FloatRows{rows, stride}, n_rows, n, out, 0);
 }
 
 void
-accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
-                  int64_t n, float *acc)
+accumulateRowsF32(const float *w, int64_t w_stride, int64_t n_w,
+                  QuantRows rows, int64_t n_rows, int64_t n, float *acc,
+                  int64_t acc_stride)
 {
     const int64_t full = n - n % 8;
     if (rows.packed)
-        accumulateImpl(w, NibbleRows{rows.data, rows.stride}, n_rows, full,
-                       acc);
+        accumulateAny(w, w_stride, n_w, NibbleRows{rows.data, rows.stride},
+                      n_rows, full, acc, acc_stride);
     else
-        accumulateImpl(w, Int8Rows{rows.data, rows.stride}, n_rows, full,
-                       acc);
+        accumulateAny(w, w_stride, n_w, Int8Rows{rows.data, rows.stride},
+                      n_rows, full, acc, acc_stride);
+    if (full == n)
+        return;
     QuantRows tail = rows;
     tail.data += rows.packed ? full / 2 : full;
-    scalar::accumulateRowsF32(w, tail, n_rows, n - full, acc + full);
+    scalar::accumulateRowsF32(w, w_stride, n_w, tail, n_rows, n - full,
+                              acc + full, acc_stride);
 }
 
 void

@@ -246,14 +246,17 @@ dequantAffine(const int8_t *q, const float *scales,
 }
 
 void
-dotRowsF32(const float *x, QuantRows rows, int64_t n_rows, int64_t n,
-           float *out)
+dotRowsF32(const float *x, int64_t x_stride, int64_t n_x, QuantRows rows,
+           int64_t n_rows, int64_t n, float *out, int64_t out_stride)
 {
     for (int64_t r = 0; r < n_rows; ++r) {
         const uint8_t *row = rows.data + r * rows.stride;
-        out[r] = laneDot(x, n, [&](int64_t i) {
-            return quantValue(row, rows.packed, i);
-        });
+        for (int64_t g = 0; g < n_x; ++g) {
+            out[g * out_stride + r] =
+                laneDot(x + g * x_stride, n, [&](int64_t i) {
+                    return quantValue(row, rows.packed, i);
+                });
+        }
     }
 }
 
@@ -268,13 +271,18 @@ gemvF32(const float *x, const float *rows, int64_t stride, int64_t n_rows,
 }
 
 void
-accumulateRowsF32(const float *w, QuantRows rows, int64_t n_rows,
-                  int64_t n, float *acc)
+accumulateRowsF32(const float *w, int64_t w_stride, int64_t n_w,
+                  QuantRows rows, int64_t n_rows, int64_t n, float *acc,
+                  int64_t acc_stride)
 {
     for (int64_t r = 0; r < n_rows; ++r) {
         const uint8_t *row = rows.data + r * rows.stride;
-        for (int64_t i = 0; i < n; ++i)
-            acc[i] += w[r] * quantValue(row, rows.packed, i);
+        for (int64_t g = 0; g < n_w; ++g) {
+            const float wr = w[g * w_stride + r];
+            float *acc_g = acc + g * acc_stride;
+            for (int64_t i = 0; i < n; ++i)
+                acc_g[i] += wr * quantValue(row, rows.packed, i);
+        }
     }
 }
 

@@ -206,7 +206,8 @@ storeCase(Rng &rng, const KvQuantConfig &kv_config, int64_t gqa,
 }
 
 /** The store-path sweep: KV bits {2, 3, 4, 8}, groups {1, 7, 32, 64},
- * symmetric and asymmetric, GQA {1, 2, 4}, head_dim {8, 16, 32, 64}. */
+ * symmetric and asymmetric, GQA {1, 2, 4, 8}, head_dim
+ * {8, 12, 16, 32, 64}. */
 template <typename Check>
 void
 sweepStores(Check check)
@@ -219,8 +220,8 @@ sweepStores(Check check)
                 SCOPED_TRACE(::testing::Message()
                              << "bits " << bits << " group " << group
                              << " asym " << asymmetric);
-                for (const int64_t gqa : {1, 2, 4}) {
-                    for (const int64_t head_dim : {8, 16, 32, 64}) {
+                for (const int64_t gqa : {1, 2, 4, 8}) {
+                    for (const int64_t head_dim : {8, 12, 16, 32, 64}) {
                         storeCase(rng, kv_config, gqa, head_dim, check);
                         if (::testing::Test::HasFatalFailure())
                             return;

@@ -4,11 +4,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "comet/common/rng.h"
 #include "comet/obs/metrics.h"
 #include "comet/quant/kv_quant.h"
+#include "comet/simd/simd.h"
 
 namespace comet {
 namespace {
@@ -252,15 +255,111 @@ TEST(KvStore, PacksTwoValuesPerByteAtFourBitsAndBelow)
 
 TEST(KvStore, AppendRequantizesOnlyTheOpenGroup)
 {
+    // Each append quantizes its own row and re-quantizes the held
+    // values of exactly the channels whose open-group min or max it
+    // moved, recomputed here by brute force over the held rows.
     obs::Counter &counter = obs::MetricsRegistry::global().counter(
-        "quant.kv_rows_quantized");
-    const Tensor kv = makeKv(70, 8, 25);
-    KvStore store(8, KvQuantConfig{4, 32, true});
+        "quant.kv_values_quantized");
+    constexpr int64_t kChannels = 8, kGroup = 32;
+    const Tensor kv = makeKv(70, kChannels, 25);
+    KvStore store(kChannels, KvQuantConfig{4, kGroup, true});
+    int64_t total = 0;
     for (int64_t t = 0; t < kv.rows(); ++t) {
+        const int64_t t0 = t - t % kGroup;
+        int64_t moved = 0;
+        for (int64_t c = 0; c < kChannels && t > t0; ++c) {
+            float lo = kv.at(t0, c), hi = kv.at(t0, c);
+            for (int64_t r = t0 + 1; r < t; ++r) {
+                lo = std::min(lo, kv.at(r, c));
+                hi = std::max(hi, kv.at(r, c));
+            }
+            moved += kv.at(t, c) < lo || kv.at(t, c) > hi ? 1 : 0;
+        }
         const int64_t before = counter.value();
-        store.append(kv.data() + t * 8);
-        EXPECT_EQ(counter.value() - before, t % 32 + 1) << t;
+        store.append(kv.data() + t * kChannels);
+        EXPECT_EQ(counter.value() - before,
+                  kChannels + moved * (t - t0)) << t;
+        total += counter.value() - before;
     }
+    // Re-quantizing the whole open group would cost
+    // sum_t (t % 32 + 1) * 8 = 8616 values here.
+    EXPECT_LT(total, 8616 / 3) << total;
+}
+
+/** Appends @p rows to a store of @p config, one at a time, checking
+ * after every append that it equals a whole-history quantize. */
+void
+expectStoreTracksQuantize(const Tensor &rows, const KvQuantConfig &config)
+{
+    const KvCacheQuantizer quantizer(config);
+    KvStore store(rows.cols(), config);
+    for (int64_t t = 0; t < rows.rows(); ++t) {
+        store.append(rows.data() + t * rows.cols());
+        SCOPED_TRACE(::testing::Message() << "length " << t + 1);
+        expectSameQuantizedKv(store.snapshot(),
+                              quantizer.quantize(prefixRows(rows, t + 1)));
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(KvStore, AdversarialAppendsMatchWholeHistoryQuantize)
+{
+    // Rows chosen against the incremental open group: each one moves
+    // every channel's range, none of it, only signed zeros, or lands
+    // on the current extremes exactly.
+    constexpr int64_t kChannels = 6;
+    std::vector<float> values;
+    const auto add = [&](auto value) {
+        for (int64_t c = 0; c < kChannels; ++c)
+            values.push_back(value(c));
+    };
+    // Signed zeros first: -0.0 after +0.0 moves no bound.
+    for (int i = 0; i < 3; ++i) {
+        add([](int64_t) { return 0.0f; });
+        add([](int64_t) { return -0.0f; });
+    }
+    // Every row a new min or max in every channel.
+    for (int64_t i = 0; i < 12; ++i) {
+        add([&](int64_t c) {
+            const float sign = (i + c) % 2 == 0 ? 1.0f : -1.0f;
+            return sign * (1.0f + static_cast<float>(i));
+        });
+    }
+    // Strictly inside the range: no channel moves.
+    for (int64_t i = 0; i < 12; ++i) {
+        add([&](int64_t c) {
+            return 0.25f * static_cast<float>((i + c) % 5) - 0.5f;
+        });
+    }
+    // The current extremes again, then one channel at a time.
+    for (int64_t i = 0; i < 6; ++i) {
+        add([&](int64_t c) { return (i + c) % 2 == 0 ? 12.0f : -12.0f; });
+        add([&](int64_t c) { return c == i ? 40.0f + static_cast<float>(i)
+                                           : 0.5f; });
+    }
+    Tensor kv(static_cast<int64_t>(values.size()) / kChannels, kChannels);
+    std::copy(values.begin(), values.end(), kv.data());
+
+    const simd::Mode saved = simd::activeMode();
+    for (const simd::Mode mode : simd::supportedModes()) {
+        simd::setMode(mode);
+        for (const int64_t group : {1, 5, 8, 64}) {
+            for (const int bits : {2, 4, 8}) {
+                for (const bool asymmetric : {true, false}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << simd::modeName(mode) << " group "
+                                 << group << " bits " << bits << " asym "
+                                 << asymmetric);
+                    expectStoreTracksQuantize(
+                        kv, KvQuantConfig{bits, group, asymmetric});
+                    if (::testing::Test::HasFatalFailure())
+                        break;
+                }
+            }
+        }
+    }
+    simd::setMode(saved);
 }
 
 TEST(KvStoreDeathTest, OddChannelsCannotPack)

@@ -377,6 +377,10 @@ TEST_P(SimdEquivalence, MinMaxUpdateBitIdenticalToScalar)
                            maxs_got.data());
         simd::detail::scalar::minMaxUpdate(
             x.data(), n, mins_want.data(), maxs_want.data());
+        // An empty vector's data() may be null, which memcmp must not
+        // see even for zero bytes.
+        if (n == 0)
+            continue;
         ASSERT_EQ(std::memcmp(mins_got.data(), mins_want.data(),
                               static_cast<size_t>(n) * sizeof(float)),
                   0)
@@ -471,13 +475,17 @@ TEST_P(SimdEquivalence, ZeroLengthSpansAreNoOps)
     EXPECT_EQ(simd::dotInt4(nullptr, nullptr, 0), 0);
     simd::widenColumnBlock(nullptr, 0, 0, nullptr);
     simd::dotColumnBlock(nullptr, nullptr, 0, 16, nullptr);
-    simd::dotRowsF32(nullptr, {}, 0, 0, nullptr);
+    simd::dotRowsF32(nullptr, 0, 1, {}, 0, 0, nullptr, 0);
+    simd::dotRowsF32(nullptr, 0, 0, {}, 5, 0, nullptr, 0);
     simd::gemvF32(nullptr, nullptr, 0, 0, 0, nullptr);
-    simd::accumulateRowsF32(nullptr, {}, 0, 0, nullptr);
+    simd::accumulateRowsF32(nullptr, 0, 1, {}, 0, 0, nullptr, 0);
+    simd::accumulateRowsF32(nullptr, 0, 0, {}, 5, 0, nullptr, 0);
     simd::expF32(nullptr, 0, nullptr);
-    // Rows of zero values: every dot is +0.0f.
-    float dots[3] = {1.0f, 1.0f, 1.0f};
-    simd::dotRowsF32(nullptr, {nullptr, 0, true}, 3, 0, dots);
+    // Rows of zero values: every dot is +0.0f, for one vector and for
+    // several.
+    float dots[6] = {1.0f, 1.0f, 1.0f, 1.0f, 1.0f, 1.0f};
+    simd::dotRowsF32(nullptr, 0, 1, {nullptr, 0, true}, 3, 0, dots, 3);
+    simd::dotRowsF32(nullptr, 0, 2, {nullptr, 0, true}, 3, 0, dots, 3);
     for (const float dot : dots)
         EXPECT_TRUE(dot == 0.0f && !std::signbit(dot));
 }
@@ -577,9 +585,10 @@ TEST_P(SimdEquivalence, FloatRowKernelsMatchScalarOnRaggedShapes)
 
                 std::vector<float> got(static_cast<size_t>(n_rows));
                 std::vector<float> want(got.size());
-                simd::dotRowsF32(x.data(), rows, n_rows, n, got.data());
-                simd::detail::scalar::dotRowsF32(x.data(), rows, n_rows, n,
-                                                 want.data());
+                simd::dotRowsF32(x.data(), n, 1, rows, n_rows, n, got.data(),
+                                 n_rows);
+                simd::detail::scalar::dotRowsF32(x.data(), n, 1, rows, n_rows,
+                                                 n, want.data(), n_rows);
                 EXPECT_TRUE(sameBits(got, want));
                 for (int64_t r = 0; r < n_rows; ++r) {
                     const float dot = documentedDot(
@@ -596,10 +605,10 @@ TEST_P(SimdEquivalence, FloatRowKernelsMatchScalarOnRaggedShapes)
                 EXPECT_TRUE(sameBits(got, want));
 
                 std::vector<float> acc_got = acc0, acc_want = acc0;
-                simd::accumulateRowsF32(w.data(), rows, n_rows, n,
-                                        acc_got.data());
+                simd::accumulateRowsF32(w.data(), n_rows, 1, rows, n_rows, n,
+                                        acc_got.data(), n);
                 simd::detail::scalar::accumulateRowsF32(
-                    w.data(), rows, n_rows, n, acc_want.data());
+                    w.data(), n_rows, 1, rows, n_rows, n, acc_want.data(), n);
                 EXPECT_TRUE(sameBits(acc_got, acc_want));
                 for (int64_t i = 0; i < n; ++i) {
                     float a = acc0[static_cast<size_t>(i)];
@@ -635,16 +644,23 @@ TEST_P(SimdEquivalence, FloatRowKernelsExtremeValues)
             const simd::QuantRows rows{bytes.data(), stride, packed};
             SCOPED_TRACE(::testing::Message()
                          << "byte " << int{byte} << " packed " << packed);
-            std::vector<float> got(kRows), want(kRows);
-            simd::dotRowsF32(x.data(), rows, kRows, kN, got.data());
-            simd::detail::scalar::dotRowsF32(x.data(), rows, kRows, kN,
-                                             want.data());
+            // The extremes as the first and the last of three vectors.
+            std::vector<float> xs(3 * kN, 0.5f), ws(3 * kRows, -2.0f);
+            std::copy(x.begin(), x.end(), xs.begin());
+            std::copy(x.begin(), x.end(), xs.begin() + 2 * kN);
+            std::copy(w.begin(), w.end(), ws.begin());
+            std::copy(w.begin(), w.end(), ws.begin() + 2 * kRows);
+            std::vector<float> got(3 * kRows), want(3 * kRows);
+            simd::dotRowsF32(xs.data(), kN, 3, rows, kRows, kN, got.data(),
+                             kRows);
+            simd::detail::scalar::dotRowsF32(xs.data(), kN, 3, rows, kRows, kN,
+                                             want.data(), kRows);
             EXPECT_TRUE(sameBits(got, want));
-            std::vector<float> acc_got(kN, 1.0f), acc_want(kN, 1.0f);
-            simd::accumulateRowsF32(w.data(), rows, kRows, kN,
-                                    acc_got.data());
-            simd::detail::scalar::accumulateRowsF32(w.data(), rows, kRows, kN,
-                                                    acc_want.data());
+            std::vector<float> acc_got(3 * kN, 1.0f), acc_want(3 * kN, 1.0f);
+            simd::accumulateRowsF32(ws.data(), kRows, 3, rows, kRows, kN,
+                                    acc_got.data(), kN);
+            simd::detail::scalar::accumulateRowsF32(
+                ws.data(), kRows, 3, rows, kRows, kN, acc_want.data(), kN);
             EXPECT_TRUE(sameBits(acc_got, acc_want));
         }
     }
@@ -653,8 +669,76 @@ TEST_P(SimdEquivalence, FloatRowKernelsExtremeValues)
     const std::vector<uint8_t> minmax{0x78, 0x78, 0x78, 0x78,
                                       0x78, 0x78, 0x78, 0x78};
     float dot = 0.0f;
-    simd::dotRowsF32(ones.data(), {minmax.data(), 8, true}, 1, 16, &dot);
+    simd::dotRowsF32(ones.data(), 16, 1, {minmax.data(), 8, true}, 1, 16,
+                     &dot, 1);
     EXPECT_EQ(dot, 8.0f * (-8.0f + 7.0f));
+}
+
+TEST_P(SimdEquivalence, MultiVectorRowKernelsMatchScalarAndSingleVector)
+{
+    // G vectors against one set of rows equal the scalar backend and G
+    // separate one-vector calls, bit for bit: every row count around
+    // the backends' row tiles, ragged spans, packed and INT8 rows, and
+    // more vectors than one widening serves.
+    Rng rng(23);
+    for (const bool packed : {true, false}) {
+        for (const int64_t n : {2, 8, 12, 30, 32, 34, 66}) {
+            for (const int64_t g_count : {1, 2, 3, 4, 8, 11}) {
+                for (int64_t n_rows = 0; n_rows <= 33; ++n_rows) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "packed " << packed << " n " << n
+                                 << " G " << g_count << " rows " << n_rows);
+                    const int64_t stride = (packed ? n / 2 : n) + 1;
+                    const std::vector<uint8_t> bytes =
+                        randomPackedBytes(rng, n_rows * stride);
+                    const simd::QuantRows rows{bytes.data(), stride, packed};
+                    // Strides wider than the spans, so the gaps are
+                    // never read or written.
+                    const int64_t x_stride = n + 3;
+                    const int64_t out_stride = n_rows + 2;
+                    const std::vector<float> x =
+                        randomFloats(rng, g_count * x_stride);
+                    const std::vector<float> w =
+                        randomFloats(rng, g_count * out_stride);
+                    const std::vector<float> acc0 =
+                        randomFloats(rng, g_count * x_stride);
+
+                    std::vector<float> got(
+                        static_cast<size_t>(g_count * out_stride), -1.0f);
+                    std::vector<float> want = got, single = got;
+                    simd::dotRowsF32(x.data(), x_stride, g_count, rows,
+                                     n_rows, n, got.data(), out_stride);
+                    simd::detail::scalar::dotRowsF32(
+                        x.data(), x_stride, g_count, rows, n_rows, n,
+                        want.data(), out_stride);
+                    for (int64_t g = 0; g < g_count; ++g)
+                        simd::dotRowsF32(x.data() + g * x_stride, n, 1, rows,
+                                         n_rows, n,
+                                         single.data() + g * out_stride,
+                                         n_rows);
+                    EXPECT_TRUE(sameBits(got, want));
+                    EXPECT_TRUE(sameBits(got, single));
+
+                    std::vector<float> acc_got = acc0, acc_want = acc0;
+                    std::vector<float> acc_single = acc0;
+                    simd::accumulateRowsF32(w.data(), out_stride, g_count,
+                                            rows, n_rows, n, acc_got.data(),
+                                            x_stride);
+                    simd::detail::scalar::accumulateRowsF32(
+                        w.data(), out_stride, g_count, rows, n_rows, n,
+                        acc_want.data(), x_stride);
+                    for (int64_t g = 0; g < g_count; ++g)
+                        simd::accumulateRowsF32(
+                            w.data() + g * out_stride, n_rows, 1, rows, n_rows,
+                            n, acc_single.data() + g * x_stride, n);
+                    EXPECT_TRUE(sameBits(acc_got, acc_want));
+                    EXPECT_TRUE(sameBits(acc_got, acc_single));
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+        }
+    }
 }
 
 TEST_P(SimdEquivalence, GemvRowsIndependentOfBatching)
@@ -792,8 +876,21 @@ TEST(SimdDeathTest, ShapeChecks)
     EXPECT_DEATH(
         simd::quantizeAffine(x, scales, zps, 1, 7, -8, q), "");
     float f[4] = {};
-    EXPECT_DEATH(simd::dotRowsF32(f, {packed, 2, true}, 1, 3, f), "");
-    EXPECT_DEATH(simd::accumulateRowsF32(f, {packed, 2, true}, 1, 3, f), "");
+    EXPECT_DEATH(simd::dotRowsF32(f, 3, 1, {packed, 2, true}, 1, 3, f, 1),
+                 "");
+    EXPECT_DEATH(
+        simd::accumulateRowsF32(f, 1, 1, {packed, 2, true}, 1, 3, f, 3), "");
+    // Several vectors need strides that keep them apart.
+    EXPECT_DEATH(simd::dotRowsF32(f, 1, 2, {packed, 1, true}, 1, 2, f, 1),
+                 "");
+    EXPECT_DEATH(simd::dotRowsF32(f, 2, 2, {packed, 1, true}, 2, 2, f, 1),
+                 "");
+    EXPECT_DEATH(
+        simd::accumulateRowsF32(f, 0, 2, {packed, 1, true}, 1, 2, f, 2), "");
+    EXPECT_DEATH(
+        simd::accumulateRowsF32(f, 1, 2, {packed, 1, true}, 1, 2, f, 1), "");
+    EXPECT_DEATH(simd::dotRowsF32(f, 2, -1, {packed, 1, true}, 1, 2, f, 1),
+                 "");
     EXPECT_DEATH(simd::gemvF32(f, f, 2, 1, 3, f), "");
     EXPECT_DEATH(simd::expF32(f, -1, f), "");
 }

@@ -11,6 +11,7 @@
 #include "comet/common/rng.h"
 #include "comet/gpusim/sm_scheduler.h"
 #include "comet/obs/metrics.h"
+#include "sm_schedule_oracle.h"
 
 namespace comet {
 namespace {
