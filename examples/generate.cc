@@ -53,8 +53,10 @@ main()
     Rng rng_a(7), rng_b(7);
     QuantizedDecoder gen_fp(model);
     QuantizedDecoder gen_kv4(model, KvQuantConfig{4, 32, true});
-    const auto seq_fp = gen_fp.generate(prompt, 12, rng_a);
-    const auto seq_kv4 = gen_kv4.generate(prompt, 12, rng_b);
+    std::vector<int32_t> seq_fp = prompt, seq_kv4 = prompt;
+    const auto length = static_cast<int64_t>(prompt.size()) + 12;
+    gen_fp.generate(seq_fp, length, rng_a);
+    gen_kv4.generate(seq_kv4, length, rng_b);
 
     auto print_seq = [](const char *label,
                         const std::vector<int32_t> &seq) {

@@ -50,6 +50,13 @@
 #   - examples/generate: the incremental decoder with float weights
 #     and an FP16 vs INT4 KV cache, generating from one prompt; it
 #     prints the measured KV footprints of both caches.
+#   - bench_tab1_perplexity and bench_tab2_zeroshot: the accuracy
+#     harness (teacher sampling, calibration and every fake-quant
+#     scheme's perplexity and zero-shot accuracy, all on the float
+#     path of QuantizedDecoder). Their stdout must equal
+#     bench/baselines/tab1_perplexity.stdout and
+#     tab2_zeroshot.stdout byte for byte: the tables are
+#     deterministic, so any diff is a numerics change.
 #
 # Usage: scripts/ci_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -113,6 +120,14 @@ run python3 "$(dirname "$0")/check_bench.py" \
     "${json_dir}/real_decode.json"
 
 run "${build_dir}/examples/generate"
+
+baselines_dir="$(cd "$(dirname "$0")/.." && pwd)/bench/baselines"
+for table in tab1_perplexity tab2_zeroshot; do
+    echo "==> ${bench_dir}/bench_${table} | diff against ${table}.stdout"
+    "${bench_dir}/bench_${table}" |
+        diff -u "${baselines_dir}/${table}.stdout" -
+    echo
+done
 
 run "${bench_dir}/bench_runtime_scaling" --smoke
 

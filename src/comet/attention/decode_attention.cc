@@ -137,9 +137,10 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
     std::vector<float> out(static_cast<size_t>(config.qDim()), 0.0f);
     // KV heads parallelize across the runtime pool. Every query head
     // keeps its own running state and writes a disjoint output slice,
-    // so the result is bit-identical for any pool size.
-    parallelFor(0, config.num_kv_heads, 1, [&](int64_t kv_begin,
-                                               int64_t kv_end) {
+    // so the result is bit-identical for any pool size. A score dot
+    // and a value accumulate per query channel and token: below
+    // kMinPoolMacs the heads run on the caller.
+    const auto kv_heads = [&](int64_t kv_begin, int64_t kv_end) {
     // Running state of the online softmax for each query head of the
     // group: max, sum and a head_dim accumulator.
     std::vector<double> running_max(static_cast<size_t>(group));
@@ -203,7 +204,11 @@ onlineCore(const AttentionConfig &config, const std::vector<float> &q,
             }
         }
     }
-    }); // per-kv-head parallelFor
+    }; // kv_heads
+    if (2 * tokens * config.qDim() < kMinPoolMacs)
+        kv_heads(0, config.num_kv_heads);
+    else
+        parallelFor(0, config.num_kv_heads, 1, kv_heads);
     return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "comet/model/quantized_decoder.h"
 #include "comet/quant/qoq.h"
 #include "comet/quant/rotation.h"
 #include "comet/quant/quantizer.h"
@@ -98,10 +99,17 @@ Dataset
 sampleDataset(const TinyTransformer &teacher, int count, int64_t length,
               Rng &rng)
 {
+    COMET_CHECK(length >= 2);
+    const QuantizedDecoder decoder(teacher);
     Dataset dataset;
     dataset.sequences.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i)
-        dataset.sequences.push_back(teacher.sampleSequence(length, rng));
+    for (int i = 0; i < count; ++i) {
+        // A random BOS token, then temperature-1 samples.
+        std::vector<int32_t> sequence{static_cast<int32_t>(rng.uniformInt(
+            static_cast<uint64_t>(teacher.config().vocab_size)))};
+        QuantizedDecoder(decoder).generate(sequence, length, rng);
+        dataset.sequences.push_back(std::move(sequence));
+    }
     return dataset;
 }
 
@@ -144,8 +152,9 @@ CalibrationData::collect(const TinyTransformer &model,
     };
 
     Collector collector(max_rows_per_site);
+    const QuantizedDecoder decoder(model);
     for (const auto &sequence : calibration.sequences)
-        model.forward(sequence, &collector);
+        QuantizedDecoder(decoder).prefill(sequence, &collector);
 
     CalibrationData data;
     for (auto &[key, rows] : collector.rows_) {
@@ -444,13 +453,25 @@ double
 evaluatePerplexity(const TinyTransformer &model, QuantSimulator *sim,
                    const Dataset &dataset)
 {
+    // Each sequence is one prefill with the simulator, so its hooks
+    // see the whole sequence; every row's logits score the next token.
+    const QuantizedDecoder decoder(model);
+    const int64_t vocab = model.config().vocab_size;
     double nll = 0.0;
     int64_t tokens = 0;
     for (const auto &sequence : dataset.sequences) {
-        const auto [seq_nll, seq_tokens] =
-            model.sequenceNll(sequence, sim);
-        nll += seq_nll;
-        tokens += seq_tokens;
+        COMET_CHECK(sequence.size() >= 2);
+        const Tensor logits =
+            QuantizedDecoder(decoder).prefillLogits(sequence, sim);
+        double sequence_nll = 0.0;
+        for (size_t t = 0; t + 1 < sequence.size(); ++t) {
+            const std::vector<double> probs = softmaxDouble(
+                logits.data() + static_cast<int64_t>(t) * vocab, vocab);
+            sequence_nll -= std::log(std::max(
+                probs[static_cast<size_t>(sequence[t + 1])], 1e-12));
+        }
+        nll += sequence_nll;
+        tokens += static_cast<int64_t>(sequence.size()) - 1;
     }
     COMET_CHECK(tokens > 0);
     return std::exp(nll / static_cast<double>(tokens));

@@ -64,7 +64,9 @@ struct Dataset {
     }
 };
 
-/** Samples @p count sequences of @p length tokens from the teacher. */
+/** Samples @p count sequences of @p length tokens from the teacher:
+ * a uniform BOS token, then QuantizedDecoder::generate on its float
+ * path. */
 Dataset sampleDataset(const TinyTransformer &teacher, int count,
                       int64_t length, Rng &rng);
 
@@ -75,8 +77,9 @@ Dataset sampleDataset(const TinyTransformer &teacher, int count,
 class CalibrationData
 {
   public:
-    /** Runs the teacher over the calibration set, recording every
-     * intercepted activation (rows capped per site). */
+    /** Prefills each calibration sequence through the teacher's
+     * float decoder, recording every intercepted activation (rows
+     * capped per site). */
     static CalibrationData collect(const TinyTransformer &model,
                                    const Dataset &calibration,
                                    int64_t max_rows_per_site = 256);
@@ -150,7 +153,9 @@ QuantizedModel buildQuantizedModel(const TinyTransformer &teacher,
                                    const CalibrationData &calibration,
                                    FmpqModelStats *fmpq_stats = nullptr);
 
-/** Perplexity of a model (+ optional simulator) over a dataset. */
+/** Perplexity of a model (+ optional simulator) over a dataset: each
+ * sequence is one float-decoder prefill with the simulator, scored
+ * from every row's logits. */
 double evaluatePerplexity(const TinyTransformer &model,
                           QuantSimulator *sim, const Dataset &dataset);
 

@@ -60,6 +60,36 @@ siteWeights(const TinyTransformer &model, int64_t layer, ActSite site)
 
 } // namespace
 
+std::vector<double>
+softmaxDouble(const float *logits, int64_t n)
+{
+    COMET_CHECK(n > 0);
+    std::vector<double> probs(logits, logits + n);
+    double max_val = probs[0];
+    for (double v : probs)
+        max_val = std::max(max_val, v);
+    double sum = 0.0;
+    for (double &v : probs) {
+        v = std::exp(v - max_val);
+        sum += v;
+    }
+    for (double &v : probs)
+        v /= sum;
+    return probs;
+}
+
+int32_t
+sampleToken(const std::vector<double> &probs, Rng &rng)
+{
+    double u = rng.uniform();
+    for (size_t v = 0; v < probs.size(); ++v) {
+        u -= probs[v];
+        if (u <= 0.0)
+            return static_cast<int32_t>(v);
+    }
+    return static_cast<int32_t>(probs.size() - 1);
+}
+
 Tensor
 QuantizedDecoder::Linear::run(const Tensor &h) const
 {
@@ -85,7 +115,8 @@ QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
 QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
                                    std::optional<KvQuantConfig> kv_quant,
                                    std::vector<Linear> linears)
-    : model_(model), linears_(std::move(linears))
+    : model_(model),
+      linears_(std::make_shared<const std::vector<Linear>>(std::move(linears)))
 {
     const auto &mc = model_.config();
     attn_config_.num_heads = mc.num_heads;
@@ -165,19 +196,19 @@ QuantizedDecoder::packedLinears(const TinyTransformer &model,
 const QuantizedDecoder::Linear &
 QuantizedDecoder::linear(int64_t layer, ActSite act_site) const
 {
-    return linears_[static_cast<size_t>(layer * kNumActSites +
-                                        static_cast<int>(act_site))];
+    return (*linears_)[static_cast<size_t>(layer * kNumActSites +
+                                           static_cast<int>(act_site))];
 }
 
 double
 QuantizedDecoder::w4a4ComputeFraction() const
 {
     double sum = 0.0;
-    for (const Linear &l : linears_) {
+    for (const Linear &l : *linears_) {
         if (const auto *p = std::get_if<Linear::Packed>(&l.form))
             sum += p->quantizer.w4a4ComputeFraction();
     }
-    return sum / static_cast<double>(linears_.size());
+    return sum / static_cast<double>(linears_->size());
 }
 
 void
@@ -218,8 +249,9 @@ QuantizedDecoder::step(int32_t token)
     return prefill({token});
 }
 
-std::vector<float>
-QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
+Tensor
+QuantizedDecoder::runLayers(const std::vector<int32_t> &tokens,
+                            QuantSimulator *sim)
 {
     const auto &mc = model_.config();
     COMET_CHECK(!tokens.empty());
@@ -244,19 +276,27 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
         // causal attention one row at a time) ---
         const Tensor qkv = [&] {
             COMET_SPAN("decoder/qkv");
-            return linear(l, ActSite::kQkv)
-                .run(model_.rmsNorm(x, model_.attnNormGain(l)));
+            Tensor h = model_.rmsNorm(x, model_.attnNormGain(l));
+            if (sim != nullptr)
+                h = sim->transformActivation({l, ActSite::kQkv}, h);
+            return linear(l, ActSite::kQkv).run(h);
         }();
         Tensor attn(rows, d);
         {
             COMET_SPAN("decoder/attention");
             Tensor q = sliceColumns(qkv, 0, d);
             Tensor k = sliceColumns(qkv, d, kv_dim);
-            const Tensor v = sliceColumns(qkv, d + kv_dim, kv_dim);
+            Tensor v = sliceColumns(qkv, d + kv_dim, kv_dim);
+            for (int64_t r = 0; r < rows; ++r) {
+                ropeRow(q, r, mc.num_heads, mc.headDim(), position_ + r);
+                ropeRow(k, r, mc.num_kv_heads, mc.headDim(), position_ + r);
+            }
+            if (sim != nullptr) {
+                k = sim->transformKv(l, true, k);
+                v = sim->transformKv(l, false, v);
+            }
             for (int64_t r = 0; r < rows; ++r) {
                 const int64_t pos = position_ + r;
-                ropeRow(q, r, mc.num_heads, mc.headDim(), pos);
-                ropeRow(k, r, mc.num_kv_heads, mc.headDim(), pos);
                 std::copy(q.data() + r * d, q.data() + (r + 1) * d,
                           q_row.begin());
                 std::vector<float> out;
@@ -283,6 +323,8 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
         }
         {
             COMET_SPAN("decoder/o");
+            if (sim != nullptr)
+                attn = sim->transformActivation({l, ActSite::kO}, attn);
             const Tensor o = linear(l, ActSite::kO).run(attn);
             for (int64_t i = 0; i < x.numel(); ++i)
                 x[i] += o[i];
@@ -291,8 +333,10 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
         // --- MLP block (one [gate|]up GEMM, then down) ---
         COMET_SPAN("decoder/mlp");
         const int64_t inter_dim = mc.intermediate_size;
-        const Tensor up = linear(l, ActSite::kMlp)
-                              .run(model_.rmsNorm(x, model_.mlpNormGain(l)));
+        Tensor m = model_.rmsNorm(x, model_.mlpNormGain(l));
+        if (sim != nullptr)
+            m = sim->transformActivation({l, ActSite::kMlp}, m);
+        const Tensor up = linear(l, ActSite::kMlp).run(m);
         Tensor inter(rows, inter_dim);
         for (int64_t r = 0; r < rows; ++r) {
             const float *src = up.data() + r * up.cols();
@@ -302,11 +346,24 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
                                       : std::max(src[c], 0.0f);
             }
         }
+        if (sim != nullptr)
+            inter = sim->transformActivation({l, ActSite::kDown}, inter);
         const Tensor down = linear(l, ActSite::kDown).run(inter);
         for (int64_t i = 0; i < x.numel(); ++i)
             x[i] += down[i];
     }
     position_ += rows;
+    return x;
+}
+
+std::vector<float>
+QuantizedDecoder::prefill(const std::vector<int32_t> &tokens,
+                          QuantSimulator *sim)
+{
+    const Tensor x = runLayers(tokens, sim);
+    const auto &mc = model_.config();
+    const int64_t rows = x.rows();
+    const int64_t d = mc.hidden_size;
 
     // Only the last row's logits are returned, so the final norm and
     // the LM head run on that row alone.
@@ -321,7 +378,7 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
     // its rows in the fixed simd lane order. Each row's logit does not
     // depend on which rows share its call, so the fan-out (above
     // kMinPoolMacs) is bit-identical for any pool size.
-    if (std::holds_alternative<Tensor>(linears_.front().form)) {
+    if (std::holds_alternative<Tensor>(linears_->front().form)) {
         const Tensor head = gemmFloat(normed, model_.embedding());
         return {head.data(), head.data() + mc.vocab_size};
     }
@@ -337,37 +394,30 @@ QuantizedDecoder::prefill(const std::vector<int32_t> &tokens)
     return logits;
 }
 
-std::vector<int32_t>
-QuantizedDecoder::generate(const std::vector<int32_t> &prompt,
-                           int64_t new_tokens, Rng &rng)
+Tensor
+QuantizedDecoder::prefillLogits(const std::vector<int32_t> &tokens,
+                                QuantSimulator *sim)
 {
-    std::vector<int32_t> sequence = prompt;
-    std::vector<float> logits = prefill(prompt);
-    for (int64_t i = 0; i < new_tokens; ++i) {
-        // Temperature-1 sampling over the softmax of the logits.
-        double max_logit = logits[0];
-        for (float v : logits)
-            max_logit = std::max(max_logit, static_cast<double>(v));
-        std::vector<double> probs(logits.size());
-        double sum = 0.0;
-        for (size_t v = 0; v < logits.size(); ++v) {
-            probs[v] = std::exp(static_cast<double>(logits[v]) -
-                                max_logit);
-            sum += probs[v];
-        }
-        double u = rng.uniform() * sum;
-        int32_t pick = 0;
-        for (size_t v = 0; v < probs.size(); ++v) {
-            u -= probs[v];
-            if (u <= 0.0) {
-                pick = static_cast<int32_t>(v);
-                break;
-            }
-        }
-        sequence.push_back(pick);
-        logits = step(pick);
+    COMET_CHECK_MSG(std::holds_alternative<Tensor>(linears_->front().form),
+                    "all-row logits need the float LM head");
+    const Tensor x = runLayers(tokens, sim);
+    COMET_SPAN("decoder/lm_head");
+    return gemmFloat(model_.rmsNorm(x, model_.finalNormGain()),
+                     model_.embedding());
+}
+
+std::vector<float>
+QuantizedDecoder::generate(std::vector<int32_t> &tokens, int64_t length,
+                           Rng &rng)
+{
+    std::vector<float> logits = prefill(tokens);
+    while (static_cast<int64_t>(tokens.size()) < length) {
+        tokens.push_back(sampleToken(
+            softmaxDouble(logits.data(), static_cast<int64_t>(logits.size())),
+            rng));
+        logits = step(tokens.back());
     }
-    return sequence;
+    return logits;
 }
 
 } // namespace comet

@@ -41,6 +41,18 @@
  * or in the same KvStores for float weights with a KV4 cache. The
  * decoder/... spans come from both.
  *
+ * The float path with the float cache is the accuracy harness's one
+ * forward (teacher sampling, calibration, perplexity, zero-shot
+ * scoring). A QuantSimulator passed to prefill() fires at the sites of
+ * the fake-quant baselines: transformActivation on each linear's input
+ * (the q|k|v and [gate|]up rmsNorm outputs, the attention output, the
+ * MLP intermediate) and transformKv on the call's whole post-RoPE K and
+ * V rows before they are appended. A sequence prefilled in one call
+ * therefore sees the whole-sequence semantics of the oracle in
+ * tests/tiny_transformer_forward.h, and its logits equal the oracle's
+ * bit for bit (tested, every scheme's simulator). Without a simulator
+ * the hooks cost one null check per site and call.
+ *
  * Verified (tests) against the fake-quantization reference: the
  * packed integer path and the dequantize-then-float-GEMM path agree
  * to float rounding.
@@ -79,11 +91,24 @@ struct QuantizedDecoderConfig {
     int gemm_threads = 0;
 };
 
+/** Softmax of @p n logits in double: exp(l - max) over the row, then
+ * divided by the sum. The distribution the harness samples from and
+ * scores. */
+std::vector<double> softmaxDouble(const float *logits, int64_t n);
+
+/** The temperature-1 sampler: draws u = rng.uniform(), subtracts
+ * probs[0], probs[1], ... in order and returns the first token at which
+ * u reaches zero or below (the last token if rounding leaves u above
+ * zero). */
+int32_t sampleToken(const std::vector<double> &probs, Rng &rng);
+
 /**
  * The incremental decoder. Its linears run packed (W4Ax GEMMs, the
  * W4A4KV4 path) or in float (the FP16 reference); K and V live in
  * per-layer KvStores, or in a float cache for the FP16 reference.
- * Copyable: a copy continues the sequence independently.
+ * Copyable: a copy continues the sequence independently and shares the
+ * immutable linears, so a decoder built once per model is copied per
+ * sequence without re-stacking or copying weights.
  */
 class QuantizedDecoder
 {
@@ -93,8 +118,10 @@ class QuantizedDecoder
      * model's weights and the LM head a float GEMM over the tied
      * embedding. Without @p kv_quant, K and V live in a float cache
      * standing for FP16; with it, in KvStores (float weights, KV4).
-     * Invariant (tested): with the float cache the logits match
-     * TinyTransformer::forward() up to float reordering.
+     * Invariant (tested): with the float cache, prefill() of a
+     * sequence, with or without a simulator, returns the logits of the
+     * whole-sequence oracle (tests/tiny_transformer_forward.h) with
+     * the same simulator bit for bit.
      */
     explicit QuantizedDecoder(const TinyTransformer &model,
                               std::optional<KvQuantConfig> kv_quant =
@@ -118,16 +145,32 @@ class QuantizedDecoder
     /** Feeds one token; returns next-token logits [vocab]. */
     std::vector<float> step(int32_t token);
 
-    /** Feeds a prompt in one batched forward; returns the logits
-     * after its last token. */
-    std::vector<float> prefill(const std::vector<int32_t> &tokens);
+    /**
+     * Feeds a prompt in one batched forward; returns the logits after
+     * its last token. @p sim, if set, transforms each linear input and
+     * the call's K/V rows (see the file comment); the hooks are null
+     * checks outside the per-row loops, so the packed path without one
+     * does no extra work.
+     */
+    std::vector<float> prefill(const std::vector<int32_t> &tokens,
+                               QuantSimulator *sim = nullptr);
 
     /**
-     * Sampled generation: feeds @p prompt, then samples @p new_tokens
-     * continuations at temperature 1; returns prompt + continuation.
+     * prefill() returning the logits of every row [rows, vocab], for
+     * scoring a whole sequence. Float path only: the packed LM head
+     * runs on the last row alone.
      */
-    std::vector<int32_t> generate(const std::vector<int32_t> &prompt,
-                                  int64_t new_tokens, Rng &rng);
+    Tensor prefillLogits(const std::vector<int32_t> &tokens,
+                         QuantSimulator *sim = nullptr);
+
+    /**
+     * Sampled generation at temperature 1: feeds @p tokens, then
+     * appends sampleToken(softmaxDouble(logits)) and feeds it until
+     * @p tokens holds @p length tokens. Returns the next-token logits
+     * after the last one.
+     */
+    std::vector<float> generate(std::vector<int32_t> &tokens,
+                                int64_t length, Rng &rng);
 
     /** Bytes the KV cache holds, every layer, K and V: measured from
      * the KvStores' buffers (packed values plus per-group
@@ -157,6 +200,12 @@ class QuantizedDecoder
         Tensor v{1, 1};
     };
 
+    /** Runs every layer over @p tokens at positions [position(),
+     * position() + rows) and appends their K and V; returns the final
+     * hidden rows [rows, hidden], before the final norm. */
+    Tensor runLayers(const std::vector<int32_t> &tokens,
+                     QuantSimulator *sim);
+
     /** Sets up attention and the KV caches around @p linears. */
     QuantizedDecoder(const TinyTransformer &model,
                      std::optional<KvQuantConfig> kv_quant,
@@ -177,7 +226,8 @@ class QuantizedDecoder
     void reserveFloatKv(int64_t tokens);
 
     const TinyTransformer &model_;
-    std::vector<Linear> linears_; ///< [layer * kNumActSites + site]
+    /** [layer * kNumActSites + site]; shared by copies. */
+    std::shared_ptr<const std::vector<Linear>> linears_;
     AttentionConfig attn_config_;
     std::vector<KvStore> k_stores_; ///< [layer], when KV is quantized
     std::vector<KvStore> v_stores_; ///< [layer], when KV is quantized

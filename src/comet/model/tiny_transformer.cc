@@ -4,45 +4,9 @@
 #include <cmath>
 #include <numeric>
 
-#include "comet/kernel/gemm_ref.h"
 #include "comet/model/synthetic.h"
 
 namespace comet {
-
-namespace {
-
-/** Applies rotary position embedding in place to [tokens, heads, dim]
- * laid out as a rank-2 [tokens, heads*dim] tensor. */
-void
-applyRope(Tensor &x, int64_t heads, int64_t head_dim)
-{
-    for (int64_t t = 0; t < x.rows(); ++t)
-        ropeRow(x, t, heads, head_dim, t);
-}
-
-/** Numerically stable softmax over a row span, in double. */
-void
-softmaxInPlace(std::vector<double> &row)
-{
-    double max_val = row[0];
-    for (double v : row)
-        max_val = std::max(max_val, v);
-    double sum = 0.0;
-    for (double &v : row) {
-        v = std::exp(v - max_val);
-        sum += v;
-    }
-    for (double &v : row)
-        v /= sum;
-}
-
-float
-silu(float x)
-{
-    return static_cast<float>(x / (1.0 + std::exp(-x)));
-}
-
-} // namespace
 
 void
 ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
@@ -144,172 +108,19 @@ TinyTransformer::rmsNorm(const Tensor &x,
     COMET_CHECK(static_cast<int64_t>(gain.size()) == channels);
     Tensor out(tokens, channels);
     for (int64_t t = 0; t < tokens; ++t) {
+        const float *row = x.data() + t * channels;
+        float *out_row = out.data() + t * channels;
         double ms = 0.0;
         for (int64_t c = 0; c < channels; ++c)
-            ms += static_cast<double>(x.at(t, c)) * x.at(t, c);
+            ms += static_cast<double>(row[c]) * row[c];
         const double inv =
             1.0 / std::sqrt(ms / static_cast<double>(channels) + 1e-6);
         for (int64_t c = 0; c < channels; ++c) {
-            out.at(t, c) = static_cast<float>(
-                x.at(t, c) * inv * gain[static_cast<size_t>(c)]);
+            out_row[c] = static_cast<float>(
+                row[c] * inv * gain[static_cast<size_t>(c)]);
         }
     }
     return out;
-}
-
-Tensor
-TinyTransformer::forward(const std::vector<int32_t> &tokens,
-                         QuantSimulator *sim) const
-{
-    COMET_CHECK(!tokens.empty());
-    const auto T = static_cast<int64_t>(tokens.size());
-    const int64_t d = config_.hidden_size;
-    const int64_t head_dim = config_.headDim();
-    const int64_t heads = config_.num_heads;
-    const int64_t kv_heads = config_.num_kv_heads;
-    const int64_t group = heads / kv_heads;
-
-    Tensor x(T, d);
-    for (int64_t t = 0; t < T; ++t) {
-        const int32_t id = tokens[static_cast<size_t>(t)];
-        COMET_CHECK(id >= 0 && id < config_.vocab_size);
-        for (int64_t c = 0; c < d; ++c)
-            x.at(t, c) = embedding_.at(id, c);
-    }
-
-    for (int64_t l = 0; l < config_.num_layers; ++l) {
-        const LayerWeights &layer =
-            layers_[static_cast<size_t>(l)];
-
-        // --- Attention block ---
-        Tensor h = rmsNorm(x, layer.attn_norm_gain);
-        if (sim != nullptr)
-            h = sim->transformActivation({l, ActSite::kQkv}, h);
-        Tensor q = gemmFloat(h, layer.wq);
-        Tensor k = gemmFloat(h, layer.wk);
-        Tensor v = gemmFloat(h, layer.wv);
-        applyRope(q, heads, head_dim);
-        applyRope(k, kv_heads, head_dim);
-        if (sim != nullptr) {
-            k = sim->transformKv(l, true, k);
-            v = sim->transformKv(l, false, v);
-        }
-
-        Tensor attn_out(T, d);
-        const double inv_sqrt =
-            1.0 / std::sqrt(static_cast<double>(head_dim));
-        std::vector<double> scores;
-        for (int64_t head = 0; head < heads; ++head) {
-            const int64_t kv_head = head / group;
-            const int64_t q_base = head * head_dim;
-            const int64_t kv_base = kv_head * head_dim;
-            for (int64_t t = 0; t < T; ++t) {
-                scores.assign(static_cast<size_t>(t + 1), 0.0);
-                for (int64_t s = 0; s <= t; ++s) {
-                    double dot = 0.0;
-                    for (int64_t c = 0; c < head_dim; ++c) {
-                        dot += static_cast<double>(
-                                   q.at(t, q_base + c)) *
-                               k.at(s, kv_base + c);
-                    }
-                    scores[static_cast<size_t>(s)] = dot * inv_sqrt;
-                }
-                softmaxInPlace(scores);
-                for (int64_t c = 0; c < head_dim; ++c) {
-                    double acc = 0.0;
-                    for (int64_t s = 0; s <= t; ++s) {
-                        acc += scores[static_cast<size_t>(s)] *
-                               v.at(s, kv_base + c);
-                    }
-                    attn_out.at(t, q_base + c) =
-                        static_cast<float>(acc);
-                }
-            }
-        }
-        if (sim != nullptr) {
-            attn_out =
-                sim->transformActivation({l, ActSite::kO}, attn_out);
-        }
-        Tensor o = gemmFloat(attn_out, layer.wo);
-        for (int64_t i = 0; i < x.numel(); ++i)
-            x[i] += o[i];
-
-        // --- MLP block ---
-        Tensor m = rmsNorm(x, layer.mlp_norm_gain);
-        if (sim != nullptr)
-            m = sim->transformActivation({l, ActSite::kMlp}, m);
-        Tensor up = gemmFloat(m, layer.w_up);
-        Tensor inter(T, config_.intermediate_size);
-        if (config_.gated_mlp) {
-            Tensor gate = gemmFloat(m, layer.w_gate);
-            for (int64_t i = 0; i < inter.numel(); ++i)
-                inter[i] = silu(gate[i]) * up[i];
-        } else {
-            // OPT-style plain MLP with ReLU.
-            for (int64_t i = 0; i < inter.numel(); ++i)
-                inter[i] = std::max(up[i], 0.0f);
-        }
-        if (sim != nullptr) {
-            inter =
-                sim->transformActivation({l, ActSite::kDown}, inter);
-        }
-        Tensor down = gemmFloat(inter, layer.w_down);
-        for (int64_t i = 0; i < x.numel(); ++i)
-            x[i] += down[i];
-    }
-
-    const Tensor normed = rmsNorm(x, final_norm_gain_);
-    return gemmFloat(normed, embedding_); // tied LM head
-}
-
-std::pair<double, int64_t>
-TinyTransformer::sequenceNll(const std::vector<int32_t> &tokens,
-                             QuantSimulator *sim) const
-{
-    COMET_CHECK(tokens.size() >= 2);
-    const Tensor logits = forward(tokens, sim);
-    const auto T = static_cast<int64_t>(tokens.size());
-    double nll = 0.0;
-    std::vector<double> row(static_cast<size_t>(config_.vocab_size));
-    for (int64_t t = 0; t + 1 < T; ++t) {
-        for (int64_t v = 0; v < config_.vocab_size; ++v)
-            row[static_cast<size_t>(v)] = logits.at(t, v);
-        softmaxInPlace(row);
-        const int32_t target = tokens[static_cast<size_t>(t + 1)];
-        const double p = std::max(
-            row[static_cast<size_t>(target)], 1e-12);
-        nll -= std::log(p);
-    }
-    return {nll, T - 1};
-}
-
-std::vector<int32_t>
-TinyTransformer::sampleSequence(int64_t length, Rng &rng) const
-{
-    COMET_CHECK(length >= 2);
-    std::vector<int32_t> tokens;
-    tokens.push_back(static_cast<int32_t>(
-        rng.uniformInt(static_cast<uint64_t>(config_.vocab_size))));
-    std::vector<double> row(static_cast<size_t>(config_.vocab_size));
-    while (static_cast<int64_t>(tokens.size()) < length) {
-        const Tensor logits = forward(tokens);
-        const int64_t last =
-            static_cast<int64_t>(tokens.size()) - 1;
-        for (int64_t v = 0; v < config_.vocab_size; ++v)
-            row[static_cast<size_t>(v)] = logits.at(last, v);
-        softmaxInPlace(row);
-        double u = rng.uniform();
-        int32_t pick = 0;
-        for (int64_t v = 0; v < config_.vocab_size; ++v) {
-            u -= row[static_cast<size_t>(v)];
-            if (u <= 0.0) {
-                pick = static_cast<int32_t>(v);
-                break;
-            }
-        }
-        tokens.push_back(pick);
-    }
-    return tokens;
 }
 
 TinyTransformer

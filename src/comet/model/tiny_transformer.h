@@ -14,11 +14,20 @@
  * by perplexity/accuracy on that data — preserving the paper's
  * *relative* quantization-quality ordering.
  *
- * Quantization plugs in two ways:
+ * The class holds the model, not a forward: the config, the tied
+ * embedding, each layer's linear weights and norm gains, and the
+ * helpers every forward shares (rmsNorm, ropeRow). The forward is
+ * QuantizedDecoder's. Its float path runs the whole accuracy harness:
+ * teacher sampling, calibration, perplexity and zero-shot scoring. A
+ * whole-sequence restatement stays in tests/tiny_transformer_forward.h
+ * as the oracle the decoder matches bit for bit.
+ *
+ * Quantization plugs into that forward in two ways:
  *  - offline weight transforms (transformedWeights), for weight-only
  *    methods and SmoothQuant/QoQ weight processing;
- *  - a runtime QuantSimulator that intercepts linear-layer inputs and
- *    the KV tensors, for activation and KV-cache fake quantization.
+ *  - a runtime QuantSimulator passed to QuantizedDecoder::prefill,
+ *    which intercepts the linear-layer inputs and the K/V rows, for
+ *    activation and KV-cache fake quantization.
  */
 #pragma once
 
@@ -59,8 +68,8 @@ struct TinyTransformerConfig {
 /**
  * Rotary position embedding, in place, on row @p row of a
  * [rows, heads * head_dim] tensor at absolute position @p pos. The
- * full forward pass and the incremental decoders share it, so their
- * rotated Q/K rows are bit-identical. @pre head_dim is even.
+ * decoder and the test oracle share it, so their rotated Q/K rows are
+ * bit-identical. @pre head_dim is even.
  */
 void ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
              int64_t pos);
@@ -117,8 +126,9 @@ class QuantSimulator
         return x;
     }
 
-    /** Transforms a K or V tensor [tokens, kv_channels] before it is
-     * consumed by attention (i.e. what the KV cache would hold). */
+    /** Transforms a forward call's post-RoPE K or V rows [rows,
+     * kv_channels] before they are appended to the KV cache (i.e.
+     * what the cache would hold). */
     virtual Tensor
     transformKv(int64_t, bool, const Tensor &kv)
     {
@@ -127,8 +137,8 @@ class QuantSimulator
 };
 
 /**
- * The tiny transformer. Instances are immutable after construction;
- * quantized variants are new instances produced by
+ * The tiny transformer's weights. Instances are immutable after
+ * construction; quantized variants are new instances produced by
  * transformedWeights().
  */
 class TinyTransformer
@@ -147,23 +157,6 @@ class TinyTransformer
     }
 
     /**
-     * Full forward pass over a token sequence (causal attention);
-     * returns logits [tokens, vocab].
-     */
-    Tensor forward(const std::vector<int32_t> &tokens,
-                   QuantSimulator *sim = nullptr) const;
-
-    /** Sum of next-token negative log likelihoods over the sequence
-     * (positions 1..T-1) and the number of predicted tokens. */
-    std::pair<double, int64_t>
-    sequenceNll(const std::vector<int32_t> &tokens,
-                QuantSimulator *sim = nullptr) const;
-
-    /** Samples a sequence from the model autoregressively (temperature
-     * 1), starting from a random BOS token. */
-    std::vector<int32_t> sampleSequence(int64_t length, Rng &rng) const;
-
-    /**
      * Returns a copy of the model with every linear weight replaced by
      * @p transform(site, weight). Norm gains and embeddings are
      * unchanged (weight-only PTQ leaves them in high precision).
@@ -178,7 +171,7 @@ class TinyTransformer
     /** The (tied) embedding / LM-head matrix [vocab, hidden]. */
     const Tensor &embedding() const { return embedding_; }
 
-    /** Norm gains, for incremental decoders. @{ */
+    /** Norm gains, for the decoder. @{ */
     const std::vector<float> &attnNormGain(int64_t layer) const;
     const std::vector<float> &mlpNormGain(int64_t layer) const;
     const std::vector<float> &
@@ -188,8 +181,10 @@ class TinyTransformer
     }
     /** @} */
 
-    /** RMS-normalizes each row of x with the given gains (public for
-     * incremental decoders that must match forward() exactly). */
+    /** RMS-normalizes each row of x with the given gains: a serial
+     * double sum of squares per row, in channel order. The decoder and
+     * the test oracle share it, so their normalized rows are
+     * bit-identical. */
     Tensor rmsNorm(const Tensor &x,
                    const std::vector<float> &gain) const;
 

@@ -1,71 +1,36 @@
 #include "comet/model/zeroshot.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
+#include "comet/model/quantized_decoder.h"
+
 namespace comet {
-
-namespace {
-
-/** Next-token probability distribution at the last context position. */
-std::vector<double>
-nextTokenDistribution(const TinyTransformer &model,
-                      const std::vector<int32_t> &context,
-                      QuantSimulator *sim)
-{
-    const Tensor logits = model.forward(context, sim);
-    const int64_t last = static_cast<int64_t>(context.size()) - 1;
-    const int64_t vocab = model.config().vocab_size;
-    std::vector<double> probs(static_cast<size_t>(vocab));
-    double max_val = logits.at(last, 0);
-    for (int64_t v = 0; v < vocab; ++v)
-        max_val = std::max(max_val,
-                           static_cast<double>(logits.at(last, v)));
-    double sum = 0.0;
-    for (int64_t v = 0; v < vocab; ++v) {
-        probs[static_cast<size_t>(v)] =
-            std::exp(static_cast<double>(logits.at(last, v)) - max_val);
-        sum += probs[static_cast<size_t>(v)];
-    }
-    for (double &p : probs)
-        p /= sum;
-    return probs;
-}
-
-int32_t
-sampleFrom(const std::vector<double> &probs, Rng &rng)
-{
-    double u = rng.uniform();
-    for (size_t v = 0; v < probs.size(); ++v) {
-        u -= probs[v];
-        if (u <= 0.0)
-            return static_cast<int32_t>(v);
-    }
-    return static_cast<int32_t>(probs.size() - 1);
-}
-
-} // namespace
 
 ZeroshotTask
 buildZeroshotTask(const TinyTransformer &teacher,
                   const ZeroshotTaskConfig &config)
 {
     COMET_CHECK(config.num_candidates >= 2);
+    COMET_CHECK(config.context_length >= 2);
     Rng rng(config.seed);
     ZeroshotTask task;
     task.name = config.name;
     task.examples.reserve(static_cast<size_t>(config.num_examples));
 
     const int64_t vocab = teacher.config().vocab_size;
+    const QuantizedDecoder decoder(teacher);
     for (int i = 0; i < config.num_examples; ++i) {
+        // The context is sampled from a random BOS token; the logits
+        // after its last token give the label's distribution.
         ZeroshotExample example;
-        example.context =
-            teacher.sampleSequence(config.context_length, rng);
-        const std::vector<double> probs =
-            nextTokenDistribution(teacher, example.context, nullptr);
+        example.context = {static_cast<int32_t>(
+            rng.uniformInt(static_cast<uint64_t>(vocab)))};
+        const std::vector<float> logits = QuantizedDecoder(decoder).generate(
+            example.context, config.context_length, rng);
+        const std::vector<double> probs = softmaxDouble(logits.data(), vocab);
 
-        const int32_t label_token = sampleFrom(probs, rng);
+        const int32_t label_token = sampleToken(probs, rng);
         example.candidates.push_back(label_token);
 
         if (config.hard_distractors) {
@@ -136,10 +101,13 @@ evaluateZeroshotAccuracy(const TinyTransformer &model,
                          QuantSimulator *sim, const ZeroshotTask &task)
 {
     COMET_CHECK(!task.examples.empty());
+    const QuantizedDecoder decoder(model);
+    const int64_t vocab = model.config().vocab_size;
     int correct = 0;
     for (const ZeroshotExample &example : task.examples) {
-        const std::vector<double> probs =
-            nextTokenDistribution(model, example.context, sim);
+        const std::vector<float> logits =
+            QuantizedDecoder(decoder).prefill(example.context, sim);
+        const std::vector<double> probs = softmaxDouble(logits.data(), vocab);
         int best = 0;
         for (size_t c = 1; c < example.candidates.size(); ++c) {
             if (probs[static_cast<size_t>(example.candidates[c])] >

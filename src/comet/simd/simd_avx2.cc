@@ -631,8 +631,9 @@ widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
                 dst + q + 4, _mm256_permute2x128_si256(u[q], u[q + 4], 0x31));
         }
     }
-    scalar::widenColumnBlock(columns + v, stride, n_values - v,
-                             out + v * kColumnBlock);
+    if (v < n_values)
+        scalar::widenColumnBlock(columns + v, stride, n_values - v,
+                                 out + v * kColumnBlock);
 }
 
 COMET_AVX2 void

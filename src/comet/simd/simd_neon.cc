@@ -468,8 +468,9 @@ widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
                       vreinterpretq_s32_s64(vtrn2q_s64(t1, t3)));
         }
     }
-    scalar::widenColumnBlock(columns + v, stride, n_values - v,
-                             out + v * kColumnBlock);
+    if (v < n_values)
+        scalar::widenColumnBlock(columns + v, stride, n_values - v,
+                                 out + v * kColumnBlock);
 }
 
 void

@@ -17,7 +17,6 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -282,7 +281,10 @@ const Tab2Pin kTab2Pins[] = {
 
 TEST_P(Tab2Pins, SuiteCalibrationAndAccuracies)
 {
-    const Tab2Pin &pin = kTab2Pins[GetParam()];
+    // Parameter 2 * size + half: each test scores half the schemes, so
+    // the four run side by side under ctest -j.
+    const Tab2Pin &pin = kTab2Pins[GetParam() / 2];
+    const size_t first_scheme = GetParam() % 2 == 0 ? 0 : 5;
     SCOPED_TRACE(pin.label);
     const auto teacher =
         TinyTransformer::random(harnessConfig(pin.seed, pin.outlier_scale));
@@ -296,7 +298,7 @@ TEST_P(Tab2Pins, SuiteCalibrationAndAccuracies)
         buildZeroshotSuite(teacher, pin.seed);
     expectPin("suite", suiteDigest(suite), pin.suite);
     const std::vector<QuantScheme> schemes = everyScheme();
-    for (size_t s = 0; s < schemes.size(); ++s) {
+    for (size_t s = first_scheme; s < first_scheme + 5; ++s) {
         const QuantizedModel quantized =
             buildQuantizedModel(teacher, schemes[s], calibration);
         for (size_t t = 0; t < suite.size(); ++t) {
@@ -312,7 +314,7 @@ TEST_P(Tab2Pins, SuiteCalibrationAndAccuracies)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, Tab2Pins, ::testing::Range(0, 2));
+INSTANTIATE_TEST_SUITE_P(Sizes, Tab2Pins, ::testing::Range(0, 4));
 
 TEST(AccuracyPins, ZeroshotTeacherSuite)
 {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "comet/model/quantized_decoder.h"
+#include "tiny_transformer_forward.h"
 
 namespace comet {
 namespace {
@@ -48,7 +49,7 @@ makeHarness(uint64_t seed)
  * replaced by the dequantized packed weights (mapped back to the
  * original channel order), activations fake-quantized by the same
  * site quantizers, KV fake-quantized with the same config. The twin
- * runs through TinyTransformer::forward in float; agreement with the
+ * runs through the forward oracle in float; agreement with the
  * packed path proves the integer kernels end to end.
  */
 struct Twin {
@@ -130,7 +131,7 @@ TEST(QuantizedDecoder, MatchesFakeQuantTwin)
 
     const std::vector<int32_t> tokens{3, 11, 42, 7, 29, 55};
     const Tensor twin_logits =
-        twin.model.forward(tokens, twin.sim.get());
+        forwardReference(twin.model, tokens, twin.sim.get());
 
     for (size_t t = 0; t < tokens.size(); ++t) {
         const std::vector<float> logits = decoder.step(tokens[t]);
@@ -196,7 +197,7 @@ TEST(QuantizedDecoder, PerplexityStaysUsable)
     double fp_nll = 0.0;
     int64_t fp_tokens = 0;
     for (const auto &sequence : h.eval.sequences) {
-        const auto [nll, count] = h.teacher.sequenceNll(sequence);
+        const auto [nll, count] = sequenceNllReference(h.teacher, sequence);
         fp_nll += nll;
         fp_tokens += count;
     }
@@ -371,6 +372,85 @@ TEST(QuantizedDecoder, FusedSiteGemmsSliceToSeparateGemmsBitExact)
                 EXPECT_EQ(col, out.cols());
             }
         }
+    }
+}
+
+/** The harness's tiny model with a GQA attention, gated or plain. */
+TinyTransformer
+oracleModel(bool gated)
+{
+    TinyTransformerConfig config;
+    config.vocab_size = 64;
+    config.hidden_size = 64;
+    config.num_heads = 4;
+    config.num_kv_heads = 2;
+    config.num_layers = 2;
+    config.intermediate_size = 128;
+    config.gated_mlp = gated;
+    config.outlier_fraction = 0.05;
+    config.outlier_scale = 15.0;
+    config.seed = gated ? 90 : 91;
+    return TinyTransformer::random(config);
+}
+
+TEST(QuantizedDecoder, FloatPathMatchesForwardOracleUnderEverySimulator)
+{
+    // The float decoder is the accuracy harness's one forward. A
+    // sequence prefilled in one call with a scheme's simulator gives,
+    // in every row (prefillLogits) and in the last (prefill), the
+    // logits of the whole-sequence oracle with the same simulator, bit
+    // for bit: every QuantScheme, gated and plain MLP, and lengths 1,
+    // 28 and 100 (past the 64-token attention chunk and KV4 group).
+    std::vector<QuantScheme> schemes = table1Schemes();
+    schemes.push_back(QuantScheme::kQuarotW4A4);
+    for (const bool gated : {true, false}) {
+        const TinyTransformer teacher = oracleModel(gated);
+        Rng rng(gated ? 92 : 93);
+        const CalibrationData calibration = CalibrationData::collect(
+            teacher, sampleDataset(teacher, 3, 24, rng));
+        for (QuantScheme scheme : schemes) {
+            const QuantizedModel quantized =
+                buildQuantizedModel(teacher, scheme, calibration);
+            const QuantizedDecoder fresh(quantized.model);
+            for (const int64_t length : {1, 28, 100}) {
+                SCOPED_TRACE(::testing::Message()
+                             << quantSchemeName(scheme) << " "
+                             << quantSchemePrecision(scheme) << " gated "
+                             << gated << " length " << length);
+                const std::vector<int32_t> tokens = testStream(
+                    length, 94 + static_cast<uint64_t>(length));
+                const Tensor want =
+                    forwardReference(quantized.model, tokens, quantized.sim());
+                const Tensor rows = QuantizedDecoder(fresh).prefillLogits(
+                    tokens, quantized.sim());
+                ASSERT_EQ(rows.rows(), want.rows());
+                ASSERT_EQ(rows.cols(), want.cols());
+                EXPECT_EQ(std::memcmp(rows.data(), want.data(),
+                                      static_cast<size_t>(want.numel()) *
+                                          sizeof(float)),
+                          0);
+                const std::vector<float> last =
+                    QuantizedDecoder(fresh).prefill(tokens, quantized.sim());
+                EXPECT_EQ(std::memcmp(last.data(),
+                                      want.data() + (length - 1) * want.cols(),
+                                      last.size() * sizeof(float)),
+                          0);
+            }
+        }
+    }
+}
+
+TEST(QuantizedDecoder, SamplingMatchesForwardOracleSampler)
+{
+    // sampleDataset samples on the decoder, one incremental step per
+    // token; the oracle runs a whole-prefix forward per token. Both
+    // draw the same numbers from the same Rng, so the streams match.
+    for (const bool gated : {true, false}) {
+        const TinyTransformer model = oracleModel(gated);
+        Rng rng(95), oracle_rng(95);
+        const Dataset dataset = sampleDataset(model, 4, 40, rng);
+        for (const auto &sequence : dataset.sequences)
+            EXPECT_EQ(sequence, sampleSequenceReference(model, 40, oracle_rng));
     }
 }
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for the tiny transformer substrate.
+ * Unit tests for the tiny transformer substrate: its weights and
+ * transforms, run through the whole-sequence forward oracle
+ * (tests/tiny_transformer_forward.h), and the library's sampler.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "comet/model/tiny_transformer.h"
+#include "comet/model/perplexity.h"
 #include "comet/quant/outlier.h"
+#include "tiny_transformer_forward.h"
 
 namespace comet {
 namespace {
@@ -29,7 +32,7 @@ smallConfig()
 TEST(TinyTransformer, ForwardShape)
 {
     const auto model = TinyTransformer::random(smallConfig());
-    const Tensor logits = model.forward({1, 2, 3, 4, 5});
+    const Tensor logits = forwardReference(model, {1, 2, 3, 4, 5});
     EXPECT_EQ(logits.rows(), 5);
     EXPECT_EQ(logits.cols(), 64);
 }
@@ -37,8 +40,8 @@ TEST(TinyTransformer, ForwardShape)
 TEST(TinyTransformer, ForwardIsDeterministic)
 {
     const auto model = TinyTransformer::random(smallConfig());
-    const Tensor a = model.forward({3, 1, 4, 1, 5});
-    const Tensor b = model.forward({3, 1, 4, 1, 5});
+    const Tensor a = forwardReference(model, {3, 1, 4, 1, 5});
+    const Tensor b = forwardReference(model, {3, 1, 4, 1, 5});
     EXPECT_DOUBLE_EQ(maxAbsError(a, b), 0.0);
 }
 
@@ -46,8 +49,8 @@ TEST(TinyTransformer, CausalityPrefixInvariance)
 {
     // Logits at position t must not depend on tokens after t.
     const auto model = TinyTransformer::random(smallConfig());
-    const Tensor full = model.forward({7, 8, 9, 10, 11, 12});
-    const Tensor prefix = model.forward({7, 8, 9});
+    const Tensor full = forwardReference(model, {7, 8, 9, 10, 11, 12});
+    const Tensor prefix = forwardReference(model, {7, 8, 9});
     for (int64_t t = 0; t < 3; ++t) {
         for (int64_t v = 0; v < 64; ++v)
             EXPECT_NEAR(full.at(t, v), prefix.at(t, v), 1e-4);
@@ -60,7 +63,7 @@ TEST(TinyTransformer, ConstantSequenceMixesToSameOutput)
     // attention mix — whatever RoPE does to the scores — returns the
     // same vector at every position. A useful invariant check.
     const auto model = TinyTransformer::random(smallConfig());
-    const Tensor logits = model.forward({5, 5, 5, 5});
+    const Tensor logits = forwardReference(model, {5, 5, 5, 5});
     for (int64_t v = 0; v < 64; ++v)
         EXPECT_NEAR(logits.at(1, v), logits.at(3, v), 1e-4);
 }
@@ -71,8 +74,8 @@ TEST(TinyTransformer, TokenOrderMattersThroughRope)
     // position's logits must differ, which requires the attention
     // scores to carry positional information (RoPE).
     const auto model = TinyTransformer::random(smallConfig());
-    const Tensor a = model.forward({2, 9, 4, 7});
-    const Tensor b = model.forward({9, 2, 4, 7});
+    const Tensor a = forwardReference(model, {2, 9, 4, 7});
+    const Tensor b = forwardReference(model, {9, 2, 4, 7});
     double diff = 0.0;
     for (int64_t v = 0; v < 64; ++v)
         diff += std::fabs(a.at(3, v) - b.at(3, v));
@@ -103,7 +106,7 @@ TEST(TinyTransformer, PlantedOutliersAppearInActivations)
         Tensor collected;
     };
     Collector collector;
-    model.forward({1, 2, 3, 4, 5, 6, 7, 8}, &collector);
+    forwardReference(model, {1, 2, 3, 4, 5, 6, 7, 8}, &collector);
     ASSERT_EQ(collector.collected.cols(), 64);
 
     const ChannelStats stats =
@@ -120,14 +123,14 @@ TEST(TinyTransformer, SequenceNllPositiveAndBounded)
 {
     const auto model = TinyTransformer::random(smallConfig());
     const auto [arb_nll, arb_count] =
-        model.sequenceNll({1, 2, 3, 4, 5, 6});
+        sequenceNllReference(model, {1, 2, 3, 4, 5, 6});
     EXPECT_EQ(arb_count, 5);
     EXPECT_GT(arb_nll, 0.0);
     // On data sampled from the model itself, the per-token NLL must
     // beat the uniform baseline log(V).
     Rng rng(99);
-    const auto seq = model.sampleSequence(32, rng);
-    const auto [nll, count] = model.sequenceNll(seq);
+    const auto seq = sampleDataset(model, 1, 32, rng).sequences[0];
+    const auto [nll, count] = sequenceNllReference(model, seq);
     EXPECT_LT(nll / static_cast<double>(count), std::log(64.0));
 }
 
@@ -138,8 +141,8 @@ TEST(TinyTransformer, ModelScoresItsOwnSamplesBetterThanRandom)
     double model_nll = 0.0;
     int64_t model_tokens = 0;
     for (int i = 0; i < 4; ++i) {
-        const auto seq = model.sampleSequence(24, rng);
-        const auto [nll, count] = model.sequenceNll(seq);
+        const auto seq = sampleDataset(model, 1, 24, rng).sequences[0];
+        const auto [nll, count] = sequenceNllReference(model, seq);
         model_nll += nll;
         model_tokens += count;
     }
@@ -150,7 +153,7 @@ TEST(TinyTransformer, ModelScoresItsOwnSamplesBetterThanRandom)
         for (int t = 0; t < 24; ++t)
             seq.push_back(
                 static_cast<int32_t>(rng.uniformInt(64)));
-        const auto [nll, count] = model.sequenceNll(seq);
+        const auto [nll, count] = sequenceNllReference(model, seq);
         random_nll += nll;
         random_tokens += count;
     }
@@ -175,8 +178,8 @@ TEST(TinyTransformer, IdentityTransformPreservesOutputs)
     const auto model = TinyTransformer::random(smallConfig());
     const auto copy = model.transformedWeights(
         [](const LinearSite &, const Tensor &w) { return w; });
-    const Tensor a = model.forward({1, 2, 3});
-    const Tensor b = copy.forward({1, 2, 3});
+    const Tensor a = forwardReference(model, {1, 2, 3});
+    const Tensor b = forwardReference(copy, {1, 2, 3});
     EXPECT_DOUBLE_EQ(maxAbsError(a, b), 0.0);
 }
 
@@ -191,8 +194,8 @@ TEST(TinyTransformer, ZeroingWeightsChangesOutputs)
             }
             return w;
         });
-    const Tensor a = model.forward({1, 2, 3});
-    const Tensor b = zeroed.forward({1, 2, 3});
+    const Tensor a = forwardReference(model, {1, 2, 3});
+    const Tensor b = forwardReference(zeroed, {1, 2, 3});
     EXPECT_GT(maxAbsError(a, b), 1e-3);
 }
 
@@ -200,7 +203,7 @@ TEST(TinyTransformer, SampleSequenceRespectsLengthAndVocab)
 {
     const auto model = TinyTransformer::random(smallConfig());
     Rng rng(13);
-    const auto seq = model.sampleSequence(17, rng);
+    const auto seq = sampleDataset(model, 1, 17, rng).sequences[0];
     EXPECT_EQ(seq.size(), 17u);
     for (int32_t token : seq) {
         EXPECT_GE(token, 0);
@@ -220,7 +223,7 @@ TEST(TinyTransformer, WeightAccessorReturnsCorrectShapes)
 TEST(TinyTransformerDeathTest, InvalidTokenRejected)
 {
     const auto model = TinyTransformer::random(smallConfig());
-    EXPECT_DEATH(model.forward({64}), "CHECK failed");
+    EXPECT_DEATH(forwardReference(model, {64}), "CHECK failed");
 }
 
 TEST(TinyTransformerPlainMlp, ForwardWorksWithoutGate)
@@ -228,12 +231,12 @@ TEST(TinyTransformerPlainMlp, ForwardWorksWithoutGate)
     TinyTransformerConfig config = smallConfig();
     config.gated_mlp = false;
     const auto model = TinyTransformer::random(config);
-    const Tensor logits = model.forward({1, 2, 3, 4});
+    const Tensor logits = forwardReference(model, {1, 2, 3, 4});
     EXPECT_EQ(logits.rows(), 4);
     EXPECT_EQ(logits.cols(), 64);
     // Deterministic like the gated variant.
-    EXPECT_DOUBLE_EQ(maxAbsError(logits, model.forward({1, 2, 3, 4})),
-                     0.0);
+    EXPECT_DOUBLE_EQ(
+        maxAbsError(logits, forwardReference(model, {1, 2, 3, 4})), 0.0);
 }
 
 TEST(TinyTransformerPlainMlp, TransformVisitsSixMatricesPerLayer)
@@ -266,8 +269,8 @@ TEST(TinyTransformerPlainMlp, SelfScoringStillBeatsRandom)
     config.gated_mlp = false;
     const auto model = TinyTransformer::random(config);
     Rng rng(21);
-    const auto seq = model.sampleSequence(24, rng);
-    const auto [nll, count] = model.sequenceNll(seq);
+    const auto seq = sampleDataset(model, 1, 24, rng).sequences[0];
+    const auto [nll, count] = sequenceNllReference(model, seq);
     EXPECT_LT(nll / static_cast<double>(count), std::log(64.0));
 }
 
