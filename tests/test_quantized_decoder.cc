@@ -23,7 +23,7 @@ struct Harness {
 };
 
 Harness
-makeHarness(uint64_t seed)
+makeHarness(uint64_t seed, bool gated = true)
 {
     TinyTransformerConfig config;
     config.vocab_size = 64;
@@ -34,6 +34,7 @@ makeHarness(uint64_t seed)
     config.intermediate_size = 128;
     config.outlier_fraction = 0.05;
     config.outlier_scale = 15.0;
+    config.gated_mlp = gated;
     config.seed = seed;
     auto teacher = TinyTransformer::random(config);
     Rng rng(seed + 1);
@@ -375,24 +376,6 @@ TEST(QuantizedDecoder, FusedSiteGemmsSliceToSeparateGemmsBitExact)
     }
 }
 
-/** The harness's tiny model with a GQA attention, gated or plain. */
-TinyTransformer
-oracleModel(bool gated)
-{
-    TinyTransformerConfig config;
-    config.vocab_size = 64;
-    config.hidden_size = 64;
-    config.num_heads = 4;
-    config.num_kv_heads = 2;
-    config.num_layers = 2;
-    config.intermediate_size = 128;
-    config.gated_mlp = gated;
-    config.outlier_fraction = 0.05;
-    config.outlier_scale = 15.0;
-    config.seed = gated ? 90 : 91;
-    return TinyTransformer::random(config);
-}
-
 TEST(QuantizedDecoder, FloatPathMatchesForwardOracleUnderEverySimulator)
 {
     // The float decoder is the accuracy harness's one forward. A
@@ -404,13 +387,10 @@ TEST(QuantizedDecoder, FloatPathMatchesForwardOracleUnderEverySimulator)
     std::vector<QuantScheme> schemes = table1Schemes();
     schemes.push_back(QuantScheme::kQuarotW4A4);
     for (const bool gated : {true, false}) {
-        const TinyTransformer teacher = oracleModel(gated);
-        Rng rng(gated ? 92 : 93);
-        const CalibrationData calibration = CalibrationData::collect(
-            teacher, sampleDataset(teacher, 3, 24, rng));
+        const Harness h = makeHarness(90, gated);
         for (QuantScheme scheme : schemes) {
             const QuantizedModel quantized =
-                buildQuantizedModel(teacher, scheme, calibration);
+                buildQuantizedModel(h.teacher, scheme, h.calibration);
             const QuantizedDecoder fresh(quantized.model);
             for (const int64_t length : {1, 28, 100}) {
                 SCOPED_TRACE(::testing::Message()
@@ -446,11 +426,13 @@ TEST(QuantizedDecoder, SamplingMatchesForwardOracleSampler)
     // token; the oracle runs a whole-prefix forward per token. Both
     // draw the same numbers from the same Rng, so the streams match.
     for (const bool gated : {true, false}) {
-        const TinyTransformer model = oracleModel(gated);
+        const Harness h = makeHarness(91, gated);
         Rng rng(95), oracle_rng(95);
-        const Dataset dataset = sampleDataset(model, 4, 40, rng);
-        for (const auto &sequence : dataset.sequences)
-            EXPECT_EQ(sequence, sampleSequenceReference(model, 40, oracle_rng));
+        const Dataset dataset = sampleDataset(h.teacher, 4, 40, rng);
+        for (const auto &sequence : dataset.sequences) {
+            EXPECT_EQ(sequence,
+                      sampleSequenceReference(h.teacher, 40, oracle_rng));
+        }
     }
 }
 
