@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -556,6 +558,152 @@ TEST_F(ChaosTest, PrefixScriptGraftsAndReplaysBitIdentically)
     EXPECT_EQ(serial.stats.prefix_hits, pooled.stats.prefix_hits);
     EXPECT_EQ(serial.stats.prefix_blocks_matched,
               pooled.stats.prefix_blocks_matched);
+}
+
+// ---- Pinned event logs ----------------------------------------------
+//
+// The threads-1-vs-8 replay checks above compare two runs of the same
+// code; these pin what that code produces. Each case is a fixed
+// (script, fault schedule, front end) whose event log is digested
+// with 64-bit FNV-1a and printed with the final counters; any change
+// to what a chaos run submits, observes or counts moves the line.
+
+/** FNV-1a, 64-bit, of @p text, as 16 hex digits. */
+std::string
+fnv1aHex(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    char buffer[24];
+    std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, h);
+    return buffer;
+}
+
+/** The 300-step script of @p seed, in prefix mode when asked. */
+ChaosScriptConfig
+pinScriptConfig(uint64_t seed, bool prefix = false)
+{
+    ChaosScriptConfig config;
+    config.seed = seed;
+    config.steps = 300;
+    config.prefix = prefix;
+    return config;
+}
+
+/** Digest and final counters of one faulted server run. */
+std::string
+serverPin(const ChaosScriptConfig &config,
+          const ChaosFaultConfig &faults)
+{
+    const ChaosRunResult result = runChaosScript(
+        generateChaosScript(config), config, &faults);
+    EXPECT_TRUE(result.ok) << result.failure;
+    const server::ServerStats &s = result.stats;
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  " sub=%lld done=%lld rej=%lld can=%lld tok=%lld "
+                  "graft=%lld",
+                  static_cast<long long>(s.submitted),
+                  static_cast<long long>(s.completed),
+                  static_cast<long long>(s.rejected),
+                  static_cast<long long>(s.cancelled),
+                  static_cast<long long>(s.streamed_tokens),
+                  static_cast<long long>(s.prefix_matched_tokens));
+    return fnv1aHex(result.event_log) + line;
+}
+
+/** Digest and final counters of one faulted 4-replica cluster run. */
+std::string
+clusterPin(const ChaosScriptConfig &config,
+           cluster::RoutingPolicy policy,
+           const std::vector<int> &tp_degrees = {})
+{
+    ChaosFaultConfig faults;
+    faults.seed = config.seed;
+    faults.route_every = 7;
+    faults.drain_every = 41;
+    const ClusterChaosRunResult result =
+        runClusterChaosScript(generateChaosScript(config), config,
+                              &faults, 4, policy, tp_degrees);
+    EXPECT_TRUE(result.ok) << result.failure;
+    const cluster::ClusterStats &s = result.cluster_stats;
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  " sub=%lld routed=%lld rerouted=%lld drains=%lld "
+                  "rej=%lld can=%lld done=%lld tok=%lld",
+                  static_cast<long long>(s.submitted),
+                  static_cast<long long>(s.routed),
+                  static_cast<long long>(s.rerouted),
+                  static_cast<long long>(s.drains),
+                  static_cast<long long>(s.rejected),
+                  static_cast<long long>(s.cancelled),
+                  static_cast<long long>(result.replica_completed),
+                  static_cast<long long>(
+                      result.replica_streamed_tokens));
+    return fnv1aHex(result.event_log) + line;
+}
+
+TEST_F(ChaosTest, ServerEventLogsArePinned)
+{
+    ChaosFaultConfig faults;
+    faults.seed = 41;
+    EXPECT_EQ(serverPin(pinScriptConfig(41), faults),
+              "c8ab785d0f1ea104"
+              " sub=279 done=104 rej=124 can=51 tok=988 graft=0");
+
+    ChaosFaultConfig graft;
+    graft.seed = 43;
+    graft.graft_every = 23;
+    EXPECT_EQ(serverPin(pinScriptConfig(43, /*prefix=*/true), graft),
+              "45875ae6f25f7d83"
+              " sub=279 done=115 rej=106 can=58 tok=1082 graft=7600");
+
+    ChaosScriptConfig chunked = pinScriptConfig(47);
+    chunked.chunk_tokens = 48;
+    ChaosFaultConfig chunk;
+    chunk.seed = 47;
+    chunk.chunk_every = 5;
+    EXPECT_EQ(serverPin(chunked, chunk),
+              "05ceb9a695c0ae3d"
+              " sub=271 done=117 rej=108 can=46 tok=1183 graft=0");
+
+    ChaosScriptConfig sharded = pinScriptConfig(53);
+    sharded.tp_degree = 2;
+    ChaosFaultConfig allreduce;
+    allreduce.seed = 53;
+    allreduce.allreduce_every = 13;
+    EXPECT_EQ(serverPin(sharded, allreduce),
+              "84c2e34a47725e97"
+              " sub=277 done=120 rej=107 can=50 tok=1021 graft=0");
+}
+
+TEST_F(ChaosTest, ClusterEventLogsArePinned)
+{
+    using cluster::RoutingPolicy;
+    EXPECT_EQ(clusterPin(pinScriptConfig(59),
+                         RoutingPolicy::kLeastLoaded),
+              "d98456b95ad139c1 sub=268 routed=221 rerouted=17"
+              " drains=3 rej=47 can=0 done=133 tok=1435");
+    EXPECT_EQ(clusterPin(pinScriptConfig(61),
+                         RoutingPolicy::kConsistentHash),
+              "7f6b53ed7b45ff3e sub=269 routed=222 rerouted=17"
+              " drains=3 rej=47 can=0 done=132 tok=1328");
+    EXPECT_EQ(clusterPin(pinScriptConfig(67),
+                         RoutingPolicy::kWeightedRoundRobin),
+              "35e5e062788378e7 sub=271 routed=221 rerouted=17"
+              " drains=3 rej=50 can=0 done=141 tok=1312");
+    // Heterogeneous tensor parallelism across the four replicas.
+    EXPECT_EQ(clusterPin(pinScriptConfig(71),
+                         RoutingPolicy::kLeastLoaded, {1, 2, 4, 2}),
+              "ec261e3cf629aabd sub=268 routed=229 rerouted=17"
+              " drains=3 rej=39 can=0 done=137 tok=1379");
+    EXPECT_EQ(clusterPin(pinScriptConfig(73, /*prefix=*/true),
+                         RoutingPolicy::kConsistentHash),
+              "4f5216e3ad0f9e59 sub=264 routed=226 rerouted=17"
+              " drains=3 rej=38 can=0 done=147 tok=1422");
 }
 
 // ---- Always-on checks along chaos paths (satellite: a violated
