@@ -18,6 +18,10 @@
  * mid-workload drains (`cluster.drain`) — and requires the same
  * bit-identical replay plus the cluster audits (token conservation
  * across drains, routing accounting, per-replica KV quiescence).
+ * `--prefix` and `--tp` combine with either front end. Each mode's
+ * per-seed setup (script config, faults, routing policy, TP degrees)
+ * comes from one function, soakSetup(), which the double run, the
+ * stats row and a failing seed's shrink and repro all use.
  *
  * It also measures the disabled-failpoint fast path the way
  * bench_obs_overhead measures disabled spans, and enforces the
@@ -90,136 +94,130 @@ clusterPolicyForSeed(uint64_t seed)
     }
 }
 
-/** The cluster soak's fault schedule: the routing-thread failpoints
- * (forced reroutes, injected drains) plus pool delays — the
- * cluster-safe subset runClusterChaosScript keeps armed. */
-ChaosFaultConfig
-clusterFaults(uint64_t seed)
-{
+/** The soak's mode flags. */
+struct SoakMode {
+    bool prefix = false;
+    bool clustered = false;
+    bool tp = false;
+};
+
+/** Everything one seed's runs in a mode are built from. The double
+ * run, the stats row and a failure's shrink all take it from here,
+ * so a repro replays exactly the soak that failed. */
+struct SoakSetup {
+    SoakMode mode;
+    ChaosScriptConfig config;
     ChaosFaultConfig faults;
-    faults.seed = seed;
-    faults.route_every = 7;
-    faults.drain_every = 41;
-    return faults;
+    /** Routing policy (cluster mode; rotates per seed). */
+    cluster::RoutingPolicy policy =
+        cluster::RoutingPolicy::kLeastLoaded;
+    /** Per-replica TP degrees (cluster mode with --tp; replica r
+     * gets entry r % size). */
+    std::vector<int> tp_degrees;
+};
+
+SoakSetup
+soakSetup(uint64_t seed, int steps, const SoakMode &mode)
+{
+    SoakSetup setup;
+    setup.mode = mode;
+    setup.config.seed = seed;
+    setup.config.steps = steps;
+    setup.config.prefix = mode.prefix;
+    setup.faults.seed = seed;
+    if (mode.clustered) {
+        // The routing-thread failpoints (forced reroutes, injected
+        // drains) on top of the pool delays: the cluster-safe subset
+        // runClusterChaosScript keeps armed.
+        setup.faults.route_every = 7;
+        setup.faults.drain_every = 41;
+        setup.policy = clusterPolicyForSeed(seed);
+        if (mode.tp)
+            setup.tp_degrees = {1, 2, 4, 2};
+        return setup;
+    }
+    if (mode.prefix)
+        setup.faults.graft_every = 23; // forced misses ride the soak
+    if (mode.tp) {
+        // Sharding and degraded links shift the virtual clock
+        // (scripts carry time-triggered cancels, so streams
+        // legitimately differ from TP=1), but the replay must stay
+        // byte-identical across thread counts.
+        setup.config.tp_degree = 2;
+        setup.faults.allreduce_every = 13;
+    }
+    return setup;
 }
 
-/** One seed's faulted cluster double run (threads 1 vs 8): the
- * script routed through a 4-replica cluster with cluster.route and
- * cluster.drain armed. Empty string when every invariant held and
- * the event logs matched byte for byte. */
-/** Mixed tensor-parallel degrees the `--tp --cluster` soak spreads
- * across the 4 replicas (replica r gets entry r % size). */
-const std::vector<int> kHeterogeneousTp = {1, 2, 4, 2};
+/** One run of @p script under @p setup: its verdict and the
+ * mode's stats cells (the table columns between steps and replay). */
+struct SoakRun {
+    ChaosRunVerdict verdict;
+    std::vector<std::string> cells;
+};
 
-std::string
-runClusterSoakSeed(uint64_t seed, int steps, bool prefix, bool tp)
+SoakRun
+runSoakScript(const SoakSetup &setup,
+              const std::vector<ChaosStep> &script)
 {
-    ChaosScriptConfig config;
-    config.seed = seed;
-    config.steps = steps;
-    config.prefix = prefix;
-    const std::vector<ChaosStep> script =
-        generateChaosScript(config);
-    const ChaosFaultConfig faults = clusterFaults(seed);
-    const cluster::RoutingPolicy policy = clusterPolicyForSeed(seed);
-    const std::vector<int> tp_degrees =
-        tp ? kHeterogeneousTp : std::vector<int>{};
-
-    ThreadPool::setGlobalThreads(1);
-    const ClusterChaosRunResult serial =
-        runClusterChaosScript(script, config, &faults,
-                              kClusterReplicas, policy, tp_degrees);
-    ThreadPool::setGlobalThreads(8);
-    const ClusterChaosRunResult pooled =
-        runClusterChaosScript(script, config, &faults,
-                              kClusterReplicas, policy, tp_degrees);
-    ThreadPool::setGlobalThreads(0);
-
-    if (!serial.ok)
-        return "threads=1: " + serial.failure;
-    if (!pooled.ok)
-        return "threads=8: " + pooled.failure;
-    if (serial.event_log != pooled.event_log)
-        return "event logs diverge between threads=1 and threads=8";
-    return "";
+    if (setup.mode.clustered) {
+        const ClusterChaosRunResult result = runClusterChaosScript(
+            script, setup.config, &setup.faults, kClusterReplicas,
+            setup.policy, setup.tp_degrees);
+        return {result,
+                {cluster::routingPolicyName(setup.policy),
+                 std::to_string(result.replica_completed),
+                 std::to_string(result.cluster_stats.routed),
+                 std::to_string(result.cluster_stats.rerouted),
+                 std::to_string(result.cluster_stats.drains),
+                 std::to_string(result.replica_streamed_tokens)}};
+    }
+    const ChaosRunResult result =
+        runChaosScript(script, setup.config, &setup.faults);
+    return {result,
+            {std::to_string(result.stats.completed),
+             std::to_string(result.stats.rejected),
+             std::to_string(result.stats.cancelled),
+             std::to_string(result.stats.streamed_tokens),
+             std::to_string(result.stats.prefix_matched_tokens)}};
 }
 
-/** One seed's faulted double run (threads 1 vs 8). Empty string when
- * every invariant held and the logs matched. With `tp` the script
- * replays on a TP=2 engine with the tp.allreduce failpoint armed:
- * sharding and degraded links shift the virtual clock (scripts carry
- * time-triggered cancels, so streams legitimately differ from TP=1),
- * but the replay must stay byte-identical across thread counts. */
+/** The faulted double run (threads 1 vs 8). Empty string when every
+ * invariant held and the event logs matched byte for byte. */
 std::string
-runSoakSeed(uint64_t seed, int steps, bool prefix, bool tp)
+runDoubleReplay(const SoakSetup &setup,
+                const std::vector<ChaosStep> &script)
 {
-    ChaosScriptConfig config;
-    config.seed = seed;
-    config.steps = steps;
-    config.prefix = prefix;
-    config.tp_degree = tp ? 2 : 1;
-    const std::vector<ChaosStep> script =
-        generateChaosScript(config);
-    ChaosFaultConfig faults;
-    faults.seed = seed;
-    if (prefix)
-        faults.graft_every = 23; // forced misses ride the soak too
-    if (tp)
-        faults.allreduce_every = 13;
-
     ThreadPool::setGlobalThreads(1);
-    const ChaosRunResult serial =
-        runChaosScript(script, config, &faults);
+    const SoakRun serial = runSoakScript(setup, script);
     ThreadPool::setGlobalThreads(8);
-    const ChaosRunResult pooled =
-        runChaosScript(script, config, &faults);
+    const SoakRun pooled = runSoakScript(setup, script);
     ThreadPool::setGlobalThreads(0);
 
-    if (!serial.ok)
-        return "threads=1: " + serial.failure;
-    if (!pooled.ok)
-        return "threads=8: " + pooled.failure;
-    if (serial.event_log != pooled.event_log)
+    if (!serial.verdict.ok)
+        return "threads=1: " + serial.verdict.failure;
+    if (!pooled.verdict.ok)
+        return "threads=8: " + pooled.verdict.failure;
+    if (serial.verdict.event_log != pooled.verdict.event_log)
         return "event logs diverge between threads=1 and threads=8";
     return "";
 }
 
 /** Shrinks a failing seed's script and prints the minimal repro. */
 void
-reportFailure(uint64_t seed, int steps, bool prefix, bool clustered,
-              bool tp, const std::string &failure)
+reportFailure(const SoakSetup &setup, const std::string &failure)
 {
+    const uint64_t seed = setup.config.seed;
+    const int steps = setup.config.steps;
     std::fprintf(stderr,
                  "FAILING SEED %" PRIu64 " (steps=%d%s%s%s): %s\n",
-                 seed, steps, prefix ? ", prefix" : "",
-                 clustered ? ", cluster" : "", tp ? ", tp" : "",
-                 failure.c_str());
-    ChaosScriptConfig config;
-    config.seed = seed;
-    config.steps = steps;
-    config.prefix = prefix;
-    if (tp && !clustered)
-        config.tp_degree = 2;
+                 seed, steps, setup.mode.prefix ? ", prefix" : "",
+                 setup.mode.clustered ? ", cluster" : "",
+                 setup.mode.tp ? ", tp" : "", failure.c_str());
     const std::vector<ChaosStep> script =
-        generateChaosScript(config);
-    ChaosFaultConfig faults;
-    faults.seed = seed;
-    if (clustered)
-        faults = clusterFaults(seed);
-    else if (prefix)
-        faults.graft_every = 23;
-    if (tp && !clustered)
-        faults.allreduce_every = 13;
-    const std::vector<int> tp_degrees =
-        (tp && clustered) ? kHeterogeneousTp : std::vector<int>{};
+        generateChaosScript(setup.config);
     const auto fails = [&](const std::vector<ChaosStep> &candidate) {
-        if (clustered)
-            return !runClusterChaosScript(candidate, config, &faults,
-                                          kClusterReplicas,
-                                          clusterPolicyForSeed(seed),
-                                          tp_degrees)
-                        .ok;
-        return !runChaosScript(candidate, config, &faults).ok;
+        return !runSoakScript(setup, candidate).verdict.ok;
     };
     // Shrink against the single-threaded replay: cheap, and any
     // surviving violation reproduces by construction.
@@ -227,18 +225,8 @@ reportFailure(uint64_t seed, int steps, bool prefix, bool clustered,
     const std::vector<ChaosStep> shrunk =
         shrinkChaosScript(script, fails, /*max_runs=*/48);
     ThreadPool::setGlobalThreads(0);
-    ChaosRunResult minimal;
-    if (clustered) {
-        const ClusterChaosRunResult cluster_minimal =
-            runClusterChaosScript(shrunk, config, &faults,
-                                  kClusterReplicas,
-                                  clusterPolicyForSeed(seed),
-                                  tp_degrees);
-        minimal.ok = cluster_minimal.ok;
-        minimal.failure = cluster_minimal.failure;
-    } else {
-        minimal = runChaosScript(shrunk, config, &faults);
-    }
+    const ChaosRunVerdict minimal =
+        runSoakScript(setup, shrunk).verdict;
     if (!minimal.ok) {
         std::fprintf(stderr,
                      "minimal script (%zu of %zu steps), fails "
@@ -258,8 +246,9 @@ reportFailure(uint64_t seed, int steps, bool prefix, bool clustered,
     std::fprintf(stderr,
                  "repro: ./bench_chaos_soak --seed=%" PRIu64
                  " --seeds=1 --steps=%d%s%s%s\n",
-                 seed, steps, prefix ? " --prefix" : "",
-                 clustered ? " --cluster" : "", tp ? " --tp" : "");
+                 seed, steps, setup.mode.prefix ? " --prefix" : "",
+                 setup.mode.clustered ? " --cluster" : "",
+                 setup.mode.tp ? " --tp" : "");
 }
 
 } // namespace
@@ -284,14 +273,13 @@ main(int argc, char **argv)
          {"--seeds=", "number of consecutive seeds (default 1)"},
          {"--steps=", "script steps per seed (default 10000)"}});
     const bool smoke = bench::smokeRequested(argc, argv);
-    bool prefix = false;
-    bool clustered = false;
-    bool tp = false;
+    SoakMode mode;
     for (int i = 1; i < argc; ++i) {
-        prefix = prefix || std::strcmp(argv[i], "--prefix") == 0;
-        clustered =
-            clustered || std::strcmp(argv[i], "--cluster") == 0;
-        tp = tp || std::strcmp(argv[i], "--tp") == 0;
+        mode.prefix =
+            mode.prefix || std::strcmp(argv[i], "--prefix") == 0;
+        mode.clustered =
+            mode.clustered || std::strcmp(argv[i], "--cluster") == 0;
+        mode.tp = mode.tp || std::strcmp(argv[i], "--tp") == 0;
     }
     const uint64_t first_seed = static_cast<uint64_t>(
         bench::flagValue(argc, argv, "--seed=", 1));
@@ -314,7 +302,7 @@ main(int argc, char **argv)
 #endif
 
     Table table(
-        clustered
+        mode.clustered
             ? std::vector<std::string>{"seed", "steps", "policy",
                                        "completed", "routed",
                                        "rerouted", "drains",
@@ -326,100 +314,51 @@ main(int argc, char **argv)
     bool all_ok = true;
     for (int64_t i = 0; i < seeds; ++i) {
         const uint64_t seed = first_seed + static_cast<uint64_t>(i);
-        if (clustered) {
-            const std::string failure =
-                runClusterSoakSeed(seed, steps, prefix, tp);
-            if (!failure.empty()) {
-                all_ok = false;
-                reportFailure(seed, steps, prefix, true, tp,
-                              failure);
-                continue;
-            }
-            // Re-run once at the ambient thread count for the row.
-            ChaosScriptConfig config;
-            config.seed = seed;
-            config.steps = steps;
-            config.prefix = prefix;
-            const ChaosFaultConfig faults = clusterFaults(seed);
-            const cluster::RoutingPolicy policy =
-                clusterPolicyForSeed(seed);
-            const ClusterChaosRunResult result =
-                runClusterChaosScript(
-                    generateChaosScript(config), config, &faults,
-                    kClusterReplicas, policy,
-                    tp ? kHeterogeneousTp : std::vector<int>{});
-            if (!result.ok) {
-                all_ok = false;
-                reportFailure(seed, steps, prefix, true, tp,
-                              "ambient threads: " + result.failure);
-                continue;
-            }
-            table.addRow(
-                {std::to_string(seed), std::to_string(steps),
-                 cluster::routingPolicyName(policy),
-                 std::to_string(result.replica_completed),
-                 std::to_string(result.cluster_stats.routed),
-                 std::to_string(result.cluster_stats.rerouted),
-                 std::to_string(result.cluster_stats.drains),
-                 std::to_string(result.replica_streamed_tokens),
-                 "bit-identical"});
-            continue;
-        }
-        const std::string failure =
-            runSoakSeed(seed, steps, prefix, tp);
+        const SoakSetup setup = soakSetup(seed, steps, mode);
+        const std::vector<ChaosStep> script =
+            generateChaosScript(setup.config);
+        const std::string failure = runDoubleReplay(setup, script);
         if (!failure.empty()) {
             all_ok = false;
-            reportFailure(seed, steps, prefix, false, tp, failure);
+            reportFailure(setup, failure);
             continue;
         }
-        // The fuzzers ride the same seed for cheap extra coverage.
-        const Status kv_fuzz =
-            runKvModelFuzz(seed, smoke ? 300 : 2000, true);
-        const Status sched_fuzz =
-            runSchedulerFuzz(seed, smoke ? 300 : 2000, true);
-        const Status prefix_fuzz =
-            runPrefixFuzz(seed, smoke ? 300 : 2000, true);
-        if (!kv_fuzz.isOk() || !sched_fuzz.isOk() ||
-            !prefix_fuzz.isOk()) {
-            all_ok = false;
-            const Status &bad = !kv_fuzz.isOk()      ? kv_fuzz
-                                : !sched_fuzz.isOk() ? sched_fuzz
-                                                     : prefix_fuzz;
-            std::fprintf(stderr,
-                         "FAILING SEED %" PRIu64 " (model fuzz): "
-                         "%s\nrepro: ./bench_chaos_soak "
-                         "--seed=%" PRIu64 " --seeds=1 --steps=%d\n",
-                         seed, bad.toString().c_str(), seed, steps);
-            continue;
+        if (!mode.clustered) {
+            // The fuzzers ride the same seed for cheap extra coverage.
+            const Status kv_fuzz =
+                runKvModelFuzz(seed, smoke ? 300 : 2000, true);
+            const Status sched_fuzz =
+                runSchedulerFuzz(seed, smoke ? 300 : 2000, true);
+            const Status prefix_fuzz =
+                runPrefixFuzz(seed, smoke ? 300 : 2000, true);
+            if (!kv_fuzz.isOk() || !sched_fuzz.isOk() ||
+                !prefix_fuzz.isOk()) {
+                all_ok = false;
+                const Status &bad = !kv_fuzz.isOk()      ? kv_fuzz
+                                    : !sched_fuzz.isOk() ? sched_fuzz
+                                                         : prefix_fuzz;
+                std::fprintf(stderr,
+                             "FAILING SEED %" PRIu64 " (model fuzz): "
+                             "%s\nrepro: ./bench_chaos_soak "
+                             "--seed=%" PRIu64 " --seeds=1 --steps=%d\n",
+                             seed, bad.toString().c_str(), seed, steps);
+                continue;
+            }
         }
         // Re-run once at the ambient thread count for the stats row.
-        ChaosScriptConfig config;
-        config.seed = seed;
-        config.steps = steps;
-        config.prefix = prefix;
-        config.tp_degree = tp ? 2 : 1;
-        ChaosFaultConfig faults;
-        faults.seed = seed;
-        if (prefix)
-            faults.graft_every = 23;
-        if (tp)
-            faults.allreduce_every = 13;
-        const ChaosRunResult result = runChaosScript(
-            generateChaosScript(config), config, &faults);
-        if (!result.ok) {
+        const SoakRun ambient = runSoakScript(setup, script);
+        if (!ambient.verdict.ok) {
             all_ok = false;
-            reportFailure(seed, steps, prefix, false, tp,
-                          "ambient threads: " + result.failure);
+            reportFailure(setup,
+                          "ambient threads: " + ambient.verdict.failure);
             continue;
         }
-        table.addRow({std::to_string(seed), std::to_string(steps),
-                      std::to_string(result.stats.completed),
-                      std::to_string(result.stats.rejected),
-                      std::to_string(result.stats.cancelled),
-                      std::to_string(result.stats.streamed_tokens),
-                      std::to_string(
-                          result.stats.prefix_matched_tokens),
-                      "bit-identical"});
+        std::vector<std::string> row = {std::to_string(seed),
+                                        std::to_string(steps)};
+        row.insert(row.end(), ambient.cells.begin(),
+                   ambient.cells.end());
+        row.push_back("bit-identical");
+        table.addRow(row);
     }
     table.print();
     if (!all_ok) {

@@ -41,7 +41,11 @@
 #     first re-proves the sharded GEMM/attention operators bitwise
 #     against TP=1 and aborts on any divergence. A fourth
 #     bench_chaos_soak run in --tp mode replays the fault scripts on
-#     a TP=2 engine with the tp.allreduce failpoint armed.
+#     a TP=2 engine with the tp.allreduce failpoint armed. Two more
+#     cluster soaks cover the paths the CI sanitizer legs run:
+#     --tp --cluster (heterogeneous replica TP degrees 1/2/4/2) and
+#     --cluster --prefix (shared-prompt scripts through the router,
+#     every replica with the prefix cache on).
 #   - bench_real_decode: the real W4A4KV4 decoder prefilled and
 #     decoded to 2048 context on the host; its exit status asserts
 #     finite logits, that each KV store append re-quantizes at most
@@ -140,5 +144,9 @@ run "${bench_dir}/bench_chaos_soak" --smoke --prefix
 run "${bench_dir}/bench_chaos_soak" --smoke --cluster
 
 run "${bench_dir}/bench_chaos_soak" --smoke --tp
+
+run "${bench_dir}/bench_chaos_soak" --smoke --tp --cluster
+
+run "${bench_dir}/bench_chaos_soak" --smoke --cluster --prefix
 
 echo "ci_smoke: all bench families passed"

@@ -74,6 +74,245 @@ format(const char *fmt, long long a, long long b)
     return buffer;
 }
 
+/** The per-server config of every chaos run, single server or
+ * replica: the script's tenants (defaultChaosTenants() when empty), a
+ * batch of 8, the script's chunk size, and with the prefix mode the
+ * cache on and every tenant opted in. */
+server::ServerConfig
+chaosServerConfig(const ChaosScriptConfig &config)
+{
+    server::ServerConfig server_config;
+    server_config.tenants = config.tenants.empty()
+                                ? defaultChaosTenants()
+                                : config.tenants;
+    server_config.max_batch = 8;
+    server_config.chunked_prefill_tokens = config.chunk_tokens;
+    if (config.prefix) {
+        server_config.enable_prefix_cache = true;
+        for (TenantConfig &tenant : server_config.tenants)
+            tenant.prefix_caching = true;
+    }
+    return server_config;
+}
+
+/** The request a kSubmit step stands for. */
+StreamRequest
+chaosRequest(const ChaosStep &step,
+             const std::vector<TenantConfig> &tenants)
+{
+    StreamRequest request;
+    request.id = step.id;
+    request.tenant =
+        tenants[static_cast<size_t>(step.tenant) % tenants.size()]
+            .name;
+    request.prompt_tokens = step.prompt_tokens;
+    request.max_output_tokens = step.max_output_tokens;
+    request.eos_output_tokens = step.eos_output_tokens;
+    request.arrival_us = step.time_us;
+    request.cancel_at_us = step.cancel_at_us;
+    if (step.prompt_seed != 0)
+        request.prompt_ids =
+            promptFromSeed(step.prompt_seed, step.prompt_tokens);
+    return request;
+}
+
+/** A submitted script step and the stream it opened. */
+struct Submitted {
+    const ChaosStep *step;
+    TokenStreamPtr stream;
+};
+
+/**
+ * The script drive both runners share, over any front end with the
+ * Server client API (Server, cluster::ClusterRouter): connects
+ * config.clients handles, replays @p script through them, checks
+ * after every step that the published clock (@p clock_name in the
+ * failure) never runs backwards, then closes every handle and
+ * drains. Never blocks on a stream: submissions are non-blocking and
+ * pull-mode streams buffer, so consumption waits until after the
+ * drain — a mid-script blocking read could deadlock against the
+ * ingress gate (the loop may be waiting on this thread's future
+ * submissions).
+ */
+template <typename Frontend>
+std::vector<Submitted>
+driveChaosScript(Frontend *frontend, const std::vector<ChaosStep> &script,
+                 const ChaosScriptConfig &config,
+                 const std::vector<TenantConfig> &tenants,
+                 const char *clock_name, ChaosRunVerdict *verdict)
+{
+    std::vector<typename Frontend::Client> clients;
+    clients.reserve(static_cast<size_t>(config.clients));
+    for (int c = 0; c < config.clients; ++c)
+        clients.push_back(frontend->connect());
+
+    std::vector<Submitted> submitted;
+    double watermark_us = 0.0;
+    for (const ChaosStep &step : script) {
+        const size_t slot = static_cast<size_t>(step.client);
+        if (slot >= clients.size()) {
+            verdict->fail("script step references an unconnected "
+                          "client slot");
+            break;
+        }
+        switch (step.kind) {
+          case ChaosStepKind::kSubmit:
+            submitted.push_back(
+                {&step, clients[slot].submit(chaosRequest(step, tenants))});
+            break;
+          case ChaosStepKind::kAdvance:
+            clients[slot].advanceTo(step.time_us);
+            break;
+          case ChaosStepKind::kReconnect:
+            clients[slot].close();
+            clients[slot] = frontend->connect();
+            break;
+        }
+        // The published clock must never run backwards, no matter
+        // how the loop interleaves with this thread.
+        const double clock_us = frontend->virtualClockUs();
+        if (clock_us < watermark_us) {
+            verdict->fail(std::string("published ") + clock_name +
+                          " ran backwards");
+        }
+        watermark_us = std::max(watermark_us, clock_us);
+    }
+    for (typename Frontend::Client &client : clients)
+        client.close();
+    frontend->drain();
+    return submitted;
+}
+
+/** What the drained streams hold, summed over every submission. */
+struct StreamTally {
+    int64_t tokens = 0;    ///< token events delivered
+    int64_t completed = 0; ///< streams ended kFinished
+    int64_t rejected = 0;  ///< streams ended kRejected
+    int64_t cancelled = 0; ///< streams ended kCancelled
+};
+
+/**
+ * The post-drain per-stream audit both runners share: every stream's
+ * event shape (contiguous token indices, monotone timestamps, exactly
+ * one terminal event, the right token count for its verdict), and
+ * every submission ending exactly once. Appends each non-abandoned
+ * stream's events to the verdict's event log, in submission order.
+ */
+StreamTally
+auditStreams(const std::vector<Submitted> &submitted,
+             ChaosRunVerdict *verdict)
+{
+    StreamTally tally;
+    char line[96];
+    for (const Submitted &entry : submitted) {
+        const ChaosStep &step = *entry.step;
+        StreamEvent event;
+        int64_t tokens = 0;
+        double last_us = -1.0;
+        bool terminal_seen = false;
+        StreamEventKind terminal = StreamEventKind::kToken;
+        RejectReason reason = RejectReason::kNone;
+        while (entry.stream->next(&event)) {
+            if (terminal_seen) {
+                verdict->fail(format("id=%lld: event after the "
+                                     "terminal event (%lld)",
+                                     step.id, 0));
+                break;
+            }
+            if (event.virtual_us < last_us) {
+                verdict->fail(format("id=%lld: event timestamps ran "
+                                     "backwards (%lld)",
+                                     step.id, 0));
+            }
+            last_us = event.virtual_us;
+            if (event.kind == StreamEventKind::kToken) {
+                if (event.token_index != tokens) {
+                    verdict->fail(format("id=%lld: token indices not "
+                                         "contiguous at %lld",
+                                         step.id, tokens));
+                }
+                ++tokens;
+                if (!step.abandon) {
+                    std::snprintf(line, sizeof(line),
+                                  "id=%lld token %lld t=%.6f\n",
+                                  static_cast<long long>(step.id),
+                                  static_cast<long long>(
+                                      event.token_index),
+                                  event.virtual_us);
+                    verdict->event_log += line;
+                }
+            } else {
+                terminal_seen = true;
+                terminal = event.kind;
+                reason = event.reject_reason;
+                if (!step.abandon) {
+                    std::snprintf(
+                        line, sizeof(line),
+                        "id=%lld %s reason=%s t=%.6f\n",
+                        static_cast<long long>(step.id),
+                        server::streamEventKindName(event.kind),
+                        server::rejectReasonName(event.reject_reason),
+                        event.virtual_us);
+                    verdict->event_log += line;
+                }
+            }
+        }
+        if (!terminal_seen) {
+            verdict->fail(format("id=%lld: stream ended with no "
+                                 "terminal event (%lld tokens)",
+                                 step.id, tokens));
+            continue;
+        }
+        tally.tokens += tokens;
+        switch (terminal) {
+          case StreamEventKind::kFinished:
+            ++tally.completed;
+            if (tokens != stopTokens(step)) {
+                verdict->fail(format("id=%lld: finished with the "
+                                     "wrong token count %lld",
+                                     step.id, tokens));
+            }
+            break;
+          case StreamEventKind::kRejected:
+            ++tally.rejected;
+            if (tokens != 0) {
+                verdict->fail(format("id=%lld: rejected after "
+                                     "streaming %lld tokens",
+                                     step.id, tokens));
+            }
+            if (reason == RejectReason::kNone) {
+                verdict->fail(format("id=%lld: rejected with no "
+                                     "reason (%lld)",
+                                     step.id, 0));
+            }
+            break;
+          case StreamEventKind::kCancelled:
+            ++tally.cancelled;
+            if (tokens > stopTokens(step)) {
+                verdict->fail(format("id=%lld: cancelled after "
+                                     "streaming past its stop length "
+                                     "(%lld)",
+                                     step.id, tokens));
+            }
+            break;
+          default:
+            verdict->fail(format("id=%lld: impossible terminal kind "
+                                 "(%lld)",
+                                 step.id, 0));
+            break;
+        }
+    }
+    const int64_t terminals =
+        tally.completed + tally.rejected + tally.cancelled;
+    if (terminals != static_cast<int64_t>(submitted.size())) {
+        verdict->fail(format("terminal conservation: %lld terminals "
+                             "for %lld submissions",
+                             terminals,
+                             static_cast<int64_t>(submitted.size())));
+    }
+    return tally;
+}
+
 } // namespace
 
 void
@@ -128,242 +367,64 @@ armChaosFaults(const ChaosFaultConfig &faults)
     }
 }
 
+void
+ChaosRunVerdict::fail(const std::string &message)
+{
+    if (ok) {
+        ok = false;
+        failure = message;
+    }
+}
+
 ChaosRunResult
 runChaosScript(const std::vector<ChaosStep> &script,
                const ChaosScriptConfig &config,
                const ChaosFaultConfig *faults)
 {
     ChaosRunResult result;
-    const auto fail = [&result](const std::string &message) {
-        if (result.ok) {
-            result.ok = false;
-            result.failure = message;
-        }
-    };
-
     FailPointRegistry::global().disarmAll();
     if (faults != nullptr)
         armChaosFaults(*faults);
 
     const ServingEngine engine(chaosEngineConfig(config.tp_degree));
-    server::ServerConfig server_config;
-    server_config.tenants = config.tenants.empty()
-                                ? defaultChaosTenants()
-                                : config.tenants;
-    server_config.max_batch = 8;
-    server_config.chunked_prefill_tokens = config.chunk_tokens;
-    if (config.prefix) {
-        server_config.enable_prefix_cache = true;
-        for (TenantConfig &tenant : server_config.tenants)
-            tenant.prefix_caching = true;
-    }
+    const server::ServerConfig server_config = chaosServerConfig(config);
     {
         Server server(&engine, server_config);
-        std::vector<Server::Client> clients;
-        clients.reserve(static_cast<size_t>(config.clients));
-        for (int c = 0; c < config.clients; ++c)
-            clients.push_back(server.connect());
-
-        // Drive the whole script without ever blocking on a stream:
-        // submissions are non-blocking, and pull-mode streams buffer,
-        // so consumption can wait until after drain — a mid-script
-        // blocking read could deadlock against the ingress gate
-        // (the loop may be waiting on this thread's future
-        // submissions).
-        struct Submitted {
-            const ChaosStep *step;
-            TokenStreamPtr stream;
-        };
-        std::vector<Submitted> submitted;
-        double watermark_us = 0.0;
-        for (const ChaosStep &step : script) {
-            const size_t slot = static_cast<size_t>(step.client);
-            if (slot >= clients.size()) {
-                fail("script step references an unconnected client "
-                     "slot");
-                break;
-            }
-            switch (step.kind) {
-              case ChaosStepKind::kSubmit: {
-                StreamRequest request;
-                request.id = step.id;
-                request.tenant =
-                    server_config
-                        .tenants[static_cast<size_t>(step.tenant) %
-                                 server_config.tenants.size()]
-                        .name;
-                request.prompt_tokens = step.prompt_tokens;
-                request.max_output_tokens = step.max_output_tokens;
-                request.eos_output_tokens = step.eos_output_tokens;
-                request.arrival_us = step.time_us;
-                request.cancel_at_us = step.cancel_at_us;
-                if (step.prompt_seed != 0) {
-                    request.prompt_ids = promptFromSeed(
-                        step.prompt_seed, step.prompt_tokens);
-                }
-                submitted.push_back(
-                    {&step, clients[slot].submit(request)});
-                break;
-              }
-              case ChaosStepKind::kAdvance:
-                clients[slot].advanceTo(step.time_us);
-                break;
-              case ChaosStepKind::kReconnect:
-                clients[slot].close();
-                clients[slot] = server.connect();
-                break;
-            }
-            // The published virtual clock must never run backwards,
-            // no matter how the loop interleaves with this thread.
-            const double clock_us = server.virtualClockUs();
-            if (clock_us < watermark_us)
-                fail("published virtual clock ran backwards");
-            watermark_us = std::max(watermark_us, clock_us);
-        }
-        for (Server::Client &client : clients)
-            client.close();
-        server.drain();
+        const std::vector<Submitted> submitted =
+            driveChaosScript(&server, script, config,
+                             server_config.tenants, "virtual clock",
+                             &result);
         result.stats = server.stats();
-
-        // ---- Post-drain audit ----
-        int64_t delivered_tokens = 0;
-        int64_t completed = 0;
-        int64_t rejected = 0;
-        int64_t cancelled = 0;
-        char line[96];
-        for (const Submitted &entry : submitted) {
-            const ChaosStep &step = *entry.step;
-            StreamEvent event;
-            int64_t tokens = 0;
-            double last_us = -1.0;
-            bool terminal_seen = false;
-            StreamEventKind terminal = StreamEventKind::kToken;
-            RejectReason reason = RejectReason::kNone;
-            while (entry.stream->next(&event)) {
-                if (terminal_seen) {
-                    fail(format("id=%lld: event after the terminal "
-                                "event (%lld)",
-                                step.id, 0));
-                    break;
-                }
-                if (event.virtual_us < last_us) {
-                    fail(format("id=%lld: event timestamps ran "
-                                "backwards (%lld)",
-                                step.id, 0));
-                }
-                last_us = event.virtual_us;
-                if (event.kind == StreamEventKind::kToken) {
-                    if (event.token_index != tokens) {
-                        fail(format("id=%lld: token indices not "
-                                    "contiguous at %lld",
-                                    step.id, tokens));
-                    }
-                    ++tokens;
-                    if (!step.abandon) {
-                        std::snprintf(line, sizeof(line),
-                                      "id=%lld token %lld t=%.6f\n",
-                                      static_cast<long long>(step.id),
-                                      static_cast<long long>(
-                                          event.token_index),
-                                      event.virtual_us);
-                        result.event_log += line;
-                    }
-                } else {
-                    terminal_seen = true;
-                    terminal = event.kind;
-                    reason = event.reject_reason;
-                    if (!step.abandon) {
-                        std::snprintf(
-                            line, sizeof(line),
-                            "id=%lld %s reason=%s t=%.6f\n",
-                            static_cast<long long>(step.id),
-                            server::streamEventKindName(event.kind),
-                            server::rejectReasonName(
-                                event.reject_reason),
-                            event.virtual_us);
-                        result.event_log += line;
-                    }
-                }
-            }
-            if (!terminal_seen) {
-                fail(format("id=%lld: stream ended with no terminal "
-                            "event (%lld tokens)",
-                            step.id, tokens));
-                continue;
-            }
-            delivered_tokens += tokens;
-            switch (terminal) {
-              case StreamEventKind::kFinished:
-                ++completed;
-                if (tokens != stopTokens(step)) {
-                    fail(format("id=%lld: finished with the wrong "
-                                "token count %lld",
-                                step.id, tokens));
-                }
-                break;
-              case StreamEventKind::kRejected:
-                ++rejected;
-                if (tokens != 0) {
-                    fail(format("id=%lld: rejected after streaming "
-                                "%lld tokens",
-                                step.id, tokens));
-                }
-                if (reason == RejectReason::kNone)
-                    fail(format("id=%lld: rejected with no reason "
-                                "(%lld)",
-                                step.id, 0));
-                break;
-              case StreamEventKind::kCancelled:
-                ++cancelled;
-                if (tokens > stopTokens(step)) {
-                    fail(format("id=%lld: cancelled after streaming "
-                                "past its stop length (%lld)",
-                                step.id, tokens));
-                }
-                break;
-              default:
-                fail(format("id=%lld: impossible terminal kind "
-                            "(%lld)",
-                            step.id, 0));
-                break;
-            }
-        }
+        const StreamTally tally = auditStreams(submitted, &result);
 
         // Token conservation and exact terminal accounting against
         // the server's own counters: every submitted stream ended
         // exactly once, and every token the loop counted as streamed
         // is sitting in exactly one stream.
-        if (delivered_tokens != result.stats.streamed_tokens) {
-            fail(format("token conservation: streams hold %lld "
-                        "tokens, the server streamed %lld",
-                        delivered_tokens,
-                        result.stats.streamed_tokens));
+        if (tally.tokens != result.stats.streamed_tokens) {
+            result.fail(format("token conservation: streams hold %lld "
+                               "tokens, the server streamed %lld",
+                               tally.tokens,
+                               result.stats.streamed_tokens));
         }
         if (result.stats.submitted !=
             static_cast<int64_t>(submitted.size())) {
-            fail(format("submitted accounting: %lld vs %lld",
-                        result.stats.submitted,
-                        static_cast<int64_t>(submitted.size())));
+            result.fail(format("submitted accounting: %lld vs %lld",
+                               result.stats.submitted,
+                               static_cast<int64_t>(submitted.size())));
         }
-        if (completed != result.stats.completed ||
-            rejected != result.stats.rejected ||
-            cancelled != result.stats.cancelled) {
-            fail("terminal accounting: stream verdicts disagree "
-                 "with ServerStats");
-        }
-        if (completed + rejected + cancelled !=
-            static_cast<int64_t>(submitted.size())) {
-            fail(format("terminal conservation: %lld terminals for "
-                        "%lld submissions",
-                        completed + rejected + cancelled,
-                        static_cast<int64_t>(submitted.size())));
+        if (tally.completed != result.stats.completed ||
+            tally.rejected != result.stats.rejected ||
+            tally.cancelled != result.stats.cancelled) {
+            result.fail("terminal accounting: stream verdicts disagree "
+                        "with ServerStats");
         }
 
         // Zero-leak drain: the KV pool is fully free again.
         const Status quiescent =
             checkKvCacheQuiescent(server.kvCacheForAudit());
         if (!quiescent.isOk())
-            fail(quiescent.message());
+            result.fail(quiescent.message());
 
         server.stop(/*cancel_in_flight=*/false);
     }
@@ -380,18 +441,14 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
 {
     COMET_CHECK(replicas > 0);
     ClusterChaosRunResult result;
-    const auto fail = [&result](const std::string &message) {
-        if (result.ok) {
-            result.ok = false;
-            result.failure = message;
-        }
-    };
-
     FailPointRegistry::global().disarmAll();
     if (faults != nullptr) {
         // Cluster-safe subset only — see the header comment: the
         // per-replica sites' shared hit counters interleave across
         // replica loop threads, which would break replay.
+        // tp.allreduce stays excluded too: the engine cost path is
+        // evaluated on every replica's loop thread against one
+        // shared hit counter.
         ChaosFaultConfig restricted;
         restricted.seed = faults->seed;
         restricted.pool_task_p = faults->pool_task_p;
@@ -401,10 +458,6 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
         restricted.expire_every = 0;
         restricted.route_every = faults->route_every;
         restricted.drain_every = faults->drain_every;
-        // tp.allreduce stays excluded too: the engine cost path is
-        // evaluated on every replica's loop thread against one
-        // shared hit counter.
-        restricted.allreduce_every = 0;
         armChaosFaults(restricted);
     }
 
@@ -429,79 +482,13 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
         cluster_config.replicas.push_back(spec);
     }
     cluster_config.policy = policy;
-    cluster_config.server.tenants = config.tenants.empty()
-                                        ? defaultChaosTenants()
-                                        : config.tenants;
-    cluster_config.server.max_batch = 8;
-    cluster_config.server.chunked_prefill_tokens =
-        config.chunk_tokens;
-    if (config.prefix) {
-        cluster_config.server.enable_prefix_cache = true;
-        for (TenantConfig &tenant : cluster_config.server.tenants)
-            tenant.prefix_caching = true;
-    }
+    cluster_config.server = chaosServerConfig(config);
     {
         cluster::ClusterRouter router(cluster_config);
-        std::vector<cluster::ClusterRouter::Client> clients;
-        clients.reserve(static_cast<size_t>(config.clients));
-        for (int c = 0; c < config.clients; ++c)
-            clients.push_back(router.connect());
-
-        // Same non-blocking drive as the single-server runner: never
-        // read a stream before drain, or the read could deadlock
-        // against the cluster ingress gate.
-        struct Submitted {
-            const ChaosStep *step;
-            TokenStreamPtr stream;
-        };
-        std::vector<Submitted> submitted;
-        double watermark_us = 0.0;
-        for (const ChaosStep &step : script) {
-            const size_t slot = static_cast<size_t>(step.client);
-            if (slot >= clients.size()) {
-                fail("script step references an unconnected client "
-                     "slot");
-                break;
-            }
-            switch (step.kind) {
-              case ChaosStepKind::kSubmit: {
-                StreamRequest request;
-                request.id = step.id;
-                request.tenant =
-                    cluster_config.server
-                        .tenants[static_cast<size_t>(step.tenant) %
-                                 cluster_config.server.tenants
-                                     .size()]
-                        .name;
-                request.prompt_tokens = step.prompt_tokens;
-                request.max_output_tokens = step.max_output_tokens;
-                request.eos_output_tokens = step.eos_output_tokens;
-                request.arrival_us = step.time_us;
-                request.cancel_at_us = step.cancel_at_us;
-                if (step.prompt_seed != 0) {
-                    request.prompt_ids = promptFromSeed(
-                        step.prompt_seed, step.prompt_tokens);
-                }
-                submitted.push_back(
-                    {&step, clients[slot].submit(request)});
-                break;
-              }
-              case ChaosStepKind::kAdvance:
-                clients[slot].advanceTo(step.time_us);
-                break;
-              case ChaosStepKind::kReconnect:
-                clients[slot].close();
-                clients[slot] = router.connect();
-                break;
-            }
-            const double clock_us = router.virtualClockUs();
-            if (clock_us < watermark_us)
-                fail("published cluster clock ran backwards");
-            watermark_us = std::max(watermark_us, clock_us);
-        }
-        for (cluster::ClusterRouter::Client &client : clients)
-            client.close();
-        router.drain();
+        const std::vector<Submitted> submitted =
+            driveChaosScript(&router, script, config,
+                             cluster_config.server.tenants,
+                             "cluster clock", &result);
         result.cluster_stats = router.stats();
         int64_t replica_rejected = 0;
         int64_t replica_cancelled = 0;
@@ -513,159 +500,50 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
             replica_rejected += stats.rejected;
             replica_cancelled += stats.cancelled;
         }
-
-        // ---- Post-drain audit (per-stream checks identical to the
-        // single-server runner) ----
-        int64_t delivered_tokens = 0;
-        int64_t completed = 0;
-        int64_t rejected = 0;
-        int64_t cancelled = 0;
-        char line[96];
-        for (const Submitted &entry : submitted) {
-            const ChaosStep &step = *entry.step;
-            StreamEvent event;
-            int64_t tokens = 0;
-            double last_us = -1.0;
-            bool terminal_seen = false;
-            StreamEventKind terminal = StreamEventKind::kToken;
-            RejectReason reason = RejectReason::kNone;
-            while (entry.stream->next(&event)) {
-                if (terminal_seen) {
-                    fail(format("id=%lld: event after the terminal "
-                                "event (%lld)",
-                                step.id, 0));
-                    break;
-                }
-                if (event.virtual_us < last_us) {
-                    fail(format("id=%lld: event timestamps ran "
-                                "backwards (%lld)",
-                                step.id, 0));
-                }
-                last_us = event.virtual_us;
-                if (event.kind == StreamEventKind::kToken) {
-                    if (event.token_index != tokens) {
-                        fail(format("id=%lld: token indices not "
-                                    "contiguous at %lld",
-                                    step.id, tokens));
-                    }
-                    ++tokens;
-                    if (!step.abandon) {
-                        std::snprintf(line, sizeof(line),
-                                      "id=%lld token %lld t=%.6f\n",
-                                      static_cast<long long>(step.id),
-                                      static_cast<long long>(
-                                          event.token_index),
-                                      event.virtual_us);
-                        result.event_log += line;
-                    }
-                } else {
-                    terminal_seen = true;
-                    terminal = event.kind;
-                    reason = event.reject_reason;
-                    if (!step.abandon) {
-                        std::snprintf(
-                            line, sizeof(line),
-                            "id=%lld %s reason=%s t=%.6f\n",
-                            static_cast<long long>(step.id),
-                            server::streamEventKindName(event.kind),
-                            server::rejectReasonName(
-                                event.reject_reason),
-                            event.virtual_us);
-                        result.event_log += line;
-                    }
-                }
-            }
-            if (!terminal_seen) {
-                fail(format("id=%lld: stream ended with no terminal "
-                            "event (%lld tokens)",
-                            step.id, tokens));
-                continue;
-            }
-            delivered_tokens += tokens;
-            switch (terminal) {
-              case StreamEventKind::kFinished:
-                ++completed;
-                if (tokens != stopTokens(step)) {
-                    fail(format("id=%lld: finished with the wrong "
-                                "token count %lld",
-                                step.id, tokens));
-                }
-                break;
-              case StreamEventKind::kRejected:
-                ++rejected;
-                if (tokens != 0) {
-                    fail(format("id=%lld: rejected after streaming "
-                                "%lld tokens",
-                                step.id, tokens));
-                }
-                if (reason == RejectReason::kNone)
-                    fail(format("id=%lld: rejected with no reason "
-                                "(%lld)",
-                                step.id, 0));
-                break;
-              case StreamEventKind::kCancelled:
-                ++cancelled;
-                if (tokens > stopTokens(step)) {
-                    fail(format("id=%lld: cancelled after streaming "
-                                "past its stop length (%lld)",
-                                step.id, tokens));
-                }
-                break;
-              default:
-                fail(format("id=%lld: impossible terminal kind "
-                            "(%lld)",
-                            step.id, 0));
-                break;
-            }
-        }
+        const StreamTally tally = auditStreams(submitted, &result);
 
         // Cluster token conservation: every token a replica counted
         // as streamed is sitting in exactly one cluster stream (the
         // drain audit that proves a mid-workload drain dropped
         // nothing).
-        if (delivered_tokens != result.replica_streamed_tokens) {
-            fail(format("cluster token conservation: streams hold "
-                        "%lld tokens, replicas streamed %lld",
-                        delivered_tokens,
-                        result.replica_streamed_tokens));
+        if (tally.tokens != result.replica_streamed_tokens) {
+            result.fail(format("cluster token conservation: streams "
+                               "hold %lld tokens, replicas streamed "
+                               "%lld",
+                               tally.tokens,
+                               result.replica_streamed_tokens));
         }
         const cluster::ClusterStats &cs = result.cluster_stats;
-        if (cs.submitted !=
-            static_cast<int64_t>(submitted.size())) {
-            fail(format("cluster submitted accounting: %lld vs %lld",
-                        cs.submitted,
-                        static_cast<int64_t>(submitted.size())));
+        if (cs.submitted != static_cast<int64_t>(submitted.size())) {
+            result.fail(format("cluster submitted accounting: %lld vs "
+                               "%lld",
+                               cs.submitted,
+                               static_cast<int64_t>(submitted.size())));
         }
         // Every submission either reached a replica or got an edge
         // verdict, never both, never neither.
         if (cs.submitted != cs.routed + cs.rejected + cs.cancelled) {
-            fail(format("cluster routing conservation: %lld "
-                        "submitted vs %lld routed+edge verdicts",
-                        cs.submitted,
-                        cs.routed + cs.rejected + cs.cancelled));
+            result.fail(format("cluster routing conservation: %lld "
+                               "submitted vs %lld routed+edge "
+                               "verdicts",
+                               cs.submitted,
+                               cs.routed + cs.rejected + cs.cancelled));
         }
         int64_t routed_sum = 0;
         for (int64_t per : cs.routed_per_replica)
             routed_sum += per;
         if (routed_sum != cs.routed) {
-            fail(format("per-replica routed counters sum to %lld, "
-                        "not %lld",
-                        routed_sum, cs.routed));
+            result.fail(format("per-replica routed counters sum to "
+                               "%lld, not %lld",
+                               routed_sum, cs.routed));
         }
         // Terminal accounting across layers: replica verdicts plus
         // edge verdicts equal the stream verdicts exactly.
-        if (completed != result.replica_completed ||
-            rejected != replica_rejected + cs.rejected ||
-            cancelled != replica_cancelled + cs.cancelled) {
-            fail("cluster terminal accounting: stream verdicts "
-                 "disagree with replica + edge counters");
-        }
-        if (completed + rejected + cancelled !=
-            static_cast<int64_t>(submitted.size())) {
-            fail(format("cluster terminal conservation: %lld "
-                        "terminals for %lld submissions",
-                        completed + rejected + cancelled,
-                        static_cast<int64_t>(submitted.size())));
+        if (tally.completed != result.replica_completed ||
+            tally.rejected != replica_rejected + cs.rejected ||
+            tally.cancelled != replica_cancelled + cs.cancelled) {
+            result.fail("cluster terminal accounting: stream verdicts "
+                        "disagree with replica + edge counters");
         }
 
         // Zero-leak drain on every replica.
@@ -673,8 +551,8 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
             const Status quiescent = checkKvCacheQuiescent(
                 router.replicaKvCacheForAudit(r));
             if (!quiescent.isOk()) {
-                fail("replica " + std::to_string(r) + ": " +
-                     quiescent.message());
+                result.fail("replica " + std::to_string(r) + ": " +
+                            quiescent.message());
             }
         }
 

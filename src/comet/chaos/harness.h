@@ -1,22 +1,35 @@
 /**
  * @file
- * The chaos harness: seeded fault schedules, the server-level script
- * runner, and model-based fuzzers for the KV cache and the batch
- * scheduler.
+ * The chaos harness: seeded fault schedules, the scripted runners for
+ * a Server and a ClusterRouter, and model-based fuzzers for the KV
+ * cache, the batch scheduler and the prefix cache.
  *
- * Three layers, from broad to narrow:
+ * The two scripted runners, runChaosScript() (one Server) and
+ * runClusterChaosScript() (a ClusterRouter over replica Servers),
+ * replay a generated workload script (see script.h) with an optional
+ * fault schedule armed. They share everything but their accounting:
  *
- *  - runChaosScript() replays a generated workload script (see
- *    script.h) against a real Server with an optional fault schedule
- *    armed, then audits the drained session: per-stream event-shape
- *    and token-conservation invariants, terminal accounting against
- *    ServerStats, a monotone published virtual clock, and KV-cache
- *    quiescence (zero leaked blocks). It returns a canonical text
- *    event log — byte-identical across runs of the same seed at any
- *    COMET_THREADS, which is the bit-identical-replay check the soak
- *    and CI legs enforce.
+ *  - one per-server config (tenants, batch size, chunked prefill,
+ *    prefix opt-in), used by the Server and by every replica;
+ *  - one script drive, templated over the front end's client API
+ *    (submit, advance, reconnect through non-blocking handles, then
+ *    close and drain), which checks after every step that the
+ *    published virtual clock never runs backwards;
+ *  - one post-drain per-stream audit: event shape, token counts per
+ *    verdict, every submission ending exactly once. It tallies the
+ *    delivered tokens and terminal verdicts and writes the canonical
+ *    text event log, byte-identical across runs of the same seed at
+ *    any COMET_THREADS: the bit-identical-replay check the soak and
+ *    CI legs enforce.
  *
- *  - runKvModelFuzz() drives a PagedKvCache directly through random
+ * Each runner then checks that tally against its own counters
+ * (ServerStats, or the router's edge counters plus the summed
+ * replica stats) and audits KV-cache quiescence (zero leaked blocks)
+ * on its one pool or on every replica's.
+ *
+ * The fuzzers drive one component directly:
+ *
+ *  - runKvModelFuzz() drives a PagedKvCache through random
  *    add/append/fork/remove sequences against a token-count mirror,
  *    cross-validating allocator refcounts, chain sizing and block
  *    conservation after every operation (with injected allocator OOM
@@ -31,9 +44,9 @@
  *    clears, auditing the index's extra refcounts and the
  *    grafted-token bounds (see below).
  *
- * All three return the violated invariant as an error instead of
- * aborting, so a failing seed can be reported — and, for scripts,
- * shrunk — by the caller.
+ * Every runner and fuzzer returns the violated invariant as an error
+ * instead of aborting, so a failing seed can be reported — and, for
+ * scripts, shrunk — by the caller.
  */
 #pragma once
 
@@ -100,8 +113,9 @@ struct ChaosFaultConfig {
  * FailPointRegistry::global().disarmAll(). */
 void armChaosFaults(const ChaosFaultConfig &faults);
 
-/** Outcome of one scripted server run. */
-struct ChaosRunResult {
+/** What both scripted runners report: the first violated invariant
+ * and the canonical event log. */
+struct ChaosRunVerdict {
     bool ok = true;       ///< every invariant held
     std::string failure;  ///< first violated invariant (ok = false)
     /** Canonical per-request event log (submission order, one line
@@ -109,6 +123,13 @@ struct ChaosRunResult {
      * their client is gone. Byte-identical across replays of the
      * same seed and fault schedule at any thread count. */
     std::string event_log;
+
+    /** Records @p message as the failure unless one is recorded. */
+    void fail(const std::string &message);
+};
+
+/** Outcome of one scripted server run. */
+struct ChaosRunResult : ChaosRunVerdict {
     server::ServerStats stats; ///< the session's final counters
 };
 
@@ -123,12 +144,7 @@ ChaosRunResult runChaosScript(const std::vector<ChaosStep> &script,
                               const ChaosFaultConfig *faults);
 
 /** Outcome of one scripted cluster run. */
-struct ClusterChaosRunResult {
-    bool ok = true;      ///< every invariant held
-    std::string failure; ///< first violated invariant (ok = false)
-    /** Canonical per-request event log; same format and
-     * byte-identical-replay guarantee as ChaosRunResult. */
-    std::string event_log;
+struct ClusterChaosRunResult : ChaosRunVerdict {
     cluster::ClusterStats cluster_stats; ///< router counters
     int64_t replica_streamed_tokens = 0; ///< summed over replicas
     int64_t replica_completed = 0;       ///< summed over replicas
@@ -137,8 +153,8 @@ struct ClusterChaosRunResult {
 /**
  * Replays @p script against a fresh @p replicas -replica
  * ClusterRouter (tenants from @p config, all replicas on one shared
- * engine) and audits the drained session: the single-server
- * per-stream invariants, token conservation against the *summed*
+ * engine) and audits the drained session: the per-stream audit
+ * runChaosScript runs, token conservation against the *summed*
  * replica streamed-token counters, terminal accounting against the
  * summed replica stats plus the router's edge verdicts
  * (submitted == routed + edge-rejected + edge-cancelled), a monotone

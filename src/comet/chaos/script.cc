@@ -9,6 +9,13 @@
 namespace comet {
 namespace chaos {
 
+namespace {
+
+/** Distinct shared-prompt pools per tenant in prefix mode. */
+constexpr uint64_t kPromptPoolsPerTenant = 3;
+
+} // namespace
+
 const char *
 chaosStepKindName(ChaosStepKind kind)
 {
@@ -100,9 +107,8 @@ generateChaosScript(const ChaosScriptConfig &config)
                 // share their common-length prompt prefix; pools and
                 // tenants never collide (and tenant isolation is
                 // enforced by key namespaces regardless).
-                COMET_CHECK(config.prompt_pools > 0);
-                const uint64_t pool = rng.uniformInt(
-                    static_cast<uint64_t>(config.prompt_pools));
+                const uint64_t pool =
+                    rng.uniformInt(kPromptPoolsPerTenant);
                 step.prompt_seed = config.seed * 2654435761ull +
                                    static_cast<uint64_t>(step.tenant) *
                                        40503ull +

@@ -83,15 +83,14 @@ struct ChaosScriptConfig {
      * defaultChaosTenants(). */
     std::vector<server::TenantConfig> tenants;
     /**
-     * Prefix-cache mode: submits draw a prompt_seed from a small
-     * per-tenant pool (shared prefixes across requests of one tenant,
-     * never across tenants), and the harness runs the server with the
-     * prefix cache on and every tenant opted in. Off keeps scripts
-     * content-free — bit-for-bit the pre-prefix-cache soak.
+     * Prefix-cache mode: submits draw a prompt_seed from a
+     * per-tenant pool of three (shared prefixes across requests of
+     * one tenant, never across tenants), and the harness runs the
+     * server with the prefix cache on and every tenant opted in.
+     * Off keeps scripts content-free — bit-for-bit the
+     * pre-prefix-cache soak.
      */
     bool prefix = false;
-    /** Distinct shared-prompt pools per tenant in prefix mode. */
-    int64_t prompt_pools = 3;
     /** Chunked-prefill mode: the harness runs the server with
      * ServerConfig::chunked_prefill_tokens set to this (0 keeps
      * monolithic prefill), so cancels, preemptions and grafts land

@@ -1,8 +1,6 @@
 #include "comet/cluster/cluster_loadgen.h"
 
 #include <algorithm>
-#include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -14,17 +12,6 @@ namespace comet {
 namespace cluster {
 
 namespace {
-
-/** p50/p99 of one latency series; zeros when empty. */
-std::pair<double, double>
-p50p99OrZero(const std::vector<double> &values)
-{
-    if (values.empty())
-        return {0.0, 0.0};
-    const std::vector<double> ps = exactPercentiles(values,
-                                                    {50.0, 99.0});
-    return {ps[0], ps[1]};
-}
 
 /** One per-replica row of the rendered breakdown. */
 struct ReplicaRow {
@@ -41,84 +28,9 @@ server::LoadgenReport
 runClusterLoadgen(ClusterRouter *router,
                   const server::LoadgenConfig &config)
 {
-    COMET_CHECK(router != nullptr);
-    COMET_CHECK(config.clients > 0);
-    COMET_CHECK(!config.tenants.empty());
-
-    const std::vector<server::LoadgenRequest> workload =
-        server::generateLoadgenWorkload(config);
-    const size_t total = workload.size();
-    std::vector<server::RequestOutcome> outcomes(total);
-    for (size_t i = 0; i < total; ++i) {
-        outcomes[i].tenant = workload[i].tenant;
-        outcomes[i].arrival_us = workload[i].arrival_us;
-    }
-
-    // Connect every client before any submission so each handle's
-    // ingress horizon gates the cluster clock from the start.
-    const size_t clients =
-        std::min(static_cast<size_t>(config.clients), total);
-    std::vector<ClusterRouter::Client> handles;
-    for (size_t c = 0; c < clients; ++c)
-        handles.push_back(router->connect());
-
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-            ClusterRouter::Client client = handles[c];
-            // Round-robin over the arrival-sorted workload keeps
-            // each client's submissions in nondecreasing arrival
-            // order, as the ingress contract requires.
-            std::vector<std::pair<size_t, server::TokenStreamPtr>>
-                streams;
-            for (size_t i = c; i < total; i += clients) {
-                const server::LoadgenRequest &generated =
-                    workload[i];
-                server::StreamRequest request;
-                request.id = static_cast<int64_t>(i);
-                request.tenant =
-                    config.tenants[static_cast<size_t>(
-                                       generated.tenant)]
-                        .admission.name;
-                request.prompt_tokens = generated.prompt_tokens;
-                request.max_output_tokens =
-                    generated.declared_output_tokens;
-                request.eos_output_tokens =
-                    generated.eos_output_tokens;
-                request.arrival_us = generated.arrival_us;
-                request.prompt_ids = generated.prompt_ids;
-                server::RequestOutcome *outcome = &outcomes[i];
-                if (config.callbacks) {
-                    request.callback =
-                        [outcome](const server::StreamEvent &event) {
-                            server::recordLoadgenEvent(outcome,
-                                                       event);
-                        };
-                }
-                server::TokenStreamPtr stream =
-                    client.submit(request);
-                if (!config.callbacks)
-                    streams.emplace_back(i, std::move(stream));
-            }
-            // Open loop: everything submitted; release the ingress
-            // gate, then stream the responses back.
-            client.close();
-            for (auto &entry : streams) {
-                server::StreamEvent event;
-                while (entry.second->next(&event))
-                    server::recordLoadgenEvent(
-                        &outcomes[entry.first], event);
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    // Callback mode: events keep flowing on replica loop threads
-    // until the drain barrier below synchronizes the outcome slots.
-    router->drain();
-
-    for (size_t i = 0; i < total; ++i)
+    std::vector<server::RequestOutcome> outcomes =
+        server::driveLoadgenClients(router, config);
+    for (size_t i = 0; i < outcomes.size(); ++i)
         outcomes[i].replica =
             router->placementOf(static_cast<int64_t>(i));
     // The router clock tracks routing events (the last arrival);

@@ -5,15 +5,17 @@
  * @file cluster_loadgen.h
  * The open-loop load generator, pointed at a ClusterRouter.
  *
- * Reuses the single-server generator's workload synthesis and report
- * aggregation (comet/server/loadgen.h) verbatim: the same seed
- * produces the identical request sequence whether it is driven into
- * one Server or a ClusterRouter, which is exactly what the
+ * Runs on the single-server generator's code (comet/server/loadgen.h):
+ * the workload synthesis, the client drive (driveLoadgenClients, the
+ * same template runLoadgen instantiates for a Server) and the report
+ * aggregation. The same seed therefore submits the identical request
+ * sequence through the identical client threads whether it is driven
+ * into one Server or a ClusterRouter, which is what the
  * cluster-vs-single-server equivalence tests compare. The only
  * cluster-specific additions are the routed-replica column on each
  * outcome (filled from ClusterRouter::placementOf after the drain
- * barrier) and a per-replica latency breakdown in the rendered
- * report.
+ * barrier), the furthest replica clock as the makespan, and a
+ * per-replica latency breakdown in the rendered report.
  */
 
 #include <string>
@@ -25,10 +27,10 @@ namespace comet {
 namespace cluster {
 
 /**
- * Runs the workload against @p router: spawns config.clients client
- * threads, submits every pre-generated request through them, streams
- * all tokens back, drains the cluster, and aggregates the report.
- * Each outcome's RequestOutcome::replica records where the request
+ * Runs the workload against @p router through
+ * server::driveLoadgenClients and aggregates the report, with the
+ * furthest of the router and replica clocks as the makespan. Each
+ * outcome's RequestOutcome::replica records where the request
  * ran (-1 for edge rejections). The router must have been built with
  * loadgenTenants(config) as its tenant set and must not have had
  * clients connected yet.

@@ -142,7 +142,6 @@ ClusterRouter::ClusterRouter(ClusterConfig config)
     const Status valid = validateClusterConfig(config_);
     COMET_CHECK_MSG(valid.isOk(), valid.message().c_str());
     const size_t n = config_.replicas.size();
-    ring_ = ConsistentHashRing(config_.hash_vnodes);
     std::vector<double> weights;
     for (size_t i = 0; i < n; ++i) {
         const ReplicaSpec &spec = config_.replicas[i];
@@ -251,42 +250,28 @@ server::TokenStreamPtr
 ClusterRouter::submitFromClient(size_t client,
                                 const server::StreamRequest &request)
 {
-    COMET_CHECK(request.id >= 0);
-    COMET_CHECK(request.prompt_tokens > 0);
-    COMET_CHECK(request.max_output_tokens > 0);
-    COMET_CHECK(request.eos_output_tokens >= 0);
-    COMET_CHECK(request.arrival_us >= 0.0);
-    COMET_CHECK_MSG(request.cancel_at_us == 0.0 ||
-                        request.cancel_at_us >= request.arrival_us,
-                    "cancel_at_us must be 0 or >= arrival_us");
-
-    server::TokenStreamPtr stream =
-        request.callback
-            ? std::make_shared<server::TokenStream>(request.callback)
-            : std::make_shared<server::TokenStream>();
     // Until the request is routed, a cancellation pokes the router;
     // forwardToReplica re-points the poke at the replica stream.
     std::weak_ptr<Wake> weak = wake_;
-    stream->setCancelPoke([weak] {
+    const auto poke = [weak] {
         if (std::shared_ptr<Wake> wake = weak.lock()) {
             std::lock_guard<std::mutex> lock(wake->mutex);
             wake->poked = true;
             wake->cv.notify_all();
         }
-    });
-
-    server::RejectReason early = server::RejectReason::kNone;
-    double reject_clock_us = 0.0;
-    {
+    };
+    const auto gate = [&](const server::TokenStreamPtr &stream) {
+        server::IngressVerdict verdict;
         std::lock_guard<std::mutex> lock(wake_->mutex);
         ++wake_->submitted;
         clusterCounter("submitted").add();
         COMET_CHECK(client < wake_->horizons.size());
         double &horizon = wake_->horizons[client];
+        const int tenant = tenantIndexByName(request.tenant);
         if (wake_->draining || horizon == kInfinity) {
-            early = server::RejectReason::kShuttingDown;
-        } else if (tenantIndexByName(request.tenant) < 0) {
-            early = server::RejectReason::kUnknownTenant;
+            verdict.early = server::RejectReason::kShuttingDown;
+        } else if (tenant < 0) {
+            verdict.early = server::RejectReason::kUnknownTenant;
         } else {
             COMET_CHECK_MSG(
                 request.arrival_us >= horizon,
@@ -296,24 +281,18 @@ ClusterRouter::submitFromClient(size_t client,
             record.request = request;
             record.request.callback = nullptr;
             record.stream = stream;
-            record.tenant = tenantIndexByName(request.tenant);
+            record.tenant = tenant;
             wake_->inbox.push_back(std::move(record));
             wake_->cv.notify_all();
         }
-        if (early != server::RejectReason::kNone) {
+        if (verdict.early != server::RejectReason::kNone) {
             ++wake_->early_rejected;
             clusterCounter("rejected").add();
-            reject_clock_us = wake_->clock_us;
+            verdict.clock_us = wake_->clock_us;
         }
-    }
-    if (early != server::RejectReason::kNone) {
-        server::StreamEvent event;
-        event.kind = server::StreamEventKind::kRejected;
-        event.virtual_us = reject_clock_us;
-        event.reject_reason = early;
-        stream->deliver(event);
-    }
-    return stream;
+        return verdict;
+    };
+    return server::submitThroughGate(request, poke, gate);
 }
 
 int

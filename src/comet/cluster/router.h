@@ -111,9 +111,6 @@ struct ClusterConfig {
     RoutingPolicy policy = RoutingPolicy::kConsistentHash;
     /** Deterministic drains to fire at virtual times. */
     std::vector<ScheduledDrain> drains;
-    /** Virtual nodes a weight-1.0 replica contributes to the
-     * consistent-hash ring. */
-    int hash_vnodes = 64;
 };
 
 /**

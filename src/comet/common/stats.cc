@@ -119,4 +119,14 @@ exactPercentiles(std::vector<double> values,
     return out;
 }
 
+std::pair<double, double>
+p50p99OrZero(const std::vector<double> &values)
+{
+    if (values.empty())
+        return {0.0, 0.0};
+    const std::vector<double> ps = exactPercentiles(values,
+                                                    {50.0, 99.0});
+    return {ps[0], ps[1]};
+}
+
 } // namespace comet

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace comet {
@@ -64,5 +65,10 @@ double exactPercentile(std::vector<double> values, double p);
  */
 std::vector<double> exactPercentiles(std::vector<double> values,
                                      const std::vector<double> &ps);
+
+/** {p50, p99} of one latency series, sorted once; {0, 0} when
+ * empty. */
+std::pair<double, double>
+p50p99OrZero(const std::vector<double> &values);
 
 } // namespace comet

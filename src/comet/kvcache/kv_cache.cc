@@ -32,14 +32,15 @@ computeBlockBytes(const LlmConfig &model, const KvCacheConfig &config)
                           static_cast<double>(config.block_tokens);
     double bytes = values * config.bits_per_value / 8.0;
     if (config.bits_per_value < 16.0) {
-        // One (scale, zero) pair per channel per quant_group_tokens
-        // tokens; a block holds block_tokens/quant_group_tokens of a
-        // group per channel.
+        // One 4-byte (scale, zero) pair per channel per
+        // quant_group_tokens tokens; a block holds
+        // block_tokens/quant_group_tokens of a group per channel.
+        constexpr double kQuantMetadataBytes = 4.0;
         const double channels =
             2.0 * static_cast<double>(model.num_layers) *
             static_cast<double>(model.num_kv_heads) *
             static_cast<double>(model.headDim());
-        bytes += channels * config.quant_metadata_bytes *
+        bytes += channels * kQuantMetadataBytes *
                  static_cast<double>(config.block_tokens) /
                  static_cast<double>(config.quant_group_tokens);
     }

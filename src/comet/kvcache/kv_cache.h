@@ -30,9 +30,6 @@ namespace comet {
 struct KvCacheConfig {
     double bits_per_value = 16.0; ///< 4 for the COMET KV4 cache
     int64_t block_tokens = 16;    ///< tokens per page
-    /** Quantization metadata (scale + zero point) bytes per
-     * (channel, token-group); zero-cost for FP16 caches. */
-    double quant_metadata_bytes = 4.0;
     /** Tokens sharing one quantization group per channel (the
      * channel-wise group quantizer's group size). */
     int64_t quant_group_tokens = 64;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -39,17 +38,6 @@ tokenStream(uint64_t seed, int64_t tokens)
     for (int64_t i = 0; i < tokens; ++i)
         ids.push_back(static_cast<int32_t>(rng.uniformInt(32000)));
     return ids;
-}
-
-/** p50/p99 of one latency series, sorted once; zeros when empty. */
-std::pair<double, double>
-p50p99OrZero(const std::vector<double> &values)
-{
-    if (values.empty())
-        return {0.0, 0.0};
-    const std::vector<double> ps = exactPercentiles(values,
-                                                    {50.0, 99.0});
-    return {ps[0], ps[1]};
 }
 
 } // namespace
@@ -163,78 +151,8 @@ loadgenTenants(const LoadgenConfig &config)
 LoadgenReport
 runLoadgen(Server *server, const LoadgenConfig &config)
 {
-    COMET_CHECK(server != nullptr);
-    COMET_CHECK(config.clients > 0);
-    COMET_CHECK(!config.tenants.empty());
-
-    const std::vector<LoadgenRequest> workload =
-        generateLoadgenWorkload(config);
-    const size_t total = workload.size();
-    std::vector<RequestOutcome> outcomes(total);
-    for (size_t i = 0; i < total; ++i) {
-        outcomes[i].tenant = workload[i].tenant;
-        outcomes[i].arrival_us = workload[i].arrival_us;
-    }
-
-    // Connect every client before any submission so each handle's
-    // ingress horizon gates the virtual clock from the start.
-    const size_t clients =
-        std::min(static_cast<size_t>(config.clients), total);
-    std::vector<Server::Client> handles;
-    for (size_t c = 0; c < clients; ++c)
-        handles.push_back(server->connect());
-
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-            Server::Client client = handles[c];
-            // Round-robin over the arrival-sorted workload keeps
-            // each client's submissions in nondecreasing arrival
-            // order, as the ingress contract requires.
-            std::vector<std::pair<size_t, TokenStreamPtr>> streams;
-            for (size_t i = c; i < total; i += clients) {
-                const LoadgenRequest &generated = workload[i];
-                StreamRequest request;
-                request.id = static_cast<int64_t>(i);
-                request.tenant =
-                    config.tenants[static_cast<size_t>(
-                                       generated.tenant)]
-                        .admission.name;
-                request.prompt_tokens = generated.prompt_tokens;
-                request.max_output_tokens =
-                    generated.declared_output_tokens;
-                request.eos_output_tokens =
-                    generated.eos_output_tokens;
-                request.arrival_us = generated.arrival_us;
-                request.prompt_ids = generated.prompt_ids;
-                RequestOutcome *outcome = &outcomes[i];
-                if (config.callbacks) {
-                    request.callback =
-                        [outcome](const StreamEvent &event) {
-                            recordLoadgenEvent(outcome, event);
-                        };
-                }
-                TokenStreamPtr stream = client.submit(request);
-                if (!config.callbacks)
-                    streams.emplace_back(i, std::move(stream));
-            }
-            // Open loop: everything submitted; release the ingress
-            // gate, then stream the responses back.
-            client.close();
-            for (auto &entry : streams) {
-                StreamEvent event;
-                while (entry.second->next(&event))
-                    recordLoadgenEvent(&outcomes[entry.first],
-                                       event);
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    // Callback mode: events keep flowing on the loop thread until
-    // the drain barrier below synchronizes the outcome slots.
-    server->drain();
+    std::vector<RequestOutcome> outcomes =
+        driveLoadgenClients(server, config);
     return finalizeLoadgenReport(config, std::move(outcomes),
                                  server->virtualClockUs());
 }

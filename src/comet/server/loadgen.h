@@ -4,22 +4,28 @@
  *
  * The generator pre-computes the whole workload from a seed — per
  * tenant, Poisson arrivals (exponential inter-arrival gaps) with
- * uniformly sampled prompt/output lengths — then drives a Server from
- * N concurrent client threads. Open loop: arrival times never react
- * to server progress, so overload shows up as queueing/rejection
- * rather than as a slowed-down generator. Because arrivals are
- * virtual-time stamps and the server is deterministic under its
- * conservative ingress gate, the resulting per-tenant latency report
- * is bit-identical for a fixed seed, any thread interleaving, and
- * either delivery mode (callbacks or pull-iterators). replayTrace
- * drives the same Server with a pre-recorded trace.
+ * uniformly sampled prompt/output lengths — then drives a Server
+ * from N concurrent client threads (driveLoadgenClients, the one
+ * client drive cluster::runClusterLoadgen shares). Open loop:
+ * arrival times never react to server progress, so overload shows
+ * up as queueing/rejection rather than as a slowed-down generator.
+ * Because arrivals are virtual-time stamps and the server is
+ * deterministic under its conservative ingress gate, the resulting
+ * per-tenant latency report is bit-identical for a fixed seed, any
+ * thread interleaving, and either delivery mode (callbacks or
+ * pull-iterators). replayTrace drives the same Server with a
+ * pre-recorded trace.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "comet/common/status.h"
 #include "comet/serve/trace.h"
 #include "comet/server/server.h"
 
@@ -168,11 +174,95 @@ LoadgenReport finalizeLoadgenReport(const LoadgenConfig &config,
 uint64_t deriveReplicaSeed(uint64_t seed, int replica);
 
 /**
- * Runs the workload against @p server: spawns config.clients client
- * threads, submits every pre-generated request through them, streams
- * all tokens back, drains the server, and aggregates the report.
- * The server must have been constructed with loadgenTenants(config)
- * and must not have had clients connected yet.
+ * The client side of a loadgen run, shared by every front end with
+ * the Server client API (Server, cluster::ClusterRouter): generates
+ * the workload, connects min(config.clients, requests) handles before
+ * any submission (so each handle's ingress horizon gates the virtual
+ * clock from the start), and runs one thread per handle. Thread c
+ * submits workload entries c, c + clients, ... (round-robin over the
+ * arrival-sorted workload keeps each handle's arrivals
+ * nondecreasing, as the ingress contract requires), closes its
+ * handle, then reads its streams back. Returns the recorded outcomes
+ * in id order after @p frontend's drain() barrier, which also orders
+ * callback-mode events (delivered on loop threads) before the
+ * return. The front end must have been built with
+ * loadgenTenants(config) and must not have had clients connected.
+ */
+template <typename Frontend>
+std::vector<RequestOutcome>
+driveLoadgenClients(Frontend *frontend, const LoadgenConfig &config)
+{
+    COMET_CHECK(frontend != nullptr);
+    COMET_CHECK(config.clients > 0);
+    COMET_CHECK(!config.tenants.empty());
+
+    const std::vector<LoadgenRequest> workload =
+        generateLoadgenWorkload(config);
+    const size_t total = workload.size();
+    std::vector<RequestOutcome> outcomes(total);
+    for (size_t i = 0; i < total; ++i) {
+        outcomes[i].tenant = workload[i].tenant;
+        outcomes[i].arrival_us = workload[i].arrival_us;
+    }
+
+    const size_t clients =
+        std::min(static_cast<size_t>(config.clients), total);
+    std::vector<typename Frontend::Client> handles;
+    for (size_t c = 0; c < clients; ++c)
+        handles.push_back(frontend->connect());
+
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (size_t c = 0; c < clients; ++c) {
+        threads.emplace_back([&, c] {
+            typename Frontend::Client client = handles[c];
+            std::vector<std::pair<size_t, TokenStreamPtr>> streams;
+            for (size_t i = c; i < total; i += clients) {
+                const LoadgenRequest &generated = workload[i];
+                StreamRequest request;
+                request.id = static_cast<int64_t>(i);
+                request.tenant =
+                    config.tenants[static_cast<size_t>(
+                                       generated.tenant)]
+                        .admission.name;
+                request.prompt_tokens = generated.prompt_tokens;
+                request.max_output_tokens =
+                    generated.declared_output_tokens;
+                request.eos_output_tokens =
+                    generated.eos_output_tokens;
+                request.arrival_us = generated.arrival_us;
+                request.prompt_ids = generated.prompt_ids;
+                RequestOutcome *outcome = &outcomes[i];
+                if (config.callbacks) {
+                    request.callback =
+                        [outcome](const StreamEvent &event) {
+                            recordLoadgenEvent(outcome, event);
+                        };
+                }
+                TokenStreamPtr stream = client.submit(request);
+                if (!config.callbacks)
+                    streams.emplace_back(i, std::move(stream));
+            }
+            // Open loop: everything submitted; release the ingress
+            // gate, then stream the responses back.
+            client.close();
+            for (auto &[index, stream] : streams) {
+                StreamEvent event;
+                while (stream->next(&event))
+                    recordLoadgenEvent(&outcomes[index], event);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    frontend->drain();
+    return outcomes;
+}
+
+/**
+ * Runs the workload against @p server through driveLoadgenClients
+ * and aggregates the report, with the server's final virtual clock
+ * as the makespan.
  */
 LoadgenReport runLoadgen(Server *server,
                          const LoadgenConfig &config);

@@ -81,7 +81,6 @@ Server::Server(const ServingEngine *engine, ServerConfig config)
 {
     COMET_CHECK(engine_ != nullptr);
     COMET_CHECK(config_.max_batch > 0);
-    COMET_CHECK(config_.max_queued_total >= 0);
     COMET_CHECK(config_.chunked_prefill_tokens >= 0);
     COMET_CHECK(config_.step_token_budget >= 0);
     precision_ = servingPrecision(engine_->config().mode);
@@ -168,7 +167,9 @@ Server::Client::close()
 }
 
 TokenStreamPtr
-Server::submitFromClient(size_t client, const StreamRequest &request)
+submitThroughGate(
+    const StreamRequest &request, std::function<void()> cancel_poke,
+    const std::function<IngressVerdict(const TokenStreamPtr &)> &gate)
 {
     COMET_CHECK(request.id >= 0);
     COMET_CHECK(request.prompt_tokens > 0);
@@ -183,29 +184,41 @@ Server::submitFromClient(size_t client, const StreamRequest &request)
         request.callback
             ? std::make_shared<TokenStream>(request.callback)
             : std::make_shared<TokenStream>();
-    // Install the loop-wake hook before the request can possibly
-    // reach the loop, so no cancellation poke is ever lost.
+    stream->setCancelPoke(std::move(cancel_poke));
+    const IngressVerdict verdict = gate(stream);
+    if (verdict.early != RejectReason::kNone) {
+        StreamEvent event;
+        event.kind = StreamEventKind::kRejected;
+        event.virtual_us = verdict.clock_us;
+        event.reject_reason = verdict.early;
+        stream->deliver(event);
+    }
+    return stream;
+}
+
+TokenStreamPtr
+Server::submitFromClient(size_t client, const StreamRequest &request)
+{
     std::weak_ptr<Wake> weak = wake_;
-    stream->setCancelPoke([weak] {
+    const auto poke = [weak] {
         if (std::shared_ptr<Wake> wake = weak.lock()) {
             std::lock_guard<std::mutex> lock(wake->mutex);
             wake->poked = true;
             wake->cv.notify_all();
         }
-    });
-
-    RejectReason early = RejectReason::kNone;
-    double reject_clock_us = 0.0;
-    {
+    };
+    const auto gate = [&](const TokenStreamPtr &stream) {
+        IngressVerdict verdict;
         std::lock_guard<std::mutex> lock(wake_->mutex);
         ++wake_->submitted;
         serverCounter(config_.metrics_prefix, "submitted").add();
         COMET_CHECK(client < wake_->horizons.size());
         double &horizon = wake_->horizons[client];
+        const int tenant = tenantIndexByName(request.tenant);
         if (wake_->draining || horizon == kInfinity) {
-            early = RejectReason::kShuttingDown;
-        } else if (tenantIndexByName(request.tenant) < 0) {
-            early = RejectReason::kUnknownTenant;
+            verdict.early = RejectReason::kShuttingDown;
+        } else if (tenant < 0) {
+            verdict.early = RejectReason::kUnknownTenant;
         } else {
             COMET_CHECK_MSG(
                 request.arrival_us >= horizon,
@@ -215,7 +228,6 @@ Server::submitFromClient(size_t client, const StreamRequest &request)
             record.arrival_us = request.arrival_us;
             record.cancel_at_us = request.cancel_at_us;
             record.request.id = request.id;
-            const int tenant = tenantIndexByName(request.tenant);
             record.request.tenant = tenant;
             record.request.arrival_us = request.arrival_us;
             record.request.prompt_tokens = request.prompt_tokens;
@@ -245,20 +257,14 @@ Server::submitFromClient(size_t client, const StreamRequest &request)
             wake_->inbox.push_back(std::move(record));
             wake_->cv.notify_all();
         }
-        if (early != RejectReason::kNone) {
+        if (verdict.early != RejectReason::kNone) {
             ++wake_->early_rejected;
             serverCounter(config_.metrics_prefix, "rejected").add();
-            reject_clock_us = wake_->clock_us;
+            verdict.clock_us = wake_->clock_us;
         }
-    }
-    if (early != RejectReason::kNone) {
-        StreamEvent event;
-        event.kind = StreamEventKind::kRejected;
-        event.virtual_us = reject_clock_us;
-        event.reject_reason = early;
-        stream->deliver(event);
-    }
-    return stream;
+        return verdict;
+    };
+    return submitThroughGate(request, poke, gate);
 }
 
 int
@@ -572,12 +578,6 @@ Server::ingestDueArrivals()
             cache_->totalBlocks()) {
             rejectPending(std::move(pending),
                           RejectReason::kTooLarge);
-            continue;
-        }
-        if (config_.max_queued_total > 0 &&
-            fair_->queuedCount() >= config_.max_queued_total) {
-            rejectPending(std::move(pending),
-                          RejectReason::kQueueFull);
             continue;
         }
         LiveRequest live;

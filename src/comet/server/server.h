@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -97,6 +98,30 @@ struct StreamRequest {
     TokenStream::Callback callback;
 };
 
+/** What a front end's ingress gate decided for one submission. */
+struct IngressVerdict {
+    /** Why the gate refused the request on the submit path;
+     * kNone when it enqueued it. */
+    RejectReason early = RejectReason::kNone;
+    /** The front end's published clock at an early reject (the
+     * reject event's timestamp). */
+    double clock_us = 0.0;
+};
+
+/**
+ * The client side of a submission, shared by Server and
+ * cluster::ClusterRouter: checks @p request (aborting on a malformed
+ * one), makes its stream (callback or pull mode) with @p cancel_poke
+ * installed before the request can reach any loop, so no
+ * cancellation poke is ever lost, then runs @p gate — the front
+ * end's own locked ingress step, which enqueues the request with the
+ * stream or refuses it — and delivers an early reject outside the
+ * gate's lock. Returns the stream.
+ */
+TokenStreamPtr submitThroughGate(
+    const StreamRequest &request, std::function<void()> cancel_poke,
+    const std::function<IngressVerdict(const TokenStreamPtr &)> &gate);
+
 /** Server construction parameters. */
 struct ServerConfig {
     /** The tenant set (at least one; see TenantConfig). */
@@ -107,9 +132,6 @@ struct ServerConfig {
     AdmissionPolicy admission = AdmissionPolicy::kOptimisticPreempt;
     /** Free-block decode headroom under optimistic admission. */
     int64_t kv_watermark_blocks = 0;
-    /** Server-wide bound on queued-for-admission requests (across
-     * tenants, on top of per-tenant bounds); 0 = unbounded. */
-    int64_t max_queued_total = 0;
     /** Builds the session's KV cache with the automatic prefix cache
      * (comet::prefix). Tenants still opt in individually via
      * TenantConfig::prefix_caching, and requests must carry

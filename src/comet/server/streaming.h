@@ -34,7 +34,7 @@ namespace server {
 enum class RejectReason {
     kNone = 0,        ///< not rejected
     kUnknownTenant,   ///< submitted under an unconfigured tenant name
-    kQueueFull,       ///< bounded tenant/server queue at capacity
+    kQueueFull,       ///< bounded tenant queue at capacity
     kRateLimited,     ///< tenant token bucket empty at arrival
     kTooLarge,        ///< prompt + max_output can never fit the pool
     kDeadlineExpired, ///< admission deadline passed while queued

@@ -274,8 +274,11 @@ TEST(TraceReplay, UnservableRequestsAreRejectedNotStuck)
     trace_config.mean_prompt_tokens = 128;
     trace_config.mean_output_tokens = 16;
     auto trace = generateTrace(trace_config);
-    const KvCacheConfig cache_config{4.0, 16, 4.0, 64,
-                                     engine.kvBudgetBytes()};
+    const KvCacheConfig cache_config{
+        .bits_per_value = 4.0,
+        .block_tokens = 16,
+        .quant_group_tokens = 64,
+        .memory_budget_bytes = engine.kvBudgetBytes()};
     const PagedKvCache probe(config.model, cache_config);
     trace[3].prompt_tokens = probe.totalBlocks() * 16 * 2;
     const TraceMetrics metrics = replayTrace(engine, trace);
@@ -307,7 +310,10 @@ TEST(TraceReplay, KvPoolAggregatesTheTpGroup)
 ServingEngine
 makeTinyKvEngine(EngineConfig config, int64_t blocks)
 {
-    const KvCacheConfig probe_config{4.0, 16, 4.0, 64, 1e9};
+    const KvCacheConfig probe_config{.bits_per_value = 4.0,
+                                     .block_tokens = 16,
+                                     .quant_group_tokens = 64,
+                                     .memory_budget_bytes = 1e9};
     const PagedKvCache probe(config.model, probe_config);
     const double weights = ServingEngine(config).weightBytes();
     config.usable_memory_fraction =
