@@ -10,7 +10,8 @@
  * bench_tab1_perplexity, bench_tab2_zeroshot, test_zeroshot and the
  * real-decode model of bench_real_decode. A change to the float
  * forward, the sampler, calibration or scoring that moves any bit of
- * the harness's output fails here.
+ * the harness's output fails here. The real-decode model's packed
+ * W4A4KV4 logits are pinned too, under every SIMD mode and pool size.
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +22,10 @@
 #include <vector>
 
 #include "comet/model/perplexity.h"
+#include "comet/model/quantized_decoder.h"
 #include "comet/model/zeroshot.h"
+#include "comet/runtime/thread_pool.h"
+#include "comet/simd/simd.h"
 
 namespace comet {
 namespace {
@@ -325,11 +329,11 @@ TEST(AccuracyPins, ZeroshotTeacherSuite)
               0x7c87701a2a6478fe);
 }
 
-TEST(AccuracyPins, RealDecodeCalibration)
+/** The real-decode model (bench_real_decode and the repository
+ * benchmark). */
+TinyTransformerConfig
+realDecodeConfig()
 {
-    // The real-decode model (bench_real_decode and the repository
-    // benchmark): every packed weight and FMPQ quantizer of the
-    // W4A4KV4 decoder derives from these activations.
     TinyTransformerConfig config;
     config.vocab_size = 512;
     config.hidden_size = 128;
@@ -338,13 +342,60 @@ TEST(AccuracyPins, RealDecodeCalibration)
     config.num_layers = 2;
     config.intermediate_size = 256;
     config.seed = 7;
-    const auto teacher = TinyTransformer::random(config);
+    return config;
+}
+
+TEST(AccuracyPins, RealDecodeCalibration)
+{
+    // Every packed weight and FMPQ quantizer of the real-decode
+    // model's W4A4KV4 decoder derives from these activations.
+    const auto teacher = TinyTransformer::random(realDecodeConfig());
     Rng rng(11);
     const Dataset calib = sampleDataset(teacher, 3, 32, rng);
     expectPin("dataset", datasetDigest(calib), 0xa48334a7a60d1264);
     expectPin("calibration",
               calibrationDigest(CalibrationData::collect(teacher, calib), 2),
               0x195d63bce9614b1f);
+}
+
+TEST(AccuracyPins, RealDecodeLogits)
+{
+    // bench_real_decode's decoder and token stream (seed 1): a
+    // 128-token prefill, then 256 decode steps. Every logit of the
+    // prefill's last row and of each step is digested; SIMD and the
+    // pool size must not move a bit.
+    const auto teacher = TinyTransformer::random(realDecodeConfig());
+    Rng calib_rng(11);
+    const CalibrationData calibration = CalibrationData::collect(
+        teacher, sampleDataset(teacher, 3, 32, calib_rng));
+    const QuantizedDecoder fresh(teacher, calibration,
+                                 QuantizedDecoderConfig{});
+    constexpr int64_t kPrompt = 128;
+    constexpr int64_t kSteps = 256;
+    Rng rng(1);
+    std::vector<int32_t> stream;
+    for (int64_t i = 0; i < kPrompt + kSteps; ++i)
+        stream.push_back(static_cast<int32_t>(rng.uniformInt(512)));
+
+    const simd::Mode saved_mode = simd::activeMode();
+    const int saved_threads = ThreadPool::global().threadCount();
+    for (const simd::Mode mode : simd::supportedModes()) {
+        for (const int threads : {1, 4}) {
+            simd::setMode(mode);
+            ThreadPool::setGlobalThreads(threads);
+            QuantizedDecoder decoder = fresh;
+            Fnv f;
+            f.vec(decoder.prefill(
+                {stream.begin(), stream.begin() + kPrompt}));
+            for (int64_t t = kPrompt; t < kPrompt + kSteps; ++t)
+                f.vec(decoder.step(stream[static_cast<size_t>(t)]));
+            expectPin(std::string(simd::modeName(mode)) + " threads " +
+                          std::to_string(threads),
+                      f.h, 0x5568819d47fa70f4);
+        }
+    }
+    simd::setMode(saved_mode);
+    ThreadPool::setGlobalThreads(saved_threads);
 }
 
 } // namespace

@@ -7,9 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -144,6 +146,180 @@ TEST_F(ClusterTest, TerminalStreamsAreReleased)
         router.stop(/*cancel_in_flight=*/false);
     }
     EXPECT_TRUE(watched.expired());
+}
+
+/** @p replicas replicas of @p engine serving the one tenant "t". */
+ClusterConfig
+oneTenantCluster(const ServingEngine *engine, int replicas,
+                 RoutingPolicy policy = RoutingPolicy::kConsistentHash)
+{
+    ClusterConfig config;
+    for (int r = 0; r < replicas; ++r) {
+        ReplicaSpec spec;
+        spec.engine = engine;
+        config.replicas.push_back(spec);
+    }
+    config.policy = policy;
+    server::TenantConfig tenant;
+    tenant.name = "t";
+    config.server.tenants = {tenant};
+    config.server.max_batch = 16;
+    return config;
+}
+
+server::StreamRequest
+gateRequest(int64_t id, double arrival_us, const std::string &tenant = "t")
+{
+    server::StreamRequest request;
+    request.id = id;
+    request.tenant = tenant;
+    request.prompt_tokens = 64;
+    request.max_output_tokens = 2;
+    request.eos_output_tokens = 2;
+    request.arrival_us = arrival_us;
+    return request;
+}
+
+/** Reads @p stream to its terminal event. */
+void
+drainStream(const server::TokenStreamPtr &stream)
+{
+    server::StreamEvent event;
+    while (stream->next(&event)) {
+    }
+}
+
+TEST_F(ClusterTest, EdgeRejectsCarryTheRouterClock)
+{
+    // The router's submit path refuses an unknown tenant, and any
+    // submission after drain(), at once: the stream ends kRejected
+    // before submit() returns, stamped with the router's published
+    // clock, and ClusterStats counts both.
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(oneTenantCluster(&engine, 2));
+    ClusterRouter::Client a = router.connect();
+    ClusterRouter::Client b = router.connect();
+    b.advanceTo(1e7);
+    server::TokenStreamPtr served = a.submit(gateRequest(1, 1000.0));
+    a.advanceTo(1e7);
+    drainStream(served);
+    EXPECT_EQ(served->terminalKind(), StreamEventKind::kFinished);
+    // Routing events are the router clock's only ticks.
+    EXPECT_DOUBLE_EQ(router.virtualClockUs(), 1000.0);
+
+    server::TokenStreamPtr unknown =
+        a.submit(gateRequest(2, 1e7, "nope"));
+    ASSERT_TRUE(unknown->done());
+    EXPECT_EQ(unknown->terminalKind(), StreamEventKind::kRejected);
+    EXPECT_EQ(unknown->terminalReason(),
+              server::RejectReason::kUnknownTenant);
+    server::StreamEvent event;
+    ASSERT_TRUE(unknown->next(&event));
+    EXPECT_DOUBLE_EQ(event.virtual_us, 1000.0);
+
+    a.close();
+    router.drain();
+    server::TokenStreamPtr late = b.submit(gateRequest(3, 1e7));
+    ASSERT_TRUE(late->done());
+    EXPECT_EQ(late->terminalKind(), StreamEventKind::kRejected);
+    EXPECT_EQ(late->terminalReason(),
+              server::RejectReason::kShuttingDown);
+    ASSERT_TRUE(late->next(&event));
+    EXPECT_DOUBLE_EQ(event.virtual_us, router.virtualClockUs());
+    EXPECT_DOUBLE_EQ(event.virtual_us, 1000.0);
+
+    const ClusterStats stats = router.stats();
+    EXPECT_EQ(stats.submitted, 3);
+    EXPECT_EQ(stats.rejected, 2);
+    EXPECT_EQ(stats.routed, 1);
+    const obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    EXPECT_EQ(registry.counterValue("cluster.submitted"), 3);
+    EXPECT_EQ(registry.counterValue("cluster.rejected"), 2);
+    router.stop();
+}
+
+TEST_F(ClusterTest, LateConnectStartsAtThePropagatedFloor)
+{
+    // Once the router has promised its replicas no submission below
+    // the joint client horizon (the propagated floor, here 1e7 while
+    // the router clock sits at the 1000 us routing event), a client
+    // connecting later starts at max(clock, floor): a submission at
+    // the floor is served, one below it is refused at the edge.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(oneTenantCluster(&engine, 2));
+    ClusterRouter::Client a = router.connect();
+    server::TokenStreamPtr first = a.submit(gateRequest(1, 1000.0));
+    a.advanceTo(1e7);
+    // The replica finishes the request only once the router has
+    // forwarded the 1e7 horizon to it.
+    drainStream(first);
+    EXPECT_EQ(first->terminalKind(), StreamEventKind::kFinished);
+    EXPECT_DOUBLE_EQ(router.virtualClockUs(), 1000.0);
+
+    ClusterRouter::Client b = router.connect();
+    EXPECT_DEATH(b.submit(gateRequest(2, 5e6)),
+                 "nondecreasing per client");
+    server::TokenStreamPtr second = b.submit(gateRequest(2, 1e7));
+    a.close();
+    b.close();
+    router.drain();
+    EXPECT_EQ(second->terminalKind(), StreamEventKind::kFinished);
+    EXPECT_DOUBLE_EQ(router.virtualClockUs(), 1e7);
+    router.stop();
+}
+
+TEST_F(ClusterTest, GateWaitReplansForEarlierSubmissions)
+{
+    // With the routing loop parked in its clock-advance wait toward a
+    // known arrival, a submission with an earlier arrival lands. The
+    // gate re-plans: the newcomer is routed first, at its own arrival
+    // time, exactly as when it beat the loop to the inbox.
+    const ServingEngine engine(testEngineConfig());
+    struct Run {
+        int early_replica = -1;
+        int late_replica = -1;
+        std::vector<double> times;
+    };
+    auto run = [&](bool let_gate_block_first) {
+        ClusterRouter router(oneTenantCluster(
+            &engine, 2, RoutingPolicy::kWeightedRoundRobin));
+        ClusterRouter::Client a = router.connect();
+        ClusterRouter::Client b = router.connect();
+        server::TokenStreamPtr late = a.submit(gateRequest(1, 50000.0));
+        a.close();
+        if (let_gate_block_first) {
+            // Wall time for the loop to enter the wait toward 50 ms.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        server::TokenStreamPtr early = b.submit(gateRequest(2, 1000.0));
+        b.close();
+        router.drain();
+        Run result;
+        result.early_replica = router.placementOf(2);
+        result.late_replica = router.placementOf(1);
+        server::StreamEvent event;
+        while (early->next(&event))
+            result.times.push_back(event.virtual_us);
+        while (late->next(&event))
+            result.times.push_back(event.virtual_us);
+        router.stop();
+        return result;
+    };
+
+    const Run eager = run(false);
+    const Run delayed = run(true);
+    // Smooth weighted round-robin over equal weights places its first
+    // pick on replica 0: the earlier arrival was routed first.
+    for (const Run *r : {&eager, &delayed}) {
+        EXPECT_EQ(r->early_replica, 0);
+        EXPECT_EQ(r->late_replica, 1);
+    }
+    ASSERT_EQ(eager.times.size(), delayed.times.size());
+    for (size_t i = 0; i < eager.times.size(); ++i)
+        EXPECT_DOUBLE_EQ(eager.times[i], delayed.times[i]);
+    ASSERT_GE(delayed.times.size(), 1u);
+    EXPECT_LT(delayed.times[0], 50000.0);
 }
 
 TEST_F(ClusterTest, HashAffinityKeepsPrefixReuseReplicaLocal)
