@@ -805,7 +805,7 @@ runPrefixFuzz(uint64_t seed, int steps, bool with_faults)
             space.namespace_id = ns;
             space.bits_per_value = config.bits_per_value;
             space.block_tokens = config.block_tokens;
-            space.quant_group_tokens = config.quant_group_tokens;
+            space.quant_group_tokens = kKvQuantGroupTokens;
             const std::vector<prefix::BlockKey> keys =
                 prefix::chainBlockKeys(space, prompt);
             const Result<int64_t> grafted =

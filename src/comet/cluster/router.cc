@@ -1,9 +1,9 @@
 #include "comet/cluster/router.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "comet/chaos/failpoint.h"
@@ -97,45 +97,6 @@ validateClusterConfig(const ClusterConfig &config)
     return Status::ok();
 }
 
-/** Ingress state shared between cluster client threads and the
- * routing loop; the same single-mutex pattern Server::Wake uses. */
-struct ClusterRouter::Wake {
-    std::mutex mutex;
-    /** The loop waits here (for work, horizons, pokes, drains). */
-    std::condition_variable cv;
-    /** drain()/stop() callers wait here for session completion. */
-    std::condition_variable done_cv;
-    /** Submitted requests the loop has not picked up yet. */
-    std::vector<RouteRecord> inbox;
-    /** Wall-clock drain requests the loop has not picked up yet. */
-    std::vector<int> drain_inbox;
-    /** Per-cluster-client ingress horizons. */
-    std::vector<double> horizons;
-    bool draining = false;         ///< cluster ingress closed
-    bool stop_requested = false;   ///< loop asked to exit
-    bool cancel_on_stop = false;   ///< stop cancels in-flight work
-    bool poked = false;            ///< a stream requested cancel
-    bool session_complete = false; ///< all accepted work terminal
-    /** The ingress floor last forwarded to the replica handles: no
-     * future cluster submission is below it. New clients start here
-     * (not at the clock), so a late connect can never invalidate the
-     * promise already made to the replicas. */
-    double propagated_us = 0.0;
-    /** True once any client connected. Until then the joint client
-     * horizon is vacuously infinite, and propagating it would close
-     * the replicas' ingress before the session even starts — the
-     * loop thread races the first connect(), so it must treat the
-     * empty client set as "not yet", never as "all closed". */
-    bool ever_connected = false;
-    int64_t submitted = 0;      ///< submit() calls (any verdict)
-    int64_t early_rejected = 0; ///< rejected on the submit path
-    // Published snapshots (the loop owns the live state).
-    ClusterStats stats;
-    double clock_us = 0.0;
-    /** id -> replica, recorded at placement time. */
-    std::map<int64_t, int> placements;
-};
-
 ClusterRouter::ClusterRouter(ClusterConfig config)
     : config_(std::move(config))
 {
@@ -200,51 +161,14 @@ ClusterRouter::ClusterRouter(ClusterConfig config)
         drain_order_.insert({drain.at_us, drain.replica});
     }
 
-    wake_ = std::make_shared<Wake>();
-    wake_->stats = stats_;
+    ingress_ = std::make_shared<server::IngressGate<RouteRecord, Published>>(
+        "cluster");
+    ingress_->update(
+        [&](Published &published) { published.stats = stats_; });
     loop_thread_ = std::thread(&ClusterRouter::loop, this);
 }
 
 ClusterRouter::~ClusterRouter() { stop(true); }
-
-ClusterRouter::Client
-ClusterRouter::connect()
-{
-    Client client;
-    client.router_ = this;
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK_MSG(!wake_->draining,
-                    "connect() on a draining/stopped cluster");
-    client.index_ = wake_->horizons.size();
-    // Start at the propagated ingress floor (>= the clock): the
-    // router has already promised its replicas no submission below
-    // it, and this handle must keep that promise.
-    wake_->horizons.push_back(
-        std::max(wake_->clock_us, wake_->propagated_us));
-    wake_->ever_connected = true;
-    return client;
-}
-
-server::TokenStreamPtr
-ClusterRouter::Client::submit(const server::StreamRequest &request)
-{
-    COMET_CHECK_MSG(valid(), "submit() on an unconnected handle");
-    return router_->submitFromClient(index_, request);
-}
-
-void
-ClusterRouter::Client::advanceTo(double horizon_us)
-{
-    COMET_CHECK_MSG(valid(), "advanceTo() on an unconnected handle");
-    router_->advanceClient(index_, horizon_us, /*close=*/false);
-}
-
-void
-ClusterRouter::Client::close()
-{
-    COMET_CHECK_MSG(valid(), "close() on an unconnected handle");
-    router_->advanceClient(index_, kInfinity, /*close=*/true);
-}
 
 server::TokenStreamPtr
 ClusterRouter::submitFromClient(size_t client,
@@ -252,90 +176,22 @@ ClusterRouter::submitFromClient(size_t client,
 {
     // Until the request is routed, a cancellation pokes the router;
     // forwardToReplica re-points the poke at the replica stream.
-    std::weak_ptr<Wake> weak = wake_;
-    const auto poke = [weak] {
-        if (std::shared_ptr<Wake> wake = weak.lock()) {
-            std::lock_guard<std::mutex> lock(wake->mutex);
-            wake->poked = true;
-            wake->cv.notify_all();
-        }
-    };
-    const auto gate = [&](const server::TokenStreamPtr &stream) {
-        server::IngressVerdict verdict;
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        ++wake_->submitted;
-        clusterCounter("submitted").add();
-        COMET_CHECK(client < wake_->horizons.size());
-        double &horizon = wake_->horizons[client];
-        const int tenant = tenantIndexByName(request.tenant);
-        if (wake_->draining || horizon == kInfinity) {
-            verdict.early = server::RejectReason::kShuttingDown;
-        } else if (tenant < 0) {
-            verdict.early = server::RejectReason::kUnknownTenant;
-        } else {
-            COMET_CHECK_MSG(
-                request.arrival_us >= horizon,
-                "arrival times must be nondecreasing per client");
-            horizon = request.arrival_us;
+    return ingress_->submit(
+        client, request, config_.server.tenants,
+        [&](int tenant, const server::TokenStreamPtr &stream) {
             RouteRecord record;
             record.request = request;
             record.request.callback = nullptr;
             record.stream = stream;
             record.tenant = tenant;
-            wake_->inbox.push_back(std::move(record));
-            wake_->cv.notify_all();
-        }
-        if (verdict.early != server::RejectReason::kNone) {
-            ++wake_->early_rejected;
-            clusterCounter("rejected").add();
-            verdict.clock_us = wake_->clock_us;
-        }
-        return verdict;
-    };
-    return server::submitThroughGate(request, poke, gate);
-}
-
-int
-ClusterRouter::tenantIndexByName(const std::string &name) const
-{
-    for (size_t i = 0; i < config_.server.tenants.size(); ++i) {
-        if (config_.server.tenants[i].name == name)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-void
-ClusterRouter::advanceClient(size_t client, double horizon_us,
-                             bool close)
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK(client < wake_->horizons.size());
-    double &horizon = wake_->horizons[client];
-    horizon = std::max(horizon, close ? kInfinity : horizon_us);
-    wake_->cv.notify_all();
-}
-
-void
-ClusterRouter::drain()
-{
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->draining = true;
-    wake_->cv.notify_all();
-    wake_->done_cv.wait(lock,
-                        [&] { return wake_->session_complete; });
+            return record;
+        });
 }
 
 void
 ClusterRouter::stop(bool cancel_in_flight)
 {
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->draining = true;
-        wake_->stop_requested = true;
-        wake_->cancel_on_stop |= cancel_in_flight;
-        wake_->cv.notify_all();
-    }
+    ingress_->requestStop(cancel_in_flight);
     std::lock_guard<std::mutex> join_lock(join_mutex_);
     if (loop_thread_.joinable())
         loop_thread_.join();
@@ -345,19 +201,11 @@ void
 ClusterRouter::requestDrain(int replica)
 {
     COMET_CHECK(replica >= 0 && replica < numReplicas());
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->drain_inbox.push_back(replica);
-    wake_->cv.notify_all();
-}
-
-ClusterStats
-ClusterRouter::stats() const
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    ClusterStats stats = wake_->stats;
-    stats.submitted = wake_->submitted;
-    stats.rejected += wake_->early_rejected;
-    return stats;
+    {
+        std::lock_guard<std::mutex> lock(drain_mutex_);
+        drain_requests_.push_back(replica);
+    }
+    ingress_->poke();
 }
 
 int
@@ -389,13 +237,6 @@ ClusterRouter::replicaKvCacheForAudit(int replica) const
 }
 
 double
-ClusterRouter::virtualClockUs() const
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    return wake_->clock_us;
-}
-
-double
 ClusterRouter::replicaVirtualClockUs(int replica) const
 {
     COMET_CHECK(replica >= 0 && replica < numReplicas());
@@ -405,15 +246,10 @@ ClusterRouter::replicaVirtualClockUs(int replica) const
 int
 ClusterRouter::placementOf(int64_t id) const
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    auto it = wake_->placements.find(id);
-    return it == wake_->placements.end() ? -1 : it->second;
-}
-
-const std::vector<server::TenantConfig> &
-ClusterRouter::tenants() const
-{
-    return config_.server.tenants;
+    return ingress_->read([id](const Published &published) {
+        auto it = published.placements.find(id);
+        return it == published.placements.end() ? -1 : it->second;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -426,40 +262,22 @@ ClusterRouter::loop()
     obs::configureFromEnv();
     COMET_SPAN("cluster/session");
     for (;;) {
-        bool stop_now = false;
-        bool cancel_now = false;
-        bool drain_now = false;
-        std::vector<RouteRecord> incoming;
+        auto wakeup = ingress_->waitForWork([&] {
+            // A client horizon moved past what the replicas were
+            // promised: wake to propagate, or a fully-routed session
+            // would leave the replicas gated forever.
+            return !routerIdle() || ingress_->horizonsPastFloorLocked();
+        });
         std::vector<int> drain_requests;
         {
-            std::unique_lock<std::mutex> lock(wake_->mutex);
-            wake_->cv.wait(lock, [&] {
-                return wake_->stop_requested || wake_->poked ||
-                       !wake_->inbox.empty() ||
-                       !wake_->drain_inbox.empty() || !routerIdle() ||
-                       (wake_->draining &&
-                        !wake_->session_complete) ||
-                       // A client horizon moved past what the
-                       // replicas were promised: wake to propagate,
-                       // or a fully-routed session would leave the
-                       // replicas gated forever. Gated on
-                       // ever_connected: before the first connect
-                       // the joint horizon is vacuously infinite.
-                       (wake_->ever_connected &&
-                        minHorizonLocked() > wake_->propagated_us);
-            });
-            incoming.swap(wake_->inbox);
-            drain_requests.swap(wake_->drain_inbox);
-            wake_->poked = false;
-            stop_now = wake_->stop_requested;
-            cancel_now = wake_->cancel_on_stop;
-            drain_now = wake_->draining;
+            std::lock_guard<std::mutex> lock(drain_mutex_);
+            drain_requests.swap(drain_requests_);
         }
-        for (RouteRecord &record : incoming)
+        for (RouteRecord &record : wakeup.inbox)
             acceptSubmit(std::move(record));
         for (int replica : drain_requests)
             drainReplica(replica);
-        if (stop_now && cancel_now) {
+        if (wakeup.stop && wakeup.cancel) {
             cancelUnrouted();
             stopReplicas(true);
             publish(/*complete=*/true);
@@ -477,11 +295,11 @@ ClusterRouter::loop()
             publish(/*complete=*/false);
             continue;
         }
-        if (drain_now || stop_now) {
+        if (wakeup.draining || wakeup.stop) {
             completeSession();
             publish(/*complete=*/true);
-            if (stop_now) {
-                stopReplicas(cancel_now);
+            if (wakeup.stop) {
+                stopReplicas(wakeup.cancel);
                 return;
             }
             continue;
@@ -500,48 +318,6 @@ ClusterRouter::acceptSubmit(RouteRecord &&record)
     pending_.emplace(id, std::move(record));
 }
 
-double
-ClusterRouter::minHorizonLocked() const
-{
-    double floor = kInfinity;
-    for (double horizon : wake_->horizons)
-        floor = std::min(floor, horizon);
-    return floor;
-}
-
-double
-ClusterRouter::safeHorizonLocked() const
-{
-    if (wake_->draining)
-        return kInfinity;
-    return minHorizonLocked();
-}
-
-ClusterRouter::GateOutcome
-ClusterRouter::waitToAdvance(double target_us)
-{
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->cv.wait(lock, [&] {
-        return (wake_->stop_requested && wake_->cancel_on_stop) ||
-               wake_->poked || !wake_->inbox.empty() ||
-               !wake_->drain_inbox.empty() ||
-               safeHorizonLocked() > target_us;
-    });
-    if (wake_->stop_requested && wake_->cancel_on_stop)
-        return GateOutcome::kInterrupted;
-    if (wake_->poked || !wake_->inbox.empty() ||
-        !wake_->drain_inbox.empty())
-        return GateOutcome::kReplan;
-    return GateOutcome::kAdvance;
-}
-
-void
-ClusterRouter::publishClock()
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->clock_us = clock_;
-}
-
 bool
 ClusterRouter::stepOnce()
 {
@@ -555,14 +331,14 @@ ClusterRouter::stepOnce()
     if (target == kInfinity)
         return true;
     if (target > clock_) {
-        switch (waitToAdvance(target)) {
-          case GateOutcome::kInterrupted:
+        switch (ingress_->waitToAdvance(target, /*replan=*/true)) {
+          case server::AdvanceOutcome::kInterrupted:
             return false;
-          case GateOutcome::kReplan:
+          case server::AdvanceOutcome::kReplan:
             return true; // the outer loop re-enters stepOnce
-          case GateOutcome::kAdvance:
+          case server::AdvanceOutcome::kAdvance:
             clock_ = target;
-            publishClock();
+            ingress_->commitClock(clock_);
             break;
         }
     }
@@ -624,41 +400,18 @@ void
 ClusterRouter::propagateHorizons()
 {
     // The cluster ingress floor: no future forward can be below the
-    // least client horizon, nor below the earliest already-accepted
-    // arrival still waiting to route. Replicas may advance their
-    // clocks up to it — this is what lets them finish the final
-    // batch (floor becomes infinity once every client closed and
-    // everything routed) instead of idling at the last event time.
-    double floor;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        // Racing the first connect(): an empty client set means the
-        // session has not started, not that every client closed —
-        // propagating its vacuous infinity would reject the whole
-        // workload as shutting-down.
-        if (!wake_->ever_connected)
-            return;
-        floor = minHorizonLocked();
-        // Submissions that landed after this iteration swapped the
-        // inbox are not in pending_order_ yet, while their client may
-        // already have closed (horizon infinity): they bound the
-        // floor too, or a replica is promised past their arrival.
-        for (const RouteRecord &record : wake_->inbox)
-            floor = std::min(floor, record.request.arrival_us);
-    }
-    if (!pending_order_.empty())
-        floor = std::min(floor, pending_order_.begin()->first);
-    if (floor <= propagated_us_)
-        return;
-    propagated_us_ = floor;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->propagated_us = floor;
-    }
-    for (size_t i = 0; i < handles_.size(); ++i) {
-        if (replica_active_[i])
-            handles_[i].advanceTo(floor);
-    }
+    // least client horizon, nor below the earliest accepted arrival
+    // still waiting to route (queued here, or still in the gate's
+    // inbox while its client may already have closed). Replicas may
+    // advance their clocks up to it — this is what lets them finish
+    // the final batch (floor becomes infinity once every client
+    // closed and everything routed) instead of idling at the last
+    // event time.
+    const std::optional<double> floor = ingress_->raiseFloor(
+        pending_order_.empty() ? kInfinity
+                               : pending_order_.begin()->first);
+    if (floor)
+        advanceReplicas(*floor);
 }
 
 void
@@ -818,10 +571,8 @@ ClusterRouter::placeRequest(int64_t id)
                    routingPolicyName(config_.policy) +
                    ".placements")
         .add();
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->placements[id] = chosen;
-    }
+    ingress_->update(
+        [&](Published &published) { published.placements[id] = chosen; });
     forwardToReplica(chosen, std::move(record));
 }
 
@@ -886,16 +637,9 @@ ClusterRouter::choosePlacement(uint64_t key)
       case RoutingPolicy::kConsistentHash:
         chosen = ring_.pick(key, replica_active_);
         break;
-      case RoutingPolicy::kLeastLoaded: {
-        std::vector<ReplicaLoad> loads(servers_.size());
-        for (size_t i = 0; i < servers_.size(); ++i) {
-            loads[i].reserved_blocks = reserved_blocks_[i];
-            loads[i].capacity_blocks = servers_[i]->kvTotalBlocks();
-            loads[i].active = replica_active_[i];
-        }
-        chosen = pickLeastLoaded(loads);
+      case RoutingPolicy::kLeastLoaded:
+        chosen = leastLoaded(/*excluded=*/-1);
         break;
-      }
       case RoutingPolicy::kWeightedRoundRobin:
         chosen = wrr_.pick(replica_active_);
         break;
@@ -908,21 +652,26 @@ ClusterRouter::secondChoice(uint64_t key, int first) const
 {
     if (config_.policy == RoutingPolicy::kConsistentHash)
         return ring_.pickSecond(key, replica_active_);
-    if (config_.policy == RoutingPolicy::kLeastLoaded) {
-        std::vector<ReplicaLoad> loads(servers_.size());
-        for (size_t i = 0; i < servers_.size(); ++i) {
-            loads[i].reserved_blocks = reserved_blocks_[i];
-            loads[i].capacity_blocks = servers_[i]->kvTotalBlocks();
-            loads[i].active = replica_active_[i] &&
-                              static_cast<int>(i) != first;
-        }
-        return pickLeastLoaded(loads);
-    }
+    if (config_.policy == RoutingPolicy::kLeastLoaded)
+        return leastLoaded(first);
     for (int i = 0; i < numReplicas(); ++i) {
         if (i != first && replica_active_[static_cast<size_t>(i)])
             return i;
     }
     return -1;
+}
+
+int
+ClusterRouter::leastLoaded(int excluded) const
+{
+    std::vector<ReplicaLoad> loads(servers_.size());
+    for (size_t i = 0; i < servers_.size(); ++i) {
+        loads[i].reserved_blocks = reserved_blocks_[i];
+        loads[i].capacity_blocks = servers_[i]->kvTotalBlocks();
+        loads[i].active =
+            replica_active_[i] && static_cast<int>(i) != excluded;
+    }
+    return pickLeastLoaded(loads);
 }
 
 bool
@@ -950,15 +699,19 @@ ClusterRouter::rejectAtEdge(int64_t id, server::RejectReason reason)
 {
     auto it = pending_.find(id);
     COMET_CHECK(it != pending_.end());
-    RouteRecord record = std::move(it->second);
+    const server::TokenStreamPtr stream = std::move(it->second.stream);
     pending_.erase(it);
     ++stats_.rejected;
     clusterCounter("rejected").add();
-    server::StreamEvent event;
-    event.kind = server::StreamEventKind::kRejected;
-    event.virtual_us = clock_;
-    event.reject_reason = reason;
-    record.stream->deliver(event);
+    stream->finish(server::StreamEventKind::kRejected, clock_, reason);
+}
+
+void
+ClusterRouter::cancelAtEdge(server::TokenStream &stream)
+{
+    ++stats_.cancelled;
+    clusterCounter("cancelled").add();
+    stream.finish(server::StreamEventKind::kCancelled, clock_);
 }
 
 void
@@ -972,16 +725,11 @@ ClusterRouter::processEdgeCancellations()
     for (int64_t id : ids) {
         auto it = pending_.find(id);
         COMET_CHECK(it != pending_.end());
-        pending_order_.erase(
-            {it->second.request.arrival_us, id});
-        RouteRecord record = std::move(it->second);
+        pending_order_.erase({it->second.request.arrival_us, id});
+        const server::TokenStreamPtr stream =
+            std::move(it->second.stream);
         pending_.erase(it);
-        ++stats_.cancelled;
-        clusterCounter("cancelled").add();
-        server::StreamEvent event;
-        event.kind = server::StreamEventKind::kCancelled;
-        event.virtual_us = clock_;
-        record.stream->deliver(event);
+        cancelAtEdge(*stream);
     }
 }
 
@@ -990,21 +738,10 @@ ClusterRouter::cancelUnrouted()
 {
     // A stop-with-cancel can land with submissions still in the
     // inbox; pull them in so every accepted stream terminates.
-    std::vector<RouteRecord> leftover;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        leftover.swap(wake_->inbox);
-    }
-    for (RouteRecord &record : leftover)
+    for (RouteRecord &record : ingress_->takeInbox())
         acceptSubmit(std::move(record));
-    for (auto &entry : pending_) {
-        ++stats_.cancelled;
-        clusterCounter("cancelled").add();
-        server::StreamEvent event;
-        event.kind = server::StreamEventKind::kCancelled;
-        event.virtual_us = clock_;
-        entry.second.stream->deliver(event);
-    }
+    for (auto &entry : pending_)
+        cancelAtEdge(*entry.second.stream);
     pending_.clear();
     pending_order_.clear();
 }
@@ -1039,13 +776,10 @@ ClusterRouter::routerIdle() const
 void
 ClusterRouter::publish(bool complete)
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->stats = stats_;
-    wake_->clock_us = clock_;
-    if (complete) {
-        wake_->session_complete = true;
-        wake_->done_cv.notify_all();
-    }
+    ingress_->publish(clock_, complete,
+                      [&](Published &published) {
+                          published.stats = stats_;
+                      });
 }
 
 } // namespace cluster

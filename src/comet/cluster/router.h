@@ -15,11 +15,15 @@
  * (see RoutingPolicy) and forwards the replica's stream events
  * verbatim.
  *
- * Determinism. The router extends the single-server virtual-time
- * ingress gate to per-replica horizons: the cluster clock advances
- * to an event time E only once every open *cluster* client horizon
- * is strictly past E, and before any placement at E every *replica*
- * handle's horizon is advanced to E. Placement inputs at E — the
+ * Determinism. The router runs the single-server virtual-time
+ * ingress gate — the same server::IngressGate code each replica's
+ * Server holds (see server.h, "Determinism") — and extends it to
+ * per-replica horizons: the cluster clock advances to an event time
+ * E only once every open *cluster* client horizon is strictly past
+ * E, and before any placement at E every *replica* handle's horizon
+ * is advanced to E. The floor forwarded to the replicas is the
+ * gate's promised floor, so a late connect() starts at or above it.
+ * Placement inputs at E — the
  * edge fair-admission order, the policy state, and (for
  * least-loaded) reserved-block loads built from replica stream
  * events settled strictly before E via Server::waitSettled — are
@@ -47,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -146,35 +151,9 @@ struct ClusterStats {
  */
 class ClusterRouter {
   public:
-    /**
-     * A client handle on the cluster, mirroring Server::Client:
-     * submissions must carry nondecreasing arrival times per handle,
-     * and each open handle gates the cluster clock at its horizon.
-     */
-    class Client {
-      public:
-        /** An unconnected handle; use ClusterRouter::connect(). */
-        Client() = default;
-
-        /** Submits a request; see Server::Client::submit. The
-         * returned stream delivers the routed replica's events. */
-        server::TokenStreamPtr
-        submit(const server::StreamRequest &request);
-
-        /** Promises no further submissions before @p horizon_us. */
-        void advanceTo(double horizon_us);
-
-        /** Closes the handle (horizon to infinity). */
-        void close();
-
-        /** True once connected. */
-        bool valid() const { return router_ != nullptr; }
-
-      private:
-        friend class ClusterRouter;
-        ClusterRouter *router_ = nullptr;
-        size_t index_ = 0;
-    };
+    /** A client handle on the cluster: the same handle type as
+     * Server::Client (see server::ClientHandle). */
+    using Client = server::ClientHandle<ClusterRouter>;
 
     /**
      * Builds the replica servers and starts the routing loop.
@@ -199,14 +178,14 @@ class ClusterRouter {
      * has closed and all work routed, the floor is infinite and a
      * new handle could never submit.
      */
-    Client connect();
+    Client connect() { return Client(this, ingress_->connect()); }
 
     /**
      * Graceful cluster drain: closes ingress, routes what was
      * already submitted, drains every replica, and blocks until all
      * accepted streams reached a terminal event.
      */
-    void drain();
+    void drain() { ingress_->drain(); }
 
     /**
      * Ends the session and joins the routing loop. With
@@ -224,7 +203,7 @@ class ClusterRouter {
     void requestDrain(int replica);
 
     /** Router counters (stable once drain()/stop() returned). */
-    ClusterStats stats() const;
+    ClusterStats stats() const { return ingress_->stats(); }
 
     /** Replica count. */
     int numReplicas() const;
@@ -241,7 +220,7 @@ class ClusterRouter {
 
     /** Current cluster virtual clock, microseconds (the latest
      * committed router event time). */
-    double virtualClockUs() const;
+    double virtualClockUs() const { return ingress_->clockUs(); }
 
     /** Replica @p replica's published virtual clock, microseconds.
      * Unlike the router clock (which tracks routing events only),
@@ -256,9 +235,6 @@ class ClusterRouter {
      */
     int placementOf(int64_t id) const;
 
-    /** The tenant set every replica shares. */
-    const std::vector<server::TenantConfig> &tenants() const;
-
   private:
     /** A submission queued from a client thread to the loop. */
     struct RouteRecord {
@@ -267,23 +243,20 @@ class ClusterRouter {
         int tenant = 0;                ///< edge tenant index
     };
 
-    /** Ingress shared between client threads and the loop. */
-    struct Wake;
+    /** What the loop publishes for stats() and placementOf(). */
+    struct Published {
+        ClusterStats stats;
+        /** id -> replica, recorded at placement time. */
+        std::map<int64_t, int> placements;
+    };
 
-    /** How an ingress-gate wait resolved (see Server). */
-    enum class GateOutcome { kAdvance, kReplan, kInterrupted };
+    friend class server::ClientHandle<ClusterRouter>;
 
     void loop();
     server::TokenStreamPtr
     submitFromClient(size_t client,
                      const server::StreamRequest &request);
-    void advanceClient(size_t client, double horizon_us, bool close);
-    int tenantIndexByName(const std::string &name) const;
     void acceptSubmit(RouteRecord &&record);
-    double minHorizonLocked() const;
-    double safeHorizonLocked() const;
-    GateOutcome waitToAdvance(double target_us);
-    void publishClock();
     bool stepOnce();
     void fireDueDrains(double now_us);
     void drainReplica(int replica);
@@ -297,10 +270,12 @@ class ClusterRouter {
     void forwardToReplica(int replica, RouteRecord &&record);
     int choosePlacement(uint64_t key);
     int secondChoice(uint64_t key, int first) const;
+    int leastLoaded(int excluded) const;
     bool fitsReplica(int replica,
                      const server::StreamRequest &request) const;
     int activeCount() const;
     void rejectAtEdge(int64_t id, server::RejectReason reason);
+    void cancelAtEdge(server::TokenStream &stream);
     void processEdgeCancellations();
     void cancelUnrouted();
     void completeSession();
@@ -317,9 +292,16 @@ class ClusterRouter {
     std::vector<server::Server::Client> handles_;
     std::unique_ptr<server::FairAdmissionQueue> fair_edge_;
 
-    std::shared_ptr<Wake> wake_;
+    /** The ingress gate shared with client threads (the same
+     * protocol each replica's Server runs). */
+    std::shared_ptr<server::IngressGate<RouteRecord, Published>> ingress_;
     std::thread loop_thread_;
     std::mutex join_mutex_; ///< serializes stop()'s join
+
+    /** Wall-clock drain requests the loop has not taken yet
+     * (requestDrain queues here, then pokes the gate). */
+    std::mutex drain_mutex_;
+    std::vector<int> drain_requests_;
 
     /** Terminal-event releases recorded by replica loop threads;
      * applied by the router loop once settled (strictly before the
@@ -344,9 +326,6 @@ class ClusterRouter {
     ClusterStats stats_;
     bool session_done_ = false;
     double clock_ = 0.0;
-    /** Ingress floor last forwarded to the replica handles (see
-     * propagateHorizons); monotone. */
-    double propagated_us_ = 0.0;
 };
 
 } // namespace cluster

@@ -33,8 +33,8 @@ computeBlockBytes(const LlmConfig &model, const KvCacheConfig &config)
     double bytes = values * config.bits_per_value / 8.0;
     if (config.bits_per_value < 16.0) {
         // One 4-byte (scale, zero) pair per channel per
-        // quant_group_tokens tokens; a block holds
-        // block_tokens/quant_group_tokens of a group per channel.
+        // kKvQuantGroupTokens tokens; a block holds
+        // block_tokens/kKvQuantGroupTokens of a group per channel.
         constexpr double kQuantMetadataBytes = 4.0;
         const double channels =
             2.0 * static_cast<double>(model.num_layers) *
@@ -42,7 +42,7 @@ computeBlockBytes(const LlmConfig &model, const KvCacheConfig &config)
             static_cast<double>(model.headDim());
         bytes += channels * kQuantMetadataBytes *
                  static_cast<double>(config.block_tokens) /
-                 static_cast<double>(config.quant_group_tokens);
+                 static_cast<double>(kKvQuantGroupTokens);
     }
     return bytes;
 }

@@ -26,13 +26,14 @@
 
 namespace comet {
 
+/** Tokens sharing one quantization group per channel in a sub-byte
+ * KV cache (the channel-wise group quantizer's group size). */
+constexpr int64_t kKvQuantGroupTokens = 64;
+
 /** Sizing parameters of a paged KV cache. */
 struct KvCacheConfig {
     double bits_per_value = 16.0; ///< 4 for the COMET KV4 cache
     int64_t block_tokens = 16;    ///< tokens per page
-    /** Tokens sharing one quantization group per channel (the
-     * channel-wise group quantizer's group size). */
-    int64_t quant_group_tokens = 64;
     double memory_budget_bytes = 0.0;
     /**
      * Enables the automatic prefix cache (comet::prefix): full prompt

@@ -77,7 +77,7 @@ engineConfigWithKvBlocks(EngineConfig config, int64_t blocks)
     KvCacheConfig probe_config;
     probe_config.bits_per_value =
         servingPrecision(config.mode).kv_bits;
-    probe_config.block_tokens = config.kv_block_tokens;
+    probe_config.block_tokens = kKvBlockTokens;
     probe_config.memory_budget_bytes = 1e9;
     const PagedKvCache probe(config.model, probe_config);
     const double weights = ServingEngine(config).weightBytes();
@@ -182,7 +182,7 @@ ServingEngine::maxBatchSize() const
         return 0;
     KvCacheConfig cache_config;
     cache_config.bits_per_value = precision_.kv_bits;
-    cache_config.block_tokens = config_.kv_block_tokens;
+    cache_config.block_tokens = kKvBlockTokens;
     cache_config.memory_budget_bytes = kvPoolBytes();
     const PagedKvCache cache(config_.model, cache_config);
     const int64_t blocks_per_seq = cache.blocksForTokens(
@@ -347,7 +347,7 @@ ServingEngine::measureThroughputAtBatch(int64_t batch) const
 
     KvCacheConfig cache_config;
     cache_config.bits_per_value = precision_.kv_bits;
-    cache_config.block_tokens = config_.kv_block_tokens;
+    cache_config.block_tokens = kKvBlockTokens;
     cache_config.memory_budget_bytes =
         std::max(kvPoolBytes(),
                  1.0); // pinned-batch runs may exceed the auto budget

@@ -50,6 +50,9 @@ struct ServingPrecision {
 /** Resolves the precision profile of a mode. */
 ServingPrecision servingPrecision(ServingMode mode);
 
+/** KV page size in tokens of every engine's paged cache. */
+constexpr int64_t kKvBlockTokens = 16;
+
 /** Engine construction parameters. */
 struct EngineConfig {
     LlmConfig model; ///< model geometry being served
@@ -71,8 +74,6 @@ struct EngineConfig {
     /** Fraction of HBM usable for weights + KV (the rest holds
      * activations, workspace and runtime). */
     double usable_memory_fraction = 0.90;
-    /** KV page size in tokens. */
-    int64_t kv_block_tokens = 16;
     /** When > 0, trace replay processes prompts in chunks of this
      * many tokens, interleaved with decode iterations of the running
      * batch (Sarathi-Serve-style chunked prefill; the scheduling

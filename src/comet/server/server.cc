@@ -1,8 +1,6 @@
 #include "comet/server/server.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -15,8 +13,6 @@ namespace comet {
 namespace server {
 
 namespace {
-
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 /** Latency histogram buckets, microseconds: 100 us .. 50 s in a
  * 1-2-5 progression (virtual-time TTFT/TPOT span this range across
@@ -37,45 +33,6 @@ serverCounter(const std::string &prefix, const char *name)
 
 } // namespace
 
-/**
- * Everything the client threads and the serving loop share. One
- * mutex guards it all — submission is a push + notify, and the loop
- * drains the inbox in batches, so contention is a non-issue at the
- * request rates the virtual-time engine models.
- */
-struct Server::Wake {
-    std::mutex mutex;
-    /** The loop waits here (for work, horizons, cancel pokes). */
-    std::condition_variable cv;
-    /** drain()/stop() callers wait here for session completion. */
-    std::condition_variable done_cv;
-    /** Submitted requests the loop has not picked up yet. */
-    std::vector<SubmitRecord> inbox;
-    /** Per-client ingress horizons (see the server file comment). */
-    std::vector<double> horizons;
-    bool draining = false;       ///< ingress closed
-    bool stop_requested = false; ///< loop asked to exit
-    bool cancel_on_stop = false; ///< stop cancels in-flight work
-    bool poked = false;          ///< a stream requested cancellation
-    bool session_complete = false; ///< all accepted work terminal
-    bool loop_exited = false;      ///< the loop thread returned
-    int64_t submitted = 0;      ///< submit() calls (any verdict)
-    int64_t early_rejected = 0; ///< rejected on the submit path
-    // Published snapshots (the loop owns the live state).
-    ServerStats stats;
-    SchedulerCounters sched;
-    double clock_us = 0.0;
-    /**
-     * Settled horizon: every stream event stamped strictly below
-     * this has been delivered (see Server::waitSettled for the
-     * caller discipline under which the promise holds). Monotone;
-     * advances where the loop can prove no earlier-stamped event is
-     * still possible — committed clock jumps, gate parks bounded by
-     * the minimum client horizon, and session completion (infinity).
-     */
-    double settled_us = 0.0;
-};
-
 Server::Server(const ServingEngine *engine, ServerConfig config)
     : engine_(engine), config_(std::move(config))
 {
@@ -87,7 +44,7 @@ Server::Server(const ServingEngine *engine, ServerConfig config)
 
     KvCacheConfig cache_config;
     cache_config.bits_per_value = precision_.kv_bits;
-    cache_config.block_tokens = engine_->config().kv_block_tokens;
+    cache_config.block_tokens = kKvBlockTokens;
     // The paged cache counts full-model blocks, so it must be sized
     // from the TP group's aggregate pool: kvBudgetBytes() alone is
     // the per-GPU shard and would shrink a TP=N server's admission
@@ -99,7 +56,7 @@ Server::Server(const ServingEngine *engine, ServerConfig config)
                                             cache_config);
     key_space_.bits_per_value = cache_config.bits_per_value;
     key_space_.block_tokens = cache_config.block_tokens;
-    key_space_.quant_group_tokens = cache_config.quant_group_tokens;
+    key_space_.quant_group_tokens = kKvQuantGroupTokens;
 
     BatchSchedulerConfig sched_config;
     sched_config.max_batch = config_.max_batch;
@@ -122,108 +79,19 @@ Server::Server(const ServingEngine *engine, ServerConfig config)
     for (size_t t = 0; t < config_.tenants.size(); ++t)
         stats_.tenant_slo[t].tenant = config_.tenants[t].name;
 
-    wake_ = std::make_shared<Wake>();
+    ingress_ = std::make_shared<IngressGate<SubmitRecord, Published>>(
+        config_.metrics_prefix);
     loop_thread_ = std::thread(&Server::loop, this);
 }
 
 Server::~Server() { stop(true); }
 
-Server::Client
-Server::connect()
-{
-    Client client;
-    client.server_ = this;
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK_MSG(!wake_->draining,
-                    "connect() on a draining/stopped server");
-    client.index_ = wake_->horizons.size();
-    // A handle connected mid-session starts at the published virtual
-    // clock, never behind it: a new client cannot drag the ingress
-    // gate below decisions the loop has already committed (and its
-    // submissions cannot carry arrivals in the virtual past).
-    wake_->horizons.push_back(wake_->clock_us);
-    return client;
-}
-
-TokenStreamPtr
-Server::Client::submit(const StreamRequest &request)
-{
-    COMET_CHECK_MSG(valid(), "submit() on an unconnected handle");
-    return server_->submitFromClient(index_, request);
-}
-
-void
-Server::Client::advanceTo(double horizon_us)
-{
-    COMET_CHECK_MSG(valid(), "advanceTo() on an unconnected handle");
-    server_->advanceClient(index_, horizon_us, /*close=*/false);
-}
-
-void
-Server::Client::close()
-{
-    COMET_CHECK_MSG(valid(), "close() on an unconnected handle");
-    server_->advanceClient(index_, kInfinity, /*close=*/true);
-}
-
-TokenStreamPtr
-submitThroughGate(
-    const StreamRequest &request, std::function<void()> cancel_poke,
-    const std::function<IngressVerdict(const TokenStreamPtr &)> &gate)
-{
-    COMET_CHECK(request.id >= 0);
-    COMET_CHECK(request.prompt_tokens > 0);
-    COMET_CHECK(request.max_output_tokens > 0);
-    COMET_CHECK(request.eos_output_tokens >= 0);
-    COMET_CHECK(request.arrival_us >= 0.0);
-    COMET_CHECK_MSG(request.cancel_at_us == 0.0 ||
-                        request.cancel_at_us >= request.arrival_us,
-                    "cancel_at_us must be 0 or >= arrival_us");
-
-    TokenStreamPtr stream =
-        request.callback
-            ? std::make_shared<TokenStream>(request.callback)
-            : std::make_shared<TokenStream>();
-    stream->setCancelPoke(std::move(cancel_poke));
-    const IngressVerdict verdict = gate(stream);
-    if (verdict.early != RejectReason::kNone) {
-        StreamEvent event;
-        event.kind = StreamEventKind::kRejected;
-        event.virtual_us = verdict.clock_us;
-        event.reject_reason = verdict.early;
-        stream->deliver(event);
-    }
-    return stream;
-}
-
 TokenStreamPtr
 Server::submitFromClient(size_t client, const StreamRequest &request)
 {
-    std::weak_ptr<Wake> weak = wake_;
-    const auto poke = [weak] {
-        if (std::shared_ptr<Wake> wake = weak.lock()) {
-            std::lock_guard<std::mutex> lock(wake->mutex);
-            wake->poked = true;
-            wake->cv.notify_all();
-        }
-    };
-    const auto gate = [&](const TokenStreamPtr &stream) {
-        IngressVerdict verdict;
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        ++wake_->submitted;
-        serverCounter(config_.metrics_prefix, "submitted").add();
-        COMET_CHECK(client < wake_->horizons.size());
-        double &horizon = wake_->horizons[client];
-        const int tenant = tenantIndexByName(request.tenant);
-        if (wake_->draining || horizon == kInfinity) {
-            verdict.early = RejectReason::kShuttingDown;
-        } else if (tenant < 0) {
-            verdict.early = RejectReason::kUnknownTenant;
-        } else {
-            COMET_CHECK_MSG(
-                request.arrival_us >= horizon,
-                "arrival times must be nondecreasing per client");
-            horizon = request.arrival_us;
+    return ingress_->submit(
+        client, request, config_.tenants,
+        [&](int tenant, const TokenStreamPtr &stream) {
             SubmitRecord record;
             record.arrival_us = request.arrival_us;
             record.cancel_at_us = request.cancel_at_us;
@@ -231,10 +99,8 @@ Server::submitFromClient(size_t client, const StreamRequest &request)
             record.request.tenant = tenant;
             record.request.arrival_us = request.arrival_us;
             record.request.prompt_tokens = request.prompt_tokens;
-            record.request.max_output_tokens =
-                request.max_output_tokens;
-            record.request.eos_output_tokens =
-                request.eos_output_tokens;
+            record.request.max_output_tokens = request.max_output_tokens;
+            record.request.eos_output_tokens = request.eos_output_tokens;
             // Prefix keys are derived here, on the client thread (a
             // pure function of content + tenant key space), so the
             // loop never touches prompt content. The ids are not
@@ -254,102 +120,24 @@ Server::submitFromClient(size_t client, const StreamRequest &request)
                     prefix::chainBlockKeys(space, request.prompt_ids);
             }
             record.request.stream = stream;
-            wake_->inbox.push_back(std::move(record));
-            wake_->cv.notify_all();
-        }
-        if (verdict.early != RejectReason::kNone) {
-            ++wake_->early_rejected;
-            serverCounter(config_.metrics_prefix, "rejected").add();
-            verdict.clock_us = wake_->clock_us;
-        }
-        return verdict;
-    };
-    return submitThroughGate(request, poke, gate);
-}
-
-int
-Server::tenantIndexByName(const std::string &name) const
-{
-    for (size_t i = 0; i < config_.tenants.size(); ++i) {
-        if (config_.tenants[i].name == name)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-void
-Server::advanceClient(size_t client, double horizon_us, bool close)
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK(client < wake_->horizons.size());
-    double &horizon = wake_->horizons[client];
-    horizon = std::max(horizon, close ? kInfinity : horizon_us);
-    wake_->cv.notify_all();
-}
-
-void
-Server::drain()
-{
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->draining = true;
-    wake_->cv.notify_all();
-    wake_->done_cv.wait(
-        lock, [&] { return wake_->session_complete; });
+            return record;
+        });
 }
 
 void
 Server::stop(bool cancel_in_flight)
 {
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->draining = true;
-        wake_->stop_requested = true;
-        // A later stop(true) may tighten an earlier stop(false),
-        // never the other way around.
-        wake_->cancel_on_stop |= cancel_in_flight;
-        wake_->cv.notify_all();
-    }
+    ingress_->requestStop(cancel_in_flight);
     std::lock_guard<std::mutex> join_lock(join_mutex_);
     if (loop_thread_.joinable())
         loop_thread_.join();
 }
 
-ServerStats
-Server::stats() const
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    ServerStats stats = wake_->stats;
-    stats.submitted = wake_->submitted;
-    stats.rejected += wake_->early_rejected;
-    return stats;
-}
-
 SchedulerCounters
 Server::schedulerCounters() const
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    return wake_->sched;
-}
-
-double
-Server::virtualClockUs() const
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    return wake_->clock_us;
-}
-
-const std::vector<TenantConfig> &
-Server::tenants() const
-{
-    return config_.tenants;
-}
-
-void
-Server::waitSettled(double virtual_us) const
-{
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->done_cv.wait(
-        lock, [&] { return wake_->settled_us >= virtual_us; });
+    return ingress_->read(
+        [](const Published &published) { return published.sched; });
 }
 
 int64_t
@@ -367,11 +155,10 @@ Server::kvBlocksForTokens(int64_t tokens) const
 const PagedKvCache &
 Server::kvCacheForAudit() const
 {
-    // Taking the wake mutex after the loop published completion
+    // Reading completion from the gate after the loop published it
     // gives the caller a happens-before edge over every loop-side
     // cache mutation, so the audit reads are race-free.
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK_MSG(wake_->session_complete,
+    COMET_CHECK_MSG(ingress_->complete(),
                     "kvCacheForAudit() requires a drained or "
                     "stopped server");
     return *cache_;
@@ -387,34 +174,11 @@ Server::loop()
     obs::configureFromEnv();
     COMET_SPAN("server/session");
     for (;;) {
-        bool stop_now = false;
-        bool cancel_now = false;
-        bool drain_now = false;
-        std::vector<SubmitRecord> incoming;
-        {
-            std::unique_lock<std::mutex> lock(wake_->mutex);
-            wake_->cv.wait(lock, [&] {
-                const bool wake =
-                    wake_->stop_requested || wake_->poked ||
-                    !wake_->inbox.empty() || !sessionIdle() ||
-                    (wake_->draining && !wake_->session_complete);
-                // Parked with no pending work: future events can
-                // only come from submissions at or beyond the
-                // minimum open horizon, so that floor is settled
-                // (re-evaluated as client horizons advance).
-                if (!wake && !wake_->horizons.empty())
-                    advanceSettledLocked(minHorizonLocked());
-                return wake;
-            });
-            incoming.swap(wake_->inbox);
-            wake_->poked = false;
-            stop_now = wake_->stop_requested;
-            cancel_now = wake_->cancel_on_stop;
-            drain_now = wake_->draining;
-        }
-        for (SubmitRecord &record : incoming)
+        auto wakeup =
+            ingress_->waitForWork([&] { return !sessionIdle(); });
+        for (SubmitRecord &record : wakeup.inbox)
             acceptArrival(std::move(record));
-        if (stop_now && cancel_now) {
+        if (wakeup.stop && wakeup.cancel) {
             cancelEverything();
             publish(/*complete=*/true);
             return;
@@ -431,9 +195,9 @@ Server::loop()
             publish(/*complete=*/false);
             continue;
         }
-        if (drain_now || stop_now) {
+        if (wakeup.draining || wakeup.stop) {
             publish(/*complete=*/true);
-            if (stop_now)
+            if (wakeup.stop)
                 return;
             continue;
         }
@@ -454,101 +218,17 @@ Server::acceptArrival(SubmitRecord &&record)
     arrivals_.emplace(id, std::move(record));
 }
 
-double
-Server::safeHorizonLocked() const
-{
-    if (wake_->draining)
-        return kInfinity;
-    return minHorizonLocked();
-}
-
-double
-Server::minHorizonLocked() const
-{
-    double floor = kInfinity;
-    for (double horizon : wake_->horizons)
-        floor = std::min(floor, horizon);
-    return floor;
-}
-
-void
-Server::advanceSettledLocked(double settled_us)
-{
-    if (settled_us > wake_->settled_us) {
-        wake_->settled_us = settled_us;
-        wake_->done_cv.notify_all();
-    }
-}
-
 bool
-Server::waitForSafe(double target_us)
+Server::advanceClockTo(double target_us)
 {
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    // Strictly past the target: a client whose horizon sits exactly
-    // at target_us may still submit more arrivals at that instant
-    // (equal arrival times per handle are legal), so >= would let the
-    // clock commit with such a tie racing the inbox drain.
-    wake_->cv.wait(lock, [&] {
-        // While parked, events below min(target, horizon floor) are
-        // impossible (the pending step delivers at >= target once
-        // committed; later submissions arrive at >= the floor and
-        // are ingested after the commit): publish that as settled so
-        // a cluster router can await quiescence mid-step.
-        if (!(wake_->stop_requested && wake_->cancel_on_stop)) {
-            advanceSettledLocked(
-                std::min(target_us, minHorizonLocked()));
-        }
-        return (wake_->stop_requested && wake_->cancel_on_stop) ||
-               safeHorizonLocked() > target_us;
-    });
-    if (wake_->stop_requested && wake_->cancel_on_stop)
+    // The prefill or step that ends at target_us is planned: wait
+    // until no arrival at or before it can still appear, then commit.
+    if (ingress_->waitToAdvance(target_us, /*replan=*/false) !=
+        AdvanceOutcome::kAdvance)
         return false;
-    // The clock jump to target_us is now committed: every event the
-    // loop delivers from here on is stamped >= target_us, so the
-    // settled horizon reaches the target.
-    advanceSettledLocked(target_us);
+    clock_ = target_us;
+    ingress_->commitClock(clock_);
     return true;
-}
-
-Server::GateOutcome
-Server::waitToAdvance(double target_us)
-{
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->cv.wait(lock, [&] {
-        // While parked here, any future submission arrives at or
-        // beyond the minimum open horizon and is delivered at a
-        // clock at or beyond its arrival, so events below
-        // min(target, horizon floor) are impossible: publish that as
-        // the settled horizon (re-evaluated as horizons move) so a
-        // cluster router can await per-replica quiescence while the
-        // gate is held.
-        if (!(wake_->stop_requested && wake_->cancel_on_stop)) {
-            advanceSettledLocked(
-                std::min(target_us, minHorizonLocked()));
-        }
-        return (wake_->stop_requested && wake_->cancel_on_stop) ||
-               wake_->poked || !wake_->inbox.empty() ||
-               safeHorizonLocked() > target_us;
-    });
-    if (wake_->stop_requested && wake_->cancel_on_stop)
-        return GateOutcome::kInterrupted;
-    // New submissions (or cancel pokes) landed while the gate was
-    // held: the earliest pending arrival may have changed, so the
-    // outer loop must ingest and re-plan before any clock jump.
-    if (wake_->poked || !wake_->inbox.empty())
-        return GateOutcome::kReplan;
-    return GateOutcome::kAdvance;
-}
-
-void
-Server::publishClock()
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->clock_us = clock_;
-    // Everything delivered so far is stamped <= clock_, and future
-    // deliveries are stamped >= clock_, so events strictly below the
-    // committed clock are settled.
-    advanceSettledLocked(clock_);
 }
 
 void
@@ -606,11 +286,7 @@ Server::rejectPending(PendingRequest &&pending, RejectReason reason)
     COMET_CHECK(pending.stream != nullptr);
     ++stats_.rejected;
     serverCounter(config_.metrics_prefix, "rejected").add();
-    StreamEvent event;
-    event.kind = StreamEventKind::kRejected;
-    event.virtual_us = clock_;
-    event.reject_reason = reason;
-    pending.stream->deliver(event);
+    pending.stream->finish(StreamEventKind::kRejected, clock_, reason);
     live_.erase(pending.id);
 }
 
@@ -681,17 +357,17 @@ Server::stepOnce()
             return true;
         const double next_us = arrival_order_.begin()->first;
         if (next_us > clock_) {
-            switch (waitToAdvance(next_us)) {
-              case GateOutcome::kInterrupted:
+            switch (ingress_->waitToAdvance(next_us, /*replan=*/true)) {
+              case AdvanceOutcome::kInterrupted:
                 return false;
-              case GateOutcome::kReplan:
+              case AdvanceOutcome::kReplan:
                 return true; // the outer loop re-enters stepOnce
-              case GateOutcome::kAdvance:
+              case AdvanceOutcome::kAdvance:
                 clock_ = next_us;
                 // Commit before any event delivery: a client that
                 // observes an event (or connects) must never read a
                 // clock behind the events it has seen.
-                publishClock();
+                ingress_->commitClock(clock_);
                 break;
             }
         }
@@ -735,10 +411,8 @@ Server::stepOnce()
         COMET_SPAN("server/prefill");
         const double prefill_us =
             engine_->prefillLatencyUs(prefill_tokens);
-        if (!waitForSafe(clock_ + prefill_us))
+        if (!advanceClockTo(clock_ + prefill_us))
             return false;
-        clock_ += prefill_us;
-        publishClock();
     }
     deliverRunningProgress();
     deliverRetired(admit_retired);
@@ -750,10 +424,8 @@ Server::stepOnce()
         // the same GEMM launch.
         const double step_us =
             engine_->stepLatencyUs(scheduler_->planStep(), gemm_cache_);
-        if (!waitForSafe(clock_ + step_us))
+        if (!advanceClockTo(clock_ + step_us))
             return false;
-        clock_ += step_us;
-        publishClock();
         scheduler_->step();
         deliverRunningProgress();
         deliverRetired(scheduler_->drainRetired());
@@ -938,10 +610,7 @@ Server::cancelOne(int64_t id)
     }
     ++stats_.cancelled;
     serverCounter(config_.metrics_prefix, "cancelled").add();
-    StreamEvent event;
-    event.kind = StreamEventKind::kCancelled;
-    event.virtual_us = clock_;
-    stream->deliver(event);
+    stream->finish(StreamEventKind::kCancelled, clock_);
     return true;
 }
 
@@ -952,12 +621,7 @@ Server::cancelEverything()
     // A stop-with-cancel can interrupt a gate wait with submissions
     // still sitting in the inbox; pull them in first so every
     // accepted stream gets its terminal event.
-    std::vector<SubmitRecord> pending;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        pending.swap(wake_->inbox);
-    }
-    for (SubmitRecord &record : pending)
+    for (SubmitRecord &record : ingress_->takeInbox())
         acceptArrival(std::move(record));
     std::map<int64_t, TokenStreamPtr> streams;
     for (const auto &entry : arrivals_)
@@ -976,10 +640,7 @@ Server::cancelEverything()
     for (const auto &entry : streams) {
         ++stats_.cancelled;
         serverCounter(config_.metrics_prefix, "cancelled").add();
-        StreamEvent event;
-        event.kind = StreamEventKind::kCancelled;
-        event.virtual_us = clock_;
-        entry.second->deliver(event);
+        entry.second->finish(StreamEventKind::kCancelled, clock_);
     }
 }
 
@@ -1004,19 +665,12 @@ Server::publish(bool complete)
     stats_.prefix_blocks_matched = prefix_stats.blocks_matched;
     stats_.prefix_blocks_evicted = prefix_stats.blocks_evicted;
     stats_.prefix_bytes_saved = prefix_stats.bytes_saved;
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->stats = stats_;
-    wake_->sched = counters;
-    wake_->clock_us = clock_;
-    advanceSettledLocked(clock_);
-    if (complete) {
-        wake_->session_complete = true;
-        // A complete session delivers nothing further: the settled
-        // horizon jumps to infinity so waitSettled never blocks on a
-        // drained replica.
-        advanceSettledLocked(kInfinity);
-        wake_->done_cv.notify_all();
-    }
+    // A complete session delivers nothing further: the gate settles
+    // at infinity so waitSettled never blocks on a drained replica.
+    ingress_->publish(clock_, complete, [&](Published &published) {
+        published.stats = stats_;
+        published.sched = counters;
+    });
 }
 
 } // namespace server

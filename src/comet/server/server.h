@@ -31,6 +31,12 @@
  * synchronization). Closing a handle moves its horizon to infinity;
  * drain()/stop() close ingress and release the gate.
  *
+ * The gate is one piece of code, IngressGate (ingress_gate.h), which
+ * the Server and cluster::ClusterRouter each hold: the horizon table,
+ * the submit-path verdicts, connect/advance/close, drain/stop
+ * signalling and the clock-advance wait live there, and both front
+ * ends hand out the same ClientHandle.
+ *
  * ## Backpressure contract
  *
  * Overload is always an explicit, recoverable verdict, never an
@@ -42,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,73 +59,11 @@
 #include "comet/serve/batch_scheduler.h"
 #include "comet/serve/engine.h"
 #include "comet/server/admission.h"
+#include "comet/server/ingress_gate.h"
 #include "comet/server/streaming.h"
 
 namespace comet {
 namespace server {
-
-/** One request as a client submits it. */
-struct StreamRequest {
-    /** Caller-assigned id, unique across the whole session (the load
-     * generator derives them deterministically per client). */
-    int64_t id = 0;
-    std::string tenant;        ///< tenant to account admission under
-    int64_t prompt_tokens = 0; ///< prompt length to prefill
-    /**
-     * Prompt token ids — the content the prefix cache keys on. When
-     * non-empty it must be exactly prompt_tokens long; empty keeps
-     * the request content-free (no prefix caching for it, everything
-     * else unchanged). Only consulted when the server has the prefix
-     * cache on and the tenant opted in (TenantConfig::prefix_caching);
-     * keys are derived on the submit path, and the ids themselves are
-     * not retained past it.
-     */
-    std::vector<int32_t> prompt_ids;
-    /** Declared generation bound (what admission reserves against). */
-    int64_t max_output_tokens = 0;
-    /** Actual EOS length when the workload models one; 0 = run to
-     * the declared bound. */
-    int64_t eos_output_tokens = 0;
-    /** Virtual arrival time, microseconds; nondecreasing per client
-     * handle. */
-    double arrival_us = 0.0;
-    /**
-     * Virtual time at which the client abandons the request
-     * (>= arrival_us); 0 = never. The loop cancels the request at the
-     * first scheduling boundary whose clock reaches this time, so —
-     * unlike the wall-clock TokenStream::requestCancel() — the cancel
-     * lands at a deterministic point of the virtual timeline and
-     * replays bit-identically (the chaos harness's workload scripts
-     * model client cancel/disconnect through it).
-     */
-    double cancel_at_us = 0.0;
-    /** Optional token callback; empty selects pull-mode streaming. */
-    TokenStream::Callback callback;
-};
-
-/** What a front end's ingress gate decided for one submission. */
-struct IngressVerdict {
-    /** Why the gate refused the request on the submit path;
-     * kNone when it enqueued it. */
-    RejectReason early = RejectReason::kNone;
-    /** The front end's published clock at an early reject (the
-     * reject event's timestamp). */
-    double clock_us = 0.0;
-};
-
-/**
- * The client side of a submission, shared by Server and
- * cluster::ClusterRouter: checks @p request (aborting on a malformed
- * one), makes its stream (callback or pull mode) with @p cancel_poke
- * installed before the request can reach any loop, so no
- * cancellation poke is ever lost, then runs @p gate — the front
- * end's own locked ingress step, which enqueues the request with the
- * stream or refuses it — and delivers an early reject outside the
- * gate's lock. Returns the stream.
- */
-TokenStreamPtr submitThroughGate(
-    const StreamRequest &request, std::function<void()> cancel_poke,
-    const std::function<IngressVerdict(const TokenStreamPtr &)> &gate);
 
 /** Server construction parameters. */
 struct ServerConfig {
@@ -214,44 +157,8 @@ struct ServerStats {
 class Server
 {
   public:
-    /**
-     * A client's submission handle. Copyable value type; all methods
-     * forward to the server. Submissions through one handle must
-     * carry nondecreasing arrival times; close the handle when no
-     * more submissions are coming so the deterministic ingress gate
-     * can release (see Server file comment).
-     */
-    class Client
-    {
-      public:
-        /** An unconnected handle (submit on it is invalid). */
-        Client() = default;
-
-        /**
-         * Submits a request and returns its stream. Never fails and
-         * never blocks on capacity: structurally invalid submissions
-         * (unknown tenant, closed server) come back as an already
-         * terminated stream with the corresponding RejectReason, and
-         * overload verdicts arrive asynchronously on the stream.
-         */
-        TokenStreamPtr submit(const StreamRequest &request);
-
-        /** Promises that no submission with arrival_us earlier than
-         * @p horizon_us is still coming through this handle. */
-        void advanceTo(double horizon_us);
-
-        /** Final horizon: no more submissions through this handle
-         * (idempotent; the handle stays valid for no-ops). */
-        void close();
-
-        /** True when the handle is connected to a server. */
-        bool valid() const { return server_ != nullptr; }
-
-      private:
-        friend class Server;
-        Server *server_ = nullptr;
-        size_t index_ = 0;
-    };
+    /** A client's submission handle (see ClientHandle). */
+    using Client = ClientHandle<Server>;
 
     /**
      * Builds the serving state (KV cache sized from the engine's
@@ -276,7 +183,7 @@ class Server
      * current virtual clock (it can neither drag the ingress gate
      * below the virtual present nor submit arrivals in the past).
      */
-    Client connect();
+    Client connect() { return Client(this, ingress_->connect()); }
 
     /**
      * Graceful drain: stops accepting submissions (further submits
@@ -284,7 +191,7 @@ class Server
      * until every accepted request reached a terminal event. The
      * loop stays alive (metrics readable); call stop() to join it.
      */
-    void drain();
+    void drain() { ingress_->drain(); }
 
     /**
      * Ends the session and joins the loop. With @p cancel_in_flight,
@@ -295,17 +202,14 @@ class Server
     void stop(bool cancel_in_flight = true);
 
     /** Session counters (stable once drain()/stop() returned). */
-    ServerStats stats() const;
+    ServerStats stats() const { return ingress_->stats(); }
 
     /** Scheduler counters of the session (stable after
      * drain()/stop(); see SchedulerCounters). */
     SchedulerCounters schedulerCounters() const;
 
     /** Current virtual clock, microseconds. */
-    double virtualClockUs() const;
-
-    /** The tenant set the server was configured with. */
-    const std::vector<TenantConfig> &tenants() const;
+    double virtualClockUs() const { return ingress_->clockUs(); }
 
     /**
      * The session's KV cache, for invariant audits (comet::chaos
@@ -333,7 +237,11 @@ class Server
      * never triggers them.) Returns immediately once the session is
      * complete.
      */
-    void waitSettled(double virtual_us) const;
+    void
+    waitSettled(double virtual_us) const
+    {
+        ingress_->waitSettled(virtual_us);
+    }
 
     /** Total KV block capacity of the session's paged cache. */
     int64_t kvTotalBlocks() const;
@@ -367,29 +275,19 @@ class Server
         bool in_scheduler = false; ///< else waiting in the fair queue
     };
 
-    /** Ingress shared between client threads and the loop. */
-    struct Wake;
-
-    /** How an ingress-gate wait for a clock fast-forward resolved. */
-    enum class GateOutcome {
-        kAdvance,     ///< safe to commit the clock jump
-        kReplan,      ///< new submissions/pokes: re-plan the target
-        kInterrupted, ///< stop-with-cancel ended the session
+    /** What the loop publishes for stats() and schedulerCounters(). */
+    struct Published {
+        ServerStats stats;
+        SchedulerCounters sched;
     };
+
+    friend class ClientHandle<Server>;
 
     void loop();
     TokenStreamPtr submitFromClient(size_t client,
                                     const StreamRequest &request);
-    void advanceClient(size_t client, double horizon_us,
-                       bool close);
-    int tenantIndexByName(const std::string &name) const;
     void acceptArrival(SubmitRecord &&record);
-    double safeHorizonLocked() const;
-    double minHorizonLocked() const;
-    void advanceSettledLocked(double settled_us);
-    bool waitForSafe(double target_us);
-    GateOutcome waitToAdvance(double target_us);
-    void publishClock();
+    bool advanceClockTo(double target_us);
     void ingestDueArrivals();
     bool stepOnce();
     void injectFromFairQueue();
@@ -415,7 +313,8 @@ class Server
     std::unique_ptr<BatchScheduler> scheduler_;
     std::unique_ptr<FairAdmissionQueue> fair_;
 
-    std::shared_ptr<Wake> wake_; ///< ingress mutex/cv + inbox
+    /** The ingress gate shared with client threads. */
+    std::shared_ptr<IngressGate<SubmitRecord, Published>> ingress_;
     std::thread loop_thread_;
     std::mutex join_mutex_; ///< serializes stop()'s join
 

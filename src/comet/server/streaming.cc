@@ -135,6 +135,18 @@ TokenStream::deliver(const StreamEvent &event)
 }
 
 void
+TokenStream::finish(StreamEventKind kind, double virtual_us,
+                    RejectReason reason)
+{
+    COMET_CHECK(isTerminal(kind));
+    StreamEvent event;
+    event.kind = kind;
+    event.virtual_us = virtual_us;
+    event.reject_reason = reason;
+    deliver(event);
+}
+
+void
 TokenStream::setCancelPoke(std::function<void()> poke)
 {
     std::lock_guard<std::mutex> lock(mutex_);

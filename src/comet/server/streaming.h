@@ -156,6 +156,11 @@ class TokenStream
      */
     void deliver(const StreamEvent &event);
 
+    /** Delivers the terminal event @p kind stamped @p virtual_us,
+     * with @p reason when it is kRejected (see deliver()). */
+    void finish(StreamEventKind kind, double virtual_us,
+                RejectReason reason = RejectReason::kNone);
+
     /**
      * Registers @p poke to run (under no stream lock) whenever the
      * client requests cancellation — the server installs its

@@ -322,6 +322,34 @@ TEST_F(ClusterTest, GateWaitReplansForEarlierSubmissions)
     EXPECT_LT(delayed.times[0], 50000.0);
 }
 
+TEST_F(ClusterTest, RequestedDrainInterruptsTheGateWait)
+{
+    // A wall-clock drain request pokes the gate: with the routing loop
+    // parked in its clock-advance wait toward a pending arrival, the
+    // drain lands before that arrival is placed.
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(oneTenantCluster(
+        &engine, 2, RoutingPolicy::kWeightedRoundRobin));
+    ClusterRouter::Client a = router.connect();
+    ClusterRouter::Client b = router.connect();
+    a.submit(gateRequest(1, 50000.0));
+    a.close();
+    // Wall time for the loop to enter the wait toward 50 ms (b's open
+    // horizon holds it there until b closes).
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Queued and poked before b closes, the drain reaches the loop
+    // before the arrival can be placed, however the threads interleave.
+    router.requestDrain(0);
+    b.close();
+    router.drain();
+    // Smooth weighted round-robin would place the first pick on
+    // replica 0; drained, it is skipped.
+    EXPECT_EQ(router.placementOf(1), 1);
+    EXPECT_EQ(router.stats().drains, 1);
+    EXPECT_EQ(router.stats().routed_per_replica[0], 0);
+    router.stop();
+}
+
 TEST_F(ClusterTest, HashAffinityKeepsPrefixReuseReplicaLocal)
 {
     const ServingEngine engine(testEngineConfig());
@@ -412,9 +440,10 @@ TEST_F(ClusterTest, ScheduledDrainCompletesAllStreams)
     // fired, but it did serve traffic before.
     EXPECT_GT(stats.routed_per_replica[2], 0);
     for (const RequestOutcome &outcome : report.outcomes) {
-        if (outcome.arrival_us >= drain.at_us)
+        if (outcome.arrival_us >= drain.at_us) {
             EXPECT_NE(outcome.replica, 2)
                 << "arrival at " << outcome.arrival_us;
+        }
     }
     router.stop(/*cancel_in_flight=*/false);
 }

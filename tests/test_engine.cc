@@ -299,7 +299,7 @@ TEST(EngineConfig, KvBlocksHelperRoundTripsExactly)
         KvCacheConfig cache_config;
         cache_config.bits_per_value =
             servingPrecision(config.mode).kv_bits;
-        cache_config.block_tokens = config.kv_block_tokens;
+        cache_config.block_tokens = kKvBlockTokens;
         cache_config.memory_budget_bytes =
             ServingEngine(config).kvBudgetBytes();
         const PagedKvCache cache(config.model, cache_config);

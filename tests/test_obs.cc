@@ -397,7 +397,6 @@ makeTinyKvEngine(EngineConfig config, int64_t blocks)
 {
     const KvCacheConfig probe_config{.bits_per_value = 4.0,
                                      .block_tokens = 16,
-                                     .quant_group_tokens = 64,
                                      .memory_budget_bytes = 1e9};
     const PagedKvCache probe(config.model, probe_config);
     const double weights = ServingEngine(config).weightBytes();

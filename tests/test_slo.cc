@@ -78,15 +78,18 @@ TEST_F(SloTest, TenantSloCountersPartitionFinishedStreams)
 
     Server::Client client = server.connect();
     int64_t id = 0;
-    for (const std::string &tenant : {"tight", "loose", "none"}) {
+    for (const char *tenant : {"tight", "loose", "none"}) {
         // Three multi-token streams (TPOT measurable) plus one
-        // single-token stream (TPOT not measurable).
+        // single-token stream (TPOT not measurable). Request n
+        // arrives at 10 * (n - 1) us.
         for (int i = 0; i < 3; ++i) {
-            client.submit(streamRequest(++id, 10.0 * id, tenant, 64,
+            const double arrival_us = 10.0 * id++;
+            client.submit(streamRequest(id, arrival_us, tenant, 64,
                                         /*output=*/4));
         }
+        const double arrival_us = 10.0 * id++;
         client.submit(
-            streamRequest(++id, 10.0 * id, tenant, 64, /*output=*/1));
+            streamRequest(id, arrival_us, tenant, 64, /*output=*/1));
     }
     client.close();
     server.drain();

@@ -348,7 +348,7 @@ TEST(KvPoolAccounting, BlockHelperIsShardAware)
         KvCacheConfig cache_config;
         cache_config.bits_per_value =
             servingPrecision(sized.mode).kv_bits;
-        cache_config.block_tokens = sized.kv_block_tokens;
+        cache_config.block_tokens = kKvBlockTokens;
         cache_config.memory_budget_bytes = engine.kvPoolBytes();
         const PagedKvCache cache(sized.model, cache_config);
         EXPECT_EQ(cache.totalBlocks(), 256) << "tp " << tp;

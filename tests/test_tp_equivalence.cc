@@ -68,7 +68,7 @@ runSchedulerWorkload(const std::vector<Request> &requests,
     KvCacheConfig cache_config;
     cache_config.bits_per_value =
         servingPrecision(engine.config().mode).kv_bits;
-    cache_config.block_tokens = engine.config().kv_block_tokens;
+    cache_config.block_tokens = kKvBlockTokens;
     cache_config.memory_budget_bytes = engine.kvPoolBytes();
     PagedKvCache cache(engine.config().model, cache_config);
     BatchSchedulerConfig config;

@@ -277,7 +277,6 @@ TEST(TraceReplay, UnservableRequestsAreRejectedNotStuck)
     const KvCacheConfig cache_config{
         .bits_per_value = 4.0,
         .block_tokens = 16,
-        .quant_group_tokens = 64,
         .memory_budget_bytes = engine.kvBudgetBytes()};
     const PagedKvCache probe(config.model, cache_config);
     trace[3].prompt_tokens = probe.totalBlocks() * 16 * 2;
@@ -312,7 +311,6 @@ makeTinyKvEngine(EngineConfig config, int64_t blocks)
 {
     const KvCacheConfig probe_config{.bits_per_value = 4.0,
                                      .block_tokens = 16,
-                                     .quant_group_tokens = 64,
                                      .memory_budget_bytes = 1e9};
     const PagedKvCache probe(config.model, probe_config);
     const double weights = ServingEngine(config).weightBytes();
