@@ -16,6 +16,17 @@ namespace comet {
 namespace cluster {
 namespace {
 
+/** The placement key of tenant @p prefix followed by @p k, built
+ * by appending: GCC 12 -O3 flags `"t" + std::to_string(k)` with a
+ * false -Wrestrict. */
+uint64_t
+tenantKey(const char *prefix, uint64_t k)
+{
+    std::string tenant = prefix;
+    tenant += std::to_string(k);
+    return placementKey(tenant, 0, false);
+}
+
 std::vector<bool>
 allActive(int n)
 {
@@ -58,8 +69,7 @@ TEST(ConsistentHashRingTest, CoversAllReplicas)
     std::map<int, int> hits;
     for (uint64_t k = 0; k < 4096; ++k) {
         const int pick =
-            ring.pick(placementKey("t" + std::to_string(k), 0, false),
-                      active);
+            ring.pick(tenantKey("t", k), active);
         ASSERT_GE(pick, 0);
         ASSERT_LT(pick, 4);
         ++hits[pick];
@@ -79,8 +89,7 @@ TEST(ConsistentHashRingTest, RemoveMovesOnlyTheRemovedKeys)
     std::vector<uint64_t> keys;
     std::vector<int> before;
     for (uint64_t k = 0; k < 2048; ++k) {
-        keys.push_back(
-            placementKey("key-" + std::to_string(k), 0, false));
+        keys.push_back(tenantKey("key-", k));
         before.push_back(ring.pick(keys.back(), active));
     }
 
@@ -119,8 +128,7 @@ TEST(ConsistentHashRingTest, InactiveMaskEqualsRemoval)
     std::vector<bool> masked = allActive(4);
     masked[1] = false;
     for (uint64_t k = 0; k < 1024; ++k) {
-        const uint64_t key =
-            placementKey("m" + std::to_string(k), 0, false);
+        const uint64_t key = tenantKey("m", k);
         EXPECT_EQ(ring.pick(key, masked),
                   without.pick(key, allActive(4)));
     }
@@ -133,8 +141,7 @@ TEST(ConsistentHashRingTest, SecondChoiceDiffersFromFirst)
         ring.addReplica(r);
     const std::vector<bool> active = allActive(3);
     for (uint64_t k = 0; k < 512; ++k) {
-        const uint64_t key =
-            placementKey("s" + std::to_string(k), 0, false);
+        const uint64_t key = tenantKey("s", k);
         const int first = ring.pick(key, active);
         const int second = ring.pickSecond(key, active);
         ASSERT_GE(second, 0);

@@ -142,10 +142,13 @@ runWorkload(const std::vector<Request> &requests, bool prefix_on,
                 std::to_string(request.generated_tokens) + ",";
         }
         for (const Request &request : scheduler.drainRetired()) {
-            result.streams[static_cast<size_t>(request.id)] +=
-                requestStateName(request.state);
-            result.streams[static_cast<size_t>(request.id)] +=
-                "@" + std::to_string(request.generated_tokens);
+            std::string &stream =
+                result.streams[static_cast<size_t>(request.id)];
+            // Appended piece by piece: GCC 12 -O3 flags
+            // `"@" + std::to_string(...)` with a false -Wrestrict.
+            stream += requestStateName(request.state);
+            stream += '@';
+            stream += std::to_string(request.generated_tokens);
         }
         if (++steps >= 100000) {
             ADD_FAILURE() << "workload did not converge";
