@@ -27,9 +27,10 @@
  *     replica-local (prefix affinity).
  *
  * A sharded trace-replay rollup rides along: four per-replica traces
- * (seeds from deriveReplicaSeed) replay through the engine's step
- * model and merge via mergeTraceMetrics into the cluster-level
- * throughput/utilization view the rollup exists for.
+ * (seeds from deriveReplicaSeed) each run on their own Server and
+ * sum into the cluster-level throughput/utilization view the rollup
+ * exists for (completed tokens over the longest makespan; summed
+ * peak KV blocks over the summed pools).
  *
  * Environment: COMET_CLUSTER_POLICY=hash|least|wrr|all restricts the
  * policy sweep (default all; see docs/OPERATIONS.md).
@@ -51,7 +52,6 @@
 #include "comet/common/table.h"
 #include "comet/obs/metrics.h"
 #include "comet/serve/engine.h"
-#include "comet/serve/trace.h"
 #include "comet/server/loadgen.h"
 #include "comet/server/server.h"
 
@@ -351,33 +351,52 @@ main(int argc, char **argv)
                 rendered_example.c_str());
 
     // Sharded trace-replay rollup: four per-replica traces (seeds
-    // derived per replica) through the engine's step model, merged
-    // into the cluster-level view.
-    std::vector<TraceMetrics> parts;
-    size_t part_requests = 0;
+    // derived per replica), each on its own Server, summed into the
+    // cluster-level view. Replicas do not share a pool, so the summed
+    // per-replica peaks bound the cluster-wide peak from above.
+    const LoadgenConfig trace_loadgen = traceLoadgenConfig();
+    int64_t merged_completed = 0;
+    int64_t merged_tokens = 0;
+    double merged_makespan_us = 0.0;
+    int64_t peak_used_blocks = 0;
+    int64_t total_kv_blocks = 0;
     for (int r = 0; r < kReplicas; ++r) {
         TraceConfig trace_config;
         trace_config.seed = deriveReplicaSeed(seed, r);
         trace_config.num_requests = smoke ? 48 : 192;
         trace_config.request_rate_per_s = 8.0;
-        const TraceMetrics part = replayTrace(
-            engine, generateTrace(trace_config));
-        part_requests += part.per_request.size();
-        parts.push_back(part);
+        Server server(&engine, traceServerConfig(engine.config()));
+        const LoadgenReport part = runLoadgen(
+            &server, trace_loadgen, generateTrace(trace_config));
+        merged_completed += part.completed;
+        for (const RequestOutcome &outcome : part.outcomes) {
+            if (outcome.terminal == StreamEventKind::kFinished)
+                merged_tokens += outcome.tokens;
+        }
+        merged_makespan_us =
+            std::max(merged_makespan_us, part.makespan_us);
+        peak_used_blocks += server.schedulerCounters().peak_used_blocks;
+        total_kv_blocks += server.kvTotalBlocks();
     }
-    const TraceMetrics merged = mergeTraceMetrics(parts);
-    check(merged.per_request.size() == part_requests,
-          "the rollup keeps every per-replica latency record");
-    std::printf("sharded trace rollup: %zu requests, "
+    const double merged_throughput =
+        merged_makespan_us > 0.0
+            ? static_cast<double>(merged_tokens) /
+                  (merged_makespan_us * 1e-6)
+            : 0.0;
+    const double merged_peak_kv_utilization =
+        total_kv_blocks > 0
+            ? static_cast<double>(peak_used_blocks) /
+                  static_cast<double>(total_kv_blocks)
+            : 0.0;
+    std::printf("sharded trace rollup: %lld requests, "
                 "%.1f tok/s merged, peak KV utilization %.3f\n",
-                merged.per_request.size(),
-                merged.throughput_tokens_per_s,
-                merged.peak_kv_utilization);
+                static_cast<long long>(merged_completed),
+                merged_throughput, merged_peak_kv_utilization);
     report.addMetric("merged_trace_throughput_tokens_per_s",
-                     merged.throughput_tokens_per_s, "tokens/s",
+                     merged_throughput, "tokens/s",
                      /*gate=*/true, /*higher_is_better=*/true);
     report.addMetric("merged_trace_peak_kv_utilization",
-                     merged.peak_kv_utilization, "fraction", false,
+                     merged_peak_kv_utilization, "fraction", false,
                      false);
     report.writeIfRequested(argc, argv);
 

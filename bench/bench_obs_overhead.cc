@@ -18,8 +18,8 @@
 
 #include "bench_flags.h"
 #include "comet/obs/trace_session.h"
-#include "comet/serve/trace.h"
 #include "comet/server/loadgen.h"
+#include "comet/server/server.h"
 
 using namespace comet;
 
@@ -35,13 +35,17 @@ nowMs()
         .count();
 }
 
-/** The fig10-smoke-like workload: a bursty trace replayed through the
- * full engine stack (scheduler, KV cache, latency model). */
-TraceMetrics
+/** The fig10-smoke-like workload: a bursty trace run on a Server
+ * through the full engine stack (scheduler, KV cache, latency
+ * model). */
+void
 runWorkload(const ServingEngine &engine,
-            const std::vector<TracedRequest> &trace)
+            const std::vector<server::LoadgenRequest> &trace)
 {
-    return server::replayTrace(engine, trace);
+    const server::LoadgenConfig config = server::traceLoadgenConfig();
+    server::Server server(&engine,
+                          server::traceServerConfig(engine.config()));
+    server::runLoadgen(&server, config, trace);
 }
 
 double
@@ -86,12 +90,12 @@ main(int argc, char **argv)
     config.input_tokens = 128;
     config.output_tokens = 64;
     const ServingEngine engine(config);
-    TraceConfig trace_config;
+    server::TraceConfig trace_config;
     trace_config.num_requests = 64;
     trace_config.request_rate_per_s = 200.0;
     trace_config.mean_prompt_tokens = 128;
     trace_config.mean_output_tokens = 64;
-    const auto trace = generateTrace(trace_config);
+    const auto trace = server::generateTrace(trace_config);
 
     constexpr int kRepeats = 5;
     std::vector<double> disabled_ms, enabled_ms;

@@ -10,22 +10,26 @@
  * Build & run:  ./build/examples/latency_trace
  */
 #include <cstdio>
+#include <utility>
+#include <vector>
 
+#include "comet/common/stats.h"
 #include "comet/common/table.h"
-#include "comet/serve/trace.h"
 #include "comet/server/loadgen.h"
+#include "comet/server/server.h"
 
 using namespace comet;
 
 int
 main()
 {
-    TraceConfig trace_config;
+    server::TraceConfig trace_config;
     trace_config.request_rate_per_s = 8.0;
     trace_config.num_requests = 48;
     trace_config.mean_prompt_tokens = 512;
     trace_config.mean_output_tokens = 128;
-    const auto trace = generateTrace(trace_config);
+    const auto trace = server::generateTrace(trace_config);
+    const server::LoadgenConfig loadgen = server::traceLoadgenConfig();
     std::printf("trace: %d requests, Poisson %.1f req/s, mean "
                 "prompt/output %lld/%lld tokens, LLaMA-3-8B\n\n",
                 trace_config.num_requests,
@@ -46,17 +50,31 @@ main()
         config.input_tokens = trace_config.mean_prompt_tokens;
         config.output_tokens = trace_config.mean_output_tokens;
         const ServingEngine engine(config);
-        const TraceMetrics metrics = server::replayTrace(engine, trace);
+        server::Server server(&engine,
+                              server::traceServerConfig(config));
+        const server::LoadgenReport report =
+            server::runLoadgen(&server, loadgen, trace);
+        std::vector<double> ttfts, tpots;
+        for (const server::RequestOutcome &outcome : report.outcomes) {
+            if (outcome.terminal != server::StreamEventKind::kFinished)
+                continue;
+            ttfts.push_back(outcome.ttftUs());
+            if (outcome.tokens > 1)
+                tpots.push_back(outcome.tpotUs());
+        }
         const std::vector<double> ttft =
-            metrics.ttftPercentilesUs({50, 95});
+            exactPercentiles(std::move(ttfts), {50, 95});
         const std::vector<double> tpot =
-            metrics.tpotPercentilesUs({50, 95});
+            exactPercentiles(std::move(tpots), {50, 95});
+        const double tokens_per_s =
+            static_cast<double>(report.tokens) /
+            (report.makespan_us * 1e-6);
         table.addRow({servingModeName(mode),
                       formatDouble(ttft[0] / 1e3, 1),
                       formatDouble(ttft[1] / 1e3, 1),
                       formatDouble(tpot[0] / 1e3, 2),
                       formatDouble(tpot[1] / 1e3, 2),
-                      formatDouble(metrics.throughput_tokens_per_s, 0)});
+                      formatDouble(tokens_per_s, 0)});
     }
     table.print();
     std::printf("\nReading: quantization helps tail latency twice — "

@@ -29,7 +29,8 @@ runClusterLoadgen(ClusterRouter *router,
                   const server::LoadgenConfig &config)
 {
     std::vector<server::RequestOutcome> outcomes =
-        server::driveLoadgenClients(router, config);
+        server::driveLoadgenClients(
+            router, config, server::generateLoadgenWorkload(config));
     for (size_t i = 0; i < outcomes.size(); ++i)
         outcomes[i].replica =
             router->placementOf(static_cast<int64_t>(i));
@@ -66,13 +67,9 @@ renderClusterLoadgenReport(const server::LoadgenReport &report,
         if (outcome.terminal ==
             server::StreamEventKind::kFinished) {
             ++row.completed;
-            row.ttfts.push_back(outcome.first_token_us -
-                                outcome.arrival_us);
+            row.ttfts.push_back(outcome.ttftUs());
             if (outcome.tokens > 1)
-                row.tpots.push_back(
-                    (outcome.last_token_us -
-                     outcome.first_token_us) /
-                    static_cast<double>(outcome.tokens - 1));
+                row.tpots.push_back(outcome.tpotUs());
         }
     }
 

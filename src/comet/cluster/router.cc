@@ -277,6 +277,10 @@ ClusterRouter::loop()
             acceptSubmit(std::move(record));
         for (int replica : drain_requests)
             drainReplica(replica);
+        // Publish the drains now: stepOnce may park in the gate's
+        // clock-advance wait until a client horizon moves.
+        if (!drain_requests.empty())
+            publish(/*complete=*/false);
         if (wakeup.stop && wakeup.cancel) {
             cancelUnrouted();
             stopReplicas(true);

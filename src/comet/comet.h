@@ -73,7 +73,6 @@
 #include "comet/serve/batch_scheduler.h"
 #include "comet/serve/engine.h"
 #include "comet/serve/request.h"
-#include "comet/serve/trace.h"
 
 #include "comet/server/admission.h"
 #include "comet/server/loadgen.h"

@@ -9,7 +9,6 @@ namespace {
 
 constexpr uint32_t kWeightMagic = 0x434d5731;    // "CMW1"
 constexpr uint32_t kQuantizerMagic = 0x434d5131; // "CMQ1"
-constexpr uint32_t kKvMagic = 0x434d4b31;        // "CMK1"
 constexpr uint32_t kFormatVersion = 1;
 
 /** A bound on per-dimension extents so malformed headers cannot
@@ -312,78 +311,6 @@ deserializeFmpqQuantizer(const std::vector<uint8_t> &bytes)
     return FmpqActivationQuantizer::fromParts(
         config, ChannelPermutation(std::move(order)),
         std::move(precisions));
-}
-
-std::vector<uint8_t>
-serialize(const QuantizedKv &kv)
-{
-    ByteWriter writer;
-    writer.writeU32(kKvMagic);
-    writer.writeU32(kFormatVersion);
-    writer.writeI64(kv.tokens);
-    writer.writeI64(kv.channels);
-    writer.writeI64(kv.group_size);
-    writer.writeBytes(
-        reinterpret_cast<const uint8_t *>(kv.data.data()),
-        static_cast<size_t>(kv.tokens * kv.channels));
-    writer.writeU64(kv.params.size());
-    for (const QuantParams &params : kv.params) {
-        writer.writeF32(params.scale);
-        writer.writeI64(params.zero_point);
-    }
-    return writer.take();
-}
-
-Result<QuantizedKv>
-deserializeQuantizedKv(const std::vector<uint8_t> &bytes)
-{
-    ByteReader reader(bytes);
-    if (Status status = checkHeader(reader, kKvMagic); !status.isOk())
-        return status;
-    Result<int64_t> tokens = reader.readI64();
-    Result<int64_t> channels = reader.readI64();
-    Result<int64_t> group_size = reader.readI64();
-    if (!tokens.isOk() || !channels.isOk() || !group_size.isOk())
-        return Status::outOfRange("truncated KV header");
-    for (const auto &[value, what] :
-         {std::pair{tokens.value(), "tokens"},
-          std::pair{channels.value(), "channels"},
-          std::pair{group_size.value(), "group_size"}}) {
-        if (Status status = checkDim(value, what); !status.isOk())
-            return status;
-    }
-
-    if (reader.remaining() <
-        static_cast<uint64_t>(tokens.value()) *
-            static_cast<uint64_t>(channels.value()))
-        return Status::outOfRange("truncated KV payload");
-    QuantizedKv kv{tokens.value(), channels.value(),
-                   group_size.value(),
-                   Int8Tensor(tokens.value(), channels.value()),
-                   {}};
-    if (Status status = reader.readBytes(
-            reinterpret_cast<uint8_t *>(kv.data.data()),
-            static_cast<size_t>(kv.tokens * kv.channels));
-        !status.isOk())
-        return status;
-    Result<uint64_t> param_count = reader.readU64();
-    if (!param_count.isOk())
-        return param_count.status();
-    const uint64_t expected =
-        static_cast<uint64_t>(kv.numGroups()) *
-        static_cast<uint64_t>(kv.channels);
-    if (param_count.value() != expected)
-        return Status::invalidArgument("KV parameter count mismatch");
-    kv.params.reserve(param_count.value());
-    for (uint64_t i = 0; i < param_count.value(); ++i) {
-        Result<float> scale = reader.readF32();
-        Result<int64_t> zero = reader.readI64();
-        if (!scale.isOk() || !zero.isOk())
-            return Status::outOfRange("truncated KV params");
-        kv.params.push_back(QuantParams{
-            scale.value(), static_cast<int32_t>(zero.value())});
-    }
-    return kv;
 }
 
 Status

@@ -9,10 +9,10 @@
  * This module provides a small, versioned, little-endian binary
  * format for:
  *
- *  - BlockQuantizedWeight  (packed INT4 weights + per-block scales),
+ *  - BlockQuantizedWeight  (packed INT4 weights + per-block scales)
+ *    and
  *  - the FMPQ calibration state (block precisions + channel
- *    permutation + config), and
- *  - QuantizedKv snapshots (for cache checkpointing/tests).
+ *    permutation + config).
  *
  * All readers validate magic, version and structural invariants and
  * report malformed input through Status — corrupt files never abort.
@@ -25,7 +25,6 @@
 
 #include "comet/common/status.h"
 #include "comet/quant/fmpq.h"
-#include "comet/quant/kv_quant.h"
 
 namespace comet {
 
@@ -91,13 +90,6 @@ std::vector<uint8_t> serialize(const FmpqActivationQuantizer &quantizer);
 
 /** Restores an FMPQ activation quantizer from bytes. */
 Result<FmpqActivationQuantizer> deserializeFmpqQuantizer(
-    const std::vector<uint8_t> &bytes);
-
-/** Serializes a packed quantized KV tensor. */
-std::vector<uint8_t> serialize(const QuantizedKv &kv);
-
-/** Restores a packed quantized KV tensor from bytes. */
-Result<QuantizedKv> deserializeQuantizedKv(
     const std::vector<uint8_t> &bytes);
 
 /** Writes bytes to a file. */

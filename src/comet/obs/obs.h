@@ -8,7 +8,8 @@
  *    "trace.json"})`, run the workload, then `obs::flushTrace()`.
  *  - Environment: set `COMET_TRACE=<out.json>` and run any binary
  *    whose entry path calls `obs::configureFromEnv()` (all bench
- *    binaries do, and `replayTrace` calls it itself). The trace is
+ *    binaries do, and so does every Server, ClusterRouter and
+ *    engine measurement loop). The trace is
  *    exported automatically at process exit.
  *
  * The metrics registry needs no activation — counters are always

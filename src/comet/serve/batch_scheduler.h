@@ -81,8 +81,8 @@ struct BatchSchedulerConfig {
     /**
      * When true, admission itself credits every admitted request with
      * one generated token: the prefill forward pass produces the
-     * request's next output token, the accounting the server (and
-     * so trace replay) uses for TTFT. A request whose crediting
+     * request's next output token, the accounting the server uses
+     * for TTFT. A request whose crediting
      * completes it (e.g. a one-token generation) retires at admission
      * without ever entering the decode batch. Off by default — the
      * offline throughput path counts tokens purely through step().
@@ -165,9 +165,9 @@ struct SchedulerCounters {
 
     /** Peak KV utilization as a **fraction in [0, 1]** (never a
      * percent): peak_used_blocks over the pool's @p total_blocks.
-     * The one shared definition — TraceMetrics::peak_kv_utilization
-     * and ThroughputResult::peak_kv_utilization are both derived
-     * through it, so every surface reports the same unit. */
+     * The one shared definition — ThroughputResult and every
+     * Server-session caller derive peak utilization through it, so
+     * every surface reports the same unit. */
     double peakKvUtilization(int64_t total_blocks) const;
 
     /** Adds these counters into @p registry under

@@ -74,23 +74,14 @@ struct EngineConfig {
     /** Fraction of HBM usable for weights + KV (the rest holds
      * activations, workspace and runtime). */
     double usable_memory_fraction = 0.90;
-    /** When > 0, trace replay processes prompts in chunks of this
-     * many tokens, interleaved with decode iterations of the running
-     * batch (Sarathi-Serve-style chunked prefill; the scheduling
-     * integration the paper's Section 7 points at). Replay runs as a
-     * Server session, and this value becomes both its
-     * ServerConfig::chunked_prefill_tokens and its
-     * ServerConfig::step_token_budget: at most this many tokens
-     * (decode plus prefill chunks) per fused step. 0 = stall-free
-     * whole-prompt prefill. The measureThroughput* runs ignore it. */
-    int64_t chunked_prefill_tokens = 0;
     /** Tensor-parallel degree (Megatron-style sharding): weights, KV
      * heads and GEMM extents split across this many identical GPUs;
      * two ring all-reduces per decoder layer join the partial sums.
      * The paper serves on a single GPU (degree 1, the default); the
      * extension quantifies COMET's one-GPU-vs-many-GPU value. */
     int tensor_parallel = 1;
-    /** KV admission policy of the scheduler (and trace replay):
+    /** KV admission policy of the scheduler (and of trace runs,
+     * via server::traceServerConfig):
      * optimistic admission with preemption-based recovery by
      * default, or pessimistic full-output reservation. */
     AdmissionPolicy admission = AdmissionPolicy::kOptimisticPreempt;

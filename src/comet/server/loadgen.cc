@@ -9,8 +9,6 @@
 #include "comet/common/stats.h"
 #include "comet/common/status.h"
 #include "comet/common/table.h"
-#include "comet/obs/obs.h"
-#include "comet/obs/trace_session.h"
 
 namespace comet {
 namespace server {
@@ -23,6 +21,16 @@ sampleLength(Rng &rng, int64_t lo, int64_t hi)
     COMET_CHECK(lo > 0 && hi >= lo);
     return lo + static_cast<int64_t>(
                     rng.uniformInt(static_cast<uint64_t>(hi - lo + 1)));
+}
+
+/** Exponential length around a mean, clamped to [16, 4 * mean]. */
+int64_t
+sampleTraceLength(Rng &rng, int64_t mean)
+{
+    const double u = std::max(rng.uniform(), 1e-12);
+    const double value = -std::log(u) * static_cast<double>(mean);
+    // Round to nearest: truncation would bias sampled lengths low.
+    return std::clamp<int64_t>(std::llround(value), 16, 4 * mean);
 }
 
 /** The first @p tokens ids of the deterministic stream seeded with
@@ -106,6 +114,51 @@ generateLoadgenWorkload(const LoadgenConfig &config)
     return requests;
 }
 
+std::vector<LoadgenRequest>
+generateTrace(const TraceConfig &config)
+{
+    COMET_CHECK(config.request_rate_per_s > 0.0);
+    COMET_CHECK(config.num_requests > 0);
+    Rng rng(config.seed);
+    std::vector<LoadgenRequest> trace(
+        static_cast<size_t>(config.num_requests));
+    double clock_us = 0.0;
+    for (LoadgenRequest &request : trace) {
+        // Exponential inter-arrival gaps (Poisson process).
+        const double u = std::max(rng.uniform(), 1e-12);
+        clock_us += -std::log(u) / config.request_rate_per_s * 1e6;
+        request.arrival_us = clock_us;
+        request.prompt_tokens =
+            sampleTraceLength(rng, config.mean_prompt_tokens);
+        request.eos_output_tokens =
+            sampleTraceLength(rng, config.mean_output_tokens);
+        request.declared_output_tokens = request.eos_output_tokens;
+    }
+    return trace;
+}
+
+LoadgenConfig
+traceLoadgenConfig()
+{
+    LoadgenConfig config;
+    config.clients = 1;
+    config.callbacks = true;
+    config.tenants.resize(1);
+    config.tenants[0].admission.name = "replay";
+    return config;
+}
+
+ServerConfig
+traceServerConfig(const EngineConfig &engine)
+{
+    ServerConfig server;
+    server.tenants = loadgenTenants(traceLoadgenConfig());
+    server.max_batch = engine.max_batch;
+    server.admission = engine.admission;
+    server.kv_watermark_blocks = engine.kv_watermark_blocks;
+    return server;
+}
+
 void
 recordLoadgenEvent(RequestOutcome *outcome, const StreamEvent &event)
 {
@@ -149,12 +202,19 @@ loadgenTenants(const LoadgenConfig &config)
 }
 
 LoadgenReport
-runLoadgen(Server *server, const LoadgenConfig &config)
+runLoadgen(Server *server, const LoadgenConfig &config,
+           const std::vector<LoadgenRequest> &workload)
 {
     std::vector<RequestOutcome> outcomes =
-        driveLoadgenClients(server, config);
+        driveLoadgenClients(server, config, workload);
     return finalizeLoadgenReport(config, std::move(outcomes),
                                  server->virtualClockUs());
+}
+
+LoadgenReport
+runLoadgen(Server *server, const LoadgenConfig &config)
+{
+    return runLoadgen(server, config, generateLoadgenWorkload(config));
 }
 
 LoadgenReport
@@ -179,8 +239,7 @@ finalizeLoadgenReport(const LoadgenConfig &config,
         switch (outcome.terminal) {
           case StreamEventKind::kFinished: {
             ++row.completed;
-            const double ttft =
-                outcome.first_token_us - outcome.arrival_us;
+            const double ttft = outcome.ttftUs();
             ttfts[t].push_back(ttft);
             const double ttft_slo =
                 config.tenants[t].admission.ttft_slo_us;
@@ -188,10 +247,7 @@ finalizeLoadgenReport(const LoadgenConfig &config,
                 config.tenants[t].admission.tpot_slo_us;
             bool met = ttft_slo <= 0.0 || ttft <= ttft_slo;
             if (outcome.tokens > 1) {
-                const double tpot =
-                    (outcome.last_token_us -
-                     outcome.first_token_us) /
-                    static_cast<double>(outcome.tokens - 1);
+                const double tpot = outcome.tpotUs();
                 tpots[t].push_back(tpot);
                 ++row.tpot_measured;
                 if (tpot_slo <= 0.0 || tpot <= tpot_slo)
@@ -235,91 +291,6 @@ finalizeLoadgenReport(const LoadgenConfig &config,
     }
     report.outcomes = std::move(outcomes);
     return report;
-}
-
-TraceMetrics
-replayTrace(const ServingEngine &engine,
-            const std::vector<TracedRequest> &trace)
-{
-    COMET_CHECK(!trace.empty());
-    // `COMET_TRACE=<out.json>` turns any replay into a span trace,
-    // no matter which binary hosts it (one-shot, then free).
-    obs::configureFromEnv();
-    COMET_SPAN("replay");
-    const EngineConfig &engine_config = engine.config();
-    ServerConfig config;
-    config.tenants.resize(1);
-    config.tenants[0].name = "replay";
-    config.max_batch = engine_config.max_batch;
-    config.admission = engine_config.admission;
-    config.kv_watermark_blocks = engine_config.kv_watermark_blocks;
-    config.chunked_prefill_tokens = engine_config.chunked_prefill_tokens;
-    config.step_token_budget = engine_config.chunked_prefill_tokens;
-    config.metrics_prefix = "serve.replay.session";
-
-    std::vector<RequestOutcome> outcomes(trace.size());
-    Server server(&engine, config);
-    Server::Client client = server.connect();
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const TracedRequest &traced = trace[i];
-        StreamRequest request;
-        request.id = traced.id;
-        request.tenant = config.tenants[0].name;
-        request.prompt_tokens = traced.prompt_tokens;
-        request.max_output_tokens = traced.output_tokens;
-        request.arrival_us = traced.arrival_us;
-        if (traced.cancel_us > 0.0) {
-            request.cancel_at_us =
-                std::max(traced.cancel_us, traced.arrival_us);
-        }
-        RequestOutcome *outcome = &outcomes[i];
-        outcome->arrival_us = traced.arrival_us;
-        request.callback = [outcome](const StreamEvent &event) {
-            recordLoadgenEvent(outcome, event);
-        };
-        client.submit(request);
-    }
-    client.close();
-    // The drain barrier also orders every callback (run on the loop
-    // thread) before the reads below.
-    server.drain();
-
-    TraceMetrics metrics;
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const RequestOutcome &outcome = outcomes[i];
-        if (outcome.terminal != StreamEventKind::kFinished)
-            continue;
-        RequestLatency latency;
-        latency.id = trace[i].id;
-        latency.output_tokens = outcome.tokens;
-        latency.ttft_us = outcome.first_token_us - outcome.arrival_us;
-        latency.total_us = outcome.last_token_us - outcome.arrival_us;
-        latency.tpot_us =
-            outcome.tokens > 1
-                ? (outcome.last_token_us - outcome.first_token_us) /
-                      static_cast<double>(outcome.tokens - 1)
-                : 0.0;
-        metrics.per_request.push_back(latency);
-    }
-    const ServerStats stats = server.stats();
-    const SchedulerCounters counters = server.schedulerCounters();
-    metrics.makespan_us = server.virtualClockUs();
-    metrics.throughput_tokens_per_s =
-        metrics.makespan_us > 0.0
-            ? static_cast<double>(stats.streamed_tokens) /
-                  (metrics.makespan_us * 1e-6)
-            : 0.0;
-    metrics.preemptions = counters.preemptions;
-    metrics.reprefill_tokens = counters.reprefill_tokens;
-    metrics.cancelled = stats.cancelled;
-    metrics.rejected = stats.rejected;
-    metrics.peak_running = counters.peak_running;
-    metrics.peak_used_blocks = counters.peak_used_blocks;
-    metrics.total_kv_blocks = server.kvTotalBlocks();
-    metrics.peak_kv_utilization =
-        counters.peakKvUtilization(metrics.total_kv_blocks);
-    metrics.publishTo(obs::MetricsRegistry::global());
-    return metrics;
 }
 
 std::string

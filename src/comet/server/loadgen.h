@@ -13,8 +13,9 @@
  * deterministic under its conservative ingress gate, the resulting
  * per-tenant latency report is bit-identical for a fixed seed, any
  * thread interleaving, and either delivery mode (callbacks or
- * pull-iterators). replayTrace drives the same Server with a
- * pre-recorded trace.
+ * pull-iterators). A sampled single-tenant trace (generateTrace) is
+ * just another workload: runLoadgen runs it on a one-tenant config,
+ * and its per-request outcomes are the one latency record.
  */
 #pragma once
 
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "comet/common/status.h"
-#include "comet/serve/trace.h"
 #include "comet/server/server.h"
 
 namespace comet {
@@ -75,8 +75,24 @@ struct LoadgenRequest {
     int64_t prompt_tokens = 0;          ///< sampled prompt length
     int64_t declared_output_tokens = 0; ///< client-declared bound
     int64_t eos_output_tokens = 0;      ///< actual EOS position
+    /** Virtual time the client abandons the request; 0 = never. The
+     * driver clamps it to at least arrival_us (an earlier time
+     * cancels the request as it arrives). */
+    double cancel_at_us = 0.0;
     /** Prompt content (empty unless shared_prompt_pools > 0). */
     std::vector<int32_t> prompt_ids;
+};
+
+/** Parameters of a synthetic single-tenant Poisson trace. */
+struct TraceConfig {
+    double request_rate_per_s = 2.0; ///< Poisson arrival rate
+    int num_requests = 64;           ///< trace length
+    /** Mean lengths; samples are exponential around the means,
+     * rounded and clamped to [16, 4 * mean]. @{ */
+    int64_t mean_prompt_tokens = 512;
+    int64_t mean_output_tokens = 128;
+    /** @} */
+    uint64_t seed = 1; ///< RNG seed (traces are deterministic)
 };
 
 /** What one request experienced, reduced from its stream events. */
@@ -92,6 +108,18 @@ struct RequestOutcome {
     int64_t tokens = 0;          ///< tokens streamed
     double first_token_us = 0.0; ///< virtual time of token 0
     double last_token_us = 0.0;  ///< virtual time of the last token
+
+    /** Time to first token (arrival -> token 0). */
+    double ttftUs() const { return first_token_us - arrival_us; }
+
+    /** Mean time per output token after the first; defined only
+     * when tokens >= 2. */
+    double
+    tpotUs() const
+    {
+        return (last_token_us - first_token_us) /
+               static_cast<double>(tokens - 1);
+    }
 };
 
 /** Per-tenant latency/goodput aggregation. */
@@ -147,6 +175,26 @@ loadgenTenants(const LoadgenConfig &config);
 std::vector<LoadgenRequest>
 generateLoadgenWorkload(const LoadgenConfig &config);
 
+/**
+ * Samples a trace (arrivals sorted by time) as tenant-0 requests
+ * whose declared and EOS output lengths are both the sampled output.
+ * Run it with runLoadgen on traceLoadgenConfig().
+ */
+std::vector<LoadgenRequest> generateTrace(const TraceConfig &config);
+
+/** The one-tenant ("replay"), one-client, callback-mode config a
+ * trace runs under. */
+LoadgenConfig traceLoadgenConfig();
+
+/**
+ * The Server session a trace runs on: traceLoadgenConfig()'s tenant
+ * with the engine's batch cap, KV admission policy and watermark, so
+ * a trace sees the limits the engine's own scheduler would. Chunked
+ * prefill stays off; callers set ServerConfig::chunked_prefill_tokens
+ * (and step_token_budget) for it.
+ */
+ServerConfig traceServerConfig(const EngineConfig &engine);
+
 /** Reduces one stream event into the outcome slot. Runs either on
  * the server loop thread (callback mode) or a client thread (pull
  * mode); each slot has exactly one writer at a time. */
@@ -175,8 +223,9 @@ uint64_t deriveReplicaSeed(uint64_t seed, int replica);
 
 /**
  * The client side of a loadgen run, shared by every front end with
- * the Server client API (Server, cluster::ClusterRouter): generates
- * the workload, connects min(config.clients, requests) handles before
+ * the Server client API (Server, cluster::ClusterRouter): runs
+ * @p workload (generateLoadgenWorkload or generateTrace of the same
+ * config's tenants), connects min(config.clients, requests) handles before
  * any submission (so each handle's ingress horizon gates the virtual
  * clock from the start), and runs one thread per handle. Thread c
  * submits workload entries c, c + clients, ... (round-robin over the
@@ -190,14 +239,13 @@ uint64_t deriveReplicaSeed(uint64_t seed, int replica);
  */
 template <typename Frontend>
 std::vector<RequestOutcome>
-driveLoadgenClients(Frontend *frontend, const LoadgenConfig &config)
+driveLoadgenClients(Frontend *frontend, const LoadgenConfig &config,
+                    const std::vector<LoadgenRequest> &workload)
 {
     COMET_CHECK(frontend != nullptr);
     COMET_CHECK(config.clients > 0);
     COMET_CHECK(!config.tenants.empty());
 
-    const std::vector<LoadgenRequest> workload =
-        generateLoadgenWorkload(config);
     const size_t total = workload.size();
     std::vector<RequestOutcome> outcomes(total);
     for (size_t i = 0; i < total; ++i) {
@@ -231,6 +279,10 @@ driveLoadgenClients(Frontend *frontend, const LoadgenConfig &config)
                 request.eos_output_tokens =
                     generated.eos_output_tokens;
                 request.arrival_us = generated.arrival_us;
+                if (generated.cancel_at_us > 0.0) {
+                    request.cancel_at_us = std::max(
+                        generated.cancel_at_us, generated.arrival_us);
+                }
                 request.prompt_ids = generated.prompt_ids;
                 RequestOutcome *outcome = &outcomes[i];
                 if (config.callbacks) {
@@ -260,28 +312,16 @@ driveLoadgenClients(Frontend *frontend, const LoadgenConfig &config)
 }
 
 /**
- * Runs the workload against @p server through driveLoadgenClients
+ * Runs @p workload against @p server through driveLoadgenClients
  * and aggregates the report, with the server's final virtual clock
  * as the makespan.
  */
+LoadgenReport runLoadgen(Server *server, const LoadgenConfig &config,
+                         const std::vector<LoadgenRequest> &workload);
+
+/** runLoadgen on generateLoadgenWorkload(config). */
 LoadgenReport runLoadgen(Server *server,
                          const LoadgenConfig &config);
-
-/**
- * Replays a trace as a one-tenant, one-client Server session — the
- * same serving loop (admission, prefill charge, fused step costing,
- * preemption) the online path runs — and folds the streams into
- * TraceMetrics. The session takes the engine's max_batch, admission
- * policy and KV watermark; EngineConfig::chunked_prefill_tokens sets
- * both the chunk size and the per-step token budget. One client
- * submits the requests in trace order, so arrivals must be
- * nondecreasing (generateTrace's order); a cancel_us earlier than the
- * arrival cancels the request as it arrives. The session publishes under its
- * own `serve.replay.session.*` metrics prefix, and the result's
- * counters go to `serve.replay.*` (TraceMetrics::publishTo).
- */
-TraceMetrics replayTrace(const ServingEngine &engine,
-                         const std::vector<TracedRequest> &trace);
 
 /** Renders the per-tenant report as an aligned text table
  * (deterministic for a fixed seed — the bench diffs two runs). */

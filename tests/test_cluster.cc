@@ -350,6 +350,30 @@ TEST_F(ClusterTest, RequestedDrainInterruptsTheGateWait)
     router.stop();
 }
 
+TEST_F(ClusterTest, RequestedDrainShowsInStatsWhileAClientIsOpen)
+{
+    // The routing loop parks in its clock-advance wait toward a
+    // pending arrival while b's horizon is open; a drain it handled
+    // on the way there must already show in stats().
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(oneTenantCluster(&engine, 2));
+    ClusterRouter::Client a = router.connect();
+    ClusterRouter::Client b = router.connect();
+    a.submit(gateRequest(1, 50000.0));
+    a.close();
+    router.requestDrain(0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (router.stats().drains == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(router.stats().drains, 1);
+    b.close();
+    router.drain();
+    EXPECT_EQ(router.placementOf(1), 1);
+    router.stop();
+}
+
 TEST_F(ClusterTest, HashAffinityKeepsPrefixReuseReplicaLocal)
 {
     const ServingEngine engine(testEngineConfig());

@@ -20,8 +20,8 @@
 #include "comet/obs/trace_session.h"
 #include "comet/runtime/thread_pool.h"
 #include "comet/serve/batch_scheduler.h"
-#include "comet/serve/trace.h"
 #include "comet/server/loadgen.h"
+#include "trace_run.h"
 
 namespace comet {
 namespace {
@@ -387,9 +387,8 @@ TEST(ObsTrace, ChromeTraceJsonIsValidAndCarriesEvents)
 }
 
 // ---------------------------------------------------------------------------
-// Serving-replay integration: the engine step loop must emit the
-// documented span hierarchy, including preemption spans under KV
-// pressure.
+// Trace-run integration: the serving loop must emit the documented
+// span hierarchy, including preemption spans under KV pressure.
 
 /** Engine whose KV budget is exactly @p blocks KV4 blocks. */
 ServingEngine
@@ -407,8 +406,8 @@ makeTinyKvEngine(EngineConfig config, int64_t blocks)
     return ServingEngine(config);
 }
 
-TraceMetrics
-replayTightKvBurst(int64_t *total_blocks_out = nullptr)
+TraceRun
+runTightKvBurst()
 {
     EngineConfig config;
     config.model = LlmConfig::llama3_8b();
@@ -416,47 +415,43 @@ replayTightKvBurst(int64_t *total_blocks_out = nullptr)
     config.input_tokens = 256;
     config.output_tokens = 256;
     const ServingEngine engine = makeTinyKvEngine(config, 300);
-    TraceConfig trace_config;
+    server::TraceConfig trace_config;
     trace_config.num_requests = 16;
     trace_config.request_rate_per_s = 1000.0; // all at once
     trace_config.mean_prompt_tokens = 256;
     trace_config.mean_output_tokens = 256;
-    const TraceMetrics metrics =
-        server::replayTrace(engine, generateTrace(trace_config));
-    if (total_blocks_out != nullptr)
-        *total_blocks_out = metrics.total_kv_blocks;
-    return metrics;
+    return runTrace(engine, server::generateTrace(trace_config));
 }
 
 TEST(ObsReplay, ReplayEmitsNestedSchedulingSpans)
 {
     resetSession();
     obs::TraceSession::global().start();
-    const TraceMetrics metrics = replayTightKvBurst();
+    const TraceRun run = runTightKvBurst();
     obs::TraceSession::global().stop();
-    ASSERT_GT(metrics.preemptions, 0); // the workload is KV-tight
+    ASSERT_GT(run.counters.preemptions, 0); // the workload is KV-tight
     const auto spans = obs::TraceSession::global().drain();
-    // Replay is a Server session: the caller thread records the one
-    // top-level replay span, and the serving loop thread records the
-    // session's step, prefill, decode and preemption spans.
-    EXPECT_EQ(countSpans(spans, "replay"), 1);
+    // A trace run is a Server session: its loop thread records the
+    // one top-level server/session span and, under it, the step,
+    // prefill, decode and preemption spans.
+    EXPECT_EQ(countSpans(spans, "server/session"), 1);
     EXPECT_GT(countSpans(spans, "server/step"), 0);
     EXPECT_GT(countSpans(spans, "server/prefill"), 0);
     EXPECT_GT(countSpans(spans, "server/decode"), 0);
     EXPECT_GT(countSpans(spans, "scheduler/preempt"), 0);
-    int replay_tid = -1;
+    int session_tid = -1;
     for (const obs::SpanRecord &span : spans) {
-        if (std::strcmp(span.name, "replay") == 0) {
+        if (std::strcmp(span.name, "server/session") == 0) {
             EXPECT_EQ(span.depth, 0);
-            replay_tid = span.tid;
+            session_tid = span.tid;
         }
     }
-    ASSERT_GE(replay_tid, 0);
+    ASSERT_GE(session_tid, 0);
     for (const obs::SpanRecord &span : spans) {
         // Steps nest under the loop thread's server/session span.
         if (std::strcmp(span.name, "server/step") == 0) {
             EXPECT_GE(span.depth, 1);
-            EXPECT_NE(span.tid, replay_tid);
+            EXPECT_EQ(span.tid, session_tid);
         }
     }
 }
@@ -521,35 +516,39 @@ TEST(KvUtilization, SchedulerDefinitionIsAFraction)
 
 TEST(KvUtilization, ReplayMetricsMatchTheSharedDefinition)
 {
-    // Regression for the unit bug: TraceMetrics must report the same
-    // fraction SchedulerCounters::peakKvUtilization defines, never a
-    // percent and never a different block accounting.
-    int64_t total_blocks = 0;
-    const TraceMetrics metrics = replayTightKvBurst(&total_blocks);
-    ASSERT_GT(total_blocks, 0);
-    ASSERT_GT(metrics.peak_used_blocks, 0);
-    SchedulerCounters counters;
-    counters.peak_used_blocks = metrics.peak_used_blocks;
-    EXPECT_DOUBLE_EQ(metrics.peak_kv_utilization,
-                     counters.peakKvUtilization(total_blocks));
-    EXPECT_GT(metrics.peak_kv_utilization, 0.0);
-    EXPECT_LE(metrics.peak_kv_utilization, 1.0);
+    // Regression for the unit bug: a trace run's peak utilization,
+    // derived through SchedulerCounters::peakKvUtilization from the
+    // session's own pool, is a fraction of the blocks the server
+    // sized, never a percent and never a different block accounting.
+    const TraceRun run = runTightKvBurst();
+    ASSERT_GT(run.kv_total_blocks, 0);
+    ASSERT_GT(run.counters.peak_used_blocks, 0);
+    EXPECT_LE(run.counters.peak_used_blocks, run.kv_total_blocks);
+    const double peak_kv_utilization =
+        run.counters.peakKvUtilization(run.kv_total_blocks);
+    EXPECT_DOUBLE_EQ(peak_kv_utilization,
+                     static_cast<double>(run.counters.peak_used_blocks) /
+                         static_cast<double>(run.kv_total_blocks));
+    EXPECT_GT(peak_kv_utilization, 0.0);
+    EXPECT_LE(peak_kv_utilization, 1.0);
 }
 
 TEST(KvUtilization, ReplayPublishesCountersToTheRegistry)
 {
+    // The session publishes under the server's `server.*` prefix
+    // (counters are monotonic: repeated runs accumulate).
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
     const int64_t completed_before =
-        registry.counterValue("serve.replay.completed");
-    const int64_t preemptions_before =
-        registry.counterValue("serve.replay.preemptions");
-    const TraceMetrics metrics = replayTightKvBurst();
-    EXPECT_EQ(registry.counterValue("serve.replay.completed") -
+        registry.counterValue("server.completed");
+    const int64_t tokens_before =
+        registry.counterValue("server.streamed_tokens");
+    const TraceRun run = runTightKvBurst();
+    EXPECT_EQ(registry.counterValue("server.completed") -
                   completed_before,
-              static_cast<int64_t>(metrics.per_request.size()));
-    EXPECT_EQ(registry.counterValue("serve.replay.preemptions") -
-                  preemptions_before,
-              metrics.preemptions);
+              run.report.completed);
+    EXPECT_EQ(registry.counterValue("server.streamed_tokens") -
+                  tokens_before,
+              run.report.tokens);
 }
 
 } // namespace

@@ -144,37 +144,6 @@ TEST(SerializeQuantizer, RejectsCorruptPermutation)
               StatusCode::kInvalidArgument);
 }
 
-TEST(SerializeKv, RoundTripsExactly)
-{
-    Rng rng(6);
-    Tensor kv(50, 16);
-    for (int64_t i = 0; i < kv.numel(); ++i)
-        kv[i] = static_cast<float>(rng.gaussian(0, 1));
-    const KvCacheQuantizer quantizer(KvQuantConfig{4, 32, true});
-    const QuantizedKv original = quantizer.quantize(kv);
-
-    const Result<QuantizedKv> restored =
-        deserializeQuantizedKv(serialize(original));
-    ASSERT_TRUE(restored.isOk());
-    const Tensor a = quantizer.dequantize(original);
-    const Tensor b = quantizer.dequantize(restored.value());
-    EXPECT_DOUBLE_EQ(maxAbsError(a, b), 0.0);
-}
-
-TEST(SerializeKv, RejectsParamCountMismatch)
-{
-    Rng rng(7);
-    Tensor kv(32, 8);
-    for (int64_t i = 0; i < kv.numel(); ++i)
-        kv[i] = static_cast<float>(rng.gaussian(0, 1));
-    const KvCacheQuantizer quantizer(KvQuantConfig{4, 16, true});
-    QuantizedKv original = quantizer.quantize(kv);
-    original.params.pop_back(); // corrupt before serializing
-    const auto restored =
-        deserializeQuantizedKv(serialize(original));
-    EXPECT_FALSE(restored.isOk());
-}
-
 TEST(SerializeFile, WriteReadRoundTrip)
 {
     const QuantizedFixture f = makeFixture(8);

@@ -2,19 +2,18 @@
  * @file
  * Tests for SLO attainment accounting: per-tenant TTFT/TPOT
  * ok/miss counters on the server (TenantSloStats and the
- * `server.tenant.<name>.slo.*` registry counters), the TraceMetrics
- * attainment helpers, and the load generator's TPOT-SLO columns.
+ * `server.tenant.<name>.slo.*` registry counters), the loadgen
+ * report's attainment counts (finalizeLoadgenReport over hand-built
+ * outcomes), and the load generator's TPOT-SLO columns.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "comet/obs/metrics.h"
 #include "comet/serve/engine.h"
-#include "comet/serve/trace.h"
 #include "comet/server/loadgen.h"
 #include "comet/server/server.h"
 
@@ -177,38 +176,73 @@ TEST_F(SloTest, SloCountersAreIdenticalChunkedAndMonolithic)
     }
 }
 
-TEST_F(SloTest, TraceMetricsAttainmentFractions)
+/** A finished outcome of @p tokens tokens, the first at @p ttft_us
+ * after a zero arrival and the rest @p tpot_us apart. */
+RequestOutcome
+finished(int tenant, double ttft_us, int64_t tokens, double tpot_us)
 {
-    TraceMetrics metrics;
-    RequestLatency a;
-    a.ttft_us = 100.0;
-    a.tpot_us = 10.0;
-    a.output_tokens = 4;
-    RequestLatency b;
-    b.ttft_us = 300.0;
-    b.tpot_us = 0.0;
-    b.output_tokens = 1; // no measurable TPOT
-    RequestLatency c;
-    c.ttft_us = 500.0;
-    c.tpot_us = 50.0;
-    c.output_tokens = 2;
-    metrics.per_request = {a, b, c};
+    RequestOutcome outcome;
+    outcome.tenant = tenant;
+    outcome.terminal = StreamEventKind::kFinished;
+    outcome.tokens = tokens;
+    outcome.first_token_us = ttft_us;
+    outcome.last_token_us =
+        ttft_us + tpot_us * static_cast<double>(tokens - 1);
+    return outcome;
+}
 
-    EXPECT_DOUBLE_EQ(metrics.ttftAttainment(1000.0), 1.0);
-    EXPECT_DOUBLE_EQ(metrics.ttftAttainment(250.0), 1.0 / 3.0);
-    EXPECT_DOUBLE_EQ(metrics.ttftAttainment(50.0), 0.0);
-    // TPOT attainment is over the 2 requests with >= 2 tokens.
-    EXPECT_DOUBLE_EQ(metrics.tpotAttainment(40.0), 0.5);
-    EXPECT_DOUBLE_EQ(metrics.tpotAttainment(60.0), 1.0);
+TEST_F(SloTest, FinalizeReportCountsAttainment)
+{
+    // Three tenants see the same three completions under different
+    // budgets: (TTFT 100, 4 tokens at TPOT 10), (TTFT 300, 1 token:
+    // no measurable TPOT), (TTFT 500, 2 tokens at TPOT 50).
+    LoadgenConfig config;
+    const double budgets[3][2] = {{1000.0, 40.0}, {250.0, 60.0},
+                                  {50.0, 0.0}};
+    std::vector<RequestOutcome> outcomes;
+    for (int t = 0; t < 3; ++t) {
+        LoadgenTenant tenant;
+        tenant.admission.name = "t" + std::to_string(t);
+        tenant.admission.ttft_slo_us = budgets[t][0];
+        tenant.admission.tpot_slo_us = budgets[t][1];
+        config.tenants.push_back(tenant);
+        outcomes.push_back(finished(t, 100.0, 4, 10.0));
+        outcomes.push_back(finished(t, 300.0, 1, 0.0));
+        outcomes.push_back(finished(t, 500.0, 2, 50.0));
+    }
+    const LoadgenReport report =
+        finalizeLoadgenReport(config, outcomes, 1e6);
+    ASSERT_EQ(report.tenants.size(), 3u);
+    for (const LoadgenTenantReport &row : report.tenants) {
+        EXPECT_EQ(row.completed, 3);
+        EXPECT_EQ(row.tokens, 7);
+        // TTFT counts every completion, the 1-token one included...
+        EXPECT_EQ(row.ttft_p50_us, 300.0);
+        // ...TPOT only the two with >= 2 tokens.
+        EXPECT_EQ(row.tpot_measured, 2);
+        EXPECT_EQ(row.tpot_p50_us, 30.0);
+    }
+    // TTFT 1000 / TPOT 40: the 1-token completion meets the SLO (no
+    // TPOT to miss); the TPOT-50 one misses.
+    EXPECT_EQ(report.tenants[0].slo_met, 2);
+    EXPECT_EQ(report.tenants[0].tpot_slo_met, 1);
+    EXPECT_DOUBLE_EQ(report.tenants[0].goodput_tokens_per_s, 5.0);
+    // TTFT 250 / TPOT 60: only the first completion is on time.
+    EXPECT_EQ(report.tenants[1].slo_met, 1);
+    EXPECT_EQ(report.tenants[1].tpot_slo_met, 2);
+    // TTFT 50, no TPOT budget: nothing meets TTFT, all TPOTs pass.
+    EXPECT_EQ(report.tenants[2].slo_met, 0);
+    EXPECT_EQ(report.tenants[2].tpot_slo_met, 2);
+    EXPECT_EQ(report.tenants[2].goodput_tokens_per_s, 0.0);
 
-    const TraceMetrics empty;
-    EXPECT_TRUE(std::isnan(empty.ttftAttainment(100.0)));
-    EXPECT_TRUE(std::isnan(empty.tpotAttainment(100.0)));
-    // Only unmeasurable completions -> TPOT attainment stays NaN.
-    TraceMetrics short_only;
-    short_only.per_request = {b};
-    EXPECT_TRUE(std::isnan(short_only.tpotAttainment(100.0)));
-    EXPECT_DOUBLE_EQ(short_only.ttftAttainment(300.0), 1.0);
+    // Only an unmeasurable completion: no TPOT sample, zero TPOT
+    // percentiles, and the completion still meets the SLO.
+    const LoadgenReport short_only =
+        finalizeLoadgenReport(config, {finished(0, 300.0, 1, 0.0)}, 1e6);
+    EXPECT_EQ(short_only.tenants[0].tpot_measured, 0);
+    EXPECT_EQ(short_only.tenants[0].tpot_p50_us, 0.0);
+    EXPECT_EQ(short_only.tenants[0].ttft_p50_us, 300.0);
+    EXPECT_EQ(short_only.tenants[0].slo_met, 1);
 }
 
 TEST_F(SloTest, LoadgenReportsTpotSloColumn)

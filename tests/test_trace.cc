@@ -1,19 +1,25 @@
 /**
  * @file
- * Unit tests for trace generation and trace-driven serving replay
- * (TTFT/TPOT metrics).
+ * Unit tests for trace generation, trace runs on the Server through
+ * the load generator (TTFT/TPOT from the loadgen report) and the
+ * report's empty-set convention.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <vector>
 
-#include "comet/serve/trace.h"
+#include "comet/common/stats.h"
 #include "comet/server/loadgen.h"
+#include "trace_run.h"
 
 namespace comet {
 namespace {
 
-using server::replayTrace;
+using server::generateTrace;
+using server::LoadgenRequest;
+using server::RequestOutcome;
+using server::StreamEventKind;
+using server::TraceConfig;
 
 ServingEngine
 makeEngine(ServingMode mode)
@@ -45,11 +51,14 @@ TEST(TraceGen, LengthsClampedToConfiguredRange)
     config.num_requests = 300;
     config.mean_prompt_tokens = 100;
     config.mean_output_tokens = 50;
-    for (const TracedRequest &request : generateTrace(config)) {
+    for (const LoadgenRequest &request : generateTrace(config)) {
+        EXPECT_EQ(request.tenant, 0);
         EXPECT_GE(request.prompt_tokens, 16);
         EXPECT_LE(request.prompt_tokens, 400);
-        EXPECT_GE(request.output_tokens, 16);
-        EXPECT_LE(request.output_tokens, 200);
+        EXPECT_GE(request.eos_output_tokens, 16);
+        EXPECT_LE(request.eos_output_tokens, 200);
+        EXPECT_EQ(request.declared_output_tokens,
+                  request.eos_output_tokens);
     }
 }
 
@@ -74,15 +83,16 @@ TEST(TraceReplay, AllRequestsComplete)
     config.request_rate_per_s = 50.0;
     config.mean_prompt_tokens = 128;
     config.mean_output_tokens = 32;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(config));
-    EXPECT_EQ(metrics.per_request.size(), 24u);
-    EXPECT_GT(metrics.throughput_tokens_per_s, 0.0);
-    EXPECT_GT(metrics.makespan_us, 0.0);
-    for (const RequestLatency &latency : metrics.per_request) {
-        EXPECT_GT(latency.ttft_us, 0.0);
-        EXPECT_GE(latency.total_us, latency.ttft_us);
-        EXPECT_GE(latency.tpot_us, 0.0);
+    const TraceRun run = runTrace(engine, generateTrace(config));
+    EXPECT_EQ(run.report.completed, 24);
+    EXPECT_GT(run.throughputTokensPerS(), 0.0);
+    EXPECT_GT(run.report.makespan_us, 0.0);
+    for (const RequestOutcome &outcome : run.report.outcomes) {
+        ASSERT_EQ(outcome.terminal, StreamEventKind::kFinished);
+        EXPECT_GT(outcome.ttftUs(), 0.0);
+        EXPECT_GE(outcome.last_token_us - outcome.arrival_us,
+                  outcome.ttftUs());
+        EXPECT_GE(outcome.tpotUs(), 0.0);
     }
 }
 
@@ -92,12 +102,13 @@ TEST(TraceReplay, PercentilesAreOrdered)
     TraceConfig config;
     config.num_requests = 24;
     config.request_rate_per_s = 20.0;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(config));
-    EXPECT_LE(metrics.ttftPercentileUs(50),
-              metrics.ttftPercentileUs(95) + 1e-9);
-    EXPECT_LE(metrics.tpotPercentileUs(50),
-              metrics.tpotPercentileUs(95) + 1e-9);
+    const TraceRun run = runTrace(engine, generateTrace(config));
+    const std::vector<double> ttft =
+        exactPercentiles(run.ttftsUs(), {50, 95});
+    const std::vector<double> tpot =
+        exactPercentiles(run.tpotsUs(), {50, 95});
+    EXPECT_LE(ttft[0], ttft[1] + 1e-9);
+    EXPECT_LE(tpot[0], tpot[1] + 1e-9);
 }
 
 TEST(TraceReplay, HigherLoadRaisesTtft)
@@ -108,12 +119,10 @@ TEST(TraceReplay, HigherLoadRaisesTtft)
     light.request_rate_per_s = 0.5; // one at a time
     TraceConfig heavy = light;
     heavy.request_rate_per_s = 500.0; // burst
-    const TraceMetrics light_metrics =
-        replayTrace(engine, generateTrace(light));
-    const TraceMetrics heavy_metrics =
-        replayTrace(engine, generateTrace(heavy));
-    EXPECT_GT(heavy_metrics.ttftPercentileUs(95),
-              light_metrics.ttftPercentileUs(95));
+    const TraceRun light_run = runTrace(engine, generateTrace(light));
+    const TraceRun heavy_run = runTrace(engine, generateTrace(heavy));
+    EXPECT_GT(exactPercentile(heavy_run.ttftsUs(), 95),
+              exactPercentile(light_run.ttftsUs(), 95));
 }
 
 TEST(TraceReplay, CometBeatsFp16OnTheSameTrace)
@@ -124,14 +133,13 @@ TEST(TraceReplay, CometBeatsFp16OnTheSameTrace)
     config.mean_prompt_tokens = 256;
     config.mean_output_tokens = 32;
     const auto trace = generateTrace(config);
-    const TraceMetrics comet = replayTrace(
-        makeEngine(ServingMode::kCometW4AxKv4), trace);
-    const TraceMetrics fp16 =
-        replayTrace(makeEngine(ServingMode::kTrtFp16), trace);
-    EXPECT_GT(comet.throughput_tokens_per_s,
-              fp16.throughput_tokens_per_s);
-    EXPECT_LT(comet.tpotPercentileUs(50),
-              fp16.tpotPercentileUs(50));
+    const TraceRun comet =
+        runTrace(makeEngine(ServingMode::kCometW4AxKv4), trace);
+    const TraceRun fp16 =
+        runTrace(makeEngine(ServingMode::kTrtFp16), trace);
+    EXPECT_GT(comet.throughputTokensPerS(),
+              fp16.throughputTokensPerS());
+    EXPECT_LT(comet.row().tpot_p50_us, fp16.row().tpot_p50_us);
 }
 
 TEST(ChunkedPrefill, AllRequestsStillComplete)
@@ -141,7 +149,6 @@ TEST(ChunkedPrefill, AllRequestsStillComplete)
     config.mode = ServingMode::kCometW4AxKv4;
     config.input_tokens = 256;
     config.output_tokens = 64;
-    config.chunked_prefill_tokens = 128;
     const ServingEngine engine(config);
 
     TraceConfig trace_config;
@@ -149,11 +156,12 @@ TEST(ChunkedPrefill, AllRequestsStillComplete)
     trace_config.request_rate_per_s = 100.0;
     trace_config.mean_prompt_tokens = 256;
     trace_config.mean_output_tokens = 24;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(trace_config));
-    EXPECT_EQ(metrics.per_request.size(), 20u);
-    for (const RequestLatency &latency : metrics.per_request)
-        EXPECT_GT(latency.ttft_us, 0.0);
+    const TraceRun run =
+        runTrace(engine, generateTrace(trace_config), 128);
+    EXPECT_EQ(run.report.completed, 20);
+    EXPECT_GT(run.counters.prefill_chunks, 0);
+    for (const double ttft : run.ttftsUs())
+        EXPECT_GT(ttft, 0.0);
 }
 
 TEST(ChunkedPrefill, ImprovesTpotTailUnderBurstyLoad)
@@ -173,19 +181,16 @@ TEST(ChunkedPrefill, ImprovesTpotTailUnderBurstyLoad)
     config.mode = ServingMode::kCometW4AxKv4;
     config.input_tokens = 768;
     config.output_tokens = 48;
-    const ServingEngine whole(config);
-    config.chunked_prefill_tokens = 256;
-    const ServingEngine chunked(config);
+    const ServingEngine engine(config);
 
-    const TraceMetrics whole_metrics = replayTrace(whole, trace);
-    const TraceMetrics chunked_metrics =
-        replayTrace(chunked, trace);
-    EXPECT_LT(chunked_metrics.tpotPercentileUs(95),
-              whole_metrics.tpotPercentileUs(95));
+    const TraceRun whole = runTrace(engine, trace);
+    const TraceRun chunked = runTrace(engine, trace, 256);
+    EXPECT_LT(exactPercentile(chunked.tpotsUs(), 95),
+              exactPercentile(whole.tpotsUs(), 95));
     // Throughput stays within a reasonable band of the stall-free
     // schedule.
-    EXPECT_GT(chunked_metrics.throughput_tokens_per_s,
-              whole_metrics.throughput_tokens_per_s * 0.6);
+    EXPECT_GT(chunked.throughputTokensPerS(),
+              whole.throughputTokensPerS() * 0.6);
 }
 
 TEST(TraceReplay, TtftIsThePrefillItself)
@@ -194,16 +199,16 @@ TEST(TraceReplay, TtftIsThePrefillItself)
     // an unloaded single request's TTFT equals its prefill latency,
     // with no spurious extra decode iteration.
     const ServingEngine engine = makeEngine(ServingMode::kCometW4AxKv4);
-    TracedRequest request;
-    request.id = 0;
+    LoadgenRequest request;
     request.arrival_us = 0.0;
     request.prompt_tokens = 256;
-    request.output_tokens = 16;
-    const TraceMetrics metrics = replayTrace(engine, {request});
-    ASSERT_EQ(metrics.per_request.size(), 1u);
+    request.declared_output_tokens = 16;
+    request.eos_output_tokens = 16;
+    const TraceRun run = runTrace(engine, {request});
+    ASSERT_EQ(run.report.completed, 1);
     const double prefill_us =
         engine.prefillLatencyUs(std::vector<int64_t>{256});
-    EXPECT_NEAR(metrics.per_request[0].ttft_us, prefill_us,
+    EXPECT_NEAR(run.report.outcomes[0].ttftUs(), prefill_us,
                 prefill_us * 1e-9);
 }
 
@@ -219,23 +224,42 @@ TEST(TraceReplay, PrefillChargedAtActualPromptLength)
     config.output_tokens = 64;
     const ServingEngine engine(config);
 
-    TracedRequest request;
-    request.id = 0;
+    LoadgenRequest request;
     request.arrival_us = 0.0;
     request.prompt_tokens = 64;
-    request.output_tokens = 16;
-    const TraceMetrics metrics = replayTrace(engine, {request});
-    ASSERT_EQ(metrics.per_request.size(), 1u);
+    request.declared_output_tokens = 16;
+    request.eos_output_tokens = 16;
+    const TraceRun run = runTrace(engine, {request});
+    ASSERT_EQ(run.report.completed, 1);
     const double configured_prefill_us = engine.prefillLatencyUs(1);
-    EXPECT_LT(metrics.per_request[0].ttft_us,
+    EXPECT_LT(run.report.outcomes[0].ttftUs(),
               configured_prefill_us / 4.0);
 }
 
-TEST(TraceMetrics, PercentilesOfZeroCompletionsAreNan)
+TEST(FinalizeReport, ZeroCompletionsGiveZeroPercentiles)
 {
-    const TraceMetrics empty;
-    EXPECT_TRUE(std::isnan(empty.ttftPercentileUs(50)));
-    EXPECT_TRUE(std::isnan(empty.tpotPercentileUs(95)));
+    // The one empty-set convention: a tenant with no completion (no
+    // outcomes at all, or only rejected and cancelled ones) reports
+    // zero percentiles, goodput and SLO counts, never NaN.
+    const server::LoadgenConfig config = server::traceLoadgenConfig();
+    for (const std::vector<RequestOutcome> &outcomes :
+         {std::vector<RequestOutcome>{},
+          std::vector<RequestOutcome>(2)}) {
+        const server::LoadgenReport report =
+            server::finalizeLoadgenReport(config, outcomes, 1e6);
+        ASSERT_EQ(report.tenants.size(), 1u);
+        const server::LoadgenTenantReport &row = report.tenants[0];
+        EXPECT_EQ(row.completed, 0);
+        EXPECT_EQ(row.cancelled,
+                  static_cast<int64_t>(outcomes.size()));
+        EXPECT_EQ(row.ttft_p50_us, 0.0);
+        EXPECT_EQ(row.ttft_p99_us, 0.0);
+        EXPECT_EQ(row.tpot_p50_us, 0.0);
+        EXPECT_EQ(row.tpot_p99_us, 0.0);
+        EXPECT_EQ(row.goodput_tokens_per_s, 0.0);
+        EXPECT_EQ(row.slo_met, 0);
+        EXPECT_EQ(row.tpot_measured, 0);
+    }
 }
 
 TEST(TraceReplay, CancelledRequestsAreDroppedAndCounted)
@@ -248,12 +272,13 @@ TEST(TraceReplay, CancelledRequestsAreDroppedAndCounted)
     config.mean_output_tokens = 32;
     auto trace = generateTrace(config);
     // The last arrival is abandoned before it can ever be admitted.
-    trace.back().cancel_us = trace.back().arrival_us;
-    const TraceMetrics metrics = replayTrace(engine, trace);
-    EXPECT_EQ(metrics.cancelled, 1);
-    EXPECT_EQ(metrics.per_request.size(), 11u);
-    for (const RequestLatency &latency : metrics.per_request)
-        EXPECT_NE(latency.id, trace.back().id);
+    trace.back().cancel_at_us = trace.back().arrival_us;
+    const TraceRun run = runTrace(engine, trace);
+    EXPECT_EQ(run.stats.cancelled, 1);
+    EXPECT_EQ(run.report.cancelled, 1);
+    EXPECT_EQ(run.report.completed, 11);
+    EXPECT_EQ(run.report.outcomes.back().terminal,
+              StreamEventKind::kCancelled);
 }
 
 TEST(TraceReplay, UnservableRequestsAreRejectedNotStuck)
@@ -280,9 +305,9 @@ TEST(TraceReplay, UnservableRequestsAreRejectedNotStuck)
         .memory_budget_bytes = engine.kvBudgetBytes()};
     const PagedKvCache probe(config.model, cache_config);
     trace[3].prompt_tokens = probe.totalBlocks() * 16 * 2;
-    const TraceMetrics metrics = replayTrace(engine, trace);
-    EXPECT_EQ(metrics.rejected, 1);
-    EXPECT_EQ(metrics.per_request.size(), 7u);
+    const TraceRun run = runTrace(engine, trace);
+    EXPECT_EQ(run.stats.rejected, 1);
+    EXPECT_EQ(run.report.completed, 7);
 }
 
 TEST(TraceReplay, KvPoolAggregatesTheTpGroup)
@@ -300,7 +325,7 @@ TEST(TraceReplay, KvPoolAggregatesTheTpGroup)
          {std::pair{2, 72805}, std::pair{4, 170461}}) {
         config.tensor_parallel = tp;
         const ServingEngine engine(config);
-        EXPECT_EQ(replayTrace(engine, trace).total_kv_blocks, blocks)
+        EXPECT_EQ(runTrace(engine, trace).kv_total_blocks, blocks)
             << "tp " << tp;
     }
 }
@@ -341,13 +366,14 @@ TEST(TraceReplay, KvExhaustionPreemptsAndStillCompletesEverything)
     trace_config.request_rate_per_s = 1000.0; // all at once
     trace_config.mean_prompt_tokens = 256;
     trace_config.mean_output_tokens = 256;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(trace_config));
-    EXPECT_EQ(metrics.per_request.size(), 16u);
-    EXPECT_GT(metrics.preemptions, 0);
-    EXPECT_GT(metrics.reprefill_tokens, 0);
-    EXPECT_GT(metrics.peak_kv_utilization, 0.5);
-    EXPECT_LE(metrics.peak_kv_utilization, 1.0);
+    const TraceRun run = runTrace(engine, generateTrace(trace_config));
+    EXPECT_EQ(run.report.completed, 16);
+    EXPECT_GT(run.counters.preemptions, 0);
+    EXPECT_GT(run.counters.reprefill_tokens, 0);
+    const double peak_kv_utilization =
+        run.counters.peakKvUtilization(run.kv_total_blocks);
+    EXPECT_GT(peak_kv_utilization, 0.5);
+    EXPECT_LE(peak_kv_utilization, 1.0);
 }
 
 // Pinned golden values (monolithic prefill): any change to the serving
@@ -367,13 +393,12 @@ TEST(TraceReplay, PreemptingReplayMatchesPinnedGolden)
     trace_config.request_rate_per_s = 1000.0;
     trace_config.mean_prompt_tokens = 256;
     trace_config.mean_output_tokens = 256;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(trace_config));
-    EXPECT_EQ(metrics.makespan_us, 5501373.6552527389);
-    EXPECT_EQ(metrics.ttftPercentileUs(99), 164198.04679312633);
-    EXPECT_EQ(metrics.tpotPercentileUs(50), 5669.4576493077657);
-    EXPECT_EQ(metrics.preemptions, 2);
-    EXPECT_EQ(metrics.reprefill_tokens, 569);
+    const TraceRun run = runTrace(engine, generateTrace(trace_config));
+    EXPECT_EQ(run.report.makespan_us, 5501373.6552527389);
+    EXPECT_EQ(run.row().ttft_p99_us, 164198.04679312633);
+    EXPECT_EQ(run.row().tpot_p50_us, 5669.4576493077657);
+    EXPECT_EQ(run.counters.preemptions, 2);
+    EXPECT_EQ(run.counters.reprefill_tokens, 569);
 }
 
 TEST(TraceReplay, TensorParallelReplayMatchesPinnedGolden)
@@ -387,11 +412,10 @@ TEST(TraceReplay, TensorParallelReplayMatchesPinnedGolden)
     trace_config.num_requests = 48;
     trace_config.request_rate_per_s = 8.0;
     trace_config.seed = 9;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(trace_config));
-    EXPECT_EQ(metrics.makespan_us, 15058286.610239971);
-    EXPECT_EQ(metrics.ttftPercentileUs(99), 597168.22060781415);
-    EXPECT_EQ(metrics.tpotPercentileUs(50), 36380.252627417693);
+    const TraceRun run = runTrace(engine, generateTrace(trace_config));
+    EXPECT_EQ(run.report.makespan_us, 15058286.610239971);
+    EXPECT_EQ(run.row().ttft_p99_us, 597168.22060781415);
+    EXPECT_EQ(run.row().tpot_p50_us, 36380.252627417693);
 }
 
 TEST(TraceReplay, ReserveFullPolicyNeverPreempts)
@@ -409,11 +433,10 @@ TEST(TraceReplay, ReserveFullPolicyNeverPreempts)
     trace_config.request_rate_per_s = 1000.0;
     trace_config.mean_prompt_tokens = 256;
     trace_config.mean_output_tokens = 256;
-    const TraceMetrics metrics =
-        replayTrace(engine, generateTrace(trace_config));
-    EXPECT_EQ(metrics.per_request.size(), 16u);
-    EXPECT_EQ(metrics.preemptions, 0);
-    EXPECT_EQ(metrics.reprefill_tokens, 0);
+    const TraceRun run = runTrace(engine, generateTrace(trace_config));
+    EXPECT_EQ(run.report.completed, 16);
+    EXPECT_EQ(run.counters.preemptions, 0);
+    EXPECT_EQ(run.counters.reprefill_tokens, 0);
 }
 
 } // namespace
