@@ -61,6 +61,13 @@
 #     bench/baselines/tab1_perplexity.stdout and
 #     tab2_zeroshot.stdout byte for byte: the tables are
 #     deterministic, so any diff is a numerics change.
+#   - the virtual-clock benches (bench_fig02/09/10/11/12/13/14/15,
+#     bench_ablation_tp, bench_ablation_context,
+#     bench_admission_preempt) and examples/compile_plan: their
+#     stdout must equal bench/baselines/<name>.stdout byte for byte
+#     (e.g. fig10_throughput.stdout). The cost model is deterministic
+#     at every pool size and SIMD mode, so any diff is a change of
+#     the simulated A100 clock.
 #
 # Usage: scripts/ci_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -132,6 +139,21 @@ for table in tab1_perplexity tab2_zeroshot; do
         diff -u "${baselines_dir}/${table}.stdout" -
     echo
 done
+
+for table in fig02_roofline fig09_kernel fig10_throughput fig11_batch \
+    fig12_models fig13_kernel_ablation fig14_sched_ablation \
+    fig15_e2e_ablation ablation_tp ablation_context \
+    admission_preempt; do
+    echo "==> ${bench_dir}/bench_${table} | diff against ${table}.stdout"
+    "${bench_dir}/bench_${table}" |
+        diff -u "${baselines_dir}/${table}.stdout" -
+    echo
+done
+
+echo "==> ${build_dir}/examples/compile_plan | diff against compile_plan.stdout"
+"${build_dir}/examples/compile_plan" |
+    diff -u "${baselines_dir}/compile_plan.stdout" -
+echo
 
 run "${bench_dir}/bench_runtime_scaling" --smoke
 
