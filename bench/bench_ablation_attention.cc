@@ -20,7 +20,7 @@
 #include "comet/attention/decode_attention.h"
 #include "comet/common/rng.h"
 #include "comet/common/table.h"
-#include "comet/gpusim/kernel_sim.h"
+#include "comet/gpusim/cost_model.h"
 #include "comet/model/layer_shapes.h"
 
 using namespace comet;
@@ -104,14 +104,17 @@ gpuOutlook()
                  "speedup"});
     for (const GpuSpec &spec :
          {GpuSpec::a100Sxm480G(), GpuSpec::h100Sxm80G()}) {
-        const KernelSimulator sim(spec);
+        const GemmCostModel model(spec);
         for (const LayerGemm &gemm : figure9Shapes(128)) {
             if (gemm.name != "8Kx8K" && gemm.name != "13.5Kx5K")
                 continue;
-            const double w4a8 = sim.latencyUs(
-                gemm.shape, GemmKernelKind::kCometW4Ax, all_int8);
-            const double comet = sim.latencyUs(
-                gemm.shape, GemmKernelKind::kCometW4Ax);
+            const double w4a8 =
+                model.estimate(gemm.shape, GemmKernelKind::kCometW4Ax,
+                               all_int8)
+                    .total_us;
+            const double comet =
+                model.estimate(gemm.shape, GemmKernelKind::kCometW4Ax)
+                    .total_us;
             table.addRow({spec.name, gemm.name,
                           formatDouble(w4a8, 1),
                           formatDouble(comet, 1),

@@ -87,11 +87,13 @@ servedEngine()
 }
 
 /** One cluster session: @p replicas replicas of the shared engine
- * under @p policy, the workload routed through runClusterLoadgen. */
+ * under @p policy, @p requests routed through runClusterLoadgen. */
 LoadgenReport
 runClusterSession(const ServingEngine &engine,
-                  const LoadgenConfig &workload, int replicas,
-                  RoutingPolicy policy, ClusterStats *stats)
+                  const LoadgenConfig &workload,
+                  const std::vector<LoadgenRequest> &requests,
+                  int replicas, RoutingPolicy policy,
+                  ClusterStats *stats)
 {
     obs::MetricsRegistry::global().reset();
     ClusterConfig config;
@@ -103,7 +105,7 @@ runClusterSession(const ServingEngine &engine,
     config.policy = policy;
     ClusterRouter router(config);
     const LoadgenReport report =
-        runClusterLoadgen(&router, workload);
+        runClusterLoadgen(&router, workload, requests);
     *stats = router.stats();
     router.stop(false);
     return report;
@@ -112,7 +114,8 @@ runClusterSession(const ServingEngine &engine,
 /** The bare-Server baseline the 1-replica cluster must match. */
 LoadgenReport
 runBareSession(const ServingEngine &engine,
-               const LoadgenConfig &workload)
+               const LoadgenConfig &workload,
+               const std::vector<LoadgenRequest> &requests)
 {
     obs::MetricsRegistry::global().reset();
     ServerConfig config;
@@ -120,7 +123,8 @@ runBareSession(const ServingEngine &engine,
     config.max_batch = 16;
     config.chunked_prefill_tokens = 256;
     Server server(&engine, config);
-    const LoadgenReport report = runLoadgen(&server, workload);
+    const LoadgenReport report =
+        runLoadgen(&server, workload, requests);
     server.stop();
     return report;
 }
@@ -224,10 +228,14 @@ main(int argc, char **argv)
 
     // Baselines: the bare server and the 1-replica cluster must be
     // indistinguishable (the router adds placement, not behavior).
-    const LoadgenReport bare = runBareSession(engine, workload);
+    // One workload, generated once, drives every session.
+    const std::vector<LoadgenRequest> requests =
+        generateLoadgenWorkload(workload);
+    const LoadgenReport bare =
+        runBareSession(engine, workload, requests);
     ClusterStats one_stats;
     const LoadgenReport one =
-        runClusterSession(engine, workload, 1, policies[0],
+        runClusterSession(engine, workload, requests, 1, policies[0],
                           &one_stats);
     check(sameTokenStreams(bare, one),
           "1-replica cluster streams token-identical outcomes to a "
@@ -239,8 +247,6 @@ main(int argc, char **argv)
           "verdicts)");
 
     const double one_ttft = chatTtftP99(one);
-    const std::vector<LoadgenRequest> requests =
-        generateLoadgenWorkload(workload);
 
     Table table({"policy", "replicas", "tok/s", "ttft win",
                  "chat ttft p99 (ms)", "chat tpot p99 (ms)",
@@ -263,7 +269,7 @@ main(int argc, char **argv)
         const char *name = routingPolicyName(policy);
         ClusterStats stats;
         const LoadgenReport scaled = runClusterSession(
-            engine, workload, kReplicas, policy, &stats);
+            engine, workload, requests, kReplicas, policy, &stats);
         check(sameTokenStreams(bare, scaled),
               "scale-out preserves every terminal and token count");
         int replicas_used = 0;
@@ -336,8 +342,9 @@ main(int argc, char **argv)
                 renderClusterLoadgenReport(scaled, kReplicas);
             // Determinism of the cluster run itself.
             ClusterStats again_stats;
-            const LoadgenReport again = runClusterSession(
-                engine, workload, kReplicas, policy, &again_stats);
+            const LoadgenReport again =
+                runClusterSession(engine, workload, requests, kReplicas,
+                                  policy, &again_stats);
             check(renderClusterLoadgenReport(again, kReplicas) ==
                       rendered_example,
                   "back-to-back cluster runs render identical "

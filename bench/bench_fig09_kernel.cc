@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "comet/common/table.h"
-#include "comet/gpusim/kernel_sim.h"
+#include "comet/gpusim/cost_model.h"
 #include "comet/model/layer_shapes.h"
 
 using namespace comet;
@@ -28,7 +28,7 @@ const GemmKernelKind kKernels[] = {
 };
 
 void
-runBatchSet(const KernelSimulator &sim, const char *title,
+runBatchSet(const GemmCostModel &model, const char *title,
             const std::vector<int64_t> &batches)
 {
     std::printf("--- %s ---\n", title);
@@ -47,13 +47,15 @@ runBatchSet(const KernelSimulator &sim, const char *title,
                     "better):\n",
                     static_cast<long long>(batch));
         for (const LayerGemm &gemm : figure9Shapes(batch)) {
-            const double cublas = sim.latencyUs(
-                gemm.shape, GemmKernelKind::kCublasW16A16);
+            const double cublas =
+                model.estimate(gemm.shape, GemmKernelKind::kCublasW16A16)
+                    .total_us;
             std::vector<std::string> row{gemm.name};
             double comet_latency = 0.0;
             for (size_t ki = 0; ki < 4; ++ki) {
-                const double latency = sim.latencyUs(
-                    gemm.shape, kKernels[ki], features);
+                const double latency =
+                    model.estimate(gemm.shape, kKernels[ki], features)
+                        .total_us;
                 row.push_back(formatDouble(latency / cublas, 2));
                 sums[ki] += latency;
                 if (kKernels[ki] == GemmKernelKind::kCometW4Ax)
@@ -84,11 +86,12 @@ main(int argc, char **argv)
 {
     comet::bench::handleArgs(argc, argv,
                              "Figure 9: W4Ax kernel latency vs cuBLAS/TRT-LLM baselines across shapes and batches");
-    const KernelSimulator sim;
+    const GemmCostModel model(GpuSpec::a100Sxm480G());
     std::printf("=== Figure 9: kernel performance (W4A4 ratio 75%%) "
                 "===\n\n");
-    runBatchSet(sim, "Figure 9(a): small batch sizes", {2, 4, 8});
-    runBatchSet(sim, "Figure 9(b): large batch sizes", {16, 64, 256});
+    runBatchSet(model, "Figure 9(a): small batch sizes", {2, 4, 8});
+    runBatchSet(model, "Figure 9(b): large batch sizes",
+                {16, 64, 256});
     std::printf("Paper-shape checks: small-batch averages ~1.48x / "
                 "1.25x / 1.37x; large-batch averages ~2.88x / 1.77x / "
                 "1.33x over cuBLAS / W4A16 / W8A8.\n");

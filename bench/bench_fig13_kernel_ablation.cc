@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "comet/common/table.h"
-#include "comet/gpusim/kernel_sim.h"
+#include "comet/gpusim/cost_model.h"
 #include "comet/model/layer_shapes.h"
 
 using namespace comet;
@@ -23,7 +23,7 @@ main(int argc, char **argv)
 {
     comet::bench::handleArgs(argc, argv,
                              "Figure 13: W4Ax kernel optimization ablation (pipeline/interleave/fast-convert)");
-    const KernelSimulator sim;
+    const GemmCostModel cost_model(GpuSpec::a100Sxm480G());
     std::printf("=== Figure 13: W4Ax kernel optimization ablation "
                 "(normalized latency, lower is better) ===\n\n");
 
@@ -45,8 +45,12 @@ main(int argc, char **argv)
             for (const LayerGemm &gemm :
                  decoderLayerGemms(model, batch)) {
                 for (size_t vi = 0; vi < variants.size(); ++vi) {
-                    latency[vi] += sim.variantLatencyUs(
-                        gemm.shape, variants[vi]);
+                    latency[vi] +=
+                        cost_model
+                            .estimate(gemm.shape,
+                                      GemmKernelKind::kCometW4Ax,
+                                      variants[vi].features)
+                            .total_us;
                 }
             }
             std::vector<std::string> row{model.name,

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "comet/common/table.h"
-#include "comet/gpusim/kernel_sim.h"
+#include "comet/gpusim/cost_model.h"
 #include "comet/model/layer_shapes.h"
 
 using namespace comet;
@@ -23,7 +23,7 @@ main(int argc, char **argv)
 {
     comet::bench::handleArgs(argc, argv,
                              "Figure 14: fine-grained SM scheduling ladder vs the Oracle W4A4 kernel");
-    const KernelSimulator sim;
+    const GemmCostModel cost_model(GpuSpec::a100Sxm480G());
     std::printf("=== Figure 14: SM scheduling ablation (speedup over "
                 "the W4A8 kernel; higher is better) ===\n\n");
 
@@ -50,14 +50,20 @@ main(int argc, char **argv)
         std::vector<double> latency(variants.size(), 0.0);
         for (const LayerGemm &gemm :
              decoderLayerGemms(model, kBatch)) {
-            w4a8 += sim.latencyUs(gemm.shape,
-                                  GemmKernelKind::kCometW4Ax,
-                                  all_int8);
-            oracle += sim.latencyUs(gemm.shape,
-                                    GemmKernelKind::kOracleW4A4);
+            w4a8 += cost_model
+                        .estimate(gemm.shape, GemmKernelKind::kCometW4Ax,
+                                  all_int8)
+                        .total_us;
+            oracle += cost_model
+                          .estimate(gemm.shape,
+                                    GemmKernelKind::kOracleW4A4)
+                          .total_us;
             for (size_t vi = 0; vi < variants.size(); ++vi) {
-                latency[vi] +=
-                    sim.variantLatencyUs(gemm.shape, variants[vi]);
+                latency[vi] += cost_model
+                                   .estimate(gemm.shape,
+                                             GemmKernelKind::kCometW4Ax,
+                                             variants[vi].features)
+                                   .total_us;
             }
         }
         std::vector<std::string> row{model.name};

@@ -176,9 +176,9 @@ main(int argc, char **argv)
     ar_config.model = large;
     ar_config.mode = ServingMode::kCometW4AxKv4;
     ar_config.tensor_parallel = 4;
-    const double allreduce4 =
-        ServingEngine(ar_config).allReduceLatencyUs(batch);
-    const tp::InterconnectModel link(ar_config.gpu);
+    const ServingEngine ar_engine(ar_config);
+    const double allreduce4 = ar_engine.allReduceLatencyUs(batch);
+    const tp::InterconnectModel link(ar_engine.gpu());
     const double crossover4 = link.ringDirectCrossoverBytes(4);
 
     const double small1 = stepUs(small, 1, batch, context);

@@ -26,11 +26,11 @@ struct ReplicaRow {
 
 server::LoadgenReport
 runClusterLoadgen(ClusterRouter *router,
-                  const server::LoadgenConfig &config)
+                  const server::LoadgenConfig &config,
+                  const std::vector<server::LoadgenRequest> &workload)
 {
     std::vector<server::RequestOutcome> outcomes =
-        server::driveLoadgenClients(
-            router, config, server::generateLoadgenWorkload(config));
+        server::driveLoadgenClients(router, config, workload);
     for (size_t i = 0; i < outcomes.size(); ++i)
         outcomes[i].replica =
             router->placementOf(static_cast<int64_t>(i));
@@ -43,6 +43,14 @@ runClusterLoadgen(ClusterRouter *router,
     return server::finalizeLoadgenReport(config,
                                          std::move(outcomes),
                                          makespan_us);
+}
+
+server::LoadgenReport
+runClusterLoadgen(ClusterRouter *router,
+                  const server::LoadgenConfig &config)
+{
+    return runClusterLoadgen(router, config,
+                             server::generateLoadgenWorkload(config));
 }
 
 std::string

@@ -19,6 +19,7 @@
  */
 
 #include <string>
+#include <vector>
 
 #include "comet/cluster/router.h"
 #include "comet/server/loadgen.h"
@@ -27,7 +28,7 @@ namespace comet {
 namespace cluster {
 
 /**
- * Runs the workload against @p router through
+ * Runs @p workload against @p router through
  * server::driveLoadgenClients and aggregates the report, with the
  * furthest of the router and replica clocks as the makespan. Each
  * outcome's RequestOutcome::replica records where the request
@@ -35,6 +36,12 @@ namespace cluster {
  * loadgenTenants(config) as its tenant set and must not have had
  * clients connected yet.
  */
+server::LoadgenReport
+runClusterLoadgen(ClusterRouter *router,
+                  const server::LoadgenConfig &config,
+                  const std::vector<server::LoadgenRequest> &workload);
+
+/** runClusterLoadgen on server::generateLoadgenWorkload(config). */
 server::LoadgenReport
 runClusterLoadgen(ClusterRouter *router,
                   const server::LoadgenConfig &config);

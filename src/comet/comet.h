@@ -49,7 +49,6 @@
 
 #include "comet/gpusim/cost_model.h"
 #include "comet/gpusim/gpu_spec.h"
-#include "comet/gpusim/kernel_sim.h"
 #include "comet/gpusim/planner.h"
 #include "comet/gpusim/roofline.h"
 #include "comet/gpusim/sm_scheduler.h"

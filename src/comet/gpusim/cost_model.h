@@ -17,10 +17,12 @@
  *    duration mix into a makespan under the chosen scheduling strategy
  *    from tile counts, without materializing the tiles.
  *
- * Calibration constants (efficiencies, launch overhead) are fitted so
- * the *relative* kernel ordering and speedup magnitudes track the
- * paper's measurements; they are collected in CostModelCalibration and
- * documented in EXPERIMENTS.md.
+ * Its constants (efficiencies, launch overhead, CUDA-core op counts)
+ * are fitted so the *relative* kernel ordering and speedup magnitudes
+ * track the paper's measurements. They are compile-time constants,
+ * one table at the top of cost_model.cc, each with its provenance;
+ * only the tile extents, which the compile planner also needs, live
+ * here.
  */
 #pragma once
 
@@ -49,6 +51,38 @@ struct GemmShape {
     }
 };
 
+/** Tile extents of the COMET kernel (fixed at 128^3 in the paper).
+ * @{ */
+constexpr int64_t kTileM = 128;
+constexpr int64_t kTileN = 128;
+constexpr int64_t kTileK = 128;
+/** @} */
+
+/** Per-dimension tile counts of a GEMM at the kTile* extents. */
+struct TileCounts {
+    int64_t m = 0;
+    int64_t n = 0;
+    int64_t k = 0;
+
+    /** Independent (m, n, k) tiles of the whole GEMM. */
+    int64_t total() const { return m * n * k; }
+};
+
+/** Ceil-div tile counts of @p shape at the kTile* extents. */
+constexpr TileCounts
+tileCounts(const GemmShape &shape)
+{
+    return {(shape.m + kTileM - 1) / kTileM,
+            (shape.n + kTileN - 1) / kTileN,
+            (shape.k + kTileK - 1) / kTileK};
+}
+
+/** Fraction of GEMM k-blocks FMPQ runs W4A4 in deployment: the paper
+ * measures more than 84% (Section 6.2). The kernel benches use 0.75,
+ * the paper's stated lower bound; the serving engine and the compile
+ * planner use this figure. */
+constexpr double kDeployedW4A4Fraction = 0.84;
+
 /** The GEMM kernels compared in the paper's evaluation. */
 enum class GemmKernelKind {
     kCublasW16A16 = 0, ///< FP16 cuBLAS baseline
@@ -74,51 +108,24 @@ struct CometKernelFeatures {
     double w4a4_fraction = 0.75;
 };
 
-/** Fitted constants of the cost model. */
-struct CostModelCalibration {
-    /** Achievable fraction of peak HBM bandwidth. */
-    double memory_efficiency = 0.85;
-    /** SMs needed to saturate HBM; below this, bandwidth scales down. */
-    int bandwidth_saturation_sms = 32;
-    /** Achievable fraction of tensor-core peak per kernel family.
-     * cuBLAS's generic tiles trail TRT-LLM's tuned LLM kernels. @{ */
-    double efficiency_cublas = 0.55;
-    double efficiency_trtllm = 0.62;
-    double efficiency_qserve = 0.62;
-    double efficiency_comet = 0.60;
-    double efficiency_oracle = 0.62;
-    /** @} */
-    /** Fixed per-kernel launch + framework overhead, microseconds. */
-    double launch_overhead_us = 18.0;
-    /** CUDA-core ops per dequantized W4A16 weight value. */
-    double dequant_ops_per_value = 6.0;
-    /** CUDA-core ops per value for QServe's INT4->INT8 weight path. */
-    double qserve_conv_ops_per_value = 2.0;
-    /** CUDA-core ops per value, COMET fast conversion (3 instructions
-     * per 8 values, measured from the bit-exact emulation). */
-    double fast_conv_ops_per_value = 0.375;
-    /** CUDA-core ops per value, naive conversion (the ~10 arithmetic
-     * instructions of Figure 7(a) plus the sub-word insertion SASS the
-     * compiler emits around them). */
-    double naive_conv_ops_per_value = 28.0;
-    /** Fraction of the mma duration's CUDA-core issue slots the
-     * pipeline can dedicate to conversion before it spills onto the
-     * critical path. */
-    double conv_hide_budget = 0.3;
-    /** Cost of one inter-SM synchronization barrier, microseconds. */
-    double barrier_us = 0.05;
-    /** CUDA-core ops per activation value for channel permutation
-     * (paper reports permutation at ~0.7% of runtime). */
-    double permute_ops_per_value = 1.0;
-    /** Tile extents used by COMET (fixed at 128^3 in the paper). @{ */
-    int64_t tile_m = 128;
-    int64_t tile_n = 128;
-    int64_t tile_k = 128;
-    /** @} */
-    /** Scheduler knobs for the task-stealing policy. */
-    int steal_split = 4;
-    double steal_overhead = 0.03;
+/** A named W4Ax kernel variant used by the ablation studies. */
+struct W4AxVariant {
+    std::string name;
+    CometKernelFeatures features;
 };
+
+/** The Figure 13 ablation set: full kernel plus one feature removed at
+ * a time. */
+std::vector<W4AxVariant> figure13Variants();
+
+/** The Figure 14 progression: naive mapping, +remapping, +tile
+ * decomposition (the full kernel). */
+std::vector<W4AxVariant> figure14Variants();
+
+/** CUDA-core ops the COMET kernel spends per INT4 weight value it
+ * widens to INT8: the fast (Figure 7(b)) or the naive (Figure 7(a))
+ * conversion. */
+double conversionOpsPerValue(bool fast_conversion);
 
 /** Stage-level timing result for one kernel invocation. */
 struct KernelCost {
@@ -137,14 +144,9 @@ struct KernelCost {
 class GemmCostModel
 {
   public:
-    explicit GemmCostModel(GpuSpec spec,
-                           CostModelCalibration calibration = {});
+    explicit GemmCostModel(GpuSpec spec);
 
     const GpuSpec &spec() const { return spec_; }
-    const CostModelCalibration &calibration() const
-    {
-        return calibration_;
-    }
 
     /**
      * Estimates one kernel invocation.
@@ -156,14 +158,16 @@ class GemmCostModel
     KernelCost estimate(const GemmShape &shape, GemmKernelKind kind,
                         const CometKernelFeatures &features = {}) const;
 
+    /** Effective HBM bandwidth at @p active_sms occupied SMs, bytes/s
+     * (spec().num_sms gives the full-occupancy figure every
+     * memory-bound operator reads at). */
+    double effectiveBandwidth(int active_sms) const;
+
   private:
     /** Tensor-core time of a uniform-precision GEMM at the given peak
      * efficiency, accounting for tile-level parallelism limits. */
     double computeTime(const GemmShape &shape, int precision_bits,
                        double efficiency, double parallel_fraction) const;
-
-    /** Effective HBM bandwidth at the given SM occupancy. */
-    double effectiveBandwidth(int active_sms) const;
 
     /** Mixed-precision tensor-core time via the SM scheduler. */
     double scheduledComputeTime(const GemmShape &shape,
@@ -172,7 +176,6 @@ class GemmCostModel
                                 double *utilization) const;
 
     GpuSpec spec_;
-    CostModelCalibration calibration_;
 };
 
 } // namespace comet

@@ -1,7 +1,5 @@
 #include "comet/gpusim/planner.h"
 
-#include <algorithm>
-
 #include "comet/common/table.h"
 #include "comet/model/layer_shapes.h"
 #include "comet/obs/trace_session.h"
@@ -10,11 +8,7 @@
 
 namespace comet {
 
-CompilePlanner::CompilePlanner(GpuSpec spec,
-                               CostModelCalibration calibration)
-    : model_(std::move(spec), calibration)
-{
-}
+CompilePlanner::CompilePlanner() : model_(GpuSpec::a100Sxm480G()) {}
 
 ModelPlan
 CompilePlanner::plan(const LlmConfig &model, int64_t batch,
@@ -31,28 +25,13 @@ CompilePlanner::plan(const LlmConfig &model, int64_t batch,
     result.batch = batch;
     result.tensor_parallel = tensor_parallel;
 
-    const auto tp_degree = static_cast<int64_t>(tensor_parallel);
-    const auto &cal = model_.calibration();
     double naive_total = 0.0;
-    for (const LayerGemm &gemm : decoderLayerGemms(model, batch)) {
+    for (const LayerGemm &gemm :
+         decoderLayerGemms(model, batch, tensor_parallel)) {
         LayerPlan layer;
         layer.name = gemm.name;
         layer.shape = gemm.shape;
-        // Megatron sharding, matching ServingEngine: the block's
-        // first projection splits its output features, the second its
-        // input channels.
-        if (gemm.name == "qkv_proj" || gemm.name == "gate_up_proj" ||
-            gemm.name == "up_proj") {
-            layer.shape.n =
-                std::max<int64_t>(layer.shape.n / tp_degree, 1);
-        } else {
-            layer.shape.k =
-                std::max<int64_t>(layer.shape.k / tp_degree, 1);
-        }
-        layer.total_tiles =
-            ((layer.shape.m + cal.tile_m - 1) / cal.tile_m) *
-            ((layer.shape.n + cal.tile_n - 1) / cal.tile_n) *
-            ((layer.shape.k + cal.tile_k - 1) / cal.tile_k);
+        layer.total_tiles = tileCounts(layer.shape).total();
         layer.w4a4_tile_fraction = w4a4_fraction;
 
         double best = 0.0;

@@ -52,25 +52,24 @@ struct ModelPlan {
 };
 
 /**
- * The compilation pass.
+ * The compilation pass, on the A100-80G the paper evaluates.
  */
 class CompilePlanner
 {
   public:
-    explicit CompilePlanner(GpuSpec spec = GpuSpec::a100Sxm480G(),
-                            CostModelCalibration calibration = {});
+    CompilePlanner();
 
     /**
      * Plans every decoder-layer GEMM of @p model at decode batch
      * @p batch. @p w4a4_fraction is the deployed FMPQ statistic
-     * (Section 6.2; defaults to the paper's measured 84%).
+     * (Section 6.2; defaults to kDeployedW4A4Fraction).
      * @p tensor_parallel shards each GEMM Megatron-style before
      * planning (column-parallel first projections, row-parallel
      * second; must pass tp::validateTpDegree for the model) and adds
      * the per-layer all-reduce cost to the plan.
      */
     ModelPlan plan(const LlmConfig &model, int64_t batch,
-                   double w4a4_fraction = 0.84,
+                   double w4a4_fraction = kDeployedW4A4Fraction,
                    int tensor_parallel = 1) const;
 
     /** Renders a plan as an aligned text report. */

@@ -22,11 +22,24 @@ struct LayerGemm {
     GemmShape shape;
 };
 
-/** The per-decoder-layer GEMMs at the given batched token count
+/**
+ * The per-decoder-layer GEMMs at the given batched token count
  * (M = tokens processed together: batch for decode, batch * seqlen for
- * prefill). */
+ * prefill), as one GPU of a @p tensor_parallel group runs them.
+ * Megatron sharding: the first projection of each block (qkv_proj,
+ * gate_up_proj/up_proj) is column-parallel (N / tp), the second
+ * (o_proj, down_proj) row-parallel (K / tp); each split extent is at
+ * least 1.
+ */
 std::vector<LayerGemm> decoderLayerGemms(const LlmConfig &config,
-                                         int64_t m_tokens);
+                                         int64_t m_tokens,
+                                         int tensor_parallel = 1);
+
+/** The LM head GEMM (hidden -> vocab) at @p m_tokens tokens on one GPU
+ * of a @p tensor_parallel group (column-parallel, like the first
+ * projections of decoderLayerGemms). */
+GemmShape lmHeadGemm(const LlmConfig &config, int64_t m_tokens,
+                     int tensor_parallel = 1);
 
 /** The weight-activation GEMM shapes used by the Figure 9 kernel
  * sweep: representative LLaMA projection shapes, labeled as in the

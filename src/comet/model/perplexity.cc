@@ -6,6 +6,7 @@
 #include "comet/model/quantized_decoder.h"
 #include "comet/quant/qoq.h"
 #include "comet/quant/rotation.h"
+#include "comet/quant/smooth_quant.h"
 #include "comet/quant/quantizer.h"
 #include "comet/quant/weight_quant.h"
 
@@ -233,21 +234,8 @@ buildSmoothQuant(const TinyTransformer &teacher,
     std::map<std::pair<int64_t, int>, std::vector<float>> factors;
     for (int64_t l = 0; l < config.num_layers; ++l) {
         for (ActSite site : kAllActSites) {
-            const Tensor &acts = calibration.activations(l, site);
-            const int64_t channels = acts.cols();
-            // Per-channel |act| max.
-            std::vector<float> a_max(
-                static_cast<size_t>(channels), 0.0f);
-            for (int64_t t = 0; t < acts.rows(); ++t) {
-                for (int64_t c = 0; c < channels; ++c) {
-                    a_max[static_cast<size_t>(c)] = std::max(
-                        a_max[static_cast<size_t>(c)],
-                        std::fabs(acts.at(t, c)));
-                }
-            }
-            // Per-channel |w| max across every matrix fed by the site.
-            std::vector<float> w_max(
-                static_cast<size_t>(channels), 0.0f);
+            // Every matrix fed by the site shares its factors.
+            std::vector<const Tensor *> weights;
             for (WeightKind kind :
                  {WeightKind::kQ, WeightKind::kK, WeightKind::kV,
                   WeightKind::kO, WeightKind::kGate, WeightKind::kUp,
@@ -257,24 +245,10 @@ buildSmoothQuant(const TinyTransformer &teacher,
                 if (kind == WeightKind::kGate &&
                     !teacher.config().gated_mlp)
                     continue; // plain-MLP models have no gate
-                const Tensor &w = teacher.weight({l, kind});
-                for (int64_t n = 0; n < w.rows(); ++n) {
-                    for (int64_t c = 0; c < channels; ++c) {
-                        w_max[static_cast<size_t>(c)] = std::max(
-                            w_max[static_cast<size_t>(c)],
-                            std::fabs(w.at(n, c)));
-                    }
-                }
+                weights.push_back(&teacher.weight({l, kind}));
             }
-            std::vector<float> s(static_cast<size_t>(channels));
-            for (size_t c = 0; c < s.size(); ++c) {
-                const float a = std::max(a_max[c], 1e-5f);
-                const float w = std::max(w_max[c], 1e-5f);
-                s[c] = std::max(std::pow(a, kAlpha) /
-                                    std::pow(w, 1.0f - kAlpha),
-                                1e-5f);
-            }
-            factors[{l, static_cast<int>(site)}] = std::move(s);
+            factors[{l, static_cast<int>(site)}] = smoothQuantFactors(
+                calibration.activations(l, site), weights, kAlpha);
         }
     }
 

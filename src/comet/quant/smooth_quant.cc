@@ -3,72 +3,50 @@
 #include <algorithm>
 #include <cmath>
 
-#include "comet/quant/quantizer.h"
-
 namespace comet {
 
-SmoothQuantLayer
-SmoothQuantLayer::calibrate(const Tensor &act_calibration,
-                            const Tensor &weight,
-                            const SmoothQuantConfig &config)
+std::vector<float>
+smoothQuantFactors(const Tensor &act_calibration,
+                   const std::vector<const Tensor *> &weights,
+                   float alpha)
 {
     COMET_CHECK(act_calibration.shape().rank() == 2);
-    COMET_CHECK(weight.shape().rank() == 2);
-    COMET_CHECK_MSG(act_calibration.cols() == weight.cols(),
-                    "activation channels must match weight in_channels");
-    COMET_CHECK(config.alpha >= 0.0f && config.alpha <= 1.0f);
+    COMET_CHECK(alpha >= 0.0f && alpha <= 1.0f);
+    const int64_t channels = act_calibration.cols();
+    const auto channel_count = static_cast<size_t>(channels);
 
-    const int64_t in_channels = weight.cols();
-    const ChannelStats act_stats = computeChannelStats(act_calibration);
-
-    // Per-input-channel weight magnitude max_n |W[n, c]|.
-    std::vector<float> w_abs_max(static_cast<size_t>(in_channels), 0.0f);
-    for (int64_t n = 0; n < weight.rows(); ++n) {
-        for (int64_t c = 0; c < in_channels; ++c) {
-            auto ci = static_cast<size_t>(c);
-            w_abs_max[ci] = std::max(w_abs_max[ci],
-                                     std::fabs(weight.at(n, c)));
+    std::vector<float> a_max(channel_count, 0.0f);
+    for (int64_t t = 0; t < act_calibration.rows(); ++t) {
+        for (int64_t c = 0; c < channels; ++c) {
+            a_max[static_cast<size_t>(c)] =
+                std::max(a_max[static_cast<size_t>(c)],
+                         std::fabs(act_calibration.at(t, c)));
+        }
+    }
+    std::vector<float> w_max(channel_count, 0.0f);
+    for (const Tensor *weight : weights) {
+        COMET_CHECK(weight->shape().rank() == 2);
+        COMET_CHECK_MSG(weight->cols() == channels,
+                        "activation channels must match weight "
+                        "in_channels");
+        for (int64_t n = 0; n < weight->rows(); ++n) {
+            for (int64_t c = 0; c < channels; ++c) {
+                w_max[static_cast<size_t>(c)] =
+                    std::max(w_max[static_cast<size_t>(c)],
+                             std::fabs(weight->at(n, c)));
+            }
         }
     }
 
-    std::vector<float> factors(static_cast<size_t>(in_channels), 1.0f);
-    for (size_t c = 0; c < factors.size(); ++c) {
-        const float a = std::max(act_stats.abs_max[c], 1e-5f);
-        const float w = std::max(w_abs_max[c], 1e-5f);
-        const float s = std::pow(a, config.alpha) /
-                        std::pow(w, 1.0f - config.alpha);
-        factors[c] = std::max(s, 1e-5f);
+    std::vector<float> factors(channel_count);
+    for (size_t c = 0; c < channel_count; ++c) {
+        const float a = std::max(a_max[c], 1e-5f);
+        const float w = std::max(w_max[c], 1e-5f);
+        factors[c] = std::max(std::pow(a, alpha) /
+                                  std::pow(w, 1.0f - alpha),
+                              1e-5f);
     }
-
-    // Smooth the weight (multiply columns by s) and fake-quantize it
-    // per output channel.
-    Tensor smoothed(weight.rows(), in_channels);
-    for (int64_t n = 0; n < weight.rows(); ++n) {
-        for (int64_t c = 0; c < in_channels; ++c) {
-            smoothed.at(n, c) =
-                weight.at(n, c) * factors[static_cast<size_t>(c)];
-        }
-    }
-    Tensor quantized_weight = fakeQuantPerRow(smoothed,
-                                              config.weight_bits);
-    return SmoothQuantLayer(config, std::move(factors),
-                            std::move(quantized_weight));
-}
-
-Tensor
-SmoothQuantLayer::fakeQuantActivations(const Tensor &x) const
-{
-    COMET_CHECK(x.shape().rank() == 2);
-    COMET_CHECK(x.cols() ==
-                static_cast<int64_t>(factors_.size()));
-    Tensor smoothed(x.rows(), x.cols());
-    for (int64_t t = 0; t < x.rows(); ++t) {
-        for (int64_t c = 0; c < x.cols(); ++c) {
-            smoothed.at(t, c) =
-                x.at(t, c) / factors_[static_cast<size_t>(c)];
-        }
-    }
-    return fakeQuantPerRow(smoothed, config_.act_bits);
+    return factors;
 }
 
 } // namespace comet

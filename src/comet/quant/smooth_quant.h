@@ -7,67 +7,32 @@
  * weights with a per-channel equivalent transformation: activations are
  * divided by s_c and the corresponding weight column is multiplied by
  * s_c, where s_c = max|X_c|^alpha / max|W_c|^(1-alpha). Both sides are
- * then quantized to INT8 (per-token activations, per-channel weights).
+ * then quantized to INT8 (per-token activations, per-channel weights);
+ * the Table 1/2 harness (model/perplexity.cc) applies that per
+ * activation site.
  */
 #pragma once
 
 #include <vector>
 
-#include "comet/quant/outlier.h"
 #include "comet/tensor/tensor.h"
 
 namespace comet {
 
-/** SmoothQuant configuration. */
-struct SmoothQuantConfig {
-    float alpha = 0.5f; ///< migration strength
-    int weight_bits = 8;
-    int act_bits = 8;
-};
-
 /**
- * SmoothQuant applied to one linear layer (X [tokens, in],
- * W [out, in]).
+ * SmoothQuant's per-input-channel smoothing divisors for one
+ * activation site: s_c = max(a_c^alpha / w_c^(1-alpha), 1e-5), where
+ * a_c = max(max_t |X[t, c]|, 1e-5) and w_c = max(max_n |W[n, c]|,
+ * 1e-5) over every weight matrix the site feeds (q, k and v share one
+ * input, as do gate and up).
+ *
+ * @param act_calibration  calibration activations [tokens, channels]
+ * @param weights          the site's weight matrices [out, channels]
+ * @param alpha            migration strength in [0, 1]
  */
-class SmoothQuantLayer
-{
-  public:
-    /** Calibrates smoothing factors from activation statistics and the
-     * weight matrix. */
-    static SmoothQuantLayer calibrate(const Tensor &act_calibration,
-                                      const Tensor &weight,
-                                      const SmoothQuantConfig &config = {});
-
-    const SmoothQuantConfig &config() const { return config_; }
-
-    /** Per-channel smoothing divisors s_c (all >= a small epsilon). */
-    const std::vector<float> &
-    smoothingFactors() const
-    {
-        return factors_;
-    }
-
-    /** The fake-quantized, smoothed weight W' = quant(W * s). */
-    const Tensor &quantizedWeight() const { return quantized_weight_; }
-
-    /**
-     * Simulates the quantized layer: smooths X, fake-quantizes per
-     * token, and returns the dequantized smoothed activations X' such
-     * that X' * quantizedWeight()^T approximates X * W^T.
-     */
-    Tensor fakeQuantActivations(const Tensor &x) const;
-
-  private:
-    SmoothQuantLayer(SmoothQuantConfig config, std::vector<float> factors,
-                     Tensor quantized_weight)
-        : config_(config), factors_(std::move(factors)),
-          quantized_weight_(std::move(quantized_weight))
-    {
-    }
-
-    SmoothQuantConfig config_;
-    std::vector<float> factors_;
-    Tensor quantized_weight_;
-};
+std::vector<float>
+smoothQuantFactors(const Tensor &act_calibration,
+                   const std::vector<const Tensor *> &weights,
+                   float alpha = 0.5f);
 
 } // namespace comet

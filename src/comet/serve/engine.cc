@@ -80,7 +80,8 @@ engineConfigWithKvBlocks(EngineConfig config, int64_t blocks)
     probe_config.block_tokens = kKvBlockTokens;
     probe_config.memory_budget_bytes = 1e9;
     const PagedKvCache probe(config.model, probe_config);
-    const double weights = ServingEngine(config).weightBytes();
+    const ServingEngine engine(config);
+    const double weights = engine.weightBytes();
     // Half a block of headroom: the fraction is later inverted as
     // fraction * hbm - weights and floored into whole blocks, and a
     // bare N blocks can round-trip to N-1 through that arithmetic.
@@ -93,7 +94,7 @@ engineConfigWithKvBlocks(EngineConfig config, int64_t blocks)
     config.usable_memory_fraction =
         (weights + probe.blockBytes() *
                        (static_cast<double>(blocks) + 0.5) / tp) /
-        config.gpu.hbm_capacity_bytes;
+        engine.gpu().hbm_capacity_bytes;
     probe_config.memory_budget_bytes =
         std::max(ServingEngine(config).kvPoolBytes(), 1.0);
     const PagedKvCache check(config.model, probe_config);
@@ -106,7 +107,7 @@ engineConfigWithKvBlocks(EngineConfig config, int64_t blocks)
 ServingEngine::ServingEngine(EngineConfig config)
     : config_(std::move(config)),
       precision_(servingPrecision(config_.mode)),
-      cost_model_(config_.gpu, config_.calibration)
+      cost_model_(GpuSpec::a100Sxm480G())
 {
     COMET_CHECK(config_.input_tokens > 0 && config_.output_tokens > 0);
     COMET_CHECK(config_.max_batch > 0);
@@ -116,10 +117,7 @@ ServingEngine::ServingEngine(EngineConfig config)
                             config_.tensor_parallel ==
                         0,
                     "tensor_parallel must divide the KV head count");
-    // In deployment FMPQ pushes more than 84% of GEMM compute into
-    // W4A4 (Section 6.2); the kernel benches use 0.75 as the stated
-    // lower bound, the end-to-end engine uses the deployed figure.
-    comet_features_.w4a4_fraction = 0.84;
+    comet_features_.w4a4_fraction = kDeployedW4A4Fraction;
 }
 
 double
@@ -139,7 +137,7 @@ ServingEngine::allReduceLatencyUs(int64_t m_tokens) const
     // and MLP down projections), each costed by the interconnect
     // model at the cheaper of its ring/direct algorithms for the
     // step's FP16 activation tensor.
-    const tp::InterconnectModel link(config_.gpu);
+    const tp::InterconnectModel link(gpu());
     const double tensor_bytes =
         static_cast<double>(m_tokens) *
         static_cast<double>(config_.model.hidden_size) * 2.0;
@@ -160,7 +158,7 @@ ServingEngine::allReduceLatencyUs(int64_t m_tokens) const
 double
 ServingEngine::kvBudgetBytes() const
 {
-    const double usable = config_.gpu.hbm_capacity_bytes *
+    const double usable = gpu().hbm_capacity_bytes *
                           config_.usable_memory_fraction;
     return std::max(0.0, usable - weightBytes());
 }
@@ -196,33 +194,20 @@ ServingEngine::maxBatchSize() const
 double
 ServingEngine::stepGemmLatencyUs(int64_t m_tokens) const
 {
-    const auto tp = static_cast<int64_t>(config_.tensor_parallel);
+    const int tp = config_.tensor_parallel;
     double per_layer = 0.0;
     for (const LayerGemm &gemm :
-         decoderLayerGemms(config_.model, m_tokens)) {
-        // Megatron sharding: the first projection of each block is
-        // column-parallel (N / tp), the second row-parallel (K / tp).
-        GemmShape shape = gemm.shape;
-        if (gemm.name == "qkv_proj" || gemm.name == "gate_up_proj" ||
-            gemm.name == "up_proj") {
-            shape.n = std::max<int64_t>(shape.n / tp, 1);
-        } else {
-            shape.k = std::max<int64_t>(shape.k / tp, 1);
-        }
+         decoderLayerGemms(config_.model, m_tokens, tp)) {
         per_layer += cost_model_
-                         .estimate(shape, precision_.gemm_kind,
+                         .estimate(gemm.shape, precision_.gemm_kind,
                                    comet_features_)
                          .total_us;
     }
     double total =
         per_layer * static_cast<double>(config_.model.num_layers);
-    // LM head runs in FP16 in every configuration (column-parallel
-    // under TP).
+    // LM head runs in FP16 in every configuration.
     total += cost_model_
-                 .estimate({m_tokens,
-                            std::max<int64_t>(
-                                config_.model.vocab_size / tp, 1),
-                            config_.model.hidden_size},
+                 .estimate(lmHeadGemm(config_.model, m_tokens, tp),
                            GemmKernelKind::kCublasW16A16)
                  .total_us;
     total += allReduceLatencyUs(m_tokens);
@@ -241,8 +226,8 @@ ServingEngine::attentionLatencyUs(int64_t batch,
                                          precision_.kv_bits) *
         static_cast<double>(batch) /
         static_cast<double>(config_.tensor_parallel);
-    const double bandwidth = config_.gpu.hbm_bandwidth *
-                             config_.calibration.memory_efficiency;
+    const double bandwidth =
+        cost_model_.effectiveBandwidth(gpu().num_sms);
     return kv_bytes / bandwidth * 1e6 +
            static_cast<double>(config_.model.num_layers) *
                kAttnLaunchUs;
@@ -325,7 +310,7 @@ ServingEngine::prefillLatencyUs(
         sq_sum / 2.0 *
         static_cast<double>(config_.model.hidden_size) * 2.0;
     total += attn_ops /
-             (config_.gpu.fp16_tensor_ops * kPrefillAttnEfficiency) *
+             (gpu().fp16_tensor_ops * kPrefillAttnEfficiency) *
              1e6;
     return total;
 }

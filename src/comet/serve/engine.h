@@ -57,8 +57,6 @@ constexpr int64_t kKvBlockTokens = 16;
 struct EngineConfig {
     LlmConfig model; ///< model geometry being served
     ServingMode mode = ServingMode::kCometW4AxKv4; ///< system config
-    GpuSpec gpu = GpuSpec::a100Sxm480G(); ///< device being modeled
-    CostModelCalibration calibration{};   ///< kernel cost calibration
     int64_t input_tokens = 1024; ///< prompt tokens per request
     int64_t output_tokens = 512; ///< generated tokens per request
     /** Generation bound the requests *declare* to admission. Real
@@ -134,6 +132,10 @@ class ServingEngine
 
     /** The construction parameters. */
     const EngineConfig &config() const { return config_; }
+
+    /** The device every engine models: one A100-80G (per GPU of a
+     * tensor-parallel group). */
+    const GpuSpec &gpu() const { return cost_model_.spec(); }
 
     /** Bytes of weight storage at this mode's precision, per GPU
      * (total divided by the tensor-parallel degree). */

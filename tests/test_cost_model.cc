@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "comet/gpusim/cost_model.h"
+#include "comet/kernel/convert.h"
 #include "comet/model/llm_config.h"
 
 namespace comet {
@@ -235,6 +236,27 @@ TEST_F(CostModelTest, KernelKindNames)
                  "cuBLAS-W16A16");
     EXPECT_STREQ(gemmKernelKindName(GemmKernelKind::kCometW4Ax),
                  "COMET-W4Ax");
+}
+
+TEST_F(CostModelTest, ConversionConstantsMatchTheirCounters)
+{
+    // One packed INT4 register word widens 8 values.
+    constexpr int64_t kValuesPerWord = 8;
+    const uint32_t word = 0x89abcdefu;
+
+    InstructionCounter fast;
+    fastInt4ToInt8(locationSwitch(word), &fast);
+    EXPECT_EQ(fast.count(), 3);
+    EXPECT_EQ(conversionOpsPerValue(true) * kValuesPerWord,
+              static_cast<double>(fast.count()));
+
+    // The naive constant also charges the sub-word insertion SASS the
+    // emulation does not count, so it may only exceed the count.
+    InstructionCounter naive;
+    naiveInt4ToInt8(word, &naive);
+    EXPECT_EQ(naive.count(), 80);
+    EXPECT_GE(conversionOpsPerValue(false),
+              static_cast<double>(naive.count()) / kValuesPerWord);
 }
 
 TEST(CostModelDeathTest, RejectsEmptyShape)

@@ -183,15 +183,14 @@ TEST(ServingEngine, PrefillCostingSchedulesTilesWithoutBuildingThem)
                                           ServingMode::kCometW4AxKv4));
     const int64_t batch = engine.maxBatchSize();
     ASSERT_GT(batch, 0);
-    const CostModelCalibration cal;
     int64_t expected = 0;
     for (const LayerGemm &gemm : decoderLayerGemms(
              engine.config().model,
              batch * engine.config().input_tokens)) {
         const GemmShape &shape = gemm.shape;
-        expected += ((shape.m + cal.tile_m - 1) / cal.tile_m) *
-                    ((shape.n + cal.tile_n - 1) / cal.tile_n) *
-                    ((shape.k + cal.tile_k - 1) / cal.tile_k);
+        expected += ((shape.m + kTileM - 1) / kTileM) *
+                    ((shape.n + kTileN - 1) / kTileN) *
+                    ((shape.k + kTileK - 1) / kTileK);
     }
 
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "comet/common/rng.h"
-#include "comet/gpusim/kernel_sim.h"
+#include "comet/gpusim/cost_model.h"
 #include "comet/kernel/gemm_ref.h"
 #include "comet/kernel/gemm_w4ax.h"
 #include "comet/model/layer_shapes.h"
@@ -116,18 +116,22 @@ TEST(Integration, KernelStatsMatchSchedulerInputs)
                      quantizer.int4BlockFraction());
 }
 
-TEST(Integration, LayerShapesDriveKernelSimulator)
+TEST(Integration, LayerShapesDriveCostModel)
 {
     // Every decoder GEMM of every paper model is accepted by the
     // cost model and keeps the COMET-beats-cuBLAS property at decode
     // batch 16.
-    const KernelSimulator sim;
+    const GemmCostModel cost_model(GpuSpec::a100Sxm480G());
     for (const LlmConfig &model : LlmConfig::paperModels()) {
         for (const LayerGemm &gemm : decoderLayerGemms(model, 16)) {
-            const double cublas = sim.latencyUs(
-                gemm.shape, GemmKernelKind::kCublasW16A16);
-            const double comet = sim.latencyUs(
-                gemm.shape, GemmKernelKind::kCometW4Ax);
+            const double cublas =
+                cost_model
+                    .estimate(gemm.shape, GemmKernelKind::kCublasW16A16)
+                    .total_us;
+            const double comet =
+                cost_model
+                    .estimate(gemm.shape, GemmKernelKind::kCometW4Ax)
+                    .total_us;
             EXPECT_GT(cublas, comet)
                 << model.name << " " << gemm.name;
         }

@@ -1,26 +1,23 @@
 /**
  * @file
- * Unit tests for the kernel simulator facade and ablation variant
- * sets.
+ * Unit tests for the W4Ax ablation variant sets (Figures 13 and 14)
+ * costed through the GEMM cost model.
  */
 #include <gtest/gtest.h>
 
-#include "comet/gpusim/kernel_sim.h"
+#include "comet/gpusim/cost_model.h"
 
 namespace comet {
 namespace {
 
-TEST(KernelSim, SpeedupDefinition)
+/** Latency of one W4Ax variant on @p shape, microseconds. */
+double
+variantLatencyUs(const GemmShape &shape, const W4AxVariant &variant)
 {
-    const KernelSimulator sim;
-    const GemmShape shape{64, 8192, 8192};
-    const double cublas =
-        sim.latencyUs(shape, GemmKernelKind::kCublasW16A16);
-    const double comet =
-        sim.latencyUs(shape, GemmKernelKind::kCometW4Ax);
-    EXPECT_NEAR(sim.speedup(shape, GemmKernelKind::kCublasW16A16,
-                            GemmKernelKind::kCometW4Ax),
-                cublas / comet, 1e-9);
+    const GemmCostModel model(GpuSpec::a100Sxm480G());
+    return model.estimate(shape, GemmKernelKind::kCometW4Ax,
+                          variant.features)
+        .total_us;
 }
 
 TEST(KernelSim, Figure13VariantsCoverEachFeature)
@@ -49,24 +46,22 @@ TEST(KernelSim, Figure14VariantsFollowTheLadder)
 
 TEST(KernelSim, FullVariantIsFastestOfFigure13)
 {
-    const KernelSimulator sim;
     const GemmShape shape{64, 8192, 8192};
     const auto variants = figure13Variants();
-    const double full = sim.variantLatencyUs(shape, variants[0]);
+    const double full = variantLatencyUs(shape, variants[0]);
     for (size_t i = 1; i < variants.size(); ++i) {
-        EXPECT_GT(sim.variantLatencyUs(shape, variants[i]), full)
+        EXPECT_GT(variantLatencyUs(shape, variants[i]), full)
             << variants[i].name;
     }
 }
 
 TEST(KernelSim, Figure14LadderImprovesMonotonically)
 {
-    const KernelSimulator sim;
     const GemmShape shape{256, 8192, 8192};
     const auto variants = figure14Variants();
     double previous = 1e30;
     for (const auto &variant : variants) {
-        const double t = sim.variantLatencyUs(shape, variant);
+        const double t = variantLatencyUs(shape, variant);
         EXPECT_LE(t, previous + 1e-9) << variant.name;
         previous = t;
     }

@@ -49,6 +49,31 @@ TEST(LayerShapes, MTokensPropagates)
     }
 }
 
+TEST(LayerShapes, TensorParallelShardsMegatronStyle)
+{
+    const LlmConfig model = LlmConfig::llama3_70b();
+    const auto full = decoderLayerGemms(model, 8);
+    const auto shard = decoderLayerGemms(model, 8, 4);
+    ASSERT_EQ(shard.size(), full.size());
+    // Column-parallel first projections split N; row-parallel second
+    // projections split K.
+    for (size_t i = 0; i < full.size(); ++i) {
+        const bool column = full[i].name == "qkv_proj" ||
+                            full[i].name == "gate_up_proj";
+        EXPECT_EQ(shard[i].name, full[i].name);
+        EXPECT_EQ(shard[i].shape.m, 8);
+        EXPECT_EQ(shard[i].shape.n,
+                  column ? full[i].shape.n / 4 : full[i].shape.n);
+        EXPECT_EQ(shard[i].shape.k,
+                  column ? full[i].shape.k : full[i].shape.k / 4);
+    }
+    EXPECT_EQ(lmHeadGemm(model, 8).n, model.vocab_size);
+    const GemmShape head = lmHeadGemm(model, 8, 4);
+    EXPECT_EQ(head.m, 8);
+    EXPECT_EQ(head.n, model.vocab_size / 4);
+    EXPECT_EQ(head.k, model.hidden_size);
+}
+
 TEST(LayerShapes, Figure9ShapeSet)
 {
     const auto shapes = figure9Shapes(8);

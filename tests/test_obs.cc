@@ -398,11 +398,11 @@ makeTinyKvEngine(EngineConfig config, int64_t blocks)
                                      .block_tokens = 16,
                                      .memory_budget_bytes = 1e9};
     const PagedKvCache probe(config.model, probe_config);
-    const double weights = ServingEngine(config).weightBytes();
+    const ServingEngine unsized(config);
     config.usable_memory_fraction =
-        (weights +
+        (unsized.weightBytes() +
          probe.blockBytes() * static_cast<double>(blocks)) /
-        config.gpu.hbm_capacity_bytes;
+        unsized.gpu().hbm_capacity_bytes;
     return ServingEngine(config);
 }
 

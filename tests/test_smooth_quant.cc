@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for the SmoothQuant baseline.
+ * Unit tests for the SmoothQuant baseline's smoothing factors, applied
+ * to one linear layer the way the Table 1/2 harness applies them per
+ * activation site.
  */
 #include <gtest/gtest.h>
 
@@ -9,6 +11,8 @@
 #include "comet/common/rng.h"
 #include "comet/kernel/gemm_ref.h"
 #include "comet/model/synthetic.h"
+#include "comet/quant/outlier.h"
+#include "comet/quant/quantizer.h"
 #include "comet/quant/smooth_quant.h"
 
 namespace comet {
@@ -32,18 +36,47 @@ makeLayer(uint64_t seed)
     return {model.sample(64, rng), sampleWeights(16, 64, rng)};
 }
 
+std::vector<float>
+layerFactors(const LayerFixture &f, float alpha = 0.5f)
+{
+    return smoothQuantFactors(f.acts, {&f.weight}, alpha);
+}
+
+/** W8A8 SmoothQuant output of the layer: X / s and W * s, each
+ * fake-quantized per row to INT8, multiplied. */
+Tensor
+smoothQuantW8A8Output(const LayerFixture &f,
+                      const std::vector<float> &factors)
+{
+    Tensor smoothed_acts(f.acts.rows(), f.acts.cols());
+    for (int64_t t = 0; t < f.acts.rows(); ++t) {
+        for (int64_t c = 0; c < f.acts.cols(); ++c) {
+            smoothed_acts.at(t, c) =
+                f.acts.at(t, c) / factors[static_cast<size_t>(c)];
+        }
+    }
+    Tensor smoothed_weight(f.weight.rows(), f.weight.cols());
+    for (int64_t n = 0; n < f.weight.rows(); ++n) {
+        for (int64_t c = 0; c < f.weight.cols(); ++c) {
+            smoothed_weight.at(n, c) =
+                f.weight.at(n, c) * factors[static_cast<size_t>(c)];
+        }
+    }
+    return gemmFloat(fakeQuantPerRow(smoothed_acts, 8),
+                     fakeQuantPerRow(smoothed_weight, 8));
+}
+
 TEST(SmoothQuant, FactorsArePositive)
 {
     const LayerFixture f = makeLayer(1);
-    const auto layer = SmoothQuantLayer::calibrate(f.acts, f.weight);
-    for (float s : layer.smoothingFactors())
+    for (float s : layerFactors(f))
         EXPECT_GT(s, 0.0f);
 }
 
 TEST(SmoothQuant, OutlierChannelsGetLargerFactors)
 {
     const LayerFixture f = makeLayer(2);
-    const auto layer = SmoothQuantLayer::calibrate(f.acts, f.weight);
+    const std::vector<float> factors = layerFactors(f);
     const ChannelStats stats = computeChannelStats(f.acts);
     const OutlierReport report = detectOutliers(stats);
     ASSERT_FALSE(report.outlier_channels.empty());
@@ -52,11 +85,9 @@ TEST(SmoothQuant, OutlierChannelsGetLargerFactors)
     int64_t normals = 0;
     for (int64_t c = 0; c < 64; ++c) {
         if (report.is_outlier[static_cast<size_t>(c)]) {
-            outlier_mean +=
-                layer.smoothingFactors()[static_cast<size_t>(c)];
+            outlier_mean += factors[static_cast<size_t>(c)];
         } else {
-            normal_mean +=
-                layer.smoothingFactors()[static_cast<size_t>(c)];
+            normal_mean += factors[static_cast<size_t>(c)];
             ++normals;
         }
     }
@@ -69,17 +100,13 @@ TEST(SmoothQuant, OutlierChannelsGetLargerFactors)
 TEST(SmoothQuant, SmoothedActivationsHaveFlatterRange)
 {
     const LayerFixture f = makeLayer(3);
-    SmoothQuantConfig config;
-    config.act_bits = 16; // isolate the smoothing effect
-    const auto layer =
-        SmoothQuantLayer::calibrate(f.acts, f.weight, config);
-    // Apply the smoothing division manually via the factors.
+    const std::vector<float> factors = layerFactors(f);
+    // The smoothing division alone, without quantization.
     Tensor smoothed(f.acts.rows(), f.acts.cols());
     for (int64_t t = 0; t < f.acts.rows(); ++t) {
         for (int64_t c = 0; c < f.acts.cols(); ++c) {
             smoothed.at(t, c) =
-                f.acts.at(t, c) /
-                layer.smoothingFactors()[static_cast<size_t>(c)];
+                f.acts.at(t, c) / factors[static_cast<size_t>(c)];
         }
     }
     const ChannelStats before = computeChannelStats(f.acts);
@@ -99,9 +126,7 @@ TEST(SmoothQuant, EndToEndGemmErrorBeatsNaiveW8A8)
     const Tensor reference = gemmFloat(f.acts, f.weight);
 
     // SmoothQuant W8A8.
-    const auto layer = SmoothQuantLayer::calibrate(f.acts, f.weight);
-    const Tensor sq_out = gemmFloat(layer.fakeQuantActivations(f.acts),
-                                    layer.quantizedWeight());
+    const Tensor sq_out = smoothQuantW8A8Output(f, layerFactors(f));
 
     // Naive W8A8 (per-token act, per-channel weight, no smoothing).
     const Tensor naive_out = gemmFloat(fakeQuantPerRow(f.acts, 8),
@@ -116,7 +141,7 @@ TEST(SmoothQuantDeathTest, MismatchedChannelsRejected)
 {
     Tensor acts(4, 32);
     Tensor weight(8, 64);
-    EXPECT_DEATH(SmoothQuantLayer::calibrate(acts, weight), "match");
+    EXPECT_DEATH(smoothQuantFactors(acts, {&weight}), "match");
 }
 
 /** Sweep over alpha: all migration strengths must stay numerically
@@ -127,13 +152,9 @@ class SmoothQuantAlphaSweep
 TEST_P(SmoothQuantAlphaSweep, StableAcrossAlpha)
 {
     const LayerFixture f = makeLayer(5);
-    SmoothQuantConfig config;
-    config.alpha = static_cast<float>(GetParam());
-    const auto layer =
-        SmoothQuantLayer::calibrate(f.acts, f.weight, config);
     const Tensor reference = gemmFloat(f.acts, f.weight);
-    const Tensor out = gemmFloat(layer.fakeQuantActivations(f.acts),
-                                 layer.quantizedWeight());
+    const Tensor out = smoothQuantW8A8Output(
+        f, layerFactors(f, static_cast<float>(GetParam())));
     EXPECT_LT(relativeError(reference, out), 0.2);
 }
 

@@ -189,7 +189,7 @@ TEST(InterconnectModel, EngineAllReduceUsesTheModel)
     config.mode = ServingMode::kCometW4AxKv4;
     config.tensor_parallel = 4;
     const ServingEngine engine(config);
-    const tp::InterconnectModel model(config.gpu);
+    const tp::InterconnectModel model(engine.gpu());
     for (int64_t m : {1, 16, 64, 256}) {
         const double tensor_bytes =
             static_cast<double>(m) *
