@@ -11,6 +11,7 @@ namespace {
 int64_t
 shardExtent(int64_t extent, int tensor_parallel)
 {
+    COMET_CHECK(tensor_parallel >= 1);
     return std::max<int64_t>(
         extent / static_cast<int64_t>(tensor_parallel), 1);
 }
@@ -22,7 +23,6 @@ decoderLayerGemms(const LlmConfig &config, int64_t m_tokens,
                   int tensor_parallel)
 {
     COMET_CHECK(m_tokens > 0);
-    COMET_CHECK(tensor_parallel >= 1);
     const int64_t head_dim = config.headDim();
     const int tp = tensor_parallel;
     std::vector<LayerGemm> gemms;
