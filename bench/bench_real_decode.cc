@@ -24,6 +24,10 @@
  *    each raw K and V row once per kv head for all the query heads
  *    sharing it, so one step widens tokens x kv heads x 2 x layers
  *    rows. Gated;
+ *  - K/V rows widened by the 128-token prefill, from the same
+ *    counter: the batched prefill attention folds each group closed
+ *    before a block of rows once for the block's query vectors, and
+ *    each row's own open group alone. Gated;
  *  - KV store bytes per token at 2048 context, from
  *    QuantizedDecoder::kvCacheBytes() (packed values plus per-group
  *    parameters). Gated;
@@ -33,6 +37,10 @@
  *    counters: fusing the projections that share an activation site
  *    (q|k|v, gate|up) runs 4 GEMMs and 4 quantizations per layer
  *    over the same tiles. Gated;
+ *  - column-block dot passes of the layer-0 q|k|v GEMM at M = 128,
+ *    from the `kernel.w4ax.dot_passes` counter: one pass over each
+ *    widened column block serves simd::kColumnBlockRows activation
+ *    rows. Gated;
  *  - the per-layer host split of the 64 steps ending at 2048 context,
  *    replayed once with the decoder's spans recorded (decoder/qkv,
  *    attention, o, mlp, lm_head), the same split of one 128-token
@@ -42,8 +50,10 @@
  *    model's K/V width filled with Gaussian rows: ungated.
  *
  * Checks (any failure exits 1): every logit is finite, the values
- * quantized per append never exceed one open group's, and the last
- * step widens exactly tokens x kv heads x 2 x layers K/V rows.
+ * quantized per append never exceed one open group's, the last
+ * step widens exactly tokens x kv heads x 2 x layers K/V rows, and the
+ * 128-row GEMM takes one dot pass per column block and
+ * simd::kColumnBlockRows rows.
  */
 #include <algorithm>
 #include <array>
@@ -61,6 +71,7 @@
 #include "comet/model/quantized_decoder.h"
 #include "comet/obs/metrics.h"
 #include "comet/obs/trace_session.h"
+#include "comet/simd/simd.h"
 
 using namespace comet;
 
@@ -218,10 +229,13 @@ main(int argc, char **argv)
     int64_t work_before[4] = {};
     std::optional<QuantizedDecoder> window_start;
     const QuantizedDecoder fresh = decoder;
+    const int64_t prefill_widened_before = rows_widened.value();
     const auto prefill_start = std::chrono::steady_clock::now();
     std::vector<float> logits = decoder.prefill(
         {stream.begin(), stream.begin() + kPromptTokens});
     const double prefill_ms = msSince(prefill_start);
+    const int64_t prefill_rows_widened =
+        rows_widened.value() - prefill_widened_before;
     check(allFinite(logits), "prefill logits are finite");
 
     // step_ms[t]: the decode step that feeds the token at position t.
@@ -311,6 +325,18 @@ main(int argc, char **argv)
         medianCallUs(201, [&] { (void)qkv.run(q_row); });
     const double w4ax_m128_us =
         medianCallUs(21, [&] { (void)qkv.run(q_rows); });
+    obs::Counter &dot_passes_counter =
+        registry.counter("kernel.w4ax.dot_passes");
+    const int64_t passes_before = dot_passes_counter.value();
+    (void)qkv.run(q_rows);
+    const int64_t dot_passes_m128 = dot_passes_counter.value() - passes_before;
+    const int64_t column_blocks =
+        (qkv_weight.rows() + simd::kColumnBlock - 1) / simd::kColumnBlock;
+    check(dot_passes_m128 ==
+              (kPromptTokens + simd::kColumnBlockRows - 1) /
+                  simd::kColumnBlockRows * column_blocks,
+          "a 128-row GEMM takes one dot pass per column block and "
+          "kColumnBlockRows rows");
 
     // The store attention and the K+V append alone, on stores of the
     // model's K/V shape filled with Gaussian rows.
@@ -384,6 +410,9 @@ main(int argc, char **argv)
     std::printf("K/V rows widened by the step at %lld context: %lld\n",
                 static_cast<long long>(kMaxContext),
                 static_cast<long long>(last_step_rows_widened));
+    std::printf("K/V rows widened by the %lld-token prefill: %lld\n",
+                static_cast<long long>(kPromptTokens),
+                static_cast<long long>(prefill_rows_widened));
     std::printf("KV store bytes per token: %.1f\n", bytes_per_token);
     std::printf("per decode step: %.0f W4Ax GEMMs, %.0f activation "
                 "quantizations, %.0f W4Ax tiles\n",
@@ -393,6 +422,11 @@ main(int argc, char **argv)
                 static_cast<long long>(qkv_weight.rows()),
                 static_cast<long long>(qkv_weight.cols()), w4ax_m1_us,
                 w4ax_m128_us, static_cast<long long>(kPromptTokens));
+    std::printf("layer-0 q|k|v W4Ax column-block dot passes at M=%lld: "
+                "%lld (%lld column blocks)\n",
+                static_cast<long long>(kPromptTokens),
+                static_cast<long long>(dot_passes_m128),
+                static_cast<long long>(column_blocks));
     std::printf("layer-0 q|k|v FMPQ quantization (K %lld): %.2f us at "
                 "M=1, %.1f us at M=%lld\n",
                 static_cast<long long>(qkv_weight.cols()), quantize_m1_us,
@@ -414,6 +448,9 @@ main(int argc, char **argv)
     report.addMetric("kv_rows_widened_per_step_ctx2048",
                      static_cast<double>(last_step_rows_widened), "rows",
                      true, false);
+    report.addMetric("kv_rows_widened_per_prefill",
+                     static_cast<double>(prefill_rows_widened), "rows", true,
+                     false);
     report.addMetric("kv_store_bytes_per_token", bytes_per_token, "B",
                      true, false);
     report.addMetric("w4ax_runs_per_step", gemms_per_step, "runs", true,
@@ -421,6 +458,9 @@ main(int argc, char **argv)
     report.addMetric("act_quantizations_per_step", quantizations_per_step,
                      "calls", true, false);
     report.addMetric("w4ax_tiles_per_step", tiles_per_step, "tiles", true,
+                     false);
+    report.addMetric("w4ax_dot_passes_m128",
+                     static_cast<double>(dot_passes_m128), "passes", true,
                      false);
     report.addMetric("w4ax_m1_us", w4ax_m1_us, "us", false, false);
     report.addMetric("w4ax_m128_us", w4ax_m128_us, "us", false, false);

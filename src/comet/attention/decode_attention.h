@@ -21,7 +21,12 @@
  *    scales and zero points into its own sums (what a fused KV4
  *    attention kernel does), in float with fixed-order SIMD. It is not
  *    bit-identical to the oracle; the bound is stated at its
- *    declaration.
+ *    declaration. A forward call's rows run it in two phases
+ *    (appendAttendQuantized): the appends, keeping each row's open
+ *    group as the row saw it, then the attention of every row at
+ *    once, pool-parallel, each group closed before a row folded once
+ *    for a block of rows. Every row's output is bit-identical to
+ *    appending and attending one row at a time.
  *
  * Layouts: Q is [heads * head_dim] for one token; K and V are
  * [tokens, kv_heads * head_dim] (the cache), GQA maps query head h to
@@ -140,6 +145,33 @@ std::vector<float> decodeAttentionQuantized(const AttentionConfig &config,
                                             const std::vector<float> &q,
                                             const KvStore &k,
                                             const KvStore &v);
+
+/**
+ * The causal store attention of one forward call's rows: appends row r
+ * of @p k_rows and @p v_rows [rows, kvDim] to @p k and @p v, rows in
+ * order, and returns [rows, qDim] whose row r is, bit for bit,
+ * decodeAttentionQuantized(row r of @p q, k, v) over the stores as
+ * they stood right after row r's append. One row (a decode step) is
+ * exactly that append and that call. More rows run in two phases:
+ *
+ *  - serial: each store appends every row (K and V on two pool slots
+ *    when the appends are worth a pool region), and after a row's
+ *    append copies its open group's raw rows, scales and zero points
+ *    when a later row of the call will still change that group;
+ *  - parallel, over (block of kRowVectorBlock / heads-per-kv-head
+ *    rows) x kv head on the runtime pool: every group closed before a
+ *    row is final, so a block folds it from the store once for all its
+ *    rows' query vectors (one widening of each K and V row per
+ *    simd::kRowVectorBlock vectors), and each row folds its own last
+ *    group, from its copy, last.
+ *
+ * Every query vector runs the one-row path's operations in its order,
+ * so the output is bit-identical to the row-by-row loop for any pool
+ * size; only the `attention.kv_rows_widened` count falls.
+ */
+Tensor appendAttendQuantized(const AttentionConfig &config, const Tensor &q,
+                             const Tensor &k_rows, const Tensor &v_rows,
+                             KvStore &k, KvStore &v);
 
 /** Bytes of KV cache read by one decode-attention invocation at the
  * given storage precision (the Figure 2 traffic term). */

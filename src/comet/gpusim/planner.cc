@@ -69,15 +69,9 @@ CompilePlanner::plan(const LlmConfig &model, int64_t batch,
     result.speedup_over_naive =
         result.step_gemm_us > 0.0 ? naive_total / result.step_gemm_us
                                   : 1.0;
-    if (tensor_parallel > 1) {
-        const tp::InterconnectModel link(model_.spec());
-        const double tensor_bytes = static_cast<double>(batch) *
-                                    static_cast<double>(
-                                        model.hidden_size) *
-                                    2.0;
-        result.allreduce_us =
-            2.0 * link.allReduceUs(tensor_bytes, tensor_parallel);
-    }
+    if (tensor_parallel > 1)
+        result.allreduce_us = tp::layerAllReduceUs(
+            model_.spec(), batch, model.hidden_size, tensor_parallel);
     return result;
 }
 

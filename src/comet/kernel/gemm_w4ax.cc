@@ -17,7 +17,8 @@ namespace {
  * (cached references: the registration mutex is paid once per
  * process). */
 void
-publishRunCounters(int64_t int4_tiles, int64_t int8_tiles)
+publishRunCounters(int64_t int4_tiles, int64_t int8_tiles,
+                   int64_t dot_passes)
 {
     static obs::Counter &runs_counter =
         obs::MetricsRegistry::global().counter("kernel.w4ax.runs");
@@ -27,11 +28,16 @@ publishRunCounters(int64_t int4_tiles, int64_t int8_tiles)
     static obs::Counter &int8_counter =
         obs::MetricsRegistry::global().counter(
             "kernel.w4ax.int8_tiles");
+    static obs::Counter &passes_counter =
+        obs::MetricsRegistry::global().counter(
+            "kernel.w4ax.dot_passes");
     runs_counter.add(1);
     if (int4_tiles > 0)
         int4_counter.add(int4_tiles);
     if (int8_tiles > 0)
         int8_counter.add(int8_tiles);
+    if (dot_passes > 0)
+        passes_counter.add(dot_passes);
 }
 
 } // namespace
@@ -193,30 +199,44 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     float *out_data = out.data();
 
     // Streams output columns [n_begin, n_end) a column block at a
-    // time: the block is widened once, then every activation row takes
-    // one dotColumnBlock call for its per-k-tile dots and one
-    // scaleColumnBlock call that sums them, k-tiles in ascending order.
-    const auto worker = [&](int64_t n_begin, int64_t n_end,
-                            InstructionCounter *counter) {
+    // time: the block is widened once, then every group of
+    // kColumnBlockRows activation rows takes one dotColumnBlockRows
+    // pass for their per-k-tile dots, and each row one
+    // scaleColumnBlock call that sums them, k-tiles in ascending
+    // order.
+    constexpr int64_t kRows = simd::kColumnBlockRows;
+    const int64_t dots_stride = k_tiles * kBlock;
+    // Per chunk of columns: the conversions its widenings count and
+    // its dot passes.
+    struct Tally {
+        InstructionCounter conversions;
+        int64_t dot_passes = 0;
+    };
+    const auto worker = [&](int64_t n_begin, int64_t n_end, Tally *tally) {
         std::vector<int8_t> plain(static_cast<size_t>(kBlock * k_dim));
         std::vector<int8_t> converted(plain.size());
         std::vector<int16_t> block(plain.size());
-        std::vector<int32_t> dots(static_cast<size_t>(k_tiles * kBlock));
+        std::vector<int32_t> dots(static_cast<size_t>(kRows * dots_stride));
         for (int64_t j0 = n_begin; j0 < n_end; j0 += kBlock) {
             COMET_KERNEL_SPAN("w4ax/column_block");
             const int64_t width = std::min(kBlock, n_end - j0);
             widenBlock(j0, width, plain.data(), converted.data(),
-                       block.data(), counter);
-            for (int64_t i = 0; i < m_dim; ++i) {
-                simd::dotColumnBlock(a_rows.data() + i * k_dim,
-                                     block.data(), k_tiles, tile_k,
-                                     dots.data());
-                float sums[kBlock];
-                simd::scaleColumnBlock(dots.data(),
-                                       a_tile_scales.data() + i * k_tiles,
-                                       tile_scales_.data() + j0,
-                                       scale_stride_, k_tiles, sums);
-                std::copy_n(sums, width, out_data + i * n_dim + j0);
+                       block.data(), &tally->conversions);
+            for (int64_t i0 = 0; i0 < m_dim; i0 += kRows) {
+                const int64_t rows = std::min(kRows, m_dim - i0);
+                simd::dotColumnBlockRows(a_rows.data() + i0 * k_dim, k_dim,
+                                         rows, block.data(), k_tiles,
+                                         tile_k, dots.data(), dots_stride);
+                ++tally->dot_passes;
+                for (int64_t i = i0; i < i0 + rows; ++i) {
+                    float sums[kBlock];
+                    simd::scaleColumnBlock(
+                        dots.data() + (i - i0) * dots_stride,
+                        a_tile_scales.data() + i * k_tiles,
+                        tile_scales_.data() + j0, scale_stride_, k_tiles,
+                        sums);
+                    std::copy_n(sums, width, out_data + i * n_dim + j0);
+                }
             }
         }
     };
@@ -230,17 +250,17 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     const bool on_caller =
         config_.threads == 1 ||
         (config_.threads == 0 && m_dim * n_dim * k_dim < kMinPoolMacs);
-    std::vector<InstructionCounter> counters(
-        static_cast<size_t>(on_caller ? 1 : n_tiles));
+    const auto chunks = static_cast<size_t>(on_caller ? 1 : n_tiles);
+    std::vector<Tally> tallies(chunks);
     if (on_caller) {
-        worker(0, n_dim, &counters[0]);
+        worker(0, n_dim, &tallies[0]);
     } else {
         ThreadPool::global().parallelForChunks(
             0, n_tiles, 1,
             [&](int64_t tile_begin, int64_t tile_end, int64_t chunk) {
                 worker(std::min(tile_begin * config_.tile_n, n_dim),
                        std::min(tile_end * config_.tile_n, n_dim),
-                       &counters[static_cast<size_t>(chunk)]);
+                       &tallies[static_cast<size_t>(chunk)]);
             },
             config_.threads);
     }
@@ -252,11 +272,14 @@ W4AxGemm::run(const MixedQuantizedActivation &activation,
     const int64_t int4_k_tiles = k_tiles - int8_k_tiles_;
     const int64_t int4_tiles = m_tiles * n_tiles * int4_k_tiles;
     const int64_t int8_tiles = m_tiles * n_tiles * int8_k_tiles_;
-    publishRunCounters(int4_tiles, int8_tiles);
+    int64_t passes = 0;
+    int64_t conversions = 0;
+    for (const Tally &tally : tallies) {
+        passes += tally.dot_passes;
+        conversions += tally.conversions.count();
+    }
+    publishRunCounters(int4_tiles, int8_tiles, passes);
     if (stats != nullptr) {
-        int64_t conversions = 0;
-        for (const InstructionCounter &counter : counters)
-            conversions += counter.count();
         // Accumulate: callers summing several gemms into one sink —
         // sharded TP runs — must not see the last gemm overwrite the
         // total.

@@ -25,14 +25,20 @@
  *    once per run from the packed bytes (INT4 k-tiles sign-extended,
  *    INT8 k-tiles through the configured conversion, the fast one
  *    keeping its x16), and no widened copy outlives the run;
- *  - per (row, column block), one simd::dotColumnBlock call yields the
- *    eight columns' per-k-tile INT32 dots, and the epilogue adds
+ *  - per column block and group of R = simd::kColumnBlockRows (4)
+ *    activation rows, one simd::dotColumnBlockRows pass yields each
+ *    row's eight per-k-tile INT32 dots: every pair row of the widened
+ *    block is loaded once for the R rows, the register-level reuse the
+ *    GPU kernel gets from widening a weight tile once per m-tile (the
+ *    last group of a run may hold fewer rows);
+ *  - per row, in row order, one simd::scaleColumnBlock call adds
  *
  *        float(dot_t) * (a_scale * fixup_t) * w_scale_t
  *
  *    per column in ascending k-tile order — exactly the sum a
  *    tile-by-tile walk forms, so the output is bit-identical to it for
- *    any tile shape, thread count and precision map.
+ *    any tile shape, thread count and precision map (the dots are
+ *    exact integers, whatever rows share their pass).
  *
  * Per-run statistics (tile precision mix, multiply-accumulates,
  * conversion instructions) are derived from the tile grid and report
@@ -113,8 +119,10 @@ class W4AxGemm
     /**
      * Executes the mixed-precision GEMM and returns the dequantized
      * float output [tokens, out_features]. Each call adds one to the
-     * `kernel.w4ax.runs` counter and its tile grid's W4A4 and W4A8
-     * tiles to `kernel.w4ax.int4_tiles` / `int8_tiles`.
+     * `kernel.w4ax.runs` counter, its tile grid's W4A4 and W4A8
+     * tiles to `kernel.w4ax.int4_tiles` / `int8_tiles`, and its
+     * column-block dot passes (column blocks x row groups of
+     * simd::kColumnBlockRows) to `kernel.w4ax.dot_passes`.
      *
      * @pre activation block structure (size, count, precisions) matches
      *      the one this operator was built for.

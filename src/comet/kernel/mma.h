@@ -17,7 +17,7 @@
  * All three operate on the packed register words via dp4a/dp8a4, so the
  * bit-level layout machinery is exercised end to end. W4AxGemm::run
  * does not execute tile by tile (it runs column blocks through
- * simd::dotColumnBlock); these tile ops are the building blocks of the
+ * simd::dotColumnBlockRows); these tile ops are the building blocks of the
  * tile-walk oracle it is tested against.
  */
 #pragma once

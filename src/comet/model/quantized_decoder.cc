@@ -123,6 +123,7 @@ QuantizedDecoder::QuantizedDecoder(const TinyTransformer &model,
     attn_config_.num_kv_heads = mc.num_kv_heads;
     attn_config_.head_dim = mc.headDim();
     attn_config_.chunk_tokens = 64;
+    rope_inv_freq_ = ropeInverseFrequencies(mc.headDim());
     if (kv_quant) {
         k_stores_.assign(static_cast<size_t>(mc.num_layers),
                          KvStore(attn_config_.kvDim(), *kv_quant));
@@ -268,12 +269,17 @@ QuantizedDecoder::runLayers(const std::vector<int32_t> &tokens,
     }
 
     reserveFloatKv(position_ + rows);
-    std::vector<float> q_row(static_cast<size_t>(d));
+    // Each row's RoPE angles, once per forward: q and k of every layer
+    // turn by them.
+    const int64_t hd = mc.headDim();
+    std::vector<double> rope(static_cast<size_t>(rows * hd));
+    for (int64_t r = 0; r < rows; ++r)
+        ropeAngles(rope_inv_freq_, position_ + r, rope.data() + r * hd);
     for (int64_t l = 0; l < mc.num_layers; ++l) {
         const auto layer = static_cast<size_t>(l);
 
         // --- Attention block (one q|k|v GEMM over every row, then
-        // causal attention one row at a time) ---
+        // causal attention over the call's rows) ---
         const Tensor qkv = [&] {
             COMET_SPAN("decoder/qkv");
             Tensor h = model_.rmsNorm(x, model_.attnNormGain(l));
@@ -281,46 +287,44 @@ QuantizedDecoder::runLayers(const std::vector<int32_t> &tokens,
                 h = sim->transformActivation({l, ActSite::kQkv}, h);
             return linear(l, ActSite::kQkv).run(h);
         }();
-        Tensor attn(rows, d);
-        {
+        Tensor attn = [&] {
             COMET_SPAN("decoder/attention");
             Tensor q = sliceColumns(qkv, 0, d);
             Tensor k = sliceColumns(qkv, d, kv_dim);
             Tensor v = sliceColumns(qkv, d + kv_dim, kv_dim);
             for (int64_t r = 0; r < rows; ++r) {
-                ropeRow(q, r, mc.num_heads, mc.headDim(), position_ + r);
-                ropeRow(k, r, mc.num_kv_heads, mc.headDim(), position_ + r);
+                const double *angles = rope.data() + r * hd;
+                ropeRotate(q.data() + r * d, mc.num_heads, hd, angles);
+                ropeRotate(k.data() + r * kv_dim, mc.num_kv_heads, hd,
+                           angles);
             }
             if (sim != nullptr) {
                 k = sim->transformKv(l, true, k);
                 v = sim->transformKv(l, false, v);
             }
+            if (float_kv_.empty())
+                return appendAttendQuantized(attn_config_, q, k, v,
+                                             k_stores_[layer],
+                                             v_stores_[layer]);
+            // The float cache's rows never change once written, so the
+            // call's rows go in first and row r attends the first
+            // position + r + 1 of them.
+            FloatKv &cache = float_kv_[layer];
+            std::copy(k.data(), k.data() + rows * kv_dim,
+                      cache.k.data() + position_ * kv_dim);
+            std::copy(v.data(), v.data() + rows * kv_dim,
+                      cache.v.data() + position_ * kv_dim);
+            Tensor out(rows, d);
+            std::vector<float> q_row(static_cast<size_t>(d));
             for (int64_t r = 0; r < rows; ++r) {
-                const int64_t pos = position_ + r;
                 std::copy(q.data() + r * d, q.data() + (r + 1) * d,
                           q_row.begin());
-                std::vector<float> out;
-                if (float_kv_.empty()) {
-                    KvStore &k_store = k_stores_[layer];
-                    KvStore &v_store = v_stores_[layer];
-                    k_store.append(k.data() + r * kv_dim);
-                    v_store.append(v.data() + r * kv_dim);
-                    out = decodeAttentionQuantized(attn_config_, q_row,
-                                                   k_store, v_store);
-                } else {
-                    FloatKv &cache = float_kv_[layer];
-                    std::copy(k.data() + r * kv_dim,
-                              k.data() + (r + 1) * kv_dim,
-                              cache.k.data() + pos * kv_dim);
-                    std::copy(v.data() + r * kv_dim,
-                              v.data() + (r + 1) * kv_dim,
-                              cache.v.data() + pos * kv_dim);
-                    out = decodeAttentionOnline(attn_config_, q_row,
-                                                cache.k, cache.v, pos + 1);
-                }
-                std::copy(out.begin(), out.end(), attn.data() + r * d);
+                const std::vector<float> row = decodeAttentionOnline(
+                    attn_config_, q_row, cache.k, cache.v, position_ + r + 1);
+                std::copy(row.begin(), row.end(), out.data() + r * d);
             }
-        }
+            return out;
+        }();
         {
             COMET_SPAN("decoder/o");
             if (sim != nullptr)

@@ -17,11 +17,14 @@
  * precision boundary of the paper's framework.
  *
  * One forward serves prefill and decode: prefill() runs every GEMM at
- * M = prompt length, then RoPE, the store append and attention row by
- * row, and the LM head on the last row only. step() is a one-token
- * prefill. Every per-row operation is row-independent, so a prompt
- * prefilled at once gives bit-identical logits to feeding it token by
- * token.
+ * M = prompt length, RoPE by angles computed once per row and shared
+ * by every layer, one causal store attention call per layer over all
+ * the rows (appendAttendQuantized: the appends, then every row's
+ * attention at once on the pool), and the LM head on the last row
+ * only. step() is a one-token prefill. Every per-row operation is
+ * row-independent, and each row attends the stores as they stood after
+ * its own append, so a prompt prefilled at once gives bit-identical
+ * logits to feeding it token by token.
  *
  * Projections that read the same activation site run as one GEMM:
  * q|k|v at the QKV site and gate|up at the MLP site, their weights
@@ -229,6 +232,8 @@ class QuantizedDecoder
     /** [layer * kNumActSites + site]; shared by copies. */
     std::shared_ptr<const std::vector<Linear>> linears_;
     AttentionConfig attn_config_;
+    /** RoPE's per-pair inverse frequencies (ropeInverseFrequencies). */
+    std::vector<double> rope_inv_freq_;
     std::vector<KvStore> k_stores_; ///< [layer], when KV is quantized
     std::vector<KvStore> v_stores_; ///< [layer], when KV is quantized
     std::vector<FloatKv> float_kv_; ///< [layer], otherwise

@@ -13,16 +13,40 @@ ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
         int64_t pos)
 {
     COMET_CHECK(head_dim % 2 == 0);
-    float *r = x.data() + row * x.cols();
-    // Every head rotates pair d by the same angle: one cos/sin per pair.
+    std::vector<double> cos_sin(static_cast<size_t>(head_dim));
+    ropeAngles(ropeInverseFrequencies(head_dim), pos, cos_sin.data());
+    ropeRotate(x.data() + row * x.cols(), heads, head_dim, cos_sin.data());
+}
+
+std::vector<double>
+ropeInverseFrequencies(int64_t head_dim)
+{
+    COMET_CHECK(head_dim % 2 == 0);
+    std::vector<double> inv_freq(static_cast<size_t>(head_dim / 2));
+    for (size_t d = 0; d < inv_freq.size(); ++d)
+        inv_freq[d] = std::pow(10000.0, -2.0 * static_cast<double>(d) /
+                                            static_cast<double>(head_dim));
+    return inv_freq;
+}
+
+void
+ropeAngles(const std::vector<double> &inv_freq, int64_t pos, double *cos_sin)
+{
+    for (size_t d = 0; d < inv_freq.size(); ++d) {
+        const double theta = static_cast<double>(pos) * inv_freq[d];
+        cos_sin[2 * d] = std::cos(theta);
+        cos_sin[2 * d + 1] = std::sin(theta);
+    }
+}
+
+void
+ropeRotate(float *row, int64_t heads, int64_t head_dim, const double *cos_sin)
+{
+    // Every head rotates pair d by the same angle.
     for (int64_t d = 0; d < head_dim / 2; ++d) {
-        const double theta =
-            static_cast<double>(pos) *
-            std::pow(10000.0, -2.0 * static_cast<double>(d) /
-                                  static_cast<double>(head_dim));
-        const double c = std::cos(theta), s = std::sin(theta);
+        const double c = cos_sin[2 * d], s = cos_sin[2 * d + 1];
         for (int64_t h = 0; h < heads; ++h) {
-            float *pair = r + h * head_dim + 2 * d;
+            float *pair = row + h * head_dim + 2 * d;
             const float x0 = pair[0];
             const float x1 = pair[1];
             pair[0] = static_cast<float>(x0 * c - x1 * s);

@@ -67,12 +67,29 @@ struct TinyTransformerConfig {
 
 /**
  * Rotary position embedding, in place, on row @p row of a
- * [rows, heads * head_dim] tensor at absolute position @p pos. The
- * decoder and the test oracle share it, so their rotated Q/K rows are
- * bit-identical. @pre head_dim is even.
+ * [rows, heads * head_dim] tensor at absolute position @p pos: every
+ * head's pair d turns by pos * ropeInverseFrequencies(head_dim)[d],
+ * through ropeAngles and ropeRotate. The test oracle calls it per row;
+ * the decoder computes each position's angles once per forward and
+ * rotates q and k of every layer by them, the same double operations,
+ * so their rotated Q/K rows are bit-identical. @pre head_dim is even.
  */
 void ropeRow(Tensor &x, int64_t row, int64_t heads, int64_t head_dim,
              int64_t pos);
+
+/** 10000^(-2d / head_dim) in double for each pair d < head_dim / 2. */
+std::vector<double> ropeInverseFrequencies(int64_t head_dim);
+
+/** cos_sin[2d] and cos_sin[2d + 1]: the cosine and sine of
+ * pos * inv_freq[d], for every pair d of @p inv_freq. */
+void ropeAngles(const std::vector<double> &inv_freq, int64_t pos,
+                double *cos_sin);
+
+/** Turns pair d of each of @p heads heads of @p row (heads * head_dim
+ * floats) by the angle whose cosine and sine ropeAngles() wrote at
+ * cos_sin[2d]. */
+void ropeRotate(float *row, int64_t heads, int64_t head_dim,
+                const double *cos_sin);
 
 /** Activation interception points (one per shared linear input). */
 enum class ActSite {

@@ -133,16 +133,9 @@ ServingEngine::allReduceLatencyUs(int64_t m_tokens) const
     const int tp = config_.tensor_parallel;
     if (tp == 1)
         return 0.0;
-    // Two all-reduces per decoder layer (after the attention output
-    // and MLP down projections), each costed by the interconnect
-    // model at the cheaper of its ring/direct algorithms for the
-    // step's FP16 activation tensor.
-    const tp::InterconnectModel link(gpu());
-    const double tensor_bytes =
-        static_cast<double>(m_tokens) *
-        static_cast<double>(config_.model.hidden_size) * 2.0;
-    double total = 2.0 * link.allReduceUs(tensor_bytes, tp) *
-                   static_cast<double>(config_.model.num_layers);
+    double total =
+        tp::layerAllReduceUs(gpu(), m_tokens, config_.model.hidden_size, tp) *
+        static_cast<double>(config_.model.num_layers);
     // A fired tp.allreduce failpoint in the cost path models a
     // degraded link: the step's collectives run at half bandwidth.
     if (COMET_FAILPOINT("tp.allreduce")) {

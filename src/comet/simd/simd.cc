@@ -233,6 +233,17 @@ dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
 }
 
 void
+dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
+                   const int16_t *w, int64_t n_tiles, int64_t tile_values,
+                   int32_t *out, int64_t out_stride)
+{
+    COMET_CHECK(n_rows >= 1 && n_rows <= kColumnBlockRows);
+    COMET_CHECK(n_tiles >= 0 && tile_values > 0 && tile_values % 16 == 0);
+    COMET_SIMD_DISPATCH(dotColumnBlockRows(a, a_stride, n_rows, w, n_tiles,
+                                           tile_values, out, out_stride));
+}
+
+void
 scaleColumnBlock(const int32_t *dots, const float *a_scales,
                  const float *w_scales, int64_t w_stride, int64_t n_tiles,
                  float *out)

@@ -176,6 +176,26 @@ void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
                     int64_t tile_values, int32_t *out);
 
 /**
+ * Activation rows one dotColumnBlockRows() call takes: the SIMD
+ * backends load each pair row of the widened block once for all of
+ * them (on AVX2, four rows' two accumulators and the two weight loads
+ * fill twelve of the sixteen registers).
+ */
+constexpr int64_t kColumnBlockRows = 4;
+
+/**
+ * dotColumnBlock() for @p n_rows (1 to kColumnBlockRows) activation
+ * rows against the same block: row r is read at a + r * a_stride and
+ * its dots are written to out + r * out_stride, each exactly the
+ * one-row call's. The W4Ax kernel's register-level reuse of one
+ * widened weight block across an m-tile's rows.
+ */
+void dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
+                        const int16_t *w, int64_t n_tiles,
+                        int64_t tile_values, int32_t *out,
+                        int64_t out_stride);
+
+/**
  * The W4Ax epilogue of one (row, column block): from the per-k-tile
  * dots dotColumnBlock() returns, for every column c < kColumnBlock,
  *

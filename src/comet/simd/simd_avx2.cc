@@ -663,6 +663,77 @@ dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
     }
 }
 
+namespace {
+
+/** dotColumnBlock's loop for @p R rows, eight values a step: each
+ * pair-row load of the block serves every row, whose four
+ * multiply-adds sum into its one accumulator. */
+template <int R>
+COMET_AVX2 inline void
+dotColumnBlockRowsImpl(const int16_t *a, int64_t a_stride, const int16_t *w,
+                       int64_t n_tiles, int64_t tile_values, int32_t *out,
+                       int64_t out_stride)
+{
+    const int16_t *rows[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        rows[r] = a + r * a_stride;
+    const auto *w_pairs = reinterpret_cast<const __m256i *>(w);
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        __m256i acc[R];
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            acc[r] = _mm256_setzero_si256();
+        for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
+             v += 8, w_pairs += 4) {
+            const __m256i w0 = _mm256_loadu_si256(w_pairs);
+            const __m256i w1 = _mm256_loadu_si256(w_pairs + 1);
+            const __m256i w2 = _mm256_loadu_si256(w_pairs + 2);
+            const __m256i w3 = _mm256_loadu_si256(w_pairs + 3);
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r) {
+                const int16_t *a_row = rows[r] + v;
+                const __m256i lo = _mm256_add_epi32(
+                    _mm256_madd_epi16(broadcastPair(a_row), w0),
+                    _mm256_madd_epi16(broadcastPair(a_row + 2), w1));
+                const __m256i hi = _mm256_add_epi32(
+                    _mm256_madd_epi16(broadcastPair(a_row + 4), w2),
+                    _mm256_madd_epi16(broadcastPair(a_row + 6), w3));
+                acc[r] = _mm256_add_epi32(acc[r], _mm256_add_epi32(lo, hi));
+            }
+        }
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(
+                                    out + r * out_stride + t * kColumnBlock),
+                                acc[r]);
+    }
+}
+
+} // namespace
+
+COMET_AVX2 void
+dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
+                   const int16_t *w, int64_t n_tiles, int64_t tile_values,
+                   int32_t *out, int64_t out_stride)
+{
+    static_assert(kColumnBlockRows == 4, "one instantiation per row count");
+    switch (n_rows) {
+    case 1:
+        return dotColumnBlockRowsImpl<1>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    case 2:
+        return dotColumnBlockRowsImpl<2>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    case 3:
+        return dotColumnBlockRowsImpl<3>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    default:
+        return dotColumnBlockRowsImpl<4>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    }
+}
+
 COMET_AVX2 void
 scaleColumnBlock(const int32_t *dots, const float *a_scales,
                  const float *w_scales, int64_t w_stride, int64_t n_tiles,

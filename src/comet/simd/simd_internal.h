@@ -45,6 +45,10 @@ namespace detail {
     void dotColumnBlock(const int16_t *a, const int16_t *w,                \
                         int64_t n_tiles, int64_t tile_values,              \
                         int32_t *out);                                     \
+    void dotColumnBlockRows(const int16_t *a, int64_t a_stride,            \
+                            int64_t n_rows, const int16_t *w,              \
+                            int64_t n_tiles, int64_t tile_values,          \
+                            int32_t *out, int64_t out_stride);             \
     void scaleColumnBlock(const int32_t *dots, const float *a_scales,      \
                           const float *w_scales, int64_t w_stride,         \
                           int64_t n_tiles, float *out);                    \

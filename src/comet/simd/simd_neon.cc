@@ -496,6 +496,66 @@ dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
     }
 }
 
+namespace {
+
+/** dotColumnBlock's loop for @p R rows: each vld2q of the block's
+ * pair row serves every row's two four-column accumulators. */
+template <int R>
+inline void
+dotColumnBlockRowsImpl(const int16_t *a, int64_t a_stride, const int16_t *w,
+                       int64_t n_tiles, int64_t tile_values, int32_t *out,
+                       int64_t out_stride)
+{
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        int32x4_t lo[R];
+        int32x4_t hi[R];
+        for (int r = 0; r < R; ++r)
+            lo[r] = hi[r] = vdupq_n_s32(0);
+        for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
+             v += 2) {
+            const int16x8x2_t pair = vld2q_s16(w + v * kColumnBlock);
+            for (int r = 0; r < R; ++r) {
+                const int16_t *a_row = a + r * a_stride + v;
+                lo[r] = vmlal_n_s16(lo[r], vget_low_s16(pair.val[0]),
+                                    a_row[0]);
+                hi[r] = vmlal_high_n_s16(hi[r], pair.val[0], a_row[0]);
+                lo[r] = vmlal_n_s16(lo[r], vget_low_s16(pair.val[1]),
+                                    a_row[1]);
+                hi[r] = vmlal_high_n_s16(hi[r], pair.val[1], a_row[1]);
+            }
+        }
+        for (int r = 0; r < R; ++r) {
+            int32_t *dst = out + r * out_stride + t * kColumnBlock;
+            vst1q_s32(dst, lo[r]);
+            vst1q_s32(dst + 4, hi[r]);
+        }
+    }
+}
+
+} // namespace
+
+void
+dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
+                   const int16_t *w, int64_t n_tiles, int64_t tile_values,
+                   int32_t *out, int64_t out_stride)
+{
+    static_assert(kColumnBlockRows == 4, "one instantiation per row count");
+    switch (n_rows) {
+    case 1:
+        return dotColumnBlockRowsImpl<1>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    case 2:
+        return dotColumnBlockRowsImpl<2>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    case 3:
+        return dotColumnBlockRowsImpl<3>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    default:
+        return dotColumnBlockRowsImpl<4>(a, a_stride, w, n_tiles,
+                                         tile_values, out, out_stride);
+    }
+}
+
 void
 scaleColumnBlock(const int32_t *dots, const float *a_scales,
                  const float *w_scales, int64_t w_stride, int64_t n_tiles,

@@ -195,6 +195,16 @@ dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
 }
 
 void
+dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
+                   const int16_t *w, int64_t n_tiles, int64_t tile_values,
+                   int32_t *out, int64_t out_stride)
+{
+    for (int64_t r = 0; r < n_rows; ++r)
+        dotColumnBlock(a + r * a_stride, w, n_tiles, tile_values,
+                       out + r * out_stride);
+}
+
+void
 scaleColumnBlock(const int32_t *dots, const float *a_scales,
                  const float *w_scales, int64_t w_stride, int64_t n_tiles,
                  float *out)

@@ -132,5 +132,14 @@ InterconnectModel::ringDirectCrossoverBytes(int degree) const
            ((n - 1.0) * (n - 2.0) * 1e6);
 }
 
+double
+layerAllReduceUs(const GpuSpec &spec, int64_t tokens, int64_t hidden,
+                 int degree)
+{
+    const double tensor_bytes =
+        static_cast<double>(tokens) * static_cast<double>(hidden) * 2.0;
+    return 2.0 * InterconnectModel(spec).allReduceUs(tensor_bytes, degree);
+}
+
 } // namespace tp
 } // namespace comet

@@ -32,6 +32,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "comet/gpusim/gpu_spec.h"
@@ -112,6 +113,17 @@ class InterconnectModel
     double bandwidth_ = 0.0;
     double latency_us_ = 0.0;
 };
+
+/**
+ * The all-reduce cost one decoder layer pays under tensor parallelism
+ * on @p spec's links, microseconds: two collectives (after the
+ * attention output and the MLP down projections), each
+ * InterconnectModel::allReduceUs of the [tokens, hidden] FP16
+ * activation; 0 at degree 1. The compile planner and the serving
+ * engine both price TP steps with it.
+ */
+double layerAllReduceUs(const GpuSpec &spec, int64_t tokens, int64_t hidden,
+                        int degree);
 
 } // namespace tp
 } // namespace comet

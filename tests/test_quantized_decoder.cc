@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "comet/model/quantized_decoder.h"
+#include "comet/runtime/thread_pool.h"
 #include "tiny_transformer_forward.h"
 
 namespace comet {
@@ -237,12 +238,14 @@ TEST(QuantizedDecoder, PrefillMatchesTokenByTokenBitExact)
     // One batched forward over the prompt gives the logits of feeding
     // it one token at a time, and leaves an identical KV state: the
     // next 100 decode steps agree bit for bit. The lengths straddle
-    // the KV group (32), float cache growth (16, 32, 64, 128) and
-    // attention chunk (64) boundaries.
+    // the KV group (32), float cache growth (16, 32, 64, 128), the
+    // attention chunk (64) and the batched store attention's row
+    // blocks (whole, ragged, one past).
     const Harness h = makeHarness(82);
     const std::vector<QuantizedDecoder> modes = everyMode(h);
     for (size_t mode = 0; mode < modes.size(); ++mode) {
-        for (const int64_t length : {1, 31, 32, 33, 129}) {
+        for (const int64_t length : {1, 31, 32, 33, 63, 64, 65, 96, 128,
+                                     129}) {
             SCOPED_TRACE(::testing::Message()
                          << "mode " << mode << " prompt " << length);
             const QuantizedDecoder &fresh = modes[mode];
@@ -270,18 +273,49 @@ TEST(QuantizedDecoder, PrefillAtNonzeroPositionMatchesSteps)
 {
     // A second prompt chunk appended after decoding has started (the
     // chunked-prefill shape) sees the existing cache exactly as the
-    // token-by-token path does.
+    // token-by-token path does: starting inside an open KV group
+    // (group size 32), at a group boundary, and inside a later group,
+    // each chunk running across at least one boundary.
     const Harness h = makeHarness(84);
     const std::vector<int32_t> stream = testStream(90, 85);
-    QuantizedDecoder batched(h.teacher, h.calibration);
-    QuantizedDecoder stepped = batched;
+    const QuantizedDecoder fresh(h.teacher, h.calibration);
+    QuantizedDecoder stepped = fresh;
     std::vector<float> want;
     for (int64_t t = 0; t < 90; ++t)
         want = stepped.step(stream[static_cast<size_t>(t)]);
-    (void)batched.prefill({stream.begin(), stream.begin() + 20});
-    (void)batched.step(stream[20]);
-    EXPECT_EQ(batched.prefill({stream.begin() + 21, stream.end()}), want);
-    EXPECT_EQ(batched.position(), 90);
+    for (const int64_t start : {20, 31, 44, 70}) {
+        SCOPED_TRACE(::testing::Message() << "second chunk at " << start);
+        QuantizedDecoder batched = fresh;
+        (void)batched.prefill({stream.begin(), stream.begin() + start});
+        (void)batched.step(stream[static_cast<size_t>(start)]);
+        EXPECT_EQ(batched.prefill({stream.begin() + start + 1, stream.end()}),
+                  want);
+        EXPECT_EQ(batched.position(), 90);
+    }
+}
+
+TEST(QuantizedDecoder, PrefillIsIdenticalAtPoolSizesOneAndFour)
+{
+    // The batched prefill fans the GEMM column tiles, the K/V appends
+    // and the store attention's (row block x kv head) items out to the
+    // pool; every item writes its own outputs, so the logits and the
+    // continuation do not depend on the pool size.
+    const Harness h = makeHarness(88);
+    const std::vector<int32_t> stream = testStream(150, 89);
+    const std::vector<int32_t> prompt(stream.begin(), stream.begin() + 128);
+    const int saved_threads = ThreadPool::global().threadCount();
+    std::vector<std::vector<float>> logits;
+    for (const int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        QuantizedDecoder decoder(h.teacher, h.calibration);
+        logits.push_back(decoder.prefill(prompt));
+        for (int64_t t = 128; t < 150; ++t)
+            logits.push_back(decoder.step(stream[static_cast<size_t>(t)]));
+    }
+    ThreadPool::setGlobalThreads(saved_threads);
+    const size_t half = logits.size() / 2;
+    for (size_t i = 0; i < half; ++i)
+        EXPECT_EQ(logits[i], logits[half + i]) << "call " << i;
 }
 
 TEST(QuantizedDecoder, CopyMidSequenceContinuesIdentically)

@@ -338,6 +338,63 @@ TEST_P(SimdEquivalence, DotColumnBlockMatchesScalarOnRaggedCounts)
     }
 }
 
+TEST_P(SimdEquivalence, DotColumnBlockRowsMatchesSingleRowCalls)
+{
+    // One multi-row pass per group of up to kColumnBlockRows rows, the
+    // last group ragged, gives each row exactly its one-row dots: the
+    // W4Ax kernel walks an m-tile this way. The odd k-tiles hold INT8
+    // activations against fast-widened weights (x16, as the W4A8 path
+    // feeds them), the even ones INT4 against INT4.
+    constexpr int64_t kBlock = simd::kColumnBlock;
+    constexpr int64_t kRows = simd::kColumnBlockRows;
+    Rng rng(19);
+    for (const int64_t tile : {16, 32, 128}) {
+        const int64_t n_tiles = 3;
+        const int64_t k_dim = n_tiles * tile;
+        std::vector<int8_t> columns = randomInt8(rng, kBlock * k_dim, -8, 7);
+        for (int64_t c = 0; c < kBlock; ++c)
+            for (int64_t v = tile; v < 2 * tile; ++v)
+                columns[static_cast<size_t>(c * k_dim + v)] = static_cast<int8_t>(
+                    columns[static_cast<size_t>(c * k_dim + v)] * 16);
+        std::vector<int16_t> w(columns.size());
+        simd::widenColumnBlock(columns.data(), k_dim, k_dim, w.data());
+        for (int64_t m = 1; m <= 2 * kRows + 1; ++m) {
+            // Rows padded past k_dim so a_stride differs from the span.
+            const int64_t a_stride = k_dim + 16;
+            std::vector<int16_t> a(static_cast<size_t>(m * a_stride), 0);
+            for (int64_t i = 0; i < m; ++i) {
+                for (int64_t v = 0; v < k_dim; ++v) {
+                    const bool int8_tile = (v / tile) % 2 == 1;
+                    a[static_cast<size_t>(i * a_stride + v)] = static_cast<int16_t>(
+                        int8_tile ? static_cast<int>(rng.uniformInt(256)) - 128
+                                  : static_cast<int>(rng.uniformInt(16)) - 8);
+                }
+            }
+            const int64_t out_stride = n_tiles * kBlock + 8;
+            std::vector<int32_t> got(static_cast<size_t>(m * out_stride), -1);
+            std::vector<int32_t> want(got.size(), -1);
+            std::vector<int32_t> scalar(got.size(), -1);
+            for (int64_t i0 = 0; i0 < m; i0 += kRows) {
+                const int64_t rows = std::min(kRows, m - i0);
+                simd::dotColumnBlockRows(a.data() + i0 * a_stride, a_stride,
+                                         rows, w.data(), n_tiles, tile,
+                                         got.data() + i0 * out_stride,
+                                         out_stride);
+                simd::detail::scalar::dotColumnBlockRows(
+                    a.data() + i0 * a_stride, a_stride, rows, w.data(),
+                    n_tiles, tile, scalar.data() + i0 * out_stride,
+                    out_stride);
+            }
+            for (int64_t i = 0; i < m; ++i)
+                simd::dotColumnBlock(a.data() + i * a_stride, w.data(),
+                                     n_tiles, tile,
+                                     want.data() + i * out_stride);
+            EXPECT_EQ(got, want) << "tile " << tile << " rows " << m;
+            EXPECT_EQ(scalar, want) << "tile " << tile << " rows " << m;
+        }
+    }
+}
+
 TEST_P(SimdEquivalence, DotColumnBlockExtremeOperands)
 {
     constexpr int64_t kTile = 128;
@@ -866,6 +923,13 @@ TEST(SimdDeathTest, ShapeChecks)
     const int16_t operands[8 * simd::kColumnBlock] = {};
     int32_t dots[simd::kColumnBlock];
     EXPECT_DEATH(simd::dotColumnBlock(operands, operands, 1, 8, dots), "");
+    EXPECT_DEATH(simd::dotColumnBlockRows(operands, 0, 0, operands, 0, 16,
+                                          dots, 0),
+                 "");
+    EXPECT_DEATH(simd::dotColumnBlockRows(operands, 0,
+                                          simd::kColumnBlockRows + 1,
+                                          operands, 0, 16, dots, 0),
+                 "");
     int16_t widened[8 * simd::kColumnBlock];
     EXPECT_DEATH(simd::widenColumnBlock(out, 8, 3, widened), "");
     EXPECT_DEATH(simd::widenColumnBlock(out, 4, 8, widened), "");

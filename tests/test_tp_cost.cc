@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "comet/gpusim/gpu_spec.h"
+#include "comet/gpusim/planner.h"
 #include "comet/model/llm_config.h"
 #include "comet/serve/engine.h"
 #include "comet/tp/interconnect.h"
@@ -198,6 +199,32 @@ TEST(InterconnectModel, EngineAllReduceUsesTheModel)
             engine.allReduceLatencyUs(m),
             2.0 * model.allReduceUs(tensor_bytes, 4) *
                 static_cast<double>(config.model.num_layers));
+    }
+}
+
+TEST(InterconnectModel, PlannerAndEngineShareTheLayerAllReduce)
+{
+    // One function prices a layer's two collectives: the compile plan's
+    // per-layer charge and the engine's per-step charge over its layers
+    // both come from it, bit for bit, and cost nothing at degree 1.
+    const LlmConfig model = LlmConfig::llama3_8b();
+    EngineConfig config;
+    config.model = model;
+    config.mode = ServingMode::kCometW4AxKv4;
+    config.tensor_parallel = 4;
+    const ServingEngine engine(config);
+    const CompilePlanner planner;
+    for (int64_t m : {1, 16, 64, 256}) {
+        const double layer =
+            tp::layerAllReduceUs(engine.gpu(), m, model.hidden_size, 4);
+        EXPECT_GT(layer, 0.0);
+        EXPECT_EQ(planner.plan(model, m, kDeployedW4A4Fraction, 4)
+                      .allreduce_us,
+                  layer);
+        EXPECT_EQ(engine.allReduceLatencyUs(m),
+                  layer * static_cast<double>(model.num_layers));
+        EXPECT_EQ(tp::layerAllReduceUs(engine.gpu(), m, model.hidden_size, 1),
+                  0.0);
     }
 }
 
