@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "comet/model/quantized_decoder.h"
+#include "comet/obs/metrics.h"
 #include "comet/runtime/thread_pool.h"
 #include "tiny_transformer_forward.h"
 
@@ -316,6 +317,26 @@ TEST(QuantizedDecoder, PrefillIsIdenticalAtPoolSizesOneAndFour)
     const size_t half = logits.size() / 2;
     for (size_t i = 0; i < half; ++i)
         EXPECT_EQ(logits[i], logits[half + i]) << "call " << i;
+}
+
+TEST(QuantizedDecoder, DecodeStepOpensNoPoolRegion)
+{
+    // A decode step at 2048 context stays on the caller: its GEMMs, its
+    // one-row store attention and the LM head are all below
+    // kMinPoolMacs, and the one-row call copies no open group. The
+    // prompt's batched prefill does fan out.
+    const Harness h = makeHarness(90);
+    const std::vector<int32_t> stream = testStream(2048, 91);
+    obs::Counter &regions =
+        obs::MetricsRegistry::global().counter("runtime.regions");
+    QuantizedDecoder decoder(h.teacher, h.calibration);
+    const int64_t before_prefill = regions.value();
+    (void)decoder.prefill({stream.begin(), stream.end() - 1});
+    EXPECT_GT(regions.value(), before_prefill);
+    const int64_t before_step = regions.value();
+    (void)decoder.step(stream.back());
+    EXPECT_EQ(regions.value(), before_step);
+    EXPECT_EQ(decoder.position(), 2048);
 }
 
 TEST(QuantizedDecoder, CopyMidSequenceContinuesIdentically)
