@@ -228,8 +228,7 @@ void
 dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
                int64_t tile_values, int32_t *out)
 {
-    COMET_CHECK(n_tiles >= 0 && tile_values > 0 && tile_values % 16 == 0);
-    COMET_SIMD_DISPATCH(dotColumnBlock(a, w, n_tiles, tile_values, out));
+    dotColumnBlockRows(a, 0, 1, w, n_tiles, tile_values, out, 0);
 }
 
 void

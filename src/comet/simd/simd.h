@@ -170,7 +170,7 @@ void widenColumnBlock(const int8_t *columns, int64_t stride,
  * in INT32. Exact when every operand lies in [-128, 128] and
  * @p tile_values <= 2^17 — widened INT4 and INT8 values, the fast
  * conversion's x16 included. @p tile_values must be a positive
- * multiple of 16.
+ * multiple of 16. The one-row form of dotColumnBlockRows().
  */
 void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
                     int64_t tile_values, int32_t *out);
@@ -178,8 +178,9 @@ void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
 /**
  * Activation rows one dotColumnBlockRows() call takes: the SIMD
  * backends load each pair row of the widened block once for all of
- * them (on AVX2, four rows' two accumulators and the two weight loads
- * fill twelve of the sixteen registers).
+ * them (on AVX2, four weight registers per eight values and one
+ * accumulator per row leave half of the sixteen registers for the
+ * broadcasts and products).
  */
 constexpr int64_t kColumnBlockRows = 4;
 

@@ -636,38 +636,12 @@ widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
                                  out + v * kColumnBlock);
 }
 
-COMET_AVX2 void
-dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
-               int64_t tile_values, int32_t *out)
-{
-    // One multiply-add per value pair covers all eight columns: the
-    // row's pair is broadcast against the block's pair row, so the
-    // accumulator's lanes are the columns and no reduction is needed.
-    for (int64_t t = 0; t < n_tiles; ++t) {
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
-             v += 4) {
-            const __m256i *w_pairs =
-                reinterpret_cast<const __m256i *>(w + v * kColumnBlock);
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(broadcastPair(a + v),
-                                        _mm256_loadu_si256(w_pairs)));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(broadcastPair(a + v + 2),
-                                        _mm256_loadu_si256(w_pairs + 1)));
-        }
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out + t * kColumnBlock),
-            _mm256_add_epi32(acc0, acc1));
-    }
-}
-
 namespace {
 
-/** dotColumnBlock's loop for @p R rows, eight values a step: each
- * pair-row load of the block serves every row, whose four
- * multiply-adds sum into its one accumulator. */
+/** The W4Ax dots of @p R rows, eight values a step: each pair-row
+ * load of the block serves every row, whose four multiply-adds
+ * (broadcast row pair against the pair row, so the lanes are the
+ * block's columns) sum into its one accumulator. */
 template <int R>
 COMET_AVX2 inline void
 dotColumnBlockRowsImpl(const int16_t *a, int64_t a_stride, const int16_t *w,

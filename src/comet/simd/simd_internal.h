@@ -42,9 +42,6 @@ namespace detail {
                     int64_t n_values);                                     \
     void widenColumnBlock(const int8_t *columns, int64_t stride,           \
                           int64_t n_values, int16_t *out);                 \
-    void dotColumnBlock(const int16_t *a, const int16_t *w,                \
-                        int64_t n_tiles, int64_t tile_values,              \
-                        int32_t *out);                                     \
     void dotColumnBlockRows(const int16_t *a, int64_t a_stride,            \
                             int64_t n_rows, const int16_t *w,              \
                             int64_t n_tiles, int64_t tile_values,          \
@@ -81,6 +78,13 @@ COMET_SIMD_DECLARE_BACKEND(neon)
 
 #undef COMET_SIMD_DECLARE_BACKEND
 /** @} */
+
+namespace scalar {
+/** simd::dotColumnBlock's one-row loop, element by element: the
+ * reference every backend's dotColumnBlockRows is tested against. */
+void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
+                    int64_t tile_values, int32_t *out);
+} // namespace scalar
 
 /** Constants of expF32 (Cephes expf), shared so every backend runs
  * the same operations on the same values. @{ */

@@ -473,33 +473,11 @@ widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
                                  out + v * kColumnBlock);
 }
 
-void
-dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
-               int64_t tile_values, int32_t *out)
-{
-    // Per value pair, vld2q splits the block's pair row into the eight
-    // columns' even and odd values; each multiplies its broadcast row
-    // value into two four-column accumulators.
-    for (int64_t t = 0; t < n_tiles; ++t) {
-        int32x4_t lo = vdupq_n_s32(0);
-        int32x4_t hi = vdupq_n_s32(0);
-        for (int64_t v = t * tile_values; v < (t + 1) * tile_values;
-             v += 2) {
-            const int16x8x2_t pair = vld2q_s16(w + v * kColumnBlock);
-            lo = vmlal_n_s16(lo, vget_low_s16(pair.val[0]), a[v]);
-            hi = vmlal_high_n_s16(hi, pair.val[0], a[v]);
-            lo = vmlal_n_s16(lo, vget_low_s16(pair.val[1]), a[v + 1]);
-            hi = vmlal_high_n_s16(hi, pair.val[1], a[v + 1]);
-        }
-        vst1q_s32(out + t * kColumnBlock, lo);
-        vst1q_s32(out + t * kColumnBlock + 4, hi);
-    }
-}
-
 namespace {
 
-/** dotColumnBlock's loop for @p R rows: each vld2q of the block's
- * pair row serves every row's two four-column accumulators. */
+/** The W4Ax dots of @p R rows: per value pair, vld2q splits the
+ * block's pair row into the eight columns' even and odd values, and
+ * each serves every row's two four-column accumulators. */
 template <int R>
 inline void
 dotColumnBlockRowsImpl(const int16_t *a, int64_t a_stride, const int16_t *w,
