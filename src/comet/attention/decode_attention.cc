@@ -13,13 +13,13 @@ namespace comet {
 namespace {
 
 void
-validate(const AttentionConfig &config, const std::vector<float> &q,
-         int64_t k_cols, int64_t v_cols)
+validate(const AttentionConfig &config, int64_t q_cols, int64_t k_cols,
+         int64_t v_cols)
 {
     COMET_CHECK(config.num_heads > 0 && config.num_kv_heads > 0 &&
                 config.head_dim > 0);
     COMET_CHECK(config.num_heads % config.num_kv_heads == 0);
-    COMET_CHECK(static_cast<int64_t>(q.size()) == config.qDim());
+    COMET_CHECK(q_cols == config.qDim());
     COMET_CHECK(k_cols == config.kvDim());
     COMET_CHECK(v_cols == config.kvDim());
 }
@@ -31,7 +31,7 @@ decodeAttentionReference(const AttentionConfig &config,
                          const std::vector<float> &q, const Tensor &k,
                          const Tensor &v)
 {
-    validate(config, q, k.cols(), v.cols());
+    validate(config, static_cast<int64_t>(q.size()), k.cols(), v.cols());
     COMET_CHECK(k.rows() == v.rows());
     const int64_t tokens = k.rows();
     const int64_t group = config.num_heads / config.num_kv_heads;
@@ -438,16 +438,13 @@ foldKvHead(const AttentionConfig &config, const QueryBlock &b,
     return widened;
 }
 
-/** Checks a store attention's geometry against its stores. */
+/** Checks a store attention's geometry, with @p q_cols query values
+ * per row, against its stores. */
 void
-validateStores(const AttentionConfig &config, const KvStore &k,
-               const KvStore &v)
+validateStores(const AttentionConfig &config, int64_t q_cols,
+               const KvStore &k, const KvStore &v)
 {
-    COMET_CHECK(config.num_heads > 0 && config.num_kv_heads > 0 &&
-                config.head_dim > 0);
-    COMET_CHECK(config.num_heads % config.num_kv_heads == 0);
-    COMET_CHECK(k.channels() == config.kvDim() &&
-                v.channels() == config.kvDim());
+    validate(config, q_cols, k.channels(), v.channels());
     COMET_CHECK(k.tokens() == v.tokens());
     COMET_CHECK(k.groupSize() == v.groupSize());
     COMET_CHECK(!k.packed() || config.head_dim % 2 == 0);
@@ -525,7 +522,7 @@ decodeAttentionOnline(const AttentionConfig &config,
                       const std::vector<float> &q, const Tensor &k,
                       const Tensor &v, int64_t tokens)
 {
-    validate(config, q, k.cols(), v.cols());
+    validate(config, static_cast<int64_t>(q.size()), k.cols(), v.cols());
     COMET_CHECK(tokens <= k.rows() && tokens <= v.rows());
     return onlineCore(config, q, tokens, k, v);
 }
@@ -536,7 +533,8 @@ decodeAttentionQuantized(const AttentionConfig &config,
                          const QuantizedKv &k, const QuantizedKv &v,
                          const KvCacheQuantizer &quantizer)
 {
-    validate(config, q, k.channels, v.channels);
+    validate(config, static_cast<int64_t>(q.size()), k.channels,
+             v.channels);
     COMET_CHECK(k.tokens == v.tokens);
     COMET_CHECK(quantizer.config().group_size == k.group_size);
 
@@ -551,8 +549,7 @@ decodeAttentionQuantized(const AttentionConfig &config,
                          const std::vector<float> &q, const KvStore &k,
                          const KvStore &v)
 {
-    validateStores(config, k, v);
-    COMET_CHECK(static_cast<int64_t>(q.size()) == config.qDim());
+    validateStores(config, static_cast<int64_t>(q.size()), k, v);
     COMET_CHECK(k.tokens() > 0);
 
     std::vector<float> out(static_cast<size_t>(config.qDim()));
@@ -586,24 +583,13 @@ appendAttendQuantized(const AttentionConfig &config, const Tensor &q,
                       const Tensor &k_rows, const Tensor &v_rows, KvStore &k,
                       KvStore &v)
 {
-    validateStores(config, k, v);
+    validateStores(config, q.cols(), k, v);
     const int64_t rows = q.rows();
-    COMET_CHECK(rows > 0 && q.cols() == config.qDim());
+    COMET_CHECK(rows > 0);
     COMET_CHECK(k_rows.rows() == rows && k_rows.cols() == config.kvDim());
     COMET_CHECK(v_rows.rows() == rows && v_rows.cols() == config.kvDim());
 
     Tensor out(rows, config.qDim());
-    if (rows == 1) {
-        // A decode step: the stores' last groups are the row's own.
-        k.append(k_rows.data());
-        v.append(v_rows.data());
-        const std::vector<float> row =
-            decodeAttentionQuantized(config, {q.data(), q.data() + q.cols()},
-                                     k, v);
-        std::copy(row.begin(), row.end(), out.data());
-        return out;
-    }
-
     // Serial phase: each store takes the rows in order, keeping every
     // row's open group as the row saw it; K and V are independent. The
     // lambdas reach the caller's snapshot buffers through pointers: a

@@ -151,17 +151,19 @@ std::vector<float> decodeAttentionQuantized(const AttentionConfig &config,
  * of @p k_rows and @p v_rows [rows, kvDim] to @p k and @p v, rows in
  * order, and returns [rows, qDim] whose row r is, bit for bit,
  * decodeAttentionQuantized(row r of @p q, k, v) over the stores as
- * they stood right after row r's append. One row (a decode step) is
- * exactly that append and that call. More rows run in two phases:
+ * they stood right after row r's append. It runs in two phases:
  *
  *  - serial: each store appends every row (K and V on two pool slots
  *    when the appends are worth a pool region), and after a row's
  *    append copies its open group's raw rows, scales and zero points
- *    when a later row of the call will still change that group;
+ *    when a later row of the call will still change that group (never
+ *    for the last row, so a one-row call, a decode step, copies
+ *    nothing);
  *  - parallel, over (block of kRowVectorBlock / heads-per-kv-head
- *    rows) x kv head on the runtime pool: every group closed before a
- *    row is final, so a block folds it from the store once for all its
- *    rows' query vectors (one widening of each K and V row per
+ *    rows) x kv head, on the runtime pool at or above kMinPoolMacs of
+ *    attended work: every group closed before a row is final, so a
+ *    block folds it from the store once for all its rows' query
+ *    vectors (one widening of each K and V row per
  *    simd::kRowVectorBlock vectors), and each row folds its own last
  *    group, from its copy, last.
  *

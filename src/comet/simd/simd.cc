@@ -225,13 +225,6 @@ widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
 }
 
 void
-dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
-               int64_t tile_values, int32_t *out)
-{
-    dotColumnBlockRows(a, 0, 1, w, n_tiles, tile_values, out, 0);
-}
-
-void
 dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
                    const int16_t *w, int64_t n_tiles, int64_t tile_values,
                    int32_t *out, int64_t out_stride)

@@ -157,25 +157,6 @@ void widenColumnBlock(const int8_t *columns, int64_t stride,
                       int64_t n_values, int16_t *out);
 
 /**
- * The W4Ax inner loop for one activation row against one block of
- * kColumnBlock output columns, over @p n_tiles k-tiles of
- * @p tile_values values each. @p a is the row widened to int16 and
- * @p w the block in the column-block layout over the same values. For
- * every tile t and column c,
- *
- *     out[t * kColumnBlock + c] =
- *         sum over v in [t * tile_values, (t + 1) * tile_values) of
- *             a[v] * w[((v / 2) * kColumnBlock + c) * 2 + v % 2]
- *
- * in INT32. Exact when every operand lies in [-128, 128] and
- * @p tile_values <= 2^17 — widened INT4 and INT8 values, the fast
- * conversion's x16 included. @p tile_values must be a positive
- * multiple of 16. The one-row form of dotColumnBlockRows().
- */
-void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
-                    int64_t tile_values, int32_t *out);
-
-/**
  * Activation rows one dotColumnBlockRows() call takes: the SIMD
  * backends load each pair row of the widened block once for all of
  * them (on AVX2, four weight registers per eight values and one
@@ -185,11 +166,22 @@ void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
 constexpr int64_t kColumnBlockRows = 4;
 
 /**
- * dotColumnBlock() for @p n_rows (1 to kColumnBlockRows) activation
- * rows against the same block: row r is read at a + r * a_stride and
- * its dots are written to out + r * out_stride, each exactly the
- * one-row call's. The W4Ax kernel's register-level reuse of one
- * widened weight block across an m-tile's rows.
+ * The W4Ax inner loop for @p n_rows (1 to kColumnBlockRows) activation
+ * rows against one block of kColumnBlock output columns, over
+ * @p n_tiles k-tiles of @p tile_values values each. Row r, widened to
+ * int16, is a_r = a + r * a_stride and its dots go to
+ * out_r = out + r * out_stride; @p w is the block in the column-block
+ * layout over the same values. For every row, tile t and column c,
+ *
+ *     out_r[t * kColumnBlock + c] =
+ *         sum over v in [t * tile_values, (t + 1) * tile_values) of
+ *             a_r[v] * w[((v / 2) * kColumnBlock + c) * 2 + v % 2]
+ *
+ * in INT32, whatever rows share the call. Exact when every operand
+ * lies in [-128, 128] and @p tile_values <= 2^17 — widened INT4 and
+ * INT8 values, the fast conversion's x16 included. @p tile_values must
+ * be a positive multiple of 16. The W4Ax kernel's register-level reuse
+ * of one widened weight block across an m-tile's rows.
  */
 void dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
                         const int16_t *w, int64_t n_tiles,
@@ -198,7 +190,8 @@ void dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
 
 /**
  * The W4Ax epilogue of one (row, column block): from the per-k-tile
- * dots dotColumnBlock() returns, for every column c < kColumnBlock,
+ * dots dotColumnBlockRows() writes for the row, for every column
+ * c < kColumnBlock,
  *
  *     out[c] = sum over t = 0, 1, ... n_tiles - 1 of
  *         float(dots[t * kColumnBlock + c]) * a_scales[t] *

@@ -80,7 +80,7 @@ COMET_SIMD_DECLARE_BACKEND(neon)
 /** @} */
 
 namespace scalar {
-/** simd::dotColumnBlock's one-row loop, element by element: the
+/** simd::dotColumnBlockRows at one row, element by element: the
  * reference every backend's dotColumnBlockRows is tested against. */
 void dotColumnBlock(const int16_t *a, const int16_t *w, int64_t n_tiles,
                     int64_t tile_values, int32_t *out);

@@ -7,11 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "comet/attention/decode_attention.h"
 #include "comet/common/rng.h"
+#include "comet/runtime/thread_pool.h"
 #include "comet/simd/simd.h"
 #include "kv_fold_attention.h"
 
@@ -276,6 +279,129 @@ TEST(DecodeAttention, StoreWithinStatedBoundOfDequantizeFirstOracle)
     char worst_text[32];
     std::snprintf(worst_text, sizeof(worst_text), "%.3g", worst);
     RecordProperty("worst_error_over_max_v", worst_text);
+}
+
+/** Rows [begin, end) of @p t. */
+Tensor
+rowSpan(const Tensor &t, int64_t begin, int64_t end)
+{
+    Tensor out(end - begin, t.cols());
+    std::copy(t.data() + begin * t.cols(), t.data() + end * t.cols(),
+              out.data());
+    return out;
+}
+
+/**
+ * One appendAttendQuantized case, over storeCase's geometry: drifting
+ * K/V rows past the second group boundary (or to 70 rows), appended
+ * and attended in two calls, the second starting inside an open group
+ * whenever a group holds more than one row (at g = 64 it is a single
+ * row, a decode step). Each call's row r must equal, bit for bit,
+ * decodeAttentionQuantized after that row's own append.
+ */
+void
+appendAttendCase(Rng &rng, const KvQuantConfig &kv_config, int64_t gqa,
+                 int64_t head_dim)
+{
+    AttentionConfig config;
+    config.num_kv_heads = 2;
+    config.num_heads = 2 * gqa;
+    config.head_dim = head_dim;
+    const int64_t kv_dim = config.kvDim();
+    const int64_t q_dim = config.qDim();
+    const int64_t group = kv_config.group_size;
+    const int64_t rows = std::min<int64_t>(2 * group + 1, 70);
+    Tensor q(rows, q_dim), k_rows(rows, kv_dim), v_rows(rows, kv_dim);
+    for (int64_t r = 0; r < rows; ++r) {
+        const double spread = 1.0 + 0.05 * static_cast<double>(r % 23);
+        for (int64_t c = 0; c < q_dim; ++c)
+            q.at(r, c) = static_cast<float>(rng.gaussian(0, 1));
+        for (int64_t c = 0; c < kv_dim; ++c) {
+            const auto cd = static_cast<double>(c);
+            k_rows.at(r, c) = static_cast<float>(
+                rng.gaussian(0.2 * std::fmod(cd, 5.0), spread));
+            v_rows.at(r, c) = static_cast<float>(
+                rng.gaussian(-0.1 * std::fmod(cd, 3.0), spread));
+        }
+    }
+
+    KvStore k_ref(kv_dim, kv_config), v_ref(kv_dim, kv_config);
+    std::vector<std::vector<float>> want;
+    for (int64_t r = 0; r < rows; ++r) {
+        k_ref.append(k_rows.data() + r * kv_dim);
+        v_ref.append(v_rows.data() + r * kv_dim);
+        want.push_back(decodeAttentionQuantized(
+            config, {q.data() + r * q_dim, q.data() + (r + 1) * q_dim}, k_ref,
+            v_ref));
+    }
+
+    KvStore k(kv_dim, kv_config), v(kv_dim, kv_config);
+    const int64_t split = std::min(rows - 1, group + group / 2 + 1);
+    for (const auto &[begin, end] :
+         {std::pair<int64_t, int64_t>{0, split}, {split, rows}}) {
+        const Tensor got = appendAttendQuantized(
+            config, rowSpan(q, begin, end), rowSpan(k_rows, begin, end),
+            rowSpan(v_rows, begin, end), k, v);
+        ASSERT_EQ(got.rows(), end - begin);
+        for (int64_t r = begin; r < end; ++r) {
+            const float *row = got.data() + (r - begin) * q_dim;
+            ASSERT_EQ(std::vector<float>(row, row + q_dim),
+                      want[static_cast<size_t>(r)])
+                << "gqa " << gqa << " head_dim " << head_dim << " row " << r
+                << " of call [" << begin << ", " << end << ")";
+        }
+    }
+    // The appends themselves are the row-by-row ones.
+    const int64_t bytes = rows * k.rowBytes();
+    ASSERT_EQ(k.tokens(), rows);
+    EXPECT_TRUE(std::equal(k.values(), k.values() + bytes, k_ref.values()));
+    EXPECT_TRUE(std::equal(v.values(), v.values() + bytes, v_ref.values()));
+}
+
+/** appendAttendCase over sweepStores' grid: KV bits {2, 3, 4, 8},
+ * groups {1, 7, 32, 64}, symmetric and asymmetric, GQA {1, 2, 4, 8}
+ * (8-, 4-, 2- and 1-row blocks), head_dim {8, 12, 16, 32, 64}. */
+void
+appendAttendSweep()
+{
+    Rng rng(33);
+    for (const int bits : {2, 3, 4, 8}) {
+        for (const int64_t group : {1, 7, 32, 64}) {
+            for (const bool asymmetric : {true, false}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "bits " << bits << " group " << group
+                             << " asym " << asymmetric);
+                for (const int64_t gqa : {1, 2, 4, 8}) {
+                    for (const int64_t head_dim : {8, 12, 16, 32, 64}) {
+                        appendAttendCase(
+                            rng, KvQuantConfig{bits, group, asymmetric}, gqa,
+                            head_dim);
+                        if (::testing::Test::HasFatalFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(DecodeAttention, AppendAttendMatchesRowByRowBitExact)
+{
+    // The two-phase call, packed and unpacked stores, under every SIMD
+    // backend and at pool sizes 1 and 4.
+    const simd::Mode saved = simd::activeMode();
+    const int saved_threads = ThreadPool::global().threadCount();
+    for (const simd::Mode mode : simd::supportedModes()) {
+        simd::setMode(mode);
+        for (const int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            SCOPED_TRACE(::testing::Message() << simd::modeName(mode)
+                                              << " pool " << threads);
+            appendAttendSweep();
+        }
+    }
+    ThreadPool::setGlobalThreads(saved_threads);
+    simd::setMode(saved);
 }
 
 TEST(DecodeAttention, OnlineReadsACachePrefixInPlace)

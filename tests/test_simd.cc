@@ -316,8 +316,8 @@ TEST_P(SimdEquivalence, DotColumnBlockMatchesScalarOnRaggedCounts)
             simd::widenColumnBlock(columns.data(), n, n, w.data());
             std::vector<int32_t> got(static_cast<size_t>(n_tiles * kBlock));
             std::vector<int32_t> want(got.size());
-            simd::dotColumnBlock(a.data(), w.data(), n_tiles, tile,
-                                 got.data());
+            simd::dotColumnBlockRows(a.data(), 0, 1, w.data(), n_tiles,
+                                     tile, got.data(), 0);
             simd::detail::scalar::dotColumnBlock(a.data(), w.data(),
                                                  n_tiles, tile,
                                                  want.data());
@@ -386,9 +386,9 @@ TEST_P(SimdEquivalence, DotColumnBlockRowsMatchesSingleRowCalls)
                     out_stride);
             }
             for (int64_t i = 0; i < m; ++i)
-                simd::dotColumnBlock(a.data() + i * a_stride, w.data(),
-                                     n_tiles, tile,
-                                     want.data() + i * out_stride);
+                simd::dotColumnBlockRows(a.data() + i * a_stride, 0, 1,
+                                         w.data(), n_tiles, tile,
+                                         want.data() + i * out_stride, 0);
             EXPECT_EQ(got, want) << "tile " << tile << " rows " << m;
             EXPECT_EQ(scalar, want) << "tile " << tile << " rows " << m;
         }
@@ -404,8 +404,8 @@ TEST_P(SimdEquivalence, DotColumnBlockExtremeOperands)
     // INT4 minima on both sides: every product is (-8) * (-8).
     const std::vector<int16_t> int4_row(kTiles * kTile, -8);
     const std::vector<int16_t> int4_block(kTiles * kBlock * kTile, -8);
-    simd::dotColumnBlock(int4_row.data(), int4_block.data(), kTiles, kTile,
-                         out.data());
+    simd::dotColumnBlockRows(int4_row.data(), 0, 1, int4_block.data(),
+                             kTiles, kTile, out.data(), 0);
     for (const int32_t dot : out)
         EXPECT_EQ(dot, 64 * kTile);
 
@@ -414,8 +414,8 @@ TEST_P(SimdEquivalence, DotColumnBlockExtremeOperands)
     const std::vector<int16_t> widened_min(kTiles * kBlock * kTile, -128);
     for (const int16_t a : {int16_t{127}, int16_t{-127}, int16_t{-128}}) {
         const std::vector<int16_t> act(kTiles * kTile, a);
-        simd::dotColumnBlock(act.data(), widened_min.data(), kTiles, kTile,
-                             out.data());
+        simd::dotColumnBlockRows(act.data(), 0, 1, widened_min.data(),
+                                 kTiles, kTile, out.data(), 0);
         for (const int32_t dot : out)
             EXPECT_EQ(dot, -128 * int32_t{a} * kTile) << "a = " << a;
     }
@@ -531,7 +531,7 @@ TEST_P(SimdEquivalence, ZeroLengthSpansAreNoOps)
     EXPECT_EQ(simd::dotInt8(nullptr, nullptr, 0), 0);
     EXPECT_EQ(simd::dotInt4(nullptr, nullptr, 0), 0);
     simd::widenColumnBlock(nullptr, 0, 0, nullptr);
-    simd::dotColumnBlock(nullptr, nullptr, 0, 16, nullptr);
+    simd::dotColumnBlockRows(nullptr, 0, 1, nullptr, 0, 16, nullptr, 0);
     simd::dotRowsF32(nullptr, 0, 1, {}, 0, 0, nullptr, 0);
     simd::dotRowsF32(nullptr, 0, 0, {}, 5, 0, nullptr, 0);
     simd::gemvF32(nullptr, nullptr, 0, 0, 0, nullptr);
@@ -922,7 +922,9 @@ TEST(SimdDeathTest, ShapeChecks)
     EXPECT_DEATH(simd::fastWidenW4A8(packed, 8, out), "");
     const int16_t operands[8 * simd::kColumnBlock] = {};
     int32_t dots[simd::kColumnBlock];
-    EXPECT_DEATH(simd::dotColumnBlock(operands, operands, 1, 8, dots), "");
+    EXPECT_DEATH(
+        simd::dotColumnBlockRows(operands, 0, 1, operands, 1, 8, dots, 0),
+        "");
     EXPECT_DEATH(simd::dotColumnBlockRows(operands, 0, 0, operands, 0, 16,
                                           dots, 0),
                  "");
