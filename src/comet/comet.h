@@ -35,7 +35,6 @@
 #include "comet/quant/weight_quant.h"
 
 #include "comet/kernel/convert.h"
-#include "comet/kernel/fp4.h"
 #include "comet/kernel/gemm_ref.h"
 #include "comet/kernel/gemm_w4ax.h"
 #include "comet/kernel/int4_pack.h"

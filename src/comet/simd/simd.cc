@@ -35,12 +35,6 @@ avx2Supported()
 #endif
 }
 
-bool
-neonSupported()
-{
-    return COMET_SIMD_AARCH64 != 0;
-}
-
 } // namespace detail
 
 namespace {
@@ -52,9 +46,7 @@ std::atomic<Mode> g_mode{kModeUnset};
 Mode
 bestSupportedMode()
 {
-    if (detail::avx2Supported()) return Mode::kAvx2;
-    if (detail::neonSupported()) return Mode::kNeon;
-    return Mode::kScalar;
+    return detail::avx2Supported() ? Mode::kAvx2 : Mode::kScalar;
 }
 
 Mode
@@ -85,7 +77,6 @@ modeName(Mode m)
     switch (m) {
     case Mode::kScalar: return "scalar";
     case Mode::kAvx2: return "avx2";
-    case Mode::kNeon: return "neon";
     }
     return "unknown";
 }
@@ -96,7 +87,6 @@ modeSupported(Mode m)
     switch (m) {
     case Mode::kScalar: return true;
     case Mode::kAvx2: return detail::avx2Supported();
-    case Mode::kNeon: return detail::neonSupported();
     }
     return false;
 }
@@ -106,7 +96,6 @@ supportedModes()
 {
     std::vector<Mode> modes{Mode::kScalar};
     if (modeSupported(Mode::kAvx2)) modes.push_back(Mode::kAvx2);
-    if (modeSupported(Mode::kNeon)) modes.push_back(Mode::kNeon);
     return modes;
 }
 
@@ -129,7 +118,7 @@ parseMode(const char *name)
 {
     COMET_CHECK(name != nullptr);
     if (std::strcmp(name, "auto") == 0) return bestSupportedMode();
-    for (Mode m : {Mode::kScalar, Mode::kAvx2, Mode::kNeon}) {
+    for (Mode m : {Mode::kScalar, Mode::kAvx2}) {
         if (std::strcmp(name, modeName(m)) == 0) {
             COMET_CHECK_MSG(
                 modeSupported(m),
@@ -141,9 +130,9 @@ parseMode(const char *name)
     return Mode::kScalar; // unreachable
 }
 
-// Dispatch: one switch per routine. The kAvx2/kNeon cases only exist
-// on architectures where the backend compiles; setMode/parseMode
-// guarantee the active mode is always a compiled-in backend.
+// Dispatch: one switch per routine. The kAvx2 case only exists on x86,
+// where the backend compiles; setMode/parseMode guarantee the active
+// mode is always a compiled-in backend.
 #if COMET_SIMD_X86
 #define COMET_SIMD_AVX2_CASE(call)                                    \
     case Mode::kAvx2: return detail::avx2::call
@@ -151,18 +140,10 @@ parseMode(const char *name)
 #define COMET_SIMD_AVX2_CASE(call)                                    \
     case Mode::kAvx2: break
 #endif
-#if COMET_SIMD_AARCH64
-#define COMET_SIMD_NEON_CASE(call)                                    \
-    case Mode::kNeon: return detail::neon::call
-#else
-#define COMET_SIMD_NEON_CASE(call)                                    \
-    case Mode::kNeon: break
-#endif
 
 #define COMET_SIMD_DISPATCH(call)                                     \
     switch (mode()) {                                                 \
         COMET_SIMD_AVX2_CASE(call);                                   \
-        COMET_SIMD_NEON_CASE(call);                                   \
     default: break;                                                   \
     }                                                                 \
     return detail::scalar::call

@@ -9,19 +9,18 @@
  * column-blocked W4Ax dots and their epilogue) and the float loops of
  * the real decoder (attention over raw KV values, the LM head).
  * This module lifts those inner loops to span-level routines with
- * three backends:
+ * two backends:
  *
  *  - *scalar*: the always-available portable fallback, byte-for-byte
- *    the same arithmetic the original per-element loops performed;
+ *    the same arithmetic the original per-element loops performed,
+ *    and the backend every non-x86 host runs;
  *  - *avx2*: x86-64 AVX2 implementations (compiled with per-function
- *    target attributes, selected only when the CPU reports support);
- *  - *neon*: AArch64 NEON implementations (NEON is baseline on
- *    AArch64, so support equals compiling for that architecture).
+ *    target attributes, selected only when the CPU reports support).
  *
  * The backend is picked once per process: the `COMET_SIMD`
- * environment variable accepts `scalar`, `avx2`, `neon` or `auto`
- * (the default — best supported backend). Tests and benches can
- * override it with setMode().
+ * environment variable accepts `scalar`, `avx2` or `auto` (the
+ * default — best supported backend). Tests and benches can override
+ * it with setMode().
  *
  * **Bit-identity guarantee:** every routine produces bit-identical
  * output across all backends. Integer routines are exact by
@@ -52,10 +51,9 @@ namespace simd {
 enum class Mode {
     kScalar = 0, ///< portable fallback, always available
     kAvx2,       ///< x86-64 AVX2
-    kNeon,       ///< AArch64 NEON
 };
 
-/** Stable lower-case name of a mode ("scalar", "avx2", "neon"). */
+/** Stable lower-case name of a mode ("scalar", "avx2"). */
 const char *modeName(Mode mode);
 
 /** True when @p mode can run on this machine. kScalar always can. */
@@ -79,7 +77,7 @@ Mode activeMode();
 void setMode(Mode mode);
 
 /**
- * Parses a `COMET_SIMD` value ("scalar", "avx2", "neon", "auto") to a
+ * Parses a `COMET_SIMD` value ("scalar", "avx2", "auto") to a
  * concrete supported mode. Aborts on an unknown name or an explicitly
  * requested backend the machine cannot run.
  */

@@ -16,12 +16,6 @@
 #define COMET_SIMD_X86 0
 #endif
 
-#if defined(__aarch64__)
-#define COMET_SIMD_AARCH64 1
-#else
-#define COMET_SIMD_AARCH64 0
-#endif
-
 namespace comet {
 namespace simd {
 namespace detail {
@@ -72,9 +66,6 @@ COMET_SIMD_DECLARE_BACKEND(scalar)
 #if COMET_SIMD_X86
 COMET_SIMD_DECLARE_BACKEND(avx2)
 #endif
-#if COMET_SIMD_AARCH64
-COMET_SIMD_DECLARE_BACKEND(neon)
-#endif
 
 #undef COMET_SIMD_DECLARE_BACKEND
 /** @} */
@@ -100,9 +91,6 @@ constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f,
 
 /** True when the running CPU supports AVX2 (false off x86). */
 bool avx2Supported();
-
-/** True when NEON is available (true exactly on AArch64 builds). */
-bool neonSupported();
 
 } // namespace detail
 } // namespace simd

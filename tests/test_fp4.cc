@@ -9,8 +9,8 @@
 
 #include "comet/common/rng.h"
 #include "comet/gpusim/gpu_spec.h"
-#include "comet/kernel/fp4.h"
 #include "comet/kernel/int4_pack.h"
+#include "fp4_convert.h"
 
 namespace comet {
 namespace {

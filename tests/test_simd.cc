@@ -887,18 +887,16 @@ TEST(SimdMode, SetModeChangesActiveMode)
 
 TEST(SimdModeDeathTest, UnknownNameAborts)
 {
-    EXPECT_DEATH(simd::parseMode("avx512"), "COMET_SIMD");
+    for (const char *name : {"avx512", "neon"})
+        EXPECT_DEATH(simd::parseMode(name), "COMET_SIMD") << name;
 }
 
 TEST(SimdModeDeathTest, UnsupportedExplicitRequestAborts)
 {
-    // Whichever of avx2/neon this machine lacks must refuse cleanly
-    // rather than dispatch into illegal instructions.
-    for (const simd::Mode mode :
-         {simd::Mode::kAvx2, simd::Mode::kNeon}) {
-        if (!simd::modeSupported(mode)) {
-            EXPECT_DEATH(simd::setMode(mode), "");
-        }
+    // A machine without AVX2 must refuse it cleanly rather than
+    // dispatch into illegal instructions.
+    if (!simd::modeSupported(simd::Mode::kAvx2)) {
+        EXPECT_DEATH(simd::setMode(simd::Mode::kAvx2), "");
     }
 }
 
