@@ -41,6 +41,9 @@
  *    from the `kernel.w4ax.dot_passes` counter: one pass over each
  *    widened column block serves simd::kColumnBlockRows activation
  *    rows. Gated;
+ *  - resident weight bytes of the layer-0 q|k|v GEMM, from
+ *    W4AxGemm::weightBytes(): one INT4 copy in the kernel layout plus
+ *    the per-k-tile scales. Gated;
  *  - the per-layer host split of the 64 steps ending at 2048 context,
  *    replayed once with the decoder's spans recorded (decoder/qkv,
  *    attention, o, mlp, lm_head), the same split of one 128-token
@@ -439,6 +442,10 @@ main(int argc, char **argv)
                 static_cast<long long>(kPromptTokens),
                 static_cast<long long>(dot_passes_m128),
                 static_cast<long long>(column_blocks));
+    std::printf("layer-0 q|k|v W4Ax weight bytes: %lld (%lld INT4 "
+                "values)\n",
+                static_cast<long long>(qkv.weightBytes()),
+                static_cast<long long>(qkv_weight.numel()));
     std::printf("layer-0 q|k|v FMPQ quantization (K %lld): %.2f us at "
                 "M=1, %.1f us at M=%lld\n",
                 static_cast<long long>(qkv_weight.cols()), quantize_m1_us,
@@ -473,6 +480,9 @@ main(int argc, char **argv)
                      false);
     report.addMetric("w4ax_dot_passes_m128",
                      static_cast<double>(dot_passes_m128), "passes", true,
+                     false);
+    report.addMetric("w4ax_weight_bytes",
+                     static_cast<double>(qkv.weightBytes()), "B", true,
                      false);
     report.addMetric("w4ax_m1_us", w4ax_m1_us, "us", false, false);
     report.addMetric("w4ax_m128_us", w4ax_m128_us, "us", false, false);

@@ -7,42 +7,53 @@
  * INT8 channel blocks) against block-wise INT4 weights:
  *
  *  - INT4 activation blocks run the W4A4 path (INT4 mma directly);
- *  - INT8 activation blocks run the W4A8 path: the weights of those
- *    blocks are stored in the prepared (interleaved + location-switched)
- *    layout and widened on the fly with the 2-instruction fast
- *    conversion, whose x16 factor is folded into the block scale.
+ *  - INT8 activation blocks run the W4A8 path: their weights are
+ *    widened on the fly with the fast conversion (shl + and, and; see
+ *    convert.h), whose x16 factor is folded into the block scale.
  *
  * The GPU kernel computes in (tile_m x tile_n x tile_k) tiles (128^3
  * in the paper), each tile's precision decided by the activation block
  * covering its k-range, and widens each packed weight tile once in
- * registers for a whole m-tile. Here the tile is the unit of
- * accounting and of epilogue order, not of execution; run() is
- * column-blocked instead:
+ * registers for a whole m-tile. Its weights are reordered offline
+ * (interleaving, then the location switch) so the in-register
+ * conversion lands values directly in the mma operand layout. Here
+ * the tile is the unit of accounting and of epilogue order, not of
+ * execution; run() is column-blocked instead:
  *
+ *  - construction packs the weights once into the *kernel layout*
+ *    (simd::widenKernelBlock), the operator's one resident INT4 copy:
+ *    per block of simd::kColumnBlock (8) output columns and 8-value
+ *    step, 32 bytes whose low nibbles widen to the step's pair rows 0-1
+ *    and high nibbles to pair rows 2-3 — the four int16 registers
+ *    simd::dotColumnBlockRows reads for the step;
  *  - every activation row is widened once per run into an int16
  *    operand row (INT4 blocks sign-extended, INT8 blocks copied);
- *  - every block of simd::kColumnBlock (8) output columns is widened
- *    once per run from the packed bytes (INT4 k-tiles sign-extended,
- *    INT8 k-tiles through the configured conversion, the fast one
- *    keeping its x16), and no widened copy outlives the run;
+ *  - every column block is widened once per run in one dispatched
+ *    simd::widenKernelBlock pass (INT4 k-tiles sign-extended, INT8
+ *    k-tiles fast-converted with their x16, or sign-extended to true
+ *    values under the naive-conversion ablation); each worker holds one
+ *    widened block at a time, in scratch reused between runs;
  *  - per column block and group of R = simd::kColumnBlockRows (4)
  *    activation rows, one simd::dotColumnBlockRows pass yields each
  *    row's eight per-k-tile INT32 dots: every pair row of the widened
  *    block is loaded once for the R rows, the register-level reuse the
  *    GPU kernel gets from widening a weight tile once per m-tile (the
  *    last group of a run may hold fewer rows);
- *  - per row, in row order, one simd::scaleColumnBlock call adds
+ *  - per group, one simd::scaleColumnBlockRows call adds, per row and
+ *    column,
  *
  *        float(dot_t) * (a_scale * fixup_t) * w_scale_t
  *
- *    per column in ascending k-tile order — exactly the sum a
- *    tile-by-tile walk forms, so the output is bit-identical to it for
- *    any tile shape, thread count and precision map (the dots are
- *    exact integers, whatever rows share their pass).
+ *    in ascending k-tile order — exactly the sum a tile-by-tile walk
+ *    forms, so the output is bit-identical to it for any tile shape,
+ *    thread count and precision map (the dots are exact integers,
+ *    whatever rows share their pass).
  *
  * Per-run statistics (tile precision mix, multiply-accumulates,
  * conversion instructions) are derived from the tile grid and report
- * what the tiled kernel executes; tests and the ablation benches
+ * what the tiled kernel executes (the conversions: per m-tile, each
+ * column's INT8 k-tiles a register word at a time, at the configured
+ * conversion's per-word count); tests and the ablation benches
  * consume them.
  */
 #pragma once
@@ -50,7 +61,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "comet/kernel/convert.h"
 #include "comet/quant/fmpq.h"
 #include "comet/tensor/tensor.h"
 
@@ -96,25 +106,31 @@ struct W4AxGemmStats {
 /**
  * A W4Ax GEMM operator bound to one quantized weight matrix.
  *
- * Construction performs the offline layout work (packing the W4A8
- * blocks into the prepared layout); run() executes the kernel against
- * runtime activations.
+ * Construction performs the offline layout work (packing the weights
+ * into the kernel layout); run() executes the kernel against runtime
+ * activations.
  */
 class W4AxGemm
 {
   public:
     /**
      * Binds the operator to a quantized weight and the activation
-     * block-precision map it will be used with.
+     * block-precision map it will be used with. The operator keeps its
+     * own kernel-layout copy of the weight values and scales, not
+     * @p weight.
      *
      * @pre weight block size matches the precision map
      *      (weight.in_channels / weight.block_size precisions).
      */
-    W4AxGemm(BlockQuantizedWeight weight,
+    W4AxGemm(const BlockQuantizedWeight &weight,
              std::vector<BlockPrecision> precisions,
              W4AxGemmConfig config = {});
 
     const W4AxGemmConfig &config() const { return config_; }
+
+    /** Resident bytes of the weight operand: the packed INT4 values
+     * (one copy, in the kernel layout) plus the per-k-tile scales. */
+    int64_t weightBytes() const;
 
     /**
      * Executes the mixed-precision GEMM and returns the dequantized
@@ -131,26 +147,27 @@ class W4AxGemm
                W4AxGemmStats *stats = nullptr) const;
 
   private:
-    /** Widens output columns [@p column, @p column + @p width)
-     * (width <= simd::kColumnBlock) into @p block in the column-block
-     * layout, the block's unused columns zero, counting the
-     * conversion's emulated instructions. @p plain and @p converted
-     * are scratch of kColumnBlock * in_channels values each. */
-    void widenBlock(int64_t column, int64_t width, int8_t *plain,
-                    int8_t *converted, int16_t *block,
-                    InstructionCounter *counter) const;
-
-    BlockQuantizedWeight weight_;
+    int64_t out_features_ = 0;
+    int64_t in_channels_ = 0;
+    int64_t block_size_ = 0;
     std::vector<BlockPrecision> precisions_;
     W4AxGemmConfig config_;
-    /** Weights in prepared layout, used by INT8 blocks. */
-    Int4Tensor prepared_;
+    /** The weights in the kernel layout (simd::widenKernelBlock):
+     * column block b (columns [8b, 8b + 8), those past out_features
+     * zero) takes block_bytes_ bytes from b * block_bytes_. */
+    std::vector<uint8_t> packed_;
+    int64_t block_bytes_ = 0;
     /** Per k-tile: 1 when the tile runs the W4A8 path. */
     std::vector<uint8_t> int8_tiles_;
+    /** Per k-tile: 1 when the tile widens with the fast conversion. */
+    std::vector<uint8_t> x16_tiles_;
     int64_t int8_k_tiles_ = 0; ///< k-tiles on the W4A8 path
+    /** Emulated instructions of the configured W4A8 conversion per
+     * register word. */
+    int64_t conversions_per_word_ = 0;
     /** Weight scale per (k-tile, column), column-contiguous: tile t's
-     * row starts at t * scale_stride_, padded with zeros so a column
-     * block starting at any column reads kColumnBlock scales. */
+     * row starts at t * scale_stride_, padded with zeros to whole
+     * column blocks. */
     std::vector<float> tile_scales_;
     int64_t scale_stride_ = 0;
 };

@@ -198,11 +198,12 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
-widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
-                 int16_t *out)
+widenKernelBlock(const uint8_t *packed, const uint8_t *x16_tiles,
+                 int64_t n_tiles, int64_t tile_values, int16_t *out)
 {
-    COMET_CHECK(n_values >= 0 && n_values % 2 == 0 && stride >= n_values);
-    COMET_SIMD_DISPATCH(widenColumnBlock(columns, stride, n_values, out));
+    COMET_CHECK(n_tiles >= 0 && tile_values > 0 && tile_values % 8 == 0);
+    COMET_SIMD_DISPATCH(
+        widenKernelBlock(packed, x16_tiles, n_tiles, tile_values, out));
 }
 
 void
@@ -217,13 +218,17 @@ dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
 }
 
 void
-scaleColumnBlock(const int32_t *dots, const float *a_scales,
-                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
-                 float *out)
+scaleColumnBlockRows(const int32_t *dots, int64_t dots_stride,
+                     const float *a_scales, int64_t a_stride, int64_t n_rows,
+                     const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                     float *out, int64_t out_stride)
 {
+    COMET_CHECK(n_rows >= 1 && n_rows <= kColumnBlockRows);
     COMET_CHECK(n_tiles >= 0 && (n_tiles <= 1 || w_stride >= kColumnBlock));
-    COMET_SIMD_DISPATCH(
-        scaleColumnBlock(dots, a_scales, w_scales, w_stride, n_tiles, out));
+    COMET_SIMD_DISPATCH(scaleColumnBlockRows(dots, dots_stride, a_scales,
+                                             a_stride, n_rows, w_scales,
+                                             w_stride, n_tiles, out,
+                                             out_stride));
 }
 
 void

@@ -6,7 +6,7 @@
  * Every sweep, soak and figure bench in this repo bottoms out in the
  * scalar INT4/INT8 emulation loops (nibble pack/unpack, fast
  * conversion, interleaving, KV quant/dequant, dp4a accumulation, the
- * column-blocked W4Ax dots and their epilogue) and the float loops of
+ * column-blocked W4Ax widening, dots and epilogue) and the float loops of
  * the real decoder (attention over raw KV values, the LM head).
  * This module lifts those inner loops to span-level routines with
  * two backends:
@@ -145,14 +145,28 @@ int32_t dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values);
 constexpr int64_t kColumnBlock = 8;
 
 /**
- * Widens kColumnBlock INT8 column spans into the column-block layout:
- * column c's values are columns[c * stride + v] for v < @p n_values,
- * and value v of column c is written, sign-extended, to
- * out[((v / 2) * kColumnBlock + c) * 2 + v % 2]. @p n_values is
- * even.
+ * Bytes of the W4Ax kernel layout per 8-value step of a column block:
+ * the step's 8 x kColumnBlock INT4 values, two to a byte.
  */
-void widenColumnBlock(const int8_t *columns, int64_t stride,
-                      int64_t n_values, int16_t *out);
+constexpr int64_t kKernelStepBytes = 4 * kColumnBlock;
+
+/**
+ * Widens one column block of INT4 weights from the W4Ax kernel layout
+ * into the column-block layout, over @p n_tiles k-tiles of
+ * @p tile_values values each. The kernel layout is the column-block
+ * layout packed as nibbles: per 8-value step s, int16 elements
+ * [64 s, 64 s + 32) (pair rows 0-1 of the step) are the low nibbles
+ * of bytes [32 s, 32 s + 32) and elements [64 s + 32, 64 s + 64)
+ * (pair rows 2-3) their high nibbles, so one 32-byte register yields
+ * the four pair-row registers dotColumnBlockRows() reads for the step.
+ * Tile t's nibbles are sign-extended when x16_tiles[t] is 0, and
+ * otherwise take the fast conversion (convert.h): shl + and for the
+ * low nibbles, and for the high ones, giving kFastConvMultiplier (16)
+ * times the INT4 value. @p tile_values must be a positive multiple
+ * of 8.
+ */
+void widenKernelBlock(const uint8_t *packed, const uint8_t *x16_tiles,
+                      int64_t n_tiles, int64_t tile_values, int16_t *out);
 
 /**
  * Activation rows one dotColumnBlockRows() call takes: the SIMD
@@ -187,21 +201,26 @@ void dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
                         int64_t out_stride);
 
 /**
- * The W4Ax epilogue of one (row, column block): from the per-k-tile
- * dots dotColumnBlockRows() writes for the row, for every column
- * c < kColumnBlock,
+ * The W4Ax epilogue of @p n_rows (1 to kColumnBlockRows) rows against
+ * one column block: from the per-k-tile dots dotColumnBlockRows()
+ * writes, row r's dots_r = dots + r * dots_stride, activation scales
+ * a_r = a_scales + r * a_stride and output out_r = out + r * out_stride,
+ * for every column c < kColumnBlock,
  *
- *     out[c] = sum over t = 0, 1, ... n_tiles - 1 of
- *         float(dots[t * kColumnBlock + c]) * a_scales[t] *
+ *     out_r[c] = sum over t = 0, 1, ... n_tiles - 1 of
+ *         float(dots_r[t * kColumnBlock + c]) * a_r[t] *
  *             w_scales[t * w_stride + c]
  *
  * starting from +0.0f, each term's multiplies rounded left to right
- * before its add (no fused multiply-add). Elementwise per column, so
- * every backend returns the same bits.
+ * before its add (no fused multiply-add). The rows are independent
+ * chains, so the SIMD backends interleave them to hide the add
+ * latency; each row's bits do not depend on the rows beside it.
  */
-void scaleColumnBlock(const int32_t *dots, const float *a_scales,
-                      const float *w_scales, int64_t w_stride,
-                      int64_t n_tiles, float *out);
+void scaleColumnBlockRows(const int32_t *dots, int64_t dots_stride,
+                          const float *a_scales, int64_t a_stride,
+                          int64_t n_rows, const float *w_scales,
+                          int64_t w_stride, int64_t n_tiles, float *out,
+                          int64_t out_stride);
 
 /**
  * Running per-element min/max update: mins[i] = min(mins[i], x[i])

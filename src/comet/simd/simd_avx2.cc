@@ -593,47 +593,33 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 COMET_AVX2 void
-widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
-                 int16_t *out)
+widenKernelBlock(const uint8_t *packed, const uint8_t *x16_tiles,
+                 int64_t n_tiles, int64_t tile_values, int16_t *out)
 {
-    int64_t v = 0;
-    for (; n_values - v >= 16; v += 16) {
-        // Column c's 16 values as eight 32-bit pairs, then an 8 x 8
-        // transpose of the pairs: output row p holds pair p of every
-        // column.
-        __m256i r[kColumnBlock];
-#pragma GCC unroll 8
-        for (int c = 0; c < kColumnBlock; ++c)
-            r[c] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(columns + c * stride + v)));
-        __m256i t[kColumnBlock];
+    const __m256i hi_mask = _mm256_set1_epi8(static_cast<char>(0xf0));
+    const auto *src = reinterpret_cast<const __m256i *>(packed);
+    auto *dst = reinterpret_cast<__m256i *>(out);
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        // Every step takes the fast conversion; sign extension is its
+        // 16x value shifted arithmetically right by 4.
+        const __m128i shift = _mm_cvtsi32_si128(x16_tiles[t] != 0 ? 0 : 4);
+        for (int64_t s = 0; s < tile_values / 8; ++s, ++src, dst += 4) {
+            const __m256i bytes = _mm256_loadu_si256(src);
+            const __m256i lo =
+                _mm256_and_si256(_mm256_slli_epi16(bytes, 4), hi_mask);
+            const __m256i hi = _mm256_and_si256(bytes, hi_mask);
+            // Low nibbles: pair rows 0 and 1; high nibbles: 2 and 3.
+            const __m128i halves[4] = {_mm256_castsi256_si128(lo),
+                                       _mm256_extracti128_si256(lo, 1),
+                                       _mm256_castsi256_si128(hi),
+                                       _mm256_extracti128_si256(hi, 1)};
 #pragma GCC unroll 4
-        for (int c = 0; c < kColumnBlock; c += 2) {
-            t[c] = _mm256_unpacklo_epi32(r[c], r[c + 1]);
-            t[c + 1] = _mm256_unpackhi_epi32(r[c], r[c + 1]);
-        }
-        // u[q] (q < 4) holds pairs q and q + 4 of columns 0-3; u[q + 4]
-        // the same pairs of columns 4-7.
-        __m256i u[kColumnBlock];
-#pragma GCC unroll 2
-        for (int h = 0; h < kColumnBlock; h += 4) {
-            u[h] = _mm256_unpacklo_epi64(t[h], t[h + 2]);
-            u[h + 1] = _mm256_unpackhi_epi64(t[h], t[h + 2]);
-            u[h + 2] = _mm256_unpacklo_epi64(t[h + 1], t[h + 3]);
-            u[h + 3] = _mm256_unpackhi_epi64(t[h + 1], t[h + 3]);
-        }
-        __m256i *dst = reinterpret_cast<__m256i *>(out + v * kColumnBlock);
-#pragma GCC unroll 4
-        for (int q = 0; q < 4; ++q) {
-            _mm256_storeu_si256(
-                dst + q, _mm256_permute2x128_si256(u[q], u[q + 4], 0x20));
-            _mm256_storeu_si256(
-                dst + q + 4, _mm256_permute2x128_si256(u[q], u[q + 4], 0x31));
+            for (int q = 0; q < 4; ++q)
+                _mm256_storeu_si256(
+                    dst + q,
+                    _mm256_sra_epi16(_mm256_cvtepi8_epi16(halves[q]), shift));
         }
     }
-    if (v < n_values)
-        scalar::widenColumnBlock(columns + v, stride, n_values - v,
-                                 out + v * kColumnBlock);
 }
 
 namespace {
@@ -708,20 +694,69 @@ dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
     }
 }
 
-COMET_AVX2 void
-scaleColumnBlock(const int32_t *dots, const float *a_scales,
-                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
-                 float *out)
+namespace {
+
+/** The W4Ax epilogue of @p R rows: one accumulator chain per row,
+ * interleaved so the adds of different rows overlap, and each k-tile's
+ * weight scales loaded once for all of them. */
+template <int R>
+COMET_AVX2 inline void
+scaleColumnBlockRowsImpl(const int32_t *dots, int64_t dots_stride,
+                         const float *a_scales, int64_t a_stride,
+                         const float *w_scales, int64_t w_stride,
+                         int64_t n_tiles, float *out, int64_t out_stride)
 {
-    __m256 sum = _mm256_setzero_ps();
+    __m256 sum[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        sum[r] = _mm256_setzero_ps();
     for (int64_t t = 0; t < n_tiles; ++t) {
-        const __m256 dot = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dots + t * kColumnBlock)));
-        sum = _mm256_add_ps(
-            sum, _mm256_mul_ps(_mm256_mul_ps(dot, _mm256_set1_ps(a_scales[t])),
-                               _mm256_loadu_ps(w_scales + t * w_stride)));
+        const __m256 w = _mm256_loadu_ps(w_scales + t * w_stride);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m256 dot = _mm256_cvtepi32_ps(_mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(dots + r * dots_stride +
+                                                  t * kColumnBlock)));
+            sum[r] = _mm256_add_ps(
+                sum[r],
+                _mm256_mul_ps(
+                    _mm256_mul_ps(dot,
+                                  _mm256_set1_ps(a_scales[r * a_stride + t])),
+                    w));
+        }
     }
-    _mm256_storeu_ps(out, sum);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        _mm256_storeu_ps(out + r * out_stride, sum[r]);
+}
+
+} // namespace
+
+COMET_AVX2 void
+scaleColumnBlockRows(const int32_t *dots, int64_t dots_stride,
+                     const float *a_scales, int64_t a_stride, int64_t n_rows,
+                     const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                     float *out, int64_t out_stride)
+{
+    static_assert(kColumnBlockRows == 4, "one instantiation per row count");
+    switch (n_rows) {
+    case 1:
+        return scaleColumnBlockRowsImpl<1>(dots, dots_stride, a_scales,
+                                           a_stride, w_scales, w_stride,
+                                           n_tiles, out, out_stride);
+    case 2:
+        return scaleColumnBlockRowsImpl<2>(dots, dots_stride, a_scales,
+                                           a_stride, w_scales, w_stride,
+                                           n_tiles, out, out_stride);
+    case 3:
+        return scaleColumnBlockRowsImpl<3>(dots, dots_stride, a_scales,
+                                           a_stride, w_scales, w_stride,
+                                           n_tiles, out, out_stride);
+    default:
+        return scaleColumnBlockRowsImpl<4>(dots, dots_stride, a_scales,
+                                           a_stride, w_scales, w_stride,
+                                           n_tiles, out, out_stride);
+    }
 }
 
 COMET_AVX2 void

@@ -34,15 +34,18 @@ namespace detail {
     int32_t dotInt8(const int8_t *a, const int8_t *b, int64_t n);          \
     int32_t dotInt4(const uint8_t *a, const uint8_t *b,                    \
                     int64_t n_values);                                     \
-    void widenColumnBlock(const int8_t *columns, int64_t stride,           \
-                          int64_t n_values, int16_t *out);                 \
+    void widenKernelBlock(const uint8_t *packed, const uint8_t *x16_tiles, \
+                          int64_t n_tiles, int64_t tile_values,            \
+                          int16_t *out);                                   \
     void dotColumnBlockRows(const int16_t *a, int64_t a_stride,            \
                             int64_t n_rows, const int16_t *w,              \
                             int64_t n_tiles, int64_t tile_values,          \
                             int32_t *out, int64_t out_stride);             \
-    void scaleColumnBlock(const int32_t *dots, const float *a_scales,      \
-                          const float *w_scales, int64_t w_stride,         \
-                          int64_t n_tiles, float *out);                    \
+    void scaleColumnBlockRows(const int32_t *dots, int64_t dots_stride,    \
+                              const float *a_scales, int64_t a_stride,     \
+                              int64_t n_rows, const float *w_scales,       \
+                              int64_t w_stride, int64_t n_tiles,           \
+                              float *out, int64_t out_stride);             \
     void minMaxUpdate(const float *x, int64_t n, float *mins,              \
                       float *maxs);                                        \
     void quantizeAffine(const float *x, const float *scales,               \

@@ -168,13 +168,27 @@ dotInt4(const uint8_t *a, const uint8_t *b, int64_t n_values)
 }
 
 void
-widenColumnBlock(const int8_t *columns, int64_t stride, int64_t n_values,
-                 int16_t *out)
+widenKernelBlock(const uint8_t *packed, const uint8_t *x16_tiles,
+                 int64_t n_tiles, int64_t tile_values, int16_t *out)
 {
-    for (int64_t c = 0; c < kColumnBlock; ++c)
-        for (int64_t v = 0; v < n_values; ++v)
-            out[((v / 2) * kColumnBlock + c) * 2 + v % 2] =
-                columns[c * stride + v];
+    constexpr int64_t kStep = kKernelStepBytes;
+    for (int64_t t = 0; t < n_tiles; ++t) {
+        const bool x16 = x16_tiles[t] != 0;
+        for (int64_t s = t * tile_values / 8; s < (t + 1) * tile_values / 8;
+             ++s) {
+            const uint8_t *src = packed + s * kStep;
+            int16_t *dst = out + s * 2 * kStep;
+            for (int64_t i = 0; i < kStep; ++i) {
+                // The fast conversion puts each nibble in the high bits
+                // of an INT8 byte (shl + and, and): 16x its value.
+                const uint32_t byte = src[i];
+                dst[i] = x16 ? static_cast<int8_t>((byte << 4) & 0xf0u)
+                             : signExtend4(byte & 0x0f);
+                dst[kStep + i] = x16 ? static_cast<int8_t>(byte & 0xf0u)
+                                     : signExtend4(byte >> 4);
+            }
+        }
+    }
 }
 
 void
@@ -205,16 +219,20 @@ dotColumnBlockRows(const int16_t *a, int64_t a_stride, int64_t n_rows,
 }
 
 void
-scaleColumnBlock(const int32_t *dots, const float *a_scales,
-                 const float *w_scales, int64_t w_stride, int64_t n_tiles,
-                 float *out)
+scaleColumnBlockRows(const int32_t *dots, int64_t dots_stride,
+                     const float *a_scales, int64_t a_stride, int64_t n_rows,
+                     const float *w_scales, int64_t w_stride, int64_t n_tiles,
+                     float *out, int64_t out_stride)
 {
-    for (int64_t c = 0; c < kColumnBlock; ++c) {
-        float sum = 0.0f;
-        for (int64_t t = 0; t < n_tiles; ++t)
-            sum += static_cast<float>(dots[t * kColumnBlock + c]) *
-                   a_scales[t] * w_scales[t * w_stride + c];
-        out[c] = sum;
+    for (int64_t r = 0; r < n_rows; ++r) {
+        for (int64_t c = 0; c < kColumnBlock; ++c) {
+            float sum = 0.0f;
+            for (int64_t t = 0; t < n_tiles; ++t)
+                sum += static_cast<float>(
+                           dots[r * dots_stride + t * kColumnBlock + c]) *
+                       a_scales[r * a_stride + t] * w_scales[t * w_stride + c];
+            out[r * out_stride + c] = sum;
+        }
     }
 }
 

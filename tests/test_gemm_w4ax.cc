@@ -14,6 +14,7 @@
 #include "comet/kernel/gemm_ref.h"
 #include "comet/kernel/gemm_w4ax.h"
 #include "comet/model/synthetic.h"
+#include "comet/runtime/thread_pool.h"
 #include "w4ax_tile_walk.h"
 
 namespace comet {
@@ -504,6 +505,71 @@ TEST(W4AxGemm, ColumnBlockEdgesMatchTileWalk)
             }
         }
     }
+}
+
+TEST(W4AxGemm, ScratchReuseAcrossRunsMatchesTileWalk)
+{
+    // run() keeps its row and column-block scratch per thread between
+    // runs. One operator runs M = 128, 1, 3 and 128 again, so every run
+    // after the first reads scratch a larger or smaller run left, on the
+    // caller and from pools of 1 and 4, with n-tiles that split column
+    // blocks across chunks (4) and that hold whole blocks (16).
+    constexpr int64_t kChannels = 128;
+    constexpr int64_t kBlock = 32;
+    constexpr int64_t kOut = 20;
+    Rng rng(31);
+    std::vector<int64_t> order(kChannels);
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int64_t>(i);
+    rng.shuffle(order);
+    const std::vector<BlockPrecision> precisions = {
+        BlockPrecision::kInt8, BlockPrecision::kInt4, BlockPrecision::kInt4,
+        BlockPrecision::kInt8};
+    FmpqConfig fmpq;
+    fmpq.block_size = kBlock;
+    const auto quantizer = FmpqActivationQuantizer::fromParts(
+        fmpq, ChannelPermutation(std::move(order)), precisions);
+    Tensor w(kOut, kChannels);
+    for (int64_t i = 0; i < w.numel(); ++i)
+        w[i] = static_cast<float>(rng.gaussian(0, 0.2));
+    const auto qw = quantizer.quantizeWeight(w);
+    std::vector<MixedQuantizedActivation> activations;
+    for (const int64_t tokens : {128, 1, 3, 128}) {
+        Tensor x(tokens, kChannels);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x[i] = static_cast<float>(rng.gaussian(0, 3));
+        activations.push_back(quantizer.quantize(x));
+    }
+
+    const int saved_threads = ThreadPool::global().threadCount();
+    for (const int pool : {1, 4}) {
+        ThreadPool::setGlobalThreads(pool);
+        for (const int threads : {1, 4}) {
+            for (const int64_t tile_n : {4, 16}) {
+                for (const bool fast : {true, false}) {
+                    W4AxGemmConfig config;
+                    config.tile_m = 16;
+                    config.tile_n = tile_n;
+                    config.tile_k = 16;
+                    config.use_fast_conversion = fast;
+                    config.threads = threads;
+                    const W4AxGemm gemm(qw, precisions, config);
+                    for (const MixedQuantizedActivation &qa : activations) {
+                        W4AxGemmStats want_stats, got_stats;
+                        const Tensor want = tileWalkW4Ax(qw, precisions, config,
+                                                         qa, &want_stats);
+                        const Tensor got = gemm.run(qa, &got_stats);
+                        EXPECT_TRUE(sameBits(want, got))
+                            << "pool " << pool << " threads " << threads
+                            << " tile_n " << tile_n << " fast " << fast
+                            << " M " << qa.tokens;
+                        expectSameStats(want_stats, got_stats);
+                    }
+                }
+            }
+        }
+    }
+    ThreadPool::setGlobalThreads(saved_threads);
 }
 
 TEST(W4AxGemm, PoolSizedGemmMatchesTileWalk)

@@ -277,24 +277,70 @@ columnBlockIndex(int64_t v, int64_t c)
                                v % 2);
 }
 
-TEST_P(SimdEquivalence, WidenColumnBlockGoldenAndScalar)
+/** kColumnBlock INT8 column spans (column c at columns + c * stride)
+ * laid out in the column-block layout over @p n values, widened. */
+std::vector<int16_t>
+columnBlockLayout(const int8_t *columns, int64_t stride, int64_t n)
 {
-    constexpr int64_t kBlock = simd::kColumnBlock;
+    std::vector<int16_t> w(static_cast<size_t>(simd::kColumnBlock * n));
+    for (int64_t c = 0; c < simd::kColumnBlock; ++c)
+        for (int64_t v = 0; v < n; ++v)
+            w[columnBlockIndex(v, c)] = columns[c * stride + v];
+    return w;
+}
+
+TEST_P(SimdEquivalence, WidenKernelBlockGoldenAndScalar)
+{
+    // Mixed precision runs of k-tiles (the fast conversion's x16 tiles
+    // among sign-extended ones, as the W4A8 path feeds them) and the
+    // naive ablation's all sign-extended block, over every tile length
+    // up to 64 values and the decoder's 128.
+    constexpr int64_t kStep = simd::kKernelStepBytes;
     Rng rng(17);
-    for (const int64_t n : kEvenSpans) {
-        const int64_t stride = n + 2 * static_cast<int64_t>(rng.uniformInt(3));
-        const std::vector<int8_t> columns =
-            randomInt8(rng, kBlock * std::max<int64_t>(stride, 1), -128, 127);
-        std::vector<int16_t> got(static_cast<size_t>(kBlock * n));
-        std::vector<int16_t> want(got.size());
-        simd::widenColumnBlock(columns.data(), stride, n, got.data());
-        simd::detail::scalar::widenColumnBlock(columns.data(), stride, n,
-                                               want.data());
-        EXPECT_EQ(got, want) << "n=" << n;
-        for (int64_t c = 0; c < kBlock; ++c)
-            for (int64_t v = 0; v < n; ++v)
-                EXPECT_EQ(want[columnBlockIndex(v, c)],
-                          columns[static_cast<size_t>(c * stride + v)]);
+    for (const bool fast : {true, false}) {
+        for (int64_t tile = 8; tile <= 128; tile += tile < 64 ? 8 : 64) {
+            for (const int64_t n_tiles : {0, 1, 2, 5}) {
+                const int64_t n = n_tiles * tile;
+                const std::vector<uint8_t> packed =
+                    randomPackedBytes(rng, n / 8 * kStep);
+                std::vector<uint8_t> x16(static_cast<size_t>(n_tiles));
+                for (uint8_t &flag : x16)
+                    flag = fast ? static_cast<uint8_t>(rng.uniformInt(2)) : 0;
+                std::vector<int16_t> got(static_cast<size_t>(n * 8), 1);
+                std::vector<int16_t> want(got.size(), 2);
+                simd::widenKernelBlock(packed.data(), x16.data(), n_tiles,
+                                       tile, got.data());
+                simd::detail::scalar::widenKernelBlock(
+                    packed.data(), x16.data(), n_tiles, tile, want.data());
+                EXPECT_EQ(got, want) << "tile " << tile << " tiles " << n_tiles;
+
+                // Golden: element e is nibble (e / 32) % 2 of byte
+                // (e / 64) * 32 + e % 32, sign-extended, and 16x that
+                // in an x16 tile, where each register word of bytes
+                // gives fastInt4ToInt8's lo (low nibbles) and hi (high
+                // nibbles) words.
+                for (int64_t e = 0; e < 8 * n; ++e) {
+                    const int64_t step = e / (2 * kStep);
+                    const auto byte =
+                        static_cast<size_t>(step * kStep + e % kStep);
+                    const bool high = e / kStep % 2 == 1;
+                    const int nibble =
+                        high ? packed[byte] >> 4 : packed[byte] & 0x0f;
+                    const bool tile_x16 =
+                        x16[static_cast<size_t>(step * 8 / tile)] != 0;
+                    uint32_t word = 0;
+                    std::memcpy(&word, &packed[byte / 4 * 4], 4);
+                    const ConvertedPair pair = fastInt4ToInt8(word);
+                    const auto fast_value = static_cast<int8_t>(
+                        (high ? pair.hi : pair.lo) >> (8 * (byte % 4)));
+                    const int value = nibble >= 8 ? nibble - 16 : nibble;
+                    ASSERT_EQ(fast_value, 16 * value);
+                    EXPECT_EQ(want[static_cast<size_t>(e)],
+                              tile_x16 ? fast_value : value)
+                        << "element " << e;
+                }
+            }
+        }
     }
 }
 
@@ -312,8 +358,8 @@ TEST_P(SimdEquivalence, DotColumnBlockMatchesScalarOnRaggedCounts)
             std::vector<int8_t> columns = randomInt8(rng, kBlock * n, -8, 7);
             for (int8_t &v : columns)
                 v = static_cast<int8_t>(v * 16);
-            std::vector<int16_t> w(columns.size());
-            simd::widenColumnBlock(columns.data(), n, n, w.data());
+            const std::vector<int16_t> w =
+                columnBlockLayout(columns.data(), n, n);
             std::vector<int32_t> got(static_cast<size_t>(n_tiles * kBlock));
             std::vector<int32_t> want(got.size());
             simd::dotColumnBlockRows(a.data(), 0, 1, w.data(), n_tiles,
@@ -356,8 +402,8 @@ TEST_P(SimdEquivalence, DotColumnBlockRowsMatchesSingleRowCalls)
             for (int64_t v = tile; v < 2 * tile; ++v)
                 columns[static_cast<size_t>(c * k_dim + v)] = static_cast<int8_t>(
                     columns[static_cast<size_t>(c * k_dim + v)] * 16);
-        std::vector<int16_t> w(columns.size());
-        simd::widenColumnBlock(columns.data(), k_dim, k_dim, w.data());
+        const std::vector<int16_t> w =
+            columnBlockLayout(columns.data(), k_dim, k_dim);
         for (int64_t m = 1; m <= 2 * kRows + 1; ++m) {
             // Rows padded past k_dim so a_stride differs from the span.
             const int64_t a_stride = k_dim + 16;
@@ -530,7 +576,7 @@ TEST_P(SimdEquivalence, ZeroLengthSpansAreNoOps)
     simd::dequantAffine(nullptr, nullptr, nullptr, 0, nullptr);
     EXPECT_EQ(simd::dotInt8(nullptr, nullptr, 0), 0);
     EXPECT_EQ(simd::dotInt4(nullptr, nullptr, 0), 0);
-    simd::widenColumnBlock(nullptr, 0, 0, nullptr);
+    simd::widenKernelBlock(nullptr, nullptr, 0, 8, nullptr);
     simd::dotColumnBlockRows(nullptr, 0, 1, nullptr, 0, 16, nullptr, 0);
     simd::dotRowsF32(nullptr, 0, 1, {}, 0, 0, nullptr, 0);
     simd::dotRowsF32(nullptr, 0, 0, {}, 5, 0, nullptr, 0);
@@ -563,33 +609,51 @@ sameBits(const std::vector<float> &a, const std::vector<float> &b)
 
 TEST_P(SimdEquivalence, ScaleColumnBlockMatchesDocumentedOrder)
 {
+    // Every row of a 1- to kColumnBlockRows-row call, over ragged
+    // k-tile counts and padded strides, is simd.h's one-row sum.
     constexpr int64_t kBlock = simd::kColumnBlock;
     Rng rng(21);
-    for (int64_t n_tiles = 0; n_tiles <= 17; ++n_tiles) {
-        const int64_t stride =
-            kBlock + static_cast<int64_t>(rng.uniformInt(5));
-        std::vector<int32_t> dots(static_cast<size_t>(n_tiles * kBlock));
-        for (int32_t &dot : dots)
-            dot = static_cast<int32_t>(rng.uniformInt(1 << 22)) - (1 << 21);
-        const std::vector<float> a_scales =
-            randomFloats(rng, n_tiles, 0.0, 0.1);
-        const std::vector<float> w_scales =
-            randomFloats(rng, n_tiles * stride, 0.0, 0.01);
-        std::vector<float> got(kBlock), want(kBlock);
-        simd::scaleColumnBlock(dots.data(), a_scales.data(), w_scales.data(),
-                               stride, n_tiles, got.data());
-        // simd.h's statement of the epilogue: from +0.0f, k-tiles in
-        // ascending order, multiplies left to right.
-        for (int64_t c = 0; c < kBlock; ++c) {
-            float sum = 0.0f;
-            for (int64_t t = 0; t < n_tiles; ++t)
-                sum += static_cast<float>(
-                           dots[static_cast<size_t>(t * kBlock + c)]) *
-                       a_scales[static_cast<size_t>(t)] *
-                       w_scales[static_cast<size_t>(t * stride + c)];
-            want[static_cast<size_t>(c)] = sum;
+    for (int64_t rows = 1; rows <= simd::kColumnBlockRows; ++rows) {
+        for (int64_t n_tiles = 0; n_tiles <= 17; ++n_tiles) {
+            const int64_t stride =
+                kBlock + static_cast<int64_t>(rng.uniformInt(5));
+            const int64_t dots_stride =
+                n_tiles * kBlock + static_cast<int64_t>(rng.uniformInt(3));
+            const int64_t a_stride =
+                n_tiles + static_cast<int64_t>(rng.uniformInt(3));
+            const int64_t out_stride =
+                kBlock + static_cast<int64_t>(rng.uniformInt(3));
+            std::vector<int32_t> dots(static_cast<size_t>(rows * dots_stride));
+            for (int32_t &dot : dots)
+                dot = static_cast<int32_t>(rng.uniformInt(1 << 22)) - (1 << 21);
+            const std::vector<float> a_scales =
+                randomFloats(rng, rows * a_stride, 0.0, 0.1);
+            const std::vector<float> w_scales =
+                randomFloats(rng, n_tiles * stride, 0.0, 0.01);
+            // Padding past each row's block stays as it was.
+            std::vector<float> got(static_cast<size_t>(rows * out_stride),
+                                   -1.0f);
+            std::vector<float> want(got);
+            simd::scaleColumnBlockRows(dots.data(), dots_stride,
+                                       a_scales.data(), a_stride, rows,
+                                       w_scales.data(), stride, n_tiles,
+                                       got.data(), out_stride);
+            // simd.h's statement of the epilogue: from +0.0f, k-tiles in
+            // ascending order, multiplies left to right.
+            for (int64_t r = 0; r < rows; ++r) {
+                for (int64_t c = 0; c < kBlock; ++c) {
+                    float sum = 0.0f;
+                    for (int64_t t = 0; t < n_tiles; ++t)
+                        sum += static_cast<float>(dots[static_cast<size_t>(
+                                   r * dots_stride + t * kBlock + c)]) *
+                               a_scales[static_cast<size_t>(r * a_stride + t)] *
+                               w_scales[static_cast<size_t>(t * stride + c)];
+                    want[static_cast<size_t>(r * out_stride + c)] = sum;
+                }
+            }
+            EXPECT_TRUE(sameBits(got, want))
+                << "rows " << rows << " n_tiles " << n_tiles;
         }
-        EXPECT_TRUE(sameBits(got, want)) << "n_tiles " << n_tiles;
     }
 }
 
@@ -930,9 +994,28 @@ TEST(SimdDeathTest, ShapeChecks)
                                           simd::kColumnBlockRows + 1,
                                           operands, 0, 16, dots, 0),
                  "");
+    // The kernel layout widens 8-value steps.
     int16_t widened[8 * simd::kColumnBlock];
-    EXPECT_DEATH(simd::widenColumnBlock(out, 8, 3, widened), "");
-    EXPECT_DEATH(simd::widenColumnBlock(out, 4, 8, widened), "");
+    const uint8_t x16[1] = {1};
+    for (const int64_t tile : {0, -8, 4, 12})
+        EXPECT_DEATH(simd::widenKernelBlock(packed, x16, 1, tile, widened), "")
+            << "tile " << tile;
+    EXPECT_DEATH(simd::widenKernelBlock(packed, x16, -1, 8, widened), "");
+    // The epilogue takes 1 to kColumnBlockRows rows and, past one
+    // k-tile, weight scale rows a column block apart.
+    const int32_t int_dots[2 * simd::kColumnBlock] = {};
+    const float unit[2 * simd::kColumnBlock] = {};
+    float sums[simd::kColumnBlock];
+    for (const int64_t rows : {int64_t{0}, simd::kColumnBlockRows + 1})
+        EXPECT_DEATH(simd::scaleColumnBlockRows(int_dots, 0, unit, 0, rows,
+                                                unit, simd::kColumnBlock, 1,
+                                                sums, 0),
+                     "")
+            << "rows " << rows;
+    EXPECT_DEATH(simd::scaleColumnBlockRows(int_dots, 0, unit, 0, 1, unit,
+                                            simd::kColumnBlock - 1, 2, sums,
+                                            0),
+                 "");
     const float x[1] = {0.0f};
     const float scales[1] = {1.0f};
     const int32_t zps[1] = {0};
